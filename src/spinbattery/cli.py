@@ -38,6 +38,7 @@ from .ising import (
 )
 from .quench import (
     QuenchProtocol,
+    _uniform_times,
     asymptotic_energy,
     energy_at_times,
     energy_trace,
@@ -118,7 +119,7 @@ _OPTIONS = {
     "out": (str, "output file"),
     "format": (str, "csv (curve + JSON report) or json (single file)"),
     "workers": (int, "parallel worker budget for sweep/scaling rows"),
-    "evaluator": (str, "full quadruple sum or band-diagonal simplified form"),
+    "evaluator": (str, "full or simplified; both names run the same mode sum"),
     "gamma": (float, "anisotropy"),
     "delta0": (float, "battery dimerization"),
     "delta1": (float, "dimerization step applied while charging"),
@@ -141,7 +142,9 @@ _OPTIONS = {
 
 _OPTION_TYPES = {name: spec[0] for name, spec in _OPTIONS.items()}
 
+# Options every subcommand except phase takes, with their defaults.
 _COMMON = ("model", "out", "format", "workers", "evaluator")
+_COMMON_DEFAULTS = {"model": "xy", "format": "csv", "workers": 1, "evaluator": "full"}
 
 
 def _add_options(parser: argparse.ArgumentParser, names, defaults: dict) -> None:
@@ -199,14 +202,13 @@ def _sidecar_path(out: str) -> str:
 # subcommands
 # ----------------------------------------------------------------------
 
-_TRACE_OPTS = _COMMON + (
+_TRACE_OPTS = (
     "gamma", "delta0", "delta1", "n_dimers",
     "h0", "h1", "n_sites",
     "t_end", "dt", "window_min", "window_max",
 )
 
 _TRACE_DEFAULTS = {
-    "model": "xy", "format": "csv", "workers": 1, "evaluator": "full",
     "gamma": 1.25, "delta0": 0.3, "delta1": 0.6, "n_dimers": 300,
     "h0": 0.8, "h1": 0.7, "n_sites": 600,
 }
@@ -215,8 +217,6 @@ _TRACE_DEFAULTS = {
 def cmd_trace(opts: dict) -> int:
     """Write the stored-energy trace and its three-regime report."""
     _check_choice(opts, "model", {"xy", "ising"})
-    _check_choice(opts, "format", {"csv", "json"})
-    _check_choice(opts, "evaluator", {"full", "simplified"})
     out = opts["out"] or ("trace.csv" if opts["format"] == "csv" else "trace.json")
 
     if opts["model"] == "xy":
@@ -306,7 +306,7 @@ def _write_trace_output(out, fmt, trace, report, params_doc) -> None:
         _write_text(out, deterministic_json(doc) + "\n")
 
 
-_SWEEP_OPTS = _COMMON + (
+_SWEEP_OPTS = (
     "gamma", "delta1", "n_dimers",
     "h1", "n_sites",
     "param_min", "param_max", "param_step",
@@ -314,7 +314,6 @@ _SWEEP_OPTS = _COMMON + (
 )
 
 _SWEEP_DEFAULTS = {
-    "model": "xy", "format": "csv", "workers": 1, "evaluator": "full",
     "gamma": 1.1, "delta1": 0.8, "n_dimers": 300,
     "h1": 0.25, "n_sites": 600,
     "param_step": 0.005, "t_short": 50.0,
@@ -334,8 +333,6 @@ def _make_grid(lo: float, hi: float, step: float) -> list[float]:
 def cmd_sweep(opts: dict) -> int:
     """Sweep the initial dimerization (or field) and tabulate the regimes."""
     _check_choice(opts, "model", {"xy", "ising"})
-    _check_choice(opts, "format", {"csv", "json"})
-    _check_choice(opts, "evaluator", {"full", "simplified"})
     if opts["param_min"] is None or opts["param_max"] is None:
         raise ValueError("param-min and param-max are required")
     grid = _make_grid(opts["param_min"], opts["param_max"], opts["param_step"])
@@ -388,10 +385,9 @@ def cmd_sweep(opts: dict) -> int:
     return EXIT_OK
 
 
-_SCALING_OPTS = _COMMON + ("gamma", "delta0", "delta1", "n_list", "t_short")
+_SCALING_OPTS = ("gamma", "delta0", "delta1", "n_list", "t_short")
 
 _SCALING_DEFAULTS = {
-    "model": "xy", "format": "csv", "workers": 1, "evaluator": "full",
     "gamma": 1.25, "delta0": 0.3, "delta1": 0.6,
     "n_list": "50,100,200,300", "t_short": 50.0,
 }
@@ -400,8 +396,6 @@ _SCALING_DEFAULTS = {
 def cmd_scaling(opts: dict) -> int:
     """Per-dimer energies and recurrence time across system sizes."""
     _check_choice(opts, "model", {"xy"})
-    _check_choice(opts, "format", {"csv", "json"})
-    _check_choice(opts, "evaluator", {"full", "simplified"})
     sizes = [int(s) for s in opts["n_list"].split(",") if s.strip()]
     if not sizes:
         raise ValueError("n-list is empty")
@@ -450,10 +444,9 @@ def cmd_phase(opts: dict) -> int:
     return EXIT_OK
 
 
-_SNAPSHOT_OPTS = _COMMON + ("gamma", "delta0", "delta1", "n_dimers", "time")
+_SNAPSHOT_OPTS = ("gamma", "delta0", "delta1", "n_dimers", "time")
 
 _SNAPSHOT_DEFAULTS = {
-    "model": "xy", "format": "csv", "workers": 1, "evaluator": "full",
     "gamma": 1.1, "delta0": 0.2, "delta1": 0.8, "n_dimers": 300,
 }
 
@@ -461,8 +454,6 @@ _SNAPSHOT_DEFAULTS = {
 def cmd_snapshot(opts: dict) -> int:
     """Lower-band occupation versus momentum at a fixed time."""
     _check_choice(opts, "model", {"xy"})
-    _check_choice(opts, "format", {"csv", "json"})
-    _check_choice(opts, "evaluator", {"full", "simplified"})
     if opts["time"] is None or opts["time"] < 0:
         raise ValueError("--time must be given and >= 0")
     protocol = QuenchProtocol(
@@ -488,10 +479,9 @@ def cmd_snapshot(opts: dict) -> int:
     return EXIT_OK
 
 
-_ORACLE_OPTS = _COMMON + ("gamma", "delta0", "delta1", "h0", "h1", "n_sites", "t_end", "dt", "tol")
+_ORACLE_OPTS = ("gamma", "delta0", "delta1", "h0", "h1", "n_sites", "t_end", "dt", "tol")
 
 _ORACLE_DEFAULTS = {
-    "model": "xy", "format": "csv", "workers": 1, "evaluator": "full",
     "gamma": 1.25, "delta0": 0.3, "delta1": 0.6,
     "h0": 0.8, "h1": 0.7,
     "n_sites": 4, "t_end": 50.0, "dt": 0.1, "tol": 1e-8,
@@ -501,9 +491,8 @@ _ORACLE_DEFAULTS = {
 def cmd_oracle_check(opts: dict) -> int:
     """Compare the momentum-space engine against dense spin-space ED."""
     _check_choice(opts, "model", {"xy", "ising"})
-    _check_choice(opts, "evaluator", {"full", "simplified"})
     n_sites = opts["n_sites"]
-    times = opts["dt"] * np.arange(int(np.floor(opts["t_end"] / opts["dt"])) + 1)
+    times = _uniform_times(opts["t_end"], opts["dt"], np.inf)
     if opts["model"] == "xy":
         if n_sites % 2 != 0:
             raise ValueError("the XY oracle needs an even number of sites")
@@ -538,33 +527,36 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("trace", help="energy trace plus regime report")
-    _add_options(p, _TRACE_OPTS, _TRACE_DEFAULTS)
+    _add_options(p, *_DISPATCH["trace"][1:])
 
     p = sub.add_parser("sweep", help="regime energies across a parameter grid")
-    _add_options(p, _SWEEP_OPTS, _SWEEP_DEFAULTS)
+    _add_options(p, *_DISPATCH["sweep"][1:])
 
     p = sub.add_parser("scaling", help="regime energies across system sizes")
-    _add_options(p, _SCALING_OPTS, _SCALING_DEFAULTS)
+    _add_options(p, *_DISPATCH["scaling"][1:])
 
     p = sub.add_parser("phase", help="classify a point of the phase diagram")
     p.add_argument("gamma", type=float, help="anisotropy, > 0")
     p.add_argument("delta", type=float, help="dimerization, >= 0")
 
     p = sub.add_parser("snapshot", help="occupation-number profile at a time")
-    _add_options(p, _SNAPSHOT_OPTS, _SNAPSHOT_DEFAULTS)
+    _add_options(p, *_DISPATCH["snapshot"][1:])
 
     p = sub.add_parser("oracle-check", help="engine vs exact diagonalization")
-    _add_options(p, _ORACLE_OPTS, _ORACLE_DEFAULTS)
+    _add_options(p, *_DISPATCH["oracle-check"][1:])
 
     return parser
 
 
 _DISPATCH = {
-    "trace": (cmd_trace, _TRACE_OPTS, _TRACE_DEFAULTS),
-    "sweep": (cmd_sweep, _SWEEP_OPTS, _SWEEP_DEFAULTS),
-    "scaling": (cmd_scaling, _SCALING_OPTS, _SCALING_DEFAULTS),
-    "snapshot": (cmd_snapshot, _SNAPSHOT_OPTS, _SNAPSHOT_DEFAULTS),
-    "oracle-check": (cmd_oracle_check, _ORACLE_OPTS, _ORACLE_DEFAULTS),
+    name: (func, _COMMON + names, {**_COMMON_DEFAULTS, **defaults})
+    for name, (func, names, defaults) in {
+        "trace": (cmd_trace, _TRACE_OPTS, _TRACE_DEFAULTS),
+        "sweep": (cmd_sweep, _SWEEP_OPTS, _SWEEP_DEFAULTS),
+        "scaling": (cmd_scaling, _SCALING_OPTS, _SCALING_DEFAULTS),
+        "snapshot": (cmd_snapshot, _SNAPSHOT_OPTS, _SNAPSHOT_DEFAULTS),
+        "oracle-check": (cmd_oracle_check, _ORACLE_OPTS, _ORACLE_DEFAULTS),
+    }.items()
 }
 
 
@@ -576,7 +568,9 @@ def main(argv=None) -> int:
             return cmd_phase({"gamma": ns.gamma, "delta": ns.delta})
         func, names, defaults = _DISPATCH[ns.command]
         opts = _resolve(ns, names, defaults)
-        if opts.get("workers") is not None and opts["workers"] < 1:
+        _check_choice(opts, "format", {"csv", "json"})
+        _check_choice(opts, "evaluator", {"full", "simplified"})
+        if opts["workers"] < 1:
             raise ValueError("workers must be >= 1")
         return func(opts)
     except (ValueError, OSError) as exc:

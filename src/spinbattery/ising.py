@@ -21,8 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quench import EnergyTrace, SAMPLES_PER_PERIOD_FACTOR
-from .sums import compensated_sum, compensated_sum_axis0
+from .quench import EnergyTrace, _lock, _mode_sum_at_times, _resolution_bound, _uniform_times
+from .sums import compensated_sum
+from .xy import _check_finite
 
 __all__ = [
     "IsingParams",
@@ -37,9 +38,6 @@ __all__ = [
     "ising_resolution_bound",
 ]
 
-_TIME_BLOCK = 4096
-
-
 @dataclass(frozen=True)
 class IsingParams:
     """Initial transverse field h0, quench amplitude h1, chain length N."""
@@ -49,6 +47,7 @@ class IsingParams:
     n_sites: int
 
     def __post_init__(self):
+        _check_finite(h0=self.h0, h1=self.h1)
         if int(self.n_sites) != self.n_sites or self.n_sites < 2:
             raise ValueError(f"n_sites must be an integer >= 2, got {self.n_sites}")
 
@@ -118,29 +117,20 @@ def _mode_arrays(params: IsingParams):
             "a mode dispersion vanished exactly; half-integer q should prevent this"
         )
     amp = params.h1**2 * np.sin(k) ** 2 / (2.0 * eps * omega**2)
-    omega.setflags(write=False)
-    amp.setflags(write=False)
+    _lock(omega, amp)
     return omega, amp
 
 
 def ising_energy_at_times(params: IsingParams, times: np.ndarray) -> np.ndarray:
     """Stored energy on an arbitrary grid of times >= 0."""
-    times = np.asarray(times, dtype=float)
-    if times.size and float(np.min(times)) < 0:
-        raise ValueError("times must be >= 0")
     omega, amp = _mode_arrays(params)
-    out = np.empty(times.size, dtype=float)
-    for lo in range(0, times.size, _TIME_BLOCK):
-        chunk = times[lo : lo + _TIME_BLOCK]
-        contrib = amp[:, None] * (1.0 - np.cos(2.0 * omega[:, None] * chunk[None, :]))
-        out[lo : lo + _TIME_BLOCK] = compensated_sum_axis0(contrib)
-    return out
+    return _mode_sum_at_times(
+        times, lambda chunk: amp[:, None] * (1.0 - np.cos(2.0 * omega[:, None] * chunk[None, :]))
+    )
 
 
 def ising_energy_stored(params: IsingParams, t: float) -> float:
     """Closed-form stored energy at a single time t >= 0."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
     return float(ising_energy_at_times(params, np.array([t]))[0])
 
 
@@ -153,21 +143,11 @@ def ising_asymptotic_energy(params: IsingParams) -> float:
 def ising_resolution_bound(params: IsingParams) -> float:
     """Trace-step bound, ten samples per period of the fastest mode 2 w_q."""
     omega, _ = _mode_arrays(params)
-    fmax = 2.0 * float(np.max(omega))
-    if fmax == 0.0:
-        return np.inf
-    return np.pi / (SAMPLES_PER_PERIOD_FACTOR * fmax)
+    return _resolution_bound(2.0 * float(np.max(omega)))
 
 
 def ising_energy_trace(params: IsingParams, t_end: float, dt: float) -> EnergyTrace:
     """Stored energy on the uniform grid {0, dt, 2dt, ...} up to t_end."""
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
-    bound = ising_resolution_bound(params)
-    if dt > bound:
-        raise ValueError(
-            f"dt={dt} too coarse to resolve the fastest mode; need dt <= {bound:.6e}"
-        )
-    times = dt * np.arange(int(np.floor(t_end / dt)) + 1)
+    times = _uniform_times(t_end, dt, ising_resolution_bound(params))
     values = ising_energy_at_times(params, times)
     return EnergyTrace(times=times, values=values, protocol=params, evaluator="closed-form")

@@ -16,10 +16,10 @@ matching-matrix entries (both cosine families, overall factor 2), organised
 as squared moduli; the equivalence is enforced in the test suite together
 with agreement against brute-force exact diagonalization.
 
-The simplified evaluator keeps only the band-diagonal terms of that sum
-(matching-matrix entries within one band), valid in the regime where the
-off-diagonal products are negligible; it is opt-in and validated against
-the full evaluator where the approximation is claimed.
+Both evaluator names, ``"full"`` and ``"simplified"``, are accepted and run
+this same sum.  The matching matrix does not mix the two bands, so a
+band-diagonal truncation of the sum agrees with it to rounding and needs no
+path of its own.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .sums import compensated_sum, compensated_sum_axis0
 from .xy import (
     ChainParams,
     ModeIndex,
+    _check_finite,
     bloch_stack,
     dispersion_curves,
     eigensystem_stack,
@@ -76,7 +77,9 @@ class QuenchProtocol:
     n_dimers: int
 
     def __post_init__(self):
-        # ChainParams re-validates gamma/n_dimers; delta1 needs its own check.
+        # ChainParams re-validates gamma/n_dimers; the deltas are checked here
+        # so that errors name them.
+        _check_finite(delta0=self.delta0, delta1=self.delta1)
         if self.delta1 < 0:
             raise ValueError(f"delta1 must be >= 0, got {self.delta1}")
         self.battery_params()
@@ -125,10 +128,9 @@ class EnergyTrace:
         self.values.setflags(write=False)
 
 
-def _check_evaluator(evaluator: str) -> str:
+def _check_evaluator(evaluator: str) -> None:
     if evaluator not in ("full", "simplified"):
         raise ValueError(f"evaluator must be 'full' or 'simplified', got {evaluator!r}")
-    return evaluator
 
 
 def _lock(*arrays: np.ndarray) -> None:
@@ -146,8 +148,7 @@ def _mode_data(protocol: QuenchProtocol):
         bloch_stack(protocol.gamma, protocol.delta0 + protocol.delta1, protocol.n_dimers)
     )
     m = np.conj(np.transpose(v, (0, 2, 1))) @ u
-    for arr in (omega, omega_p, m):
-        arr.setflags(write=False)
+    _lock(omega, omega_p, m)
     return omega, omega_p, m
 
 
@@ -166,51 +167,36 @@ _PAIR_TABLE = (
 
 
 @lru_cache(maxsize=32)
-def _occupation_tables(protocol: QuenchProtocol, evaluator: str):
+def _occupation_tables(protocol: QuenchProtocol):
     """Constant/cosine/sine coefficient tables for n_{s,q}(t).
 
-    Returns ``(freqs, const, cos_a, sin_b)`` with shapes (N, F), (N, 2),
-    (N, 2, F), (N, 2, F); F = 4 for the full evaluator and 2 (frequencies
-    2 w1', 2 w2') for the band-diagonal simplified one.
+    Returns ``(freqs, const, cos_a, sin_b)`` with shapes (N, 4), (N, 2),
+    (N, 2, 4), (N, 2, 4) over the frequencies [w1'-w2', 2 w1', w1'+w2', 2 w2'].
     """
     _, omega_p, m = _mode_data(protocol)
     n = m.shape[0]
     w1p, w2p = omega_p[:, 0], omega_p[:, 1]
-
-    if evaluator == "full":
-        freqs = np.column_stack([w1p - w2p, 2.0 * w1p, w1p + w2p, 2.0 * w2p])
-        const = np.zeros((n, 2))
-        cos_a = np.zeros((n, 2, 4))
-        sin_b = np.zeros((n, 2, 4))
-        for s in (0, 1):
-            for j in (2, 3):
-                g = np.conj(m[:, :, s]) * m[:, :, j]  # (N, 4) over the mode index
-                const[:, s] += np.sum(np.abs(g) ** 2, axis=1)
-                for a, b, col, sgn in _PAIR_TABLE:
-                    z = g[:, a] * np.conj(g[:, b])
-                    cos_a[:, s, col] += 2.0 * z.real
-                    sin_b[:, s, col] += sgn * 2.0 * z.imag
-        _lock(freqs, const, cos_a, sin_b)
-        return freqs, const, cos_a, sin_b
-
-    # simplified: keep only matching-matrix products within band s
-    freqs = np.column_stack([2.0 * w1p, 2.0 * w2p])
+    freqs = np.column_stack([w1p - w2p, 2.0 * w1p, w1p + w2p, 2.0 * w2p])
     const = np.zeros((n, 2))
-    cos_a = np.zeros((n, 2, 2))
-    sin_b = np.zeros((n, 2, 2))
+    cos_a = np.zeros((n, 2, 4))
+    sin_b = np.zeros((n, 2, 4))
     for s in (0, 1):
-        g_part = np.conj(m[:, s, s]) * m[:, s, s + 2]
-        g_hole = np.conj(m[:, s + 2, s]) * m[:, s + 2, s + 2]
-        const[:, s] = np.abs(g_part) ** 2 + np.abs(g_hole) ** 2
-        z = g_part * np.conj(g_hole)
-        cos_a[:, s, s] = 2.0 * z.real
-        sin_b[:, s, s] = 2.0 * z.imag
+        for j in (2, 3):
+            g = np.conj(m[:, :, s]) * m[:, :, j]  # (N, 4) over the mode index
+            const[:, s] += np.sum(np.abs(g) ** 2, axis=1)
+            for a, b, col, sgn in _PAIR_TABLE:
+                z = g[:, a] * np.conj(g[:, b])
+                cos_a[:, s, col] += 2.0 * z.real
+                sin_b[:, s, col] += sgn * 2.0 * z.imag
     _lock(freqs, const, cos_a, sin_b)
     return freqs, const, cos_a, sin_b
 
 
 def _occupation_values(protocol: QuenchProtocol, t: float, evaluator: str) -> np.ndarray:
-    freqs, const, cos_a, sin_b = _occupation_tables(protocol, evaluator)
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    _check_evaluator(evaluator)
+    freqs, const, cos_a, sin_b = _occupation_tables(protocol)
     ph = freqs * t
     return const + np.einsum("nsf,nf->ns", cos_a, np.cos(ph)) + np.einsum(
         "nsf,nf->ns", sin_b, np.sin(ph)
@@ -218,17 +204,63 @@ def _occupation_values(protocol: QuenchProtocol, t: float, evaluator: str) -> np
 
 
 # ----------------------------------------------------------------------
+# scaffolding shared with the Ising closed form
+# ----------------------------------------------------------------------
+
+def _mode_sum_at_times(times, contrib) -> np.ndarray:
+    """Sum the per-mode terms ``contrib(chunk)``, shape (modes, chunk), over modes.
+
+    Times must be >= 0.  They are processed in blocks of ``_TIME_BLOCK`` to
+    bound the temporaries, and modes are reduced in ascending-q order with
+    compensated accumulation, so the result is independent of how the
+    per-mode work was scheduled.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.size and float(np.min(times)) < 0:
+        raise ValueError("times must be >= 0")
+    out = np.empty(times.size, dtype=float)
+    for lo in range(0, times.size, _TIME_BLOCK):
+        chunk = times[lo : lo + _TIME_BLOCK]
+        out[lo : lo + _TIME_BLOCK] = compensated_sum_axis0(contrib(chunk))
+    return out
+
+
+def _resolution_bound(fmax: float) -> float:
+    """Largest step with ten samples per period of the frequency fmax."""
+    if fmax == 0.0:
+        return np.inf
+    return np.pi / (SAMPLES_PER_PERIOD_FACTOR * fmax)
+
+
+def _uniform_times(t_end: float, dt: float, bound: float) -> np.ndarray:
+    """The grid {0, dt, 2dt, ...} up to t_end; dt may not exceed the resolution bound."""
+    _check_finite(t_end=t_end, dt=dt)
+    if dt <= 0 or t_end <= 0:
+        raise ValueError("dt and t_end must be positive")
+    if dt > bound:
+        raise ValueError(
+            f"dt={dt} too coarse to resolve the fastest charging frequency; "
+            f"need dt <= {bound:.6e}"
+        )
+    return dt * np.arange(int(np.floor(t_end / dt)) + 1)
+
+
+# ----------------------------------------------------------------------
 # public operations
 # ----------------------------------------------------------------------
 
-def matching_matrix(protocol: QuenchProtocol, mode: ModeIndex) -> MatchingMatrix:
-    """M_q = V_q^{-1} U_q between battery and charging eigenbases."""
+def _mode_row(protocol: QuenchProtocol, mode: ModeIndex) -> int:
     if mode.n_dimers != protocol.n_dimers:
         raise ValueError(
             f"mode built for n_dimers={mode.n_dimers}, protocol has {protocol.n_dimers}"
         )
+    return int(mode.q - 0.5)
+
+
+def matching_matrix(protocol: QuenchProtocol, mode: ModeIndex) -> MatchingMatrix:
+    """M_q = V_q^{-1} U_q between battery and charging eigenbases."""
+    i = _mode_row(protocol, mode)
     omega, omega_p, m = _mode_data(protocol)
-    i = int(mode.q - 0.5)
     return MatchingMatrix(
         mode=mode,
         m=m[i].copy(),
@@ -241,14 +273,8 @@ def occupations(
     protocol: QuenchProtocol, mode: ModeIndex, t: float, evaluator: str = "full"
 ) -> tuple[float, float]:
     """Quasiparticle occupations (n1, n2) of one mode at time t >= 0."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if mode.n_dimers != protocol.n_dimers:
-        raise ValueError(
-            f"mode built for n_dimers={mode.n_dimers}, protocol has {protocol.n_dimers}"
-        )
-    vals = _occupation_values(protocol, t, _check_evaluator(evaluator))
-    i = int(mode.q - 0.5)
+    i = _mode_row(protocol, mode)
+    vals = _occupation_values(protocol, t, evaluator)
     return float(vals[i, 0]), float(vals[i, 1])
 
 
@@ -256,13 +282,11 @@ def occupations_all(
     protocol: QuenchProtocol, t: float, evaluator: str = "full"
 ) -> np.ndarray:
     """Occupations for every mode, shape (n_dimers, 2), ascending q."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    return _occupation_values(protocol, t, _check_evaluator(evaluator))
+    return _occupation_values(protocol, t, evaluator)
 
 
-def _energy_tables(protocol: QuenchProtocol, evaluator: str):
-    freqs, const, cos_a, sin_b = _occupation_tables(protocol, evaluator)
+def _energy_tables(protocol: QuenchProtocol):
+    freqs, const, cos_a, sin_b = _occupation_tables(protocol)
     omega, _, _ = _mode_data(protocol)
     e_const = np.sum(omega * const, axis=1)
     e_cos = np.einsum("ns,nsf->nf", omega, cos_a)
@@ -278,27 +302,22 @@ def energy_at_times(
     Modes are reduced in ascending-q order with compensated accumulation, so
     the result is independent of how the per-mode work was scheduled.
     """
-    times = np.asarray(times, dtype=float)
-    if times.size and float(np.min(times)) < 0:
-        raise ValueError("times must be >= 0")
-    freqs, e_const, e_cos, e_sin = _energy_tables(protocol, _check_evaluator(evaluator))
-    out = np.empty(times.size, dtype=float)
-    for lo in range(0, times.size, _TIME_BLOCK):
-        chunk = times[lo : lo + _TIME_BLOCK]
+    _check_evaluator(evaluator)
+    freqs, e_const, e_cos, e_sin = _energy_tables(protocol)
+
+    def contrib(chunk):
         ph = freqs[:, :, None] * chunk[None, None, :]  # (N, F, T)
-        contrib = (
+        return (
             e_const[:, None]
             + np.einsum("nf,nft->nt", e_cos, np.cos(ph))
             + np.einsum("nf,nft->nt", e_sin, np.sin(ph))
         )
-        out[lo : lo + _TIME_BLOCK] = compensated_sum_axis0(contrib)
-    return out
+
+    return _mode_sum_at_times(times, contrib)
 
 
 def energy_stored(protocol: QuenchProtocol, t: float, evaluator: str = "full") -> float:
     """Stored energy at a single time t >= 0."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
     return float(energy_at_times(protocol, np.array([t]), evaluator)[0])
 
 
@@ -311,10 +330,7 @@ def resolution_bound(protocol: QuenchProtocol) -> float:
     charging = dispersion_curves(
         protocol.gamma, protocol.delta0 + protocol.delta1, protocol.n_dimers
     )
-    fmax = float(np.max(charging[:, 0] + charging[:, 1]))
-    if fmax == 0.0:
-        return np.inf
-    return np.pi / (SAMPLES_PER_PERIOD_FACTOR * fmax)
+    return _resolution_bound(float(np.max(charging[:, 0] + charging[:, 1])))
 
 
 def energy_trace(
@@ -329,15 +345,7 @@ def energy_trace(
     Rejects steps coarser than :func:`resolution_bound`; an aliased grid
     would silently corrupt downstream regime detection.
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
-    bound = resolution_bound(protocol)
-    if dt > bound:
-        raise ValueError(
-            f"dt={dt} too coarse to resolve the fastest charging frequency; "
-            f"need dt <= {bound:.6e}"
-        )
-    times = dt * np.arange(int(np.floor(t_end / dt)) + 1)
+    times = _uniform_times(t_end, dt, resolution_bound(protocol))
     values = energy_at_times(protocol, times, evaluator)
     return EnergyTrace(times=times, values=values, protocol=protocol, evaluator=evaluator)
 
@@ -345,10 +353,11 @@ def energy_trace(
 def asymptotic_energy(protocol: QuenchProtocol) -> float:
     """Time-independent part of the stored energy (infinite-time average).
 
-    All equal-frequency terms of the non-oscillating cosine family are
-    summed exactly; charging bands closer than ``EQUAL_FREQ_TOL`` count as
-    degenerate and their cross terms enter the constant.
+    Every cosine column whose frequency is at most ``EQUAL_FREQ_TOL`` is
+    time independent and enters the constant: the w1'-w2' cross terms of
+    degenerate charging bands, and the 2 w' terms of a band whose charging
+    frequency vanishes (a flat band at a gap closing).
     """
-    freqs, e_const, e_cos, _ = _energy_tables(protocol, "full")
-    contrib = e_const + np.where(freqs[:, 0] <= EQUAL_FREQ_TOL, e_cos[:, 0], 0.0)
-    return compensated_sum(contrib)
+    freqs, e_const, e_cos, _ = _energy_tables(protocol)
+    static = np.where(freqs <= EQUAL_FREQ_TOL, e_cos, 0.0)
+    return compensated_sum(e_const + np.sum(static, axis=1))

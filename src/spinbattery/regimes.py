@@ -14,6 +14,7 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .ising import (
 from .quench import (
     EnergyTrace,
     QuenchProtocol,
+    _uniform_times,
     asymptotic_energy,
     energy_at_times,
     occupations_all,
@@ -153,17 +155,10 @@ def find_recurrence(
 ) -> tuple[float, float]:
     """Windowed maximum of the trace, parabolically refined."""
     t_min, t_max = window
-    mask = (trace.times >= t_min) & (trace.times <= t_max)
-    idx = np.nonzero(mask)[0]
+    idx = np.nonzero((trace.times >= t_min) & (trace.times <= t_max))[0]
     if idx.size == 0:
         raise ValueError(f"window {window} contains no trace samples")
-    j = int(idx[np.argmax(trace.values[idx])])
-    if j == idx[0] or j == idx[-1]:
-        warnings.warn(
-            "recurrence maximum sits on a window edge; the window is likely misplaced",
-            RecurrenceWindowWarning,
-        )
-    return _refine_parabolic(trace.times, trace.values, j)
+    return _windowed_argmax(trace.times, trace.values, idx[0], idx[-1] + 1)
 
 
 def analyze_trace(
@@ -191,9 +186,13 @@ def occupation_snapshot(
 # per-point regime extraction (sweep / scaling workers)
 # ----------------------------------------------------------------------
 
-def _windowed_argmax(times: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    j = int(np.argmax(values))
-    if j == 0 or j == len(values) - 1:
+def _windowed_argmax(
+    times: np.ndarray, values: np.ndarray, lo: int = 0, hi: int | None = None
+) -> tuple[float, float]:
+    """Maximum over samples lo..hi-1, refined with the neighbours outside them."""
+    hi = len(values) if hi is None else hi
+    j = lo + int(np.argmax(values[lo:hi]))
+    if j == lo or j == hi - 1:
         warnings.warn(
             "recurrence maximum sits on a window edge; the window is likely misplaced",
             RecurrenceWindowWarning,
@@ -212,40 +211,22 @@ def _first_strict_max(
     )
 
 
-def _uniform_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
-    n = int(np.floor((t_end - t_start) / dt)) + 1
-    return t_start + dt * np.arange(n)
-
-
-def _xy_regime_point(args) -> tuple[float, float, float, float, float]:
-    gamma, delta0, delta1, n_dimers, t_short, window, evaluator = args
-    protocol = QuenchProtocol(gamma, delta0, delta1, n_dimers)
-    dt = DT_SAFETY * resolution_bound(protocol)
-    short_times = _uniform_grid(0.0, t_short, dt)
-    tau_s, e_s = _first_strict_max(
-        short_times,
-        energy_at_times(protocol, short_times, evaluator),
-        1e-10 * n_dimers,
-    )
-    e_inf = asymptotic_energy(protocol)
-    win_times = _uniform_grid(window[0], window[1], dt)
-    tau_r, e_r = _windowed_argmax(
-        win_times, energy_at_times(protocol, win_times, evaluator)
-    )
-    return tau_s, e_s, e_inf, tau_r, e_r
-
-
-def _ising_regime_point(args) -> tuple[float, float, float, float, float]:
-    h0, h1, n_sites, t_short, window = args
-    params = IsingParams(h0, h1, n_sites)
-    dt = DT_SAFETY * ising_resolution_bound(params)
-    short_times = _uniform_grid(0.0, t_short, dt)
-    tau_s, e_s = _first_strict_max(
-        short_times, ising_energy_at_times(params, short_times), 1e-10 * n_sites
-    )
-    e_inf = ising_asymptotic_energy(params)
-    win_times = _uniform_grid(window[0], window[1], dt)
-    tau_r, e_r = _windowed_argmax(win_times, ising_energy_at_times(params, win_times))
+def _regime_point(args) -> tuple[float, float, float, float, float]:
+    """(tau_s, e_s, e_inf, tau_r, e_r) of one XY protocol or Ising parameter set."""
+    params, t_short, window, evaluator = args
+    if isinstance(params, IsingParams):
+        bound = ising_resolution_bound(params)
+        e_inf = ising_asymptotic_energy(params)
+        energy = partial(ising_energy_at_times, params)
+    else:
+        bound = resolution_bound(params)
+        e_inf = asymptotic_energy(params)
+        energy = partial(energy_at_times, params, evaluator=evaluator)
+    dt = DT_SAFETY * bound
+    short_times = _uniform_times(t_short, dt, bound)
+    tau_s, e_s = _first_strict_max(short_times, energy(short_times), _noise_floor(params))
+    win_times = window[0] + _uniform_times(window[1] - window[0], dt, bound)
+    tau_r, e_r = _windowed_argmax(win_times, energy(win_times))
     return tau_s, e_s, e_inf, tau_r, e_r
 
 
@@ -254,6 +235,25 @@ def _map_ordered(func, jobs: list, workers: int) -> list:
         return [func(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, jobs))
+
+
+def _sweep_rows(grid, protocols, size, workers, t_short, window, evaluator="full"):
+    """One SweepRow per grid value, energies divided by the system size."""
+    if not window[0] < window[1]:
+        raise ValueError(f"recurrence window {window} is empty")
+    jobs = [(p, t_short, window, evaluator) for p in protocols]
+    points = _map_ordered(_regime_point, jobs, workers)
+    return [
+        SweepRow(
+            param=x,
+            e_s_per=e_s / size,
+            e_r_per=e_r / size,
+            e_inf_per=e_inf / size,
+            tau_s=tau_s,
+            tau_r=tau_r,
+        )
+        for x, (tau_s, e_s, e_inf, tau_r, e_r) in zip(grid, points)
+    ]
 
 
 def sweep_delta0(
@@ -277,19 +277,8 @@ def sweep_delta0(
     if any(d <= 0 or d + delta1 <= 0 for d in grid):
         raise ValueError("delta0 and delta0 + delta1 must stay positive on the grid")
     win = default_recurrence_window(n_dimers) if window is None else window
-    jobs = [(gamma, d0, delta1, n_dimers, t_short, win, evaluator) for d0 in grid]
-    points = _map_ordered(_xy_regime_point, jobs, workers)
-    return [
-        SweepRow(
-            param=d0,
-            e_s_per=e_s / n_dimers,
-            e_r_per=e_r / n_dimers,
-            e_inf_per=e_inf / n_dimers,
-            tau_s=tau_s,
-            tau_r=tau_r,
-        )
-        for d0, (tau_s, e_s, e_inf, tau_r, e_r) in zip(grid, points)
-    ]
+    protocols = [QuenchProtocol(gamma, d0, delta1, n_dimers) for d0 in grid]
+    return _sweep_rows(grid, protocols, n_dimers, workers, t_short, win, evaluator)
 
 
 def sweep_field(
@@ -304,19 +293,8 @@ def sweep_field(
     """Ising analogue of :func:`sweep_delta0`, normalized per site."""
     grid = [float(h0) for h0 in h0_grid]
     win = ising_recurrence_window(n_sites) if window is None else window
-    jobs = [(h0, h1, n_sites, t_short, win) for h0 in grid]
-    points = _map_ordered(_ising_regime_point, jobs, workers)
-    return [
-        SweepRow(
-            param=h0,
-            e_s_per=e_s / n_sites,
-            e_r_per=e_r / n_sites,
-            e_inf_per=e_inf / n_sites,
-            tau_s=tau_s,
-            tau_r=tau_r,
-        )
-        for h0, (tau_s, e_s, e_inf, tau_r, e_r) in zip(grid, points)
-    ]
+    params = [IsingParams(h0, h1, n_sites) for h0 in grid]
+    return _sweep_rows(grid, params, n_sites, workers, t_short, win)
 
 
 def scaling_study(
@@ -333,11 +311,9 @@ def scaling_study(
     sizes = [int(n) for n in n_list]
     if any(n < 5 for n in sizes):
         raise ValueError("scaling sizes below n_dimers = 5 show no regime structure")
-    jobs = [
-        (gamma, delta0, delta1, n, t_short, default_recurrence_window(n), evaluator)
-        for n in sizes
-    ]
-    points = _map_ordered(_xy_regime_point, jobs, workers)
+    protocols = [QuenchProtocol(gamma, delta0, delta1, n) for n in sizes]
+    jobs = [(p, t_short, default_recurrence_window(p.n_dimers), evaluator) for p in protocols]
+    points = _map_ordered(_regime_point, jobs, workers)
     return [
         ScalingRow(
             n_dimers=n,

@@ -58,6 +58,7 @@ class ChainParams:
     energy_scale: float = 1.0
 
     def __post_init__(self):
+        _check_finite(gamma=self.gamma, delta=self.delta)
         if not self.gamma > 0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if self.delta < 0:
@@ -156,6 +157,13 @@ class Phase(Enum):
         }[self]
 
 
+def _check_finite(**values: float) -> None:
+    """Reject NaN and infinite parameters, naming the offending one."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 # ----------------------------------------------------------------------
 # batched internals (shared with the quench engine)
 # ----------------------------------------------------------------------
@@ -168,8 +176,8 @@ def structure_constants(gamma: float, delta: float, k: np.ndarray | float):
     return z, w
 
 
-def bloch_stack(gamma: float, delta: float, n_dimers: int) -> np.ndarray:
-    """Bloch matrices for every q, shape (n_dimers, 4, 4).
+def _bloch_entries(z, w) -> np.ndarray:
+    """Bloch matrices from structure constants, shape z.shape + (4, 4).
 
     Layout (rows/cols ordered as particle-A, particle-B, hole-A, hole-B):
 
@@ -181,45 +189,23 @@ def bloch_stack(gamma: float, delta: float, n_dimers: int) -> np.ndarray:
     Hermitian with zero diagonal and zero trace; the spectrum is symmetric
     about zero because the matrix anticommutes with diag(1, -1, 1, -1).
     """
-    q = np.arange(n_dimers) + 0.5
-    k = 2.0 * np.pi * q / n_dimers
-    z, w = structure_constants(gamma, delta, k)
-    h = np.zeros((n_dimers, 4, 4), dtype=complex)
-    h[:, 0, 1] = z
-    h[:, 1, 0] = np.conj(z)
-    h[:, 0, 3] = -w
-    h[:, 3, 0] = -np.conj(w)
-    h[:, 1, 2] = np.conj(w)
-    h[:, 2, 1] = w
-    h[:, 2, 3] = -z
-    h[:, 3, 2] = -np.conj(z)
+    h = np.zeros(np.shape(z) + (4, 4), dtype=complex)
+    h[..., 0, 1] = z
+    h[..., 1, 0] = np.conj(z)
+    h[..., 0, 3] = -w
+    h[..., 3, 0] = -np.conj(w)
+    h[..., 1, 2] = np.conj(w)
+    h[..., 2, 1] = w
+    h[..., 2, 3] = -z
+    h[..., 3, 2] = -np.conj(z)
     return h
 
 
-def _orthonormalize_degenerate(vals: np.ndarray, vecs: np.ndarray, tol: float = 1e-10):
-    """Deterministic Gram-Schmidt inside degenerate eigenvalue groups.
-
-    ``vals``/``vecs`` are single-matrix eigh output (ascending).  The solver
-    already returns an orthonormal basis; this pass only pins the choice
-    within exactly degenerate subspaces to the ascending original column
-    order so repeated runs agree bit for bit.
-    """
-    n = len(vals)
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and abs(vals[stop] - vals[start]) <= tol:
-            stop += 1
-        if stop - start > 1:
-            block = vecs[:, start:stop].copy()
-            for c in range(block.shape[1]):
-                v = block[:, c]
-                for p in range(c):
-                    v = v - (block[:, p].conj() @ v) * block[:, p]
-                block[:, c] = v / np.linalg.norm(v)
-            vecs[:, start:stop] = block
-        start = stop
-    return vecs
+def bloch_stack(gamma: float, delta: float, n_dimers: int) -> np.ndarray:
+    """Bloch matrices for every q, shape (n_dimers, 4, 4)."""
+    q = np.arange(n_dimers) + 0.5
+    k = 2.0 * np.pi * q / n_dimers
+    return _bloch_entries(*structure_constants(gamma, delta, k))
 
 
 def _gauge_fix_columns(vecs: np.ndarray) -> np.ndarray:
@@ -249,10 +235,6 @@ def eigensystem_stack(bloch: np.ndarray):
     eigensolver raises ``numpy.linalg.LinAlgError`` (never returns garbage).
     """
     vals, vecs = np.linalg.eigh(bloch)
-    for i in range(bloch.shape[0]):
-        span = max(1.0, float(np.max(np.abs(vals[i]))))
-        if np.min(np.diff(vals[i])) <= 1e-10 * span:
-            _orthonormalize_degenerate(vals[i], vecs[i], tol=1e-10 * span)
     vals = vals[:, _BAND_ORDER]
     vecs = vecs[:, :, _BAND_ORDER]
     vecs = _gauge_fix_columns(vecs)
@@ -293,18 +275,7 @@ def bloch_hamiltonian(params: ChainParams, mode: ModeIndex) -> BlochMatrix:
     """
     _check_mode(params, mode)
     z, w = structure_constants(params.gamma, params.delta, mode.k)
-    z = complex(z)
-    w = complex(w)
-    entries = np.array(
-        [
-            [0, z, 0, -w],
-            [np.conj(z), 0, np.conj(w), 0],
-            [0, w, 0, -z],
-            [-np.conj(w), 0, -np.conj(z), 0],
-        ],
-        dtype=complex,
-    )
-    return BlochMatrix(entries=entries, zq=z, wq=w)
+    return BlochMatrix(entries=_bloch_entries(z, w), zq=complex(z), wq=complex(w))
 
 
 def dispersion(params: ChainParams, mode: ModeIndex) -> tuple[float, float]:

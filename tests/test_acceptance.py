@@ -8,6 +8,7 @@ sub-assertion fails honestly; see test_criterion_7b for the measured values.
 """
 
 import math
+import os
 import subprocess
 import sys
 
@@ -307,11 +308,15 @@ class TestCriterion8Properties:
 
 
 def _run_cli(args, cwd):
+    # The child runs in cwd, so relative entries of the import path would
+    # no longer resolve: hand it this process's path made absolute.
+    path = os.pathsep.join(os.path.abspath(p) for p in sys.path if p)
     proc = subprocess.run(
         [sys.executable, "-m", "spinbattery.cli", *args],
         cwd=cwd,
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     return proc

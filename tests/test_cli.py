@@ -83,6 +83,21 @@ class TestTrace:
         assert code == 2
         assert "need dt <=" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["trace", "--t-end", "inf"], "t_end must be finite"),
+            (["trace", "--delta0", "nan"], "delta0 must be finite"),
+            (["trace", "--dt", "nan"], "dt must be finite"),
+            (["trace", "--delta1", "inf"], "delta1 must be finite"),
+            (["trace", "--model", "ising", "--h1", "nan"], "h1 must be finite"),
+            (["oracle-check", "--dt", "0"], "dt and t_end must be positive"),
+        ],
+    )
+    def test_bad_number_exits_2_and_names_it(self, capsys, args, message):
+        assert run_cli(args) == 2
+        assert message in capsys.readouterr().err
+
     def test_ising_model_trace(self, tmp_path):
         out = tmp_path / "ising.csv"
         code = run_cli(

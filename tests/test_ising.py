@@ -31,6 +31,13 @@ class TestIsingParams:
         with pytest.raises(ValueError):
             IsingParams(0.8, 0.7, n)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["h0", "h1"])
+    def test_rejects_non_finite(self, field, value):
+        kwargs = {"h0": 0.8, "h1": 0.7, "n_sites": 20, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            IsingParams(**kwargs)
+
 
 class TestDispersion:
     def test_zero_field_is_flat(self):

@@ -65,6 +65,13 @@ class TestQuenchProtocol:
         with pytest.raises(ValueError):
             QuenchProtocol(**kwargs)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["gamma", "delta0", "delta1"])
+    def test_rejects_non_finite(self, field, value):
+        kwargs = {"gamma": 1.0, "delta0": 0.3, "delta1": 0.6, "n_dimers": 4, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            QuenchProtocol(**kwargs)
+
 
 class TestMatchingMatrix:
     def test_null_quench_is_identity(self):
@@ -258,6 +265,14 @@ class TestEnergyTrace:
         with pytest.raises(ValueError):
             energy_trace(FIG2, 10.0, -0.01)
 
+    @pytest.mark.parametrize(
+        "t_end, dt, name",
+        [(np.inf, 0.01, "t_end"), (np.nan, 0.01, "t_end"), (10.0, np.nan, "dt")],
+    )
+    def test_rejects_non_finite_grid(self, t_end, dt, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            energy_trace(FIG2, t_end, dt)
+
 
 class TestEvaluators:
     @pytest.mark.parametrize("protocol", [FIG2, FIG3], ids=["fig2", "fig3"])
@@ -267,6 +282,18 @@ class TestEvaluators:
         simplified = energy_at_times(protocol, times, "simplified")
         scale = np.max(np.abs(full))
         assert np.max(np.abs(full - simplified)) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("protocol", [FIG2, FIG3], ids=["fig2", "fig3"])
+    def test_both_names_run_the_same_sum(self, protocol):
+        times = np.linspace(0.0, 60.0, 121)
+        assert np.array_equal(
+            energy_at_times(protocol, times, "full"),
+            energy_at_times(protocol, times, "simplified"),
+        )
+        assert np.array_equal(
+            occupations_all(protocol, 7.5, "full"),
+            occupations_all(protocol, 7.5, "simplified"),
+        )
 
     def test_band_occupation_structure(self):
         # The upper band is weakly but not negligibly occupied: its maximal
@@ -334,3 +361,19 @@ class TestAsymptoticEnergy:
         # constant instead of a spurious zero-frequency oscillation
         p = QuenchProtocol(0.8, 0.0, 0.0, 6)
         assert asymptotic_energy(p) == pytest.approx(0.0, abs=1e-12)
+
+    def test_fully_dimerized_charging_stores_nothing(self):
+        # gamma = delta0 + delta1 = 1: the charging band w2' vanishes at every
+        # q, so its 2 w2' column is constant and belongs to the asymptote
+        p = QuenchProtocol(1.0, 0.3, 0.7, 5)
+        times = np.linspace(0.0, 50.0, 101)
+        assert np.max(np.abs(energy_at_times(p, times))) <= 1e-12
+        assert asymptotic_energy(p) == pytest.approx(0.0, abs=1e-12)
+
+    def test_zero_frequency_mode_enters_the_constant(self):
+        # delta0 + delta1 = gamma with odd n_dimers: w2' vanishes at q = n/2
+        p = QuenchProtocol(0.8, 0.3, 0.5, 5)
+        dt = 0.5 * resolution_bound(p)
+        times = 100.0 + dt * np.arange(int(400.0 / dt) + 1)
+        mean = float(np.mean(energy_at_times(p, times)))
+        assert abs(asymptotic_energy(p) - mean) <= 0.005 * abs(mean)

@@ -185,6 +185,10 @@ class TestSweeps:
         assert [r.param for r in rows] == [0.7, 0.75, 0.8]
         assert all(r.e_inf_per > 0 for r in rows)
 
+    def test_ising_worker_count_does_not_change_results(self):
+        grid = [0.7, 0.75, 0.8]
+        assert sweep_field(0.25, 60, grid, workers=1) == sweep_field(0.25, 60, grid, workers=2)
+
 
 class TestScalingStudy:
     def test_small_sizes_rejected(self):

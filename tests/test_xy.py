@@ -57,6 +57,13 @@ class TestChainParams:
         with pytest.raises(ValueError):
             ChainParams(**kwargs)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["gamma", "delta"])
+    def test_rejects_non_finite(self, field, value):
+        kwargs = {"gamma": 1.0, "delta": 0.3, "n_dimers": 4, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ChainParams(**kwargs)
+
 
 class TestModeIndex:
     def test_k(self):
