@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, astuple
 
 import numpy as np
 
@@ -56,12 +57,15 @@ from .regimes import (
     sweep_delta0,
     sweep_field,
 )
-from .xy import classify_phase
+from .xy import _check_finite, classify_phase
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_ANALYSIS = 3
 EXIT_ORACLE = 4
+
+# Largest parameter grid a sweep accepts; checked before the grid is built.
+MAX_GRID_POINTS = 10_000
 
 
 # ----------------------------------------------------------------------
@@ -104,6 +108,31 @@ def _csv_text(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _emit(opts: dict, stem: str, header: str, rows, meta: dict,
+          sidecar: bool = False, by_column: bool = False) -> None:
+    """Write the table named by ``header`` to ``--out`` (default ``<stem>.<format>``).
+
+    CSV also writes ``meta`` to a ``.report.json`` sidecar if ``sidecar``; JSON
+    writes one document of ``meta`` plus the table, as records under ``rows``
+    or, ``by_column``, as one list per column under ``trace``.
+    """
+    out = opts["out"] or f"{stem}.{opts['format']}"
+    columns = list(zip(*rows))
+    if opts["format"] == "csv":
+        cells = (map(str if isinstance(c[0], int) else format_float, c) for c in columns)
+        _write_text(out, _csv_text(header, zip(*cells)))
+        if sidecar:
+            report = os.path.splitext(out)[0] + ".report.json"
+            _write_text(report, deterministic_json(meta) + "\n")
+        return
+    names = header.split(",")
+    if by_column:
+        table = {"trace": dict(zip(names, columns))}
+    else:
+        table = {"rows": [dict(zip(names, row)) for row in zip(*columns)]}
+    _write_text(out, deterministic_json({**meta, **table}) + "\n")
+
+
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -140,21 +169,18 @@ _OPTIONS = {
     "tol": (float, "acceptance tolerance on the max deviation"),
 }
 
-_OPTION_TYPES = {name: spec[0] for name, spec in _OPTIONS.items()}
-
-# Options every subcommand except phase takes, with their defaults.
-_COMMON = ("model", "out", "format", "workers", "evaluator")
-_COMMON_DEFAULTS = {"model": "xy", "format": "csv", "workers": 1, "evaluator": "full"}
+# Options every subcommand except phase takes, with their defaults (None: none).
+_COMMON = {"model": "xy", "out": None, "format": "csv", "workers": 1, "evaluator": "full"}
 
 
-def _add_options(parser: argparse.ArgumentParser, names, defaults: dict) -> None:
+def _add_options(parser: argparse.ArgumentParser, defaults: dict) -> None:
     parser.add_argument("--config", type=str, default=None, help="flat key=value config file")
-    for name in names:
-        flag = "--" + name.replace("_", "-")
+    for name, default in defaults.items():
         kind, text = _OPTIONS[name]
-        if name in defaults:
-            text = f"{text} (default: {defaults[name]})"
-        parser.add_argument(flag, type=kind, default=None, dest=name, help=text)
+        if default is not None:
+            text = f"{text} (default: {default})"
+        parser.add_argument("--" + name.replace("_", "-"), type=kind, default=None,
+                            dest=name, help=text)
 
 
 def _read_config(path: str) -> dict:
@@ -171,20 +197,24 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _resolve(ns: argparse.Namespace, names, defaults: dict) -> dict:
+def _resolve(ns: argparse.Namespace, defaults: dict) -> dict:
     """Merge precedence: explicit flag > config file > per-command default."""
     config = _read_config(ns.config) if ns.config else {}
-    unknown = set(config) - set(names)
+    unknown = set(config) - set(defaults)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     opts = {}
-    for name in names:
+    for name, default in defaults.items():
         value = getattr(ns, name)
         if value is None and name in config:
-            value = _OPTION_TYPES[name](config[name])
-        if value is None:
-            value = defaults.get(name)
-        opts[name] = value
+            value = _OPTIONS[name][0](config[name])
+        opts[name] = default if value is None else value
+        if _OPTIONS[name][0] is float and opts[name] is not None:
+            _check_finite(**{name: opts[name]})
+    _check_choice(opts, "format", {"csv", "json"})
+    _check_choice(opts, "evaluator", {"full", "simplified"})
+    if opts["workers"] < 1:
+        raise ValueError("workers must be >= 1")
     return opts
 
 
@@ -193,57 +223,33 @@ def _check_choice(opts: dict, name: str, allowed) -> None:
         raise ValueError(f"{name} must be one of {sorted(allowed)}, got {opts[name]!r}")
 
 
-def _sidecar_path(out: str) -> str:
-    base, _ = os.path.splitext(out)
-    return base + ".report.json"
+def _window(opts: dict, default: tuple[float, float]) -> tuple[float, float]:
+    """The recurrence window of the flags; a side not given comes from ``default``."""
+    return (
+        default[0] if opts["window_min"] is None else opts["window_min"],
+        default[1] if opts["window_max"] is None else opts["window_max"],
+    )
 
 
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
 
-_TRACE_OPTS = (
-    "gamma", "delta0", "delta1", "n_dimers",
-    "h0", "h1", "n_sites",
-    "t_end", "dt", "window_min", "window_max",
-)
-
-_TRACE_DEFAULTS = {
-    "gamma": 1.25, "delta0": 0.3, "delta1": 0.6, "n_dimers": 300,
-    "h0": 0.8, "h1": 0.7, "n_sites": 600,
-}
-
-
 def cmd_trace(opts: dict) -> int:
     """Write the stored-energy trace and its three-regime report."""
     _check_choice(opts, "model", {"xy", "ising"})
-    out = opts["out"] or ("trace.csv" if opts["format"] == "csv" else "trace.json")
-
     if opts["model"] == "xy":
         protocol = QuenchProtocol(
             opts["gamma"], opts["delta0"], opts["delta1"], opts["n_dimers"]
         )
-        window_default = default_recurrence_window(protocol.n_dimers)
+        window = _window(opts, default_recurrence_window(protocol.n_dimers))
         bound = resolution_bound(protocol)
         charged = protocol.delta1 > 0
-        params_doc = {
-            "model": "xy", "gamma": protocol.gamma, "delta0": protocol.delta0,
-            "delta1": protocol.delta1, "n_dimers": protocol.n_dimers,
-        }
     else:
         protocol = IsingParams(opts["h0"], opts["h1"], opts["n_sites"])
-        window_default = ising_recurrence_window(protocol.n_sites)
+        window = _window(opts, ising_recurrence_window(protocol.n_sites))
         bound = ising_resolution_bound(protocol)
         charged = protocol.h1 != 0
-        params_doc = {
-            "model": "ising", "h0": protocol.h0, "h1": protocol.h1,
-            "n_sites": protocol.n_sites,
-        }
-
-    window = (
-        window_default[0] if opts["window_min"] is None else opts["window_min"],
-        window_default[1] if opts["window_max"] is None else opts["window_max"],
-    )
     if not window[0] < window[1]:
         raise ValueError(f"recurrence window {window} is empty")
     t_end = opts["t_end"] if opts["t_end"] is not None else window[1]
@@ -256,75 +262,36 @@ def cmd_trace(opts: dict) -> int:
         trace = ising_energy_trace(protocol, t_end, dt)
         e_inf = ising_asymptotic_energy(protocol)
 
-    params_doc.update({"t_end": t_end, "dt": dt, "evaluator": opts["evaluator"]})
-
+    meta = {"params": {
+        "model": opts["model"], **asdict(protocol),
+        "t_end": t_end, "dt": dt, "evaluator": opts["evaluator"],
+    }}
+    rows = zip(trace.times, trace.values)
     try:
         report = analyze_trace(trace, e_inf, window)
     except RegimeDetectionError as exc:
-        _write_trace_output(out, opts["format"], trace, None, params_doc)
+        _emit(opts, "trace", "t,delta_e", rows, meta, by_column=True)
         message = "no charging occurred" if not charged else str(exc)
         return _fail(message, EXIT_ANALYSIS)
 
-    _write_trace_output(out, opts["format"], trace, report, params_doc)
-    return EXIT_OK
-
-
-def _report_doc(report) -> dict:
-    return {
-        "tau_s": report.tau_s,
-        "e_s": report.e_s,
-        "e_inf": report.e_inf,
-        "tau_r": report.tau_r,
-        "e_r": report.e_r,
-        "window_r": list(report.window_r),
+    meta["report"] = {
+        **asdict(report),
         "power_s": report.e_s / report.tau_s,
         "power_r": report.e_r / report.tau_r,
     }
-
-
-def _write_trace_output(out, fmt, trace, report, params_doc) -> None:
-    report_doc = _report_doc(report) if report is not None else None
-    if fmt == "csv":
-        rows = (
-            (format_float(t), format_float(v))
-            for t, v in zip(trace.times, trace.values)
-        )
-        _write_text(out, _csv_text("t,delta_e", rows))
-        if report_doc is not None:
-            sidecar = {"params": params_doc, "report": report_doc}
-            _write_text(_sidecar_path(out), deterministic_json(sidecar) + "\n")
-    else:
-        doc = {
-            "params": params_doc,
-            "trace": {
-                "t": [float(t) for t in trace.times],
-                "delta_e": [float(v) for v in trace.values],
-            },
-        }
-        if report_doc is not None:
-            doc["report"] = report_doc
-        _write_text(out, deterministic_json(doc) + "\n")
-
-
-_SWEEP_OPTS = (
-    "gamma", "delta1", "n_dimers",
-    "h1", "n_sites",
-    "param_min", "param_max", "param_step",
-    "t_short", "window_min", "window_max",
-)
-
-_SWEEP_DEFAULTS = {
-    "gamma": 1.1, "delta1": 0.8, "n_dimers": 300,
-    "h1": 0.25, "n_sites": 600,
-    "param_step": 0.005, "t_short": 50.0,
-}
+    _emit(opts, "trace", "t,delta_e", rows, meta, sidecar=True, by_column=True)
+    return EXIT_OK
 
 
 def _make_grid(lo: float, hi: float, step: float) -> list[float]:
     if step <= 0:
         raise ValueError(f"param-step must be positive, got {step}")
-    n = int(round((hi - lo) / step))
-    grid = [lo + i * step for i in range(n + 1) if lo + i * step <= hi + 1e-12]
+    n = (hi - lo) / step
+    if n >= MAX_GRID_POINTS:
+        raise ValueError(
+            f"param-step {step} puts more than {MAX_GRID_POINTS} points on [{lo}, {hi}]"
+        )
+    grid = [lo + i * step for i in range(int(round(n)) + 1) if lo + i * step <= hi + 1e-12]
     if not grid:
         raise ValueError(f"empty parameter grid [{lo}, {hi}] with step {step}")
     return grid
@@ -336,61 +303,29 @@ def cmd_sweep(opts: dict) -> int:
     if opts["param_min"] is None or opts["param_max"] is None:
         raise ValueError("param-min and param-max are required")
     grid = _make_grid(opts["param_min"], opts["param_max"], opts["param_step"])
-    out = opts["out"] or ("sweep.csv" if opts["format"] == "csv" else "sweep.json")
-    window = None
-    if opts["window_min"] is not None and opts["window_max"] is not None:
-        window = (opts["window_min"], opts["window_max"])
 
     if opts["model"] == "xy":
         rows = sweep_delta0(
             opts["gamma"], opts["delta1"], opts["n_dimers"], grid,
-            workers=opts["workers"], t_short=opts["t_short"], window=window,
+            workers=opts["workers"], t_short=opts["t_short"],
+            window=_window(opts, default_recurrence_window(opts["n_dimers"])),
             evaluator=opts["evaluator"],
         )
-        params_doc = {
+        params = {
             "model": "xy", "gamma": opts["gamma"], "delta1": opts["delta1"],
             "n_dimers": opts["n_dimers"],
         }
     else:
         rows = sweep_field(
             opts["h1"], opts["n_sites"], grid,
-            workers=opts["workers"], t_short=opts["t_short"], window=window,
+            workers=opts["workers"], t_short=opts["t_short"],
+            window=_window(opts, ising_recurrence_window(opts["n_sites"])),
         )
-        params_doc = {"model": "ising", "h1": opts["h1"], "n_sites": opts["n_sites"]}
+        params = {"model": "ising", "h1": opts["h1"], "n_sites": opts["n_sites"]}
 
-    if opts["format"] == "csv":
-        text = _csv_text(
-            "param,e_s_per,e_r_per,e_inf_per,tau_s,tau_r",
-            (
-                tuple(
-                    format_float(v)
-                    for v in (r.param, r.e_s_per, r.e_r_per, r.e_inf_per, r.tau_s, r.tau_r)
-                )
-                for r in rows
-            ),
-        )
-        _write_text(out, text)
-    else:
-        doc = {
-            "params": params_doc,
-            "rows": [
-                {
-                    "param": r.param, "e_s_per": r.e_s_per, "e_r_per": r.e_r_per,
-                    "e_inf_per": r.e_inf_per, "tau_s": r.tau_s, "tau_r": r.tau_r,
-                }
-                for r in rows
-            ],
-        }
-        _write_text(out, deterministic_json(doc) + "\n")
+    header = "param,e_s_per,e_r_per,e_inf_per,tau_s,tau_r"
+    _emit(opts, "sweep", header, map(astuple, rows), {"params": params})
     return EXIT_OK
-
-
-_SCALING_OPTS = ("gamma", "delta0", "delta1", "n_list", "t_short")
-
-_SCALING_DEFAULTS = {
-    "gamma": 1.25, "delta0": 0.3, "delta1": 0.6,
-    "n_list": "50,100,200,300", "t_short": 50.0,
-}
 
 
 def cmd_scaling(opts: dict) -> int:
@@ -404,32 +339,9 @@ def cmd_scaling(opts: dict) -> int:
         workers=opts["workers"], t_short=opts["t_short"], evaluator=opts["evaluator"],
     )
     slope, intercept, r2 = linear_fit([r.n_dimers for r in rows], [r.tau_r for r in rows])
-    out = opts["out"] or ("scaling.csv" if opts["format"] == "csv" else "scaling.json")
-    fit_doc = {"slope": slope, "intercept": intercept, "r_squared": r2}
-    if opts["format"] == "csv":
-        text = _csv_text(
-            "n_dimers,e_s_per,e_r_per,e_inf_per,tau_r",
-            (
-                (str(r.n_dimers),) + tuple(
-                    format_float(v) for v in (r.e_s_per, r.e_r_per, r.e_inf_per, r.tau_r)
-                )
-                for r in rows
-            ),
-        )
-        _write_text(out, text)
-        _write_text(_sidecar_path(out), deterministic_json({"tau_r_fit": fit_doc}) + "\n")
-    else:
-        doc = {
-            "rows": [
-                {
-                    "n_dimers": r.n_dimers, "e_s_per": r.e_s_per, "e_r_per": r.e_r_per,
-                    "e_inf_per": r.e_inf_per, "tau_r": r.tau_r,
-                }
-                for r in rows
-            ],
-            "tau_r_fit": fit_doc,
-        }
-        _write_text(out, deterministic_json(doc) + "\n")
+    fit = {"tau_r_fit": {"slope": slope, "intercept": intercept, "r_squared": r2}}
+    header = "n_dimers,e_s_per,e_r_per,e_inf_per,tau_r"
+    _emit(opts, "scaling", header, map(astuple, rows), fit, sidecar=True)
     print(
         f"tau_r linear fit: slope={format_float(slope)} r_squared={format_float(r2)}"
     )
@@ -444,13 +356,6 @@ def cmd_phase(opts: dict) -> int:
     return EXIT_OK
 
 
-_SNAPSHOT_OPTS = ("gamma", "delta0", "delta1", "n_dimers", "time")
-
-_SNAPSHOT_DEFAULTS = {
-    "gamma": 1.1, "delta0": 0.2, "delta1": 0.8, "n_dimers": 300,
-}
-
-
 def cmd_snapshot(opts: dict) -> int:
     """Lower-band occupation versus momentum at a fixed time."""
     _check_choice(opts, "model", {"xy"})
@@ -460,32 +365,9 @@ def cmd_snapshot(opts: dict) -> int:
         opts["gamma"], opts["delta0"], opts["delta1"], opts["n_dimers"]
     )
     pairs = occupation_snapshot(protocol, opts["time"], opts["evaluator"])
-    out = opts["out"] or ("snapshot.csv" if opts["format"] == "csv" else "snapshot.json")
-    if opts["format"] == "csv":
-        _write_text(
-            out,
-            _csv_text("k,n2", ((format_float(k), format_float(n)) for k, n in pairs)),
-        )
-    else:
-        doc = {
-            "params": {
-                "model": "xy", "gamma": protocol.gamma, "delta0": protocol.delta0,
-                "delta1": protocol.delta1, "n_dimers": protocol.n_dimers,
-                "time": opts["time"],
-            },
-            "rows": [{"k": k, "n2": n} for k, n in pairs],
-        }
-        _write_text(out, deterministic_json(doc) + "\n")
+    params = {"model": "xy", **asdict(protocol), "time": opts["time"]}
+    _emit(opts, "snapshot", "k,n2", pairs, {"params": params})
     return EXIT_OK
-
-
-_ORACLE_OPTS = ("gamma", "delta0", "delta1", "h0", "h1", "n_sites", "t_end", "dt", "tol")
-
-_ORACLE_DEFAULTS = {
-    "gamma": 1.25, "delta0": 0.3, "delta1": 0.6,
-    "h0": 0.8, "h1": 0.7,
-    "n_sites": 4, "t_end": 50.0, "dt": 0.1, "tol": 1e-8,
-}
 
 
 def cmd_oracle_check(opts: dict) -> int:
@@ -519,60 +401,58 @@ def cmd_oracle_check(opts: dict) -> int:
 # entry point
 # ----------------------------------------------------------------------
 
+# name -> (function, help, {option: default (None: no default)}), in --help
+# order; phase takes two positionals instead of options.
+_COMMANDS = {
+    "trace": (cmd_trace, "energy trace plus regime report", {
+        **_COMMON, "gamma": 1.25, "delta0": 0.3, "delta1": 0.6, "n_dimers": 300,
+        "h0": 0.8, "h1": 0.7, "n_sites": 600,
+        "t_end": None, "dt": None, "window_min": None, "window_max": None,
+    }),
+    "sweep": (cmd_sweep, "regime energies across a parameter grid", {
+        **_COMMON, "gamma": 1.1, "delta1": 0.8, "n_dimers": 300,
+        "h1": 0.25, "n_sites": 600,
+        "param_min": None, "param_max": None, "param_step": 0.005,
+        "t_short": 50.0, "window_min": None, "window_max": None,
+    }),
+    "scaling": (cmd_scaling, "regime energies across system sizes", {
+        **_COMMON, "gamma": 1.25, "delta0": 0.3, "delta1": 0.6,
+        "n_list": "50,100,200,300", "t_short": 50.0,
+    }),
+    "phase": (cmd_phase, "classify a point of the phase diagram", None),
+    "snapshot": (cmd_snapshot, "occupation-number profile at a time", {
+        **_COMMON, "gamma": 1.1, "delta0": 0.2, "delta1": 0.8, "n_dimers": 300,
+        "time": None,
+    }),
+    "oracle-check": (cmd_oracle_check, "engine vs exact diagonalization", {
+        **_COMMON, "gamma": 1.25, "delta0": 0.3, "delta1": 0.6,
+        "h0": 0.8, "h1": 0.7,
+        "n_sites": 4, "t_end": 50.0, "dt": 0.1, "tol": 1e-8,
+    }),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinbattery",
         description="Stored energy of double-quench spin-chain quantum batteries",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("trace", help="energy trace plus regime report")
-    _add_options(p, *_DISPATCH["trace"][1:])
-
-    p = sub.add_parser("sweep", help="regime energies across a parameter grid")
-    _add_options(p, *_DISPATCH["sweep"][1:])
-
-    p = sub.add_parser("scaling", help="regime energies across system sizes")
-    _add_options(p, *_DISPATCH["scaling"][1:])
-
-    p = sub.add_parser("phase", help="classify a point of the phase diagram")
-    p.add_argument("gamma", type=float, help="anisotropy, > 0")
-    p.add_argument("delta", type=float, help="dimerization, >= 0")
-
-    p = sub.add_parser("snapshot", help="occupation-number profile at a time")
-    _add_options(p, *_DISPATCH["snapshot"][1:])
-
-    p = sub.add_parser("oracle-check", help="engine vs exact diagonalization")
-    _add_options(p, *_DISPATCH["oracle-check"][1:])
-
+    for name, (_, text, defaults) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if defaults is None:
+            p.add_argument("gamma", type=float, help="anisotropy, > 0")
+            p.add_argument("delta", type=float, help="dimerization, >= 0")
+        else:
+            _add_options(p, defaults)
     return parser
 
 
-_DISPATCH = {
-    name: (func, _COMMON + names, {**_COMMON_DEFAULTS, **defaults})
-    for name, (func, names, defaults) in {
-        "trace": (cmd_trace, _TRACE_OPTS, _TRACE_DEFAULTS),
-        "sweep": (cmd_sweep, _SWEEP_OPTS, _SWEEP_DEFAULTS),
-        "scaling": (cmd_scaling, _SCALING_OPTS, _SCALING_DEFAULTS),
-        "snapshot": (cmd_snapshot, _SNAPSHOT_OPTS, _SNAPSHOT_DEFAULTS),
-        "oracle-check": (cmd_oracle_check, _ORACLE_OPTS, _ORACLE_DEFAULTS),
-    }.items()
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
+    func, _, defaults = _COMMANDS[ns.command]
     try:
-        if ns.command == "phase":
-            return cmd_phase({"gamma": ns.gamma, "delta": ns.delta})
-        func, names, defaults = _DISPATCH[ns.command]
-        opts = _resolve(ns, names, defaults)
-        _check_choice(opts, "format", {"csv", "json"})
-        _check_choice(opts, "evaluator", {"full", "simplified"})
-        if opts["workers"] < 1:
-            raise ValueError("workers must be >= 1")
-        return func(opts)
+        return func(vars(ns) if defaults is None else _resolve(ns, defaults))
     except (ValueError, OSError) as exc:
         return _fail(str(exc), EXIT_BAD_INPUT)
     except RegimeDetectionError as exc:

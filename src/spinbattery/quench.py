@@ -60,6 +60,9 @@ EQUAL_FREQ_TOL = 1e-10
 # A trace grid must sample the fastest oscillation at least this densely.
 SAMPLES_PER_PERIOD_FACTOR = 10.0
 
+# Largest trace grid accepted; checked before the grid is allocated.
+MAX_SAMPLES = 10**7
+
 _TIME_BLOCK = 4096
 
 
@@ -241,6 +244,10 @@ def _uniform_times(t_end: float, dt: float, bound: float) -> np.ndarray:
         raise ValueError(
             f"dt={dt} too coarse to resolve the fastest charging frequency; "
             f"need dt <= {bound:.6e}"
+        )
+    if t_end / dt >= MAX_SAMPLES:
+        raise ValueError(
+            f"dt={dt} puts more than {MAX_SAMPLES} samples on [0, {t_end}]; raise dt"
         )
     return dt * np.arange(int(np.floor(t_end / dt)) + 1)
 

@@ -11,6 +11,7 @@ depend on the worker budget.
 
 from __future__ import annotations
 
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -231,7 +232,9 @@ def _regime_point(args) -> tuple[float, float, float, float, float]:
 
 
 def _map_ordered(func, jobs: list, workers: int) -> list:
-    if workers <= 1 or len(jobs) <= 1:
+    # A fork pool starts all its processes up front, used or not.
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         return [func(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, jobs))

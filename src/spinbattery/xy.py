@@ -314,6 +314,7 @@ def classify_phase(gamma: float, delta: float) -> Phase:
     |g^2 d^2 - 1| <= 1e-12 or |d^2 - g^2| <= 1e-12; at the multicritical
     point gamma = delta = 1 both hold and CRITICAL_GAMMA_DELTA is reported.
     """
+    _check_finite(gamma=gamma, delta=delta)
     if not gamma > 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
     if delta < 0:

@@ -92,6 +92,17 @@ class TestTrace:
             (["trace", "--delta1", "inf"], "delta1 must be finite"),
             (["trace", "--model", "ising", "--h1", "nan"], "h1 must be finite"),
             (["oracle-check", "--dt", "0"], "dt and t_end must be positive"),
+            (["phase", "1", "nan"], "delta must be finite"),
+            (["phase", "1", "inf"], "delta must be finite"),
+            (["phase", "inf", "0.5"], "gamma must be finite"),
+            (["sweep", "--param-min", "0.1", "--param-max", "inf"], "param_max must be finite"),
+            (["sweep", "--param-min", "nan", "--param-max", "0.2"], "param_min must be finite"),
+            (["snapshot", "--time", "nan"], "time must be finite"),
+            (["scaling", "--t-short", "inf"], "t_short must be finite"),
+            (["oracle-check", "--tol", "nan"], "tol must be finite"),
+            (["trace", "--dt", "1e-9", "--t-end", "1e3"], "dt=1e-09 puts more than"),
+            (["sweep", "--param-min", "0.05", "--param-max", "0.4", "--param-step", "1e-12"],
+             "param-step 1e-12 puts more than"),
         ],
     )
     def test_bad_number_exits_2_and_names_it(self, capsys, args, message):
@@ -133,6 +144,56 @@ class TestSweep:
 
     def test_missing_grid_exits_2(self, tmp_path):
         assert run_cli(["sweep", "--out", str(tmp_path / "s.csv")]) == 2
+
+    def test_one_window_flag_keeps_the_other_default_side(self, tmp_path):
+        # n_dimers = 24: the default recurrence window is [48, 64].
+        def rows(*window):
+            out = tmp_path / "s.csv"
+            assert run_cli(
+                ["sweep", "--n-dimers", "24", "--param-min", "0.18", "--param-max", "0.2",
+                 "--param-step", "0.02", "--out", str(out), *window]
+            ) == 0
+            return out.read_text()
+
+        assert rows("--window-min", "30") == rows("--window-min", "30", "--window-max", "64")
+        assert rows("--window-min", "30") != rows()
+        assert rows("--window-max", "56") == rows("--window-min", "48", "--window-max", "56")
+        assert rows("--window-max", "56") != rows()
+
+
+@pytest.mark.parametrize(
+    "args, keys, sidecar",
+    [
+        (["trace", "--n-dimers", "30", "--t-end", "85", "--window-min", "60",
+          "--window-max", "80"], {"params", "trace", "report"}, True),
+        (["sweep", "--n-dimers", "20", "--param-min", "0.15", "--param-max", "0.2",
+          "--param-step", "0.05"], {"params", "rows"}, False),
+        (["scaling", "--n-list", "10,20"], {"rows", "tau_r_fit"}, True),
+        (["snapshot", "--n-dimers", "16", "--time", "3.0"], {"params", "rows"}, False),
+    ],
+    ids=["trace", "sweep", "scaling", "snapshot"],
+)
+def test_csv_and_json_carry_the_same_numbers(tmp_path, monkeypatch, args, keys, sidecar):
+    monkeypatch.chdir(tmp_path)
+    stem = args[0]
+    report = tmp_path / f"{stem}.report.json"
+    assert run_cli(args + ["--format", "json"]) == 0
+    assert not report.exists()
+    doc = json.loads((tmp_path / f"{stem}.json").read_text())
+    assert set(doc) == keys
+    assert run_cli(args) == 0
+    header, *lines = (tmp_path / f"{stem}.csv").read_text().splitlines()
+    names = header.split(",")
+    csv_columns = [[float(v) for v in col] for col in zip(*(line.split(",") for line in lines))]
+    table = "trace" if "trace" in doc else "rows"
+    if table == "trace":
+        json_columns = [doc["trace"][name] for name in names]
+    else:
+        json_columns = [[row[name] for row in doc["rows"]] for name in names]
+    assert csv_columns == json_columns
+    assert report.exists() == sidecar
+    if sidecar:
+        assert json.loads(report.read_text()) == {k: v for k, v in doc.items() if k != table}
 
 
 class TestScaling:

@@ -19,6 +19,7 @@ from spinbattery import (
     sweep_delta0,
     sweep_field,
 )
+from spinbattery import regimes
 from spinbattery.ising import ising_resolution_bound
 from spinbattery.regimes import (
     DT_SAFETY,
@@ -188,6 +189,32 @@ class TestSweeps:
     def test_ising_worker_count_does_not_change_results(self):
         grid = [0.7, 0.75, 0.8]
         assert sweep_field(0.25, 60, grid, workers=1) == sweep_field(0.25, 60, grid, workers=2)
+
+    def test_pool_never_larger_than_jobs_or_cpus(self, monkeypatch):
+        # A fake executor records the pool size, so no process is started.
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, jobs):
+                return map(func, jobs)
+
+        monkeypatch.setattr(regimes, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(regimes.os, "cpu_count", lambda: 4)
+        for n_jobs, workers in ((3, 64), (8, 64), (8, 2), (1, 64)):
+            jobs = list(range(-n_jobs, 0))
+            assert regimes._map_ordered(abs, jobs, workers) == [abs(j) for j in jobs]
+        monkeypatch.setattr(regimes.os, "cpu_count", lambda: None)
+        assert regimes._map_ordered(abs, [-1, -2], 64) == [1, 2]
+        assert sizes == [3, 4, 2]
 
 
 class TestScalingStudy:
