@@ -7,6 +7,7 @@ spin-space oracle used to verify everything at small sizes.
 """
 
 from .ed import (
+    DegenerateGroundStateError,
     DegenerateGroundStateWarning,
     DimerizedXY,
     SpinHamiltonian,

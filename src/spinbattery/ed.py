@@ -22,6 +22,7 @@ __all__ = [
     "TransverseIsing",
     "SpinHamiltonian",
     "DegenerateGroundStateWarning",
+    "DegenerateGroundStateError",
     "build_hamiltonian",
     "parity_diagonal",
     "even_sector_ground_state",
@@ -30,12 +31,8 @@ __all__ = [
 
 MAX_SITES = 12
 
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
-_ID = np.eye(2)
-
-# sy x sy = -(isy) x (isy); isy is real, so the builder stays in float64.
-_ISY = np.array([[0.0, 1.0], [-1.0, 0.0]])
+# Times per GEMM in oracle_energy_trace; bounds the block's temporaries.
+_TIME_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -68,41 +65,46 @@ class DegenerateGroundStateWarning(UserWarning):
     """Ground state selection is ambiguous at the 1e-10 level."""
 
 
-def _kron_chain(ops) -> np.ndarray:
-    out = ops[0]
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
+class DegenerateGroundStateError(RuntimeError):
+    """The even-sector ground state is degenerate: there is no unique reference."""
 
 
-def _two_site(op_a: np.ndarray, op_b: np.ndarray, j: int, n: int) -> np.ndarray:
-    """op_a at site j, op_b at site j+1 (1-based, periodic)."""
-    ops = [_ID] * n
-    ops[(j - 1) % n] = op_a
-    ops[j % n] = op_b
-    return _kron_chain(ops)
+def _site_bit(j: int, n: int) -> int:
+    """Bit of site j (1-based, periodic) in a basis index; site 1 is the top bit."""
+    return 1 << (n - 1 - (j - 1) % n)
 
 
 def build_hamiltonian(kind: DimerizedXY | TransverseIsing, n_sites: int) -> SpinHamiltonian:
-    """Assemble the dense periodic spin Hamiltonian term by term."""
+    """Assemble the dense periodic spin Hamiltonian bond by bond.
+
+    In the computational basis (bit 0 is spin up) sx_a sx_b and sy_a sy_b
+    both send |s> to |s ^ mask>, with amplitudes 1 and -1 or +1 as the two
+    bits agree or not, and sz_a is the diagonal +-1.  Each bond's entries are
+    written straight into the matrix, in site order.
+    """
     if int(n_sites) != n_sites or not 2 <= n_sites <= MAX_SITES:
         raise ValueError(f"n_sites must be an integer in [2, {MAX_SITES}], got {n_sites}")
     dim = 2**n_sites
+    idx = np.arange(dim)
     h = np.zeros((dim, dim))
+    flat = h.reshape(-1)
     if isinstance(kind, DimerizedXY):
         if n_sites % 2 != 0:
             raise ValueError("the dimerized XY chain needs an even number of sites")
         for j in range(1, n_sites + 1):
+            mask = _site_bit(j, n_sites) | _site_bit(j + 1, n_sites)
+            entries = idx * dim + (idx ^ mask)
+            pair = idx & mask
+            agree = np.where((pair == 0) | (pair == mask), 1.0, -1.0)
             bond = 1.0 - (-1.0) ** j * kind.delta
-            h -= bond * (1.0 + kind.gamma) / 2.0 * _two_site(_SX, _SX, j, n_sites)
-            # sy_j sy_{j+1} = -(i sy)_j (i sy)_{j+1}, real arithmetic throughout
-            h -= bond * (1.0 - kind.gamma) / 2.0 * (-_two_site(_ISY, _ISY, j, n_sites))
+            flat[entries] -= bond * (1.0 + kind.gamma) / 2.0
+            flat[entries] += bond * (1.0 - kind.gamma) / 2.0 * agree
     elif isinstance(kind, TransverseIsing):
         for j in range(1, n_sites + 1):
-            h += 0.5 * _two_site(_SX, _SX, j, n_sites)
-            ops = [_ID] * n_sites
-            ops[j - 1] = _SZ
-            h += 0.5 * kind.h * _kron_chain(ops)
+            mask = _site_bit(j, n_sites) | _site_bit(j + 1, n_sites)
+            flat[idx * dim + (idx ^ mask)] += 0.5
+            up = np.where(idx & _site_bit(j, n_sites), -1.0, 1.0)
+            flat[idx * (dim + 1)] += 0.5 * kind.h * up
     else:
         raise TypeError(f"unknown Hamiltonian kind {kind!r}")
     return SpinHamiltonian(n_sites=n_sites, matrix=h, kind=kind)
@@ -126,20 +128,22 @@ def _even_block(ham: SpinHamiltonian) -> np.ndarray:
     return ham.matrix[np.ix_(idx, idx)]
 
 
-def even_sector_ground_state(ham: SpinHamiltonian) -> np.ndarray:
+def even_sector_ground_state(ham: SpinHamiltonian, strict: bool = False) -> np.ndarray:
     """Normalized lowest eigenvector with parity +1, in the full 2^N space.
 
     Warns with :class:`DegenerateGroundStateWarning` when the selection is
     ambiguous: another even state, or the odd-sector minimum, lies within
-    1e-10 of the even ground energy.
+    1e-10 of the even ground energy.  With ``strict``, a degenerate even
+    sector raises :class:`DegenerateGroundStateError` instead, because then
+    no state is *the* ground state.
     """
     idx = _even_indices(ham.n_sites)
-    vals, vecs = np.linalg.eigh(ham.matrix[np.ix_(idx, idx)])
+    vals, vecs = np.linalg.eigh(_even_block(ham))
     if len(vals) > 1 and vals[1] - vals[0] < 1e-10:
-        warnings.warn(
-            f"even-sector ground state degenerate within {vals[1] - vals[0]:.3e}",
-            DegenerateGroundStateWarning,
-        )
+        message = f"even-sector ground state degenerate within {vals[1] - vals[0]:.3e}"
+        if strict:
+            raise DegenerateGroundStateError(f"{message}: no unique initial state")
+        warnings.warn(message, DegenerateGroundStateWarning)
     odd_idx = np.nonzero(parity_diagonal(ham.n_sites) < 0)[0]
     odd_min = float(np.min(np.linalg.eigvalsh(ham.matrix[np.ix_(odd_idx, odd_idx)])))
     if abs(odd_min - vals[0]) < 1e-10:
@@ -159,22 +163,31 @@ def oracle_energy_trace(
 
     The initial state is the even-sector ground state of the battery; the
     evolution stays in that sector because both Hamiltonians commute with
-    parity, so everything is done inside the even block.
+    parity, so everything is done inside the even block.  There, with the
+    charger's H_C = Q diag(w) Q^T (Q real) and c = Q^T psi(0), the amplitudes
+    a(t) = c e^{-iwt} give dE(t) = Re a(t)^+ (Q^T H_B Q) a(t) - E_gs, one GEMM
+    per block of times.  Raises :class:`DegenerateGroundStateError` when the
+    battery's even-sector ground state is degenerate.
     """
     if battery.n_sites != charger.n_sites:
         raise ValueError("battery and charger must share n_sites")
     times = np.asarray(times, dtype=float)
     idx = _even_indices(battery.n_sites)
-    hb = battery.matrix[np.ix_(idx, idx)]
-    hc = charger.matrix[np.ix_(idx, idx)]
-    psi0 = even_sector_ground_state(battery)[idx]
-    e0 = float(np.real(psi0.conj() @ hb @ psi0))
-    w, qmat = np.linalg.eigh(hc)
-    coeff = qmat.conj().T @ psi0
+    hb = _even_block(battery)
+    # The even block is real symmetric, so its eigenvectors are real.
+    psi0 = even_sector_ground_state(battery, strict=True)[idx].real
+    e0 = float(psi0 @ hb @ psi0)
+    w, qmat = np.linalg.eigh(_even_block(charger))
+    coeff = qmat.T @ psi0
+    hb_rot = qmat.T @ hb @ qmat
     values = np.empty(times.size, dtype=float)
-    for i, t in enumerate(times):
-        psi_t = qmat @ (np.exp(-1j * w * t) * coeff)
-        values[i] = float(np.real(psi_t.conj() @ hb @ psi_t)) - e0
+    for lo in range(0, times.size, _TIME_BLOCK):
+        block = times[lo:lo + _TIME_BLOCK]
+        amps = coeff[:, None] * np.exp(-1j * np.outer(w, block))
+        # Columns re, im, re, im, ...: H_B' is real, so one real GEMM serves both.
+        parts = amps.view(float)
+        energy = np.einsum("ij,ij->j", parts, hb_rot @ parts)
+        values[lo:lo + block.size] = energy.reshape(-1, 2).sum(axis=1) - e0
     return EnergyTrace(
         times=times.copy(),
         values=values,

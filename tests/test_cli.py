@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from spinbattery.cli import deterministic_json, format_float, main
+from spinbattery.ed import DegenerateGroundStateWarning
 
 
 def run_cli(args):
@@ -103,6 +107,8 @@ class TestTrace:
             (["trace", "--dt", "1e-9", "--t-end", "1e3"], "dt=1e-09 puts more than"),
             (["sweep", "--param-min", "0.05", "--param-max", "0.4", "--param-step", "1e-12"],
              "param-step 1e-12 puts more than"),
+            (["oracle-check", "--n-sites", "12", "--dt", "1e-4"],
+             "dt=0.0001 puts 500001 samples on the 12-site oracle"),
         ],
     )
     def test_bad_number_exits_2_and_names_it(self, capsys, args, message):
@@ -238,6 +244,42 @@ class TestOracleCheck:
 
     def test_odd_sites_xy_exits_2(self):
         assert run_cli(["oracle-check", "--n-sites", "5"]) == 2
+
+    def test_degenerate_even_sector_exits_3(self, capsys):
+        # odd Ising rings at h0 > 0 have a doubly degenerate even-sector
+        # ground state, so the oracle has no unique initial state
+        assert run_cli(["oracle-check", "--model", "ising", "--n-sites", "5"]) == 3
+        captured = capsys.readouterr()
+        assert "even-sector ground state degenerate" in captured.err
+        assert "max deviation" not in captured.out
+
+    def test_odd_sites_with_unique_ground_state_passes(self):
+        assert run_cli(["oracle-check", "--model", "ising", "--n-sites", "5",
+                        "--h0", "-2.5", "--h1", "0.3"]) == 0
+
+    def test_even_odd_degeneracy_only_warns(self):
+        # at h0 = 0 the even and odd sector minima coincide, but the even
+        # ground state itself is unique: a warning, and the check still runs
+        with pytest.warns(DegenerateGroundStateWarning, match="even and odd"):
+            code = run_cli(["oracle-check", "--model", "ising", "--n-sites", "4",
+                            "--h0", "0", "--h1", "0.5", "--t-end", "5"])
+        assert code == 0
+
+
+def test_warnings_print_one_line_without_source_location(tmp_path):
+    # the recurrence maximum of this sweep sits on the window edge
+    path = os.pathsep.join(os.path.abspath(p) for p in sys.path if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinbattery.cli", "sweep", "--n-dimers", "40",
+         "--param-min", "0.05", "--param-max", "0.1", "--param-step", "0.05",
+         "--window-min", "80", "--window-max", "100"],
+        cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.startswith("warning: RecurrenceWindowWarning: recurrence maximum")
+    assert ".py:" not in proc.stderr
+    assert all(line.startswith("warning: ") for line in proc.stderr.splitlines())
 
 
 class TestConfigFile:

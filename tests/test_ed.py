@@ -3,6 +3,7 @@ import pytest
 
 from spinbattery import ChainParams, ground_energy
 from spinbattery.ed import (
+    DegenerateGroundStateError,
     DegenerateGroundStateWarning,
     DimerizedXY,
     TransverseIsing,
@@ -12,8 +13,65 @@ from spinbattery.ed import (
     parity_diagonal,
 )
 
+# Reference construction that shares no code with build_hamiltonian: every
+# bond term is a Kronecker product of 2x2 operators, site 1 leftmost.
+_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+_SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
+_ID = np.eye(2)
+# sy x sy = -(isy) x (isy); isy is real, so the reference stays in float64.
+_ISY = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _kron_chain(ops) -> np.ndarray:
+    out = ops[0]
+    for op in ops[1:]:
+        out = np.kron(out, op)
+    return out
+
+
+def _two_site(op_a, op_b, j, n):
+    """op_a at site j, op_b at site j+1 (1-based, periodic)."""
+    ops = [_ID] * n
+    ops[(j - 1) % n] = op_a
+    ops[j % n] = op_b
+    return _kron_chain(ops)
+
+
+def kron_hamiltonian(kind, n_sites) -> np.ndarray:
+    h = np.zeros((2**n_sites, 2**n_sites))
+    if isinstance(kind, DimerizedXY):
+        for j in range(1, n_sites + 1):
+            bond = 1.0 - (-1.0) ** j * kind.delta
+            h -= bond * (1.0 + kind.gamma) / 2.0 * _two_site(_SX, _SX, j, n_sites)
+            h -= bond * (1.0 - kind.gamma) / 2.0 * (-_two_site(_ISY, _ISY, j, n_sites))
+    else:
+        for j in range(1, n_sites + 1):
+            h += 0.5 * _two_site(_SX, _SX, j, n_sites)
+            ops = [_ID] * n_sites
+            ops[j - 1] = _SZ
+            h += 0.5 * kind.h * _kron_chain(ops)
+    return h
+
 
 class TestBuildHamiltonian:
+    @pytest.mark.parametrize(
+        "kind, n_sites",
+        [
+            pytest.param(k, n, id=f"{k!r}-{n}".replace(" ", ""))
+            for k, sizes in [
+                (DimerizedXY(1.25, 0.3), range(2, 11, 2)),
+                (DimerizedXY(0.6, 1.7), range(2, 11, 2)),
+                (TransverseIsing(0.8), range(2, 11)),
+                (TransverseIsing(-2.5), range(2, 11)),
+            ]
+            for n in sizes
+        ],
+    )
+    def test_matches_kron_reference(self, kind, n_sites):
+        # bitwise, including the doubled bond of the two-site ring
+        ham = build_hamiltonian(kind, n_sites)
+        assert np.array_equal(ham.matrix, kron_hamiltonian(kind, n_sites))
+
     def test_two_site_ising_zero_field(self):
         # two x-bonds between two sites collapse onto a single sx sx,
         # spectrum +-1 doubly degenerate
@@ -79,12 +137,25 @@ class TestEvenSectorGroundState:
         with pytest.warns(DegenerateGroundStateWarning):
             even_sector_ground_state(ham)
 
+    def test_strict_raises_only_for_the_even_sector(self):
+        with pytest.raises(DegenerateGroundStateError, match="even-sector"):
+            even_sector_ground_state(build_hamiltonian(TransverseIsing(0.8), 5), strict=True)
+        # even and odd minima coincide at zero field, the even one is unique
+        with pytest.warns(DegenerateGroundStateWarning, match="even and odd"):
+            even_sector_ground_state(build_hamiltonian(TransverseIsing(0.0), 4), strict=True)
+
 
 class TestOracleTrace:
     def test_charger_equals_battery_is_flat(self):
         ham = build_hamiltonian(DimerizedXY(1.25, 0.3), 6)
         trace = oracle_energy_trace(ham, ham, np.linspace(0.0, 5.0, 11))
         assert np.max(np.abs(trace.values)) <= 1e-12
+
+    def test_degenerate_battery_raises(self):
+        battery = build_hamiltonian(TransverseIsing(0.8), 5)
+        charger = build_hamiltonian(TransverseIsing(1.5), 5)
+        with pytest.raises(DegenerateGroundStateError):
+            oracle_energy_trace(battery, charger, np.array([0.0, 1.0]))
 
     def test_rejects_size_mismatch(self):
         a = build_hamiltonian(TransverseIsing(0.5), 4)
@@ -113,5 +184,20 @@ class TestOracleTrace:
             assert parity == pytest.approx(1.0, abs=1e-12)
             e_charge = float(np.real(psi_t.conj() @ charger.matrix @ psi_t))
             assert e_charge == pytest.approx(e_charge0, abs=1e-12)
+            de = float(np.real(psi_t.conj() @ battery.matrix @ psi_t)) - e0
+            assert de == pytest.approx(trace.values[i], abs=1e-12)
+
+    def test_ising_blocked_matches_per_time_loop(self):
+        # 150 times span three GEMM blocks, the last one partial
+        battery = build_hamiltonian(TransverseIsing(0.8), 6)
+        charger = build_hamiltonian(TransverseIsing(1.5), 6)
+        psi0 = even_sector_ground_state(battery)
+        e0 = float(np.real(psi0.conj() @ battery.matrix @ psi0))
+        w, qmat = np.linalg.eigh(charger.matrix)
+        coeff = qmat.conj().T @ psi0
+        times = np.linspace(0.0, 30.0, 150)
+        trace = oracle_energy_trace(battery, charger, times)
+        for i, t in enumerate(times):
+            psi_t = qmat @ (np.exp(-1j * w * t) * coeff)
             de = float(np.real(psi_t.conj() @ battery.matrix @ psi_t)) - e0
             assert de == pytest.approx(trace.values[i], abs=1e-12)
