@@ -26,11 +26,11 @@ from dataclasses import asdict, astuple
 import numpy as np
 
 from .ed import (
-    MAX_SITES,
     DegenerateGroundStateError,
     DimerizedXY,
     TransverseIsing,
     build_hamiltonian,
+    check_oracle_size,
     oracle_energy_trace,
 )
 from .ising import (
@@ -69,10 +69,6 @@ EXIT_ORACLE = 4
 
 # Largest parameter grid a sweep accepts; checked before the grid is built.
 MAX_GRID_POINTS = 10_000
-
-# Largest (even-block dim)^2 x samples oracle-check accepts, checked before
-# any Hamiltonian is built: the 12-site default grid (2048^2 x 501) fits.
-MAX_EVOLUTION_WORK = 10**10
 
 
 # ----------------------------------------------------------------------
@@ -381,16 +377,8 @@ def cmd_oracle_check(opts: dict) -> int:
     """Compare the momentum-space engine against dense spin-space ED."""
     _check_choice(opts, "model", {"xy", "ising"})
     n_sites = opts["n_sites"]
-    if not 2 <= n_sites <= MAX_SITES:
-        raise ValueError(f"n_sites must be an integer in [2, {MAX_SITES}], got {n_sites}")
     times = _uniform_times(opts["t_end"], opts["dt"], np.inf)
-    dim = 2 ** (n_sites - 1)
-    if dim * dim * times.size > MAX_EVOLUTION_WORK:
-        raise ValueError(
-            f"dt={opts['dt']} puts {times.size} samples on the {n_sites}-site oracle: "
-            f"{dim}^2 x {times.size} exceeds its work budget of {MAX_EVOLUTION_WORK:.0e}; "
-            "raise dt"
-        )
+    check_oracle_size(n_sites, times.size)
     if opts["model"] == "xy":
         if n_sites % 2 != 0:
             raise ValueError("the XY oracle needs an even number of sites")

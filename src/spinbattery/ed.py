@@ -23,6 +23,7 @@ __all__ = [
     "SpinHamiltonian",
     "DegenerateGroundStateWarning",
     "DegenerateGroundStateError",
+    "check_oracle_size",
     "build_hamiltonian",
     "parity_diagonal",
     "even_sector_ground_state",
@@ -30,6 +31,10 @@ __all__ = [
 ]
 
 MAX_SITES = 12
+
+# Largest (even-block dim)^2 x samples an oracle run may ask for: the
+# 12-site default grid (2048^2 x 501 = 2.1e9) fits.
+MAX_EVOLUTION_WORK = 10**10
 
 # Times per GEMM in oracle_energy_trace; bounds the block's temporaries.
 _TIME_BLOCK = 64
@@ -74,6 +79,26 @@ def _site_bit(j: int, n: int) -> int:
     return 1 << (n - 1 - (j - 1) % n)
 
 
+def _check_sites(n_sites: int) -> None:
+    if int(n_sites) != n_sites or not 2 <= n_sites <= MAX_SITES:
+        raise ValueError(f"n_sites must be an integer in [2, {MAX_SITES}], got {n_sites}")
+
+
+def check_oracle_size(n_sites: int, samples: int) -> None:
+    """Reject an oracle run before any allocation: the size range, then the work.
+
+    The evolution costs about (even-block dim)^2 per time sample; runs above
+    MAX_EVOLUTION_WORK raise ValueError.
+    """
+    _check_sites(n_sites)
+    dim = 2 ** (n_sites - 1)
+    if dim * dim * samples > MAX_EVOLUTION_WORK:
+        raise ValueError(
+            f"{samples} samples on the {n_sites}-site oracle: {dim}^2 x {samples} "
+            f"exceeds its work budget of {MAX_EVOLUTION_WORK:.0e}; raise dt"
+        )
+
+
 def build_hamiltonian(kind: DimerizedXY | TransverseIsing, n_sites: int) -> SpinHamiltonian:
     """Assemble the dense periodic spin Hamiltonian bond by bond.
 
@@ -82,8 +107,7 @@ def build_hamiltonian(kind: DimerizedXY | TransverseIsing, n_sites: int) -> Spin
     bits agree or not, and sz_a is the diagonal +-1.  Each bond's entries are
     written straight into the matrix, in site order.
     """
-    if int(n_sites) != n_sites or not 2 <= n_sites <= MAX_SITES:
-        raise ValueError(f"n_sites must be an integer in [2, {MAX_SITES}], got {n_sites}")
+    _check_sites(n_sites)
     dim = 2**n_sites
     idx = np.arange(dim)
     h = np.zeros((dim, dim))
@@ -128,22 +152,9 @@ def _even_block(ham: SpinHamiltonian) -> np.ndarray:
     return ham.matrix[np.ix_(idx, idx)]
 
 
-def even_sector_ground_state(ham: SpinHamiltonian, strict: bool = False) -> np.ndarray:
-    """Normalized lowest eigenvector with parity +1, in the full 2^N space.
-
-    Warns with :class:`DegenerateGroundStateWarning` when the selection is
-    ambiguous: another even state, or the odd-sector minimum, lies within
-    1e-10 of the even ground energy.  With ``strict``, a degenerate even
-    sector raises :class:`DegenerateGroundStateError` instead, because then
-    no state is *the* ground state.
-    """
-    idx = _even_indices(ham.n_sites)
-    vals, vecs = np.linalg.eigh(_even_block(ham))
-    if len(vals) > 1 and vals[1] - vals[0] < 1e-10:
-        message = f"even-sector ground state degenerate within {vals[1] - vals[0]:.3e}"
-        if strict:
-            raise DegenerateGroundStateError(f"{message}: no unique initial state")
-        warnings.warn(message, DegenerateGroundStateWarning)
+def _even_ground(hb: np.ndarray, ham: SpinHamiltonian) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of the even block hb of ham; warns when the odd sector reaches its minimum."""
+    vals, vecs = np.linalg.eigh(hb)
     odd_idx = np.nonzero(parity_diagonal(ham.n_sites) < 0)[0]
     odd_min = float(np.min(np.linalg.eigvalsh(ham.matrix[np.ix_(odd_idx, odd_idx)])))
     if abs(odd_min - vals[0]) < 1e-10:
@@ -151,6 +162,27 @@ def even_sector_ground_state(ham: SpinHamiltonian, strict: bool = False) -> np.n
             f"even and odd sector ground energies within {abs(odd_min - vals[0]):.3e}",
             DegenerateGroundStateWarning,
         )
+    return vals, vecs
+
+
+def _even_degeneracy(vals: np.ndarray) -> str | None:
+    if len(vals) > 1 and vals[1] - vals[0] < 1e-10:
+        return f"even-sector ground state degenerate within {vals[1] - vals[0]:.3e}"
+    return None
+
+
+def even_sector_ground_state(ham: SpinHamiltonian) -> np.ndarray:
+    """Normalized lowest eigenvector with parity +1, in the full 2^N space.
+
+    Warns with :class:`DegenerateGroundStateWarning` when the selection is
+    ambiguous: another even state, or the odd-sector minimum, lies within
+    1e-10 of the even ground energy.
+    """
+    idx = _even_indices(ham.n_sites)
+    vals, vecs = _even_ground(_even_block(ham), ham)
+    message = _even_degeneracy(vals)
+    if message:
+        warnings.warn(message, DegenerateGroundStateWarning)
     full = np.zeros(ham.matrix.shape[0], dtype=complex)
     full[idx] = vecs[:, 0]
     return full
@@ -172,10 +204,15 @@ def oracle_energy_trace(
     if battery.n_sites != charger.n_sites:
         raise ValueError("battery and charger must share n_sites")
     times = np.asarray(times, dtype=float)
-    idx = _even_indices(battery.n_sites)
     hb = _even_block(battery)
-    # The even block is real symmetric, so its eigenvectors are real.
-    psi0 = even_sector_ground_state(battery, strict=True)[idx].real
+    vals, vecs = _even_ground(hb, battery)
+    message = _even_degeneracy(vals)
+    if message:
+        raise DegenerateGroundStateError(f"{message}: no unique initial state")
+    # Keep the ground state only: the full eigenbasis would outlive the
+    # evolution and raise the peak memory by a block's worth.
+    psi0 = vecs[:, 0].copy()
+    del vals, vecs
     e0 = float(psi0 @ hb @ psi0)
     w, qmat = np.linalg.eigh(_even_block(charger))
     coeff = qmat.T @ psi0

@@ -231,13 +231,29 @@ def _regime_point(args) -> tuple[float, float, float, float, float]:
     return tau_s, e_s, e_inf, tau_r, e_r
 
 
+def _recording_warnings(func, job):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = func(job)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
 def _map_ordered(func, jobs: list, workers: int) -> list:
+    """[func(job) for job in jobs], over a process pool when workers > 1.
+
+    Warnings raised in pool workers are re-issued here, in job order, so the
+    caller's filters and formatting apply whatever the start method.
+    """
     # A fork pool starts all its processes up front, used or not.
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         return [func(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, jobs))
+        outputs = list(pool.map(partial(_recording_warnings, func), jobs))
+    for _, caught in outputs:
+        for category, message in caught:
+            warnings.warn(message, category)
+    return [result for result, _ in outputs]
 
 
 def _sweep_rows(grid, protocols, size, workers, t_short, window, evaluator="full"):

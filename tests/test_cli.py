@@ -108,7 +108,7 @@ class TestTrace:
             (["sweep", "--param-min", "0.05", "--param-max", "0.4", "--param-step", "1e-12"],
              "param-step 1e-12 puts more than"),
             (["oracle-check", "--n-sites", "12", "--dt", "1e-4"],
-             "dt=0.0001 puts 500001 samples on the 12-site oracle"),
+             "500001 samples on the 12-site oracle"),
         ],
     )
     def test_bad_number_exits_2_and_names_it(self, capsys, args, message):
@@ -266,13 +266,15 @@ class TestOracleCheck:
         assert code == 0
 
 
-def test_warnings_print_one_line_without_source_location(tmp_path):
-    # the recurrence maximum of this sweep sits on the window edge
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_warnings_print_one_line_without_source_location(tmp_path, workers):
+    # the recurrence maximum of this sweep sits on the window edge; with two
+    # workers the warning is raised in a pool process
     path = os.pathsep.join(os.path.abspath(p) for p in sys.path if p)
     proc = subprocess.run(
         [sys.executable, "-m", "spinbattery.cli", "sweep", "--n-dimers", "40",
          "--param-min", "0.05", "--param-max", "0.1", "--param-step", "0.05",
-         "--window-min", "80", "--window-max", "100"],
+         "--window-min", "80", "--window-max", "100", "--workers", workers],
         cwd=tmp_path, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path},
     )

@@ -137,12 +137,10 @@ class TestEvenSectorGroundState:
         with pytest.warns(DegenerateGroundStateWarning):
             even_sector_ground_state(ham)
 
-    def test_strict_raises_only_for_the_even_sector(self):
-        with pytest.raises(DegenerateGroundStateError, match="even-sector"):
-            even_sector_ground_state(build_hamiltonian(TransverseIsing(0.8), 5), strict=True)
-        # even and odd minima coincide at zero field, the even one is unique
-        with pytest.warns(DegenerateGroundStateWarning, match="even and odd"):
-            even_sector_ground_state(build_hamiltonian(TransverseIsing(0.0), 4), strict=True)
+    def test_degenerate_even_sector_only_warns(self):
+        # odd Ising rings at h > 0: the caller gets a state and a warning
+        with pytest.warns(DegenerateGroundStateWarning, match="even-sector"):
+            even_sector_ground_state(build_hamiltonian(TransverseIsing(0.8), 5))
 
 
 class TestOracleTrace:
@@ -156,6 +154,14 @@ class TestOracleTrace:
         charger = build_hamiltonian(TransverseIsing(1.5), 5)
         with pytest.raises(DegenerateGroundStateError):
             oracle_energy_trace(battery, charger, np.array([0.0, 1.0]))
+
+    def test_even_odd_degeneracy_only_warns(self):
+        # even and odd minima coincide at zero field, the even one is unique
+        battery = build_hamiltonian(TransverseIsing(0.0), 4)
+        charger = build_hamiltonian(TransverseIsing(0.5), 4)
+        with pytest.warns(DegenerateGroundStateWarning, match="even and odd"):
+            trace = oracle_energy_trace(battery, charger, np.array([0.0, 1.0]))
+        assert trace.values[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_size_mismatch(self):
         a = build_hamiltonian(TransverseIsing(0.5), 4)

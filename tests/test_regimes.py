@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,11 @@ from spinbattery.regimes import (
     ising_recurrence_window,
     linear_fit,
 )
+
+
+def _square_with_warning(x):
+    warnings.warn(f"job {x}", RecurrenceWindowWarning)
+    return x * x
 
 
 def _synthetic_trace(times, values):
@@ -215,6 +221,16 @@ class TestSweeps:
         monkeypatch.setattr(regimes.os, "cpu_count", lambda: None)
         assert regimes._map_ordered(abs, [-1, -2], 64) == [1, 2]
         assert sizes == [3, 4, 2]
+
+    def test_pool_worker_warnings_reach_the_caller(self, monkeypatch):
+        # Workers keep their own warning state, whatever the start method;
+        # what they raise is re-issued in the caller, in job order.
+        monkeypatch.setattr(regimes.os, "cpu_count", lambda: 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert regimes._map_ordered(_square_with_warning, [3, 1, 2], 2) == [9, 1, 4]
+        assert [str(w.message) for w in caught] == ["job 3", "job 1", "job 2"]
+        assert all(w.category is RecurrenceWindowWarning for w in caught)
 
 
 class TestScalingStudy:
