@@ -17,26 +17,19 @@ from .ed import (
     oracle_energy_trace,
 )
 from .ising import (
-    IsingModeData,
     IsingParams,
-    bogoliubov_angle,
     ising_asymptotic_energy,
-    ising_dispersion,
     ising_energy_at_times,
     ising_energy_stored,
     ising_energy_trace,
-    ising_mode_data,
 )
 from .quench import (
     EnergyTrace,
-    MatchingMatrix,
     QuenchProtocol,
     asymptotic_energy,
     energy_at_times,
     energy_stored,
     energy_trace,
-    matching_matrix,
-    occupations,
     occupations_all,
     resolution_bound,
 )
@@ -57,18 +50,13 @@ from .regimes import (
     sweep_field,
 )
 from .xy import (
-    BlochMatrix,
     ChainParams,
-    ModeIndex,
-    ModeSpectrum,
     Phase,
-    bloch_hamiltonian,
+    bloch_stack,
     classify_phase,
-    dispersion,
+    dispersion_curves,
+    eigensystem_stack,
     ground_energy,
-    mode_eigensystem,
-    momentum_modes,
-    spectral_gap,
 )
 
 __version__ = "0.1.0"

@@ -57,10 +57,11 @@ class TransverseIsing:
 
 @dataclass(frozen=True)
 class SpinHamiltonian:
+    """Dense 2^N x 2^N Hamiltonian of a periodic chain of n_sites spins."""
+
     n_sites: int
     matrix: np.ndarray
     kind: DimerizedXY | TransverseIsing
-    boundary: str = "periodic"
 
     def __post_init__(self):
         self.matrix.setflags(write=False)

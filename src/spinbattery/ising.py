@@ -8,14 +8,13 @@ form
     dE(t) = sum_q  h1^2 sin^2(k) / (2 eps_q w_q^2) * [1 - cos(2 w_q t)]
 
 with k = 2 pi q / N over the half-integer set {1/2, ..., N - 1/2},
-eps_q the dispersion at h0 and w_q the dispersion at h0 + h1.  Angles are
-carried as (sin 2theta, cos 2theta) pairs; only 2theta ever enters a
-formula, so no branch of theta itself is chosen anywhere.
+eps_q the dispersion at h0 and w_q the dispersion at h0 + h1.  The
+Bogoliubov angles, (sin 2theta, cos 2theta) = (sin k, h - cos k) / eps_q,
+enter only through this amplitude, which is eps_q sin^2(2theta' - 2theta) / 2.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,16 +26,13 @@ from .xy import _check_finite
 
 __all__ = [
     "IsingParams",
-    "IsingModeData",
-    "ising_dispersion",
-    "bogoliubov_angle",
-    "ising_mode_data",
     "ising_energy_stored",
     "ising_energy_at_times",
     "ising_energy_trace",
     "ising_asymptotic_energy",
     "ising_resolution_bound",
 ]
+
 
 @dataclass(frozen=True)
 class IsingParams:
@@ -52,71 +48,25 @@ class IsingParams:
             raise ValueError(f"n_sites must be an integer >= 2, got {self.n_sites}")
 
 
-@dataclass(frozen=True)
-class IsingModeData:
-    """Per-mode spectra and Bogoliubov angle pairs for both field values."""
-
-    q: float
-    eps: float
-    omega: float
-    angle_initial: tuple[float, float]  # (sin 2theta, cos 2theta) at h0
-    angle_charging: tuple[float, float]  # same at h0 + h1
-
-
-def _check_mode(n_sites: int, q: float) -> float:
-    two_q = 2.0 * q
-    if two_q != round(two_q) or round(two_q) % 2 != 1 or not 0 < q < n_sites:
-        raise ValueError(f"q={q} not in the half-integer mode set of N={n_sites}")
-    return 2.0 * math.pi * q / n_sites
-
-
-def ising_dispersion(h: float, n_sites: int, q: float) -> float:
-    """eps_q = sqrt(1 + h^2 - 2 h cos(2 pi q / N))."""
-    k = _check_mode(n_sites, q)
-    return math.sqrt(1.0 + h * h - 2.0 * h * math.cos(k))
-
-
-def bogoliubov_angle(h: float, n_sites: int, q: float) -> tuple[float, float]:
-    """(sin 2theta, cos 2theta) = (sin k, h - cos k) / eps_q.
-
-    eps_q = sqrt(1 + h^2 - 2 h cos k) equals hypot(sin k, h - cos k)
-    identically; the hypot form keeps the pair normalized to machine
-    precision even where the quadratic form cancels.
-    """
-    k = _check_mode(n_sites, q)
-    s, c = math.sin(k), h - math.cos(k)
-    eps = math.hypot(s, c)
-    if eps == 0.0:
-        raise ZeroDivisionError(
-            f"dispersion vanished at q={q}, h={h}; Bogoliubov angle undefined"
-        )
-    return s / eps, c / eps
-
-
-def ising_mode_data(params: IsingParams, q: float) -> IsingModeData:
-    """Bundle dispersion and angle pairs of one mode for both field values."""
-    return IsingModeData(
-        q=q,
-        eps=ising_dispersion(params.h0, params.n_sites, q),
-        omega=ising_dispersion(params.h0 + params.h1, params.n_sites, q),
-        angle_initial=bogoliubov_angle(params.h0, params.n_sites, q),
-        angle_charging=bogoliubov_angle(params.h0 + params.h1, params.n_sites, q),
-    )
-
-
 @lru_cache(maxsize=32)
 def _mode_arrays(params: IsingParams):
-    """(omega, amplitude) arrays: dE(t) = sum_q amp_q [1 - cos(2 w_q t)]."""
+    """(omega, amplitude) arrays: dE(t) = sum_q amp_q [1 - cos(2 w_q t)].
+
+    For odd N the mode q = N/2 sits at k = pi, where sin k = 0: the field
+    quench does not couple it, so its amplitude is exactly 0.  Only there
+    can a dispersion vanish (at h0 = -1 or h0 + h1 = -1).
+    """
     n = params.n_sites
     k = 2.0 * np.pi * (np.arange(n) + 0.5) / n
     eps = np.sqrt(1.0 + params.h0**2 - 2.0 * params.h0 * np.cos(k))
     hf = params.h0 + params.h1
     omega = np.sqrt(1.0 + hf**2 - 2.0 * hf * np.cos(k))
-    if np.any(omega == 0.0) or np.any(eps == 0.0):
-        raise ZeroDivisionError(
-            "a mode dispersion vanished exactly; half-integer q should prevent this"
-        )
-    amp = params.h1**2 * np.sin(k) ** 2 / (2.0 * eps * omega**2)
+    sin_k = np.sin(k)
+    if n % 2:
+        sin_k[n // 2] = 0.0
+    amp = np.divide(
+        params.h1**2 * sin_k**2, 2.0 * eps * omega**2, out=np.zeros(n), where=sin_k != 0.0
+    )
     _lock(omega, amp)
     return omega, amp
 

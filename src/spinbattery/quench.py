@@ -30,21 +30,11 @@ from functools import lru_cache
 import numpy as np
 
 from .sums import compensated_sum, compensated_sum_axis0
-from .xy import (
-    ChainParams,
-    ModeIndex,
-    _check_finite,
-    bloch_stack,
-    dispersion_curves,
-    eigensystem_stack,
-)
+from .xy import ChainParams, _check_finite, bloch_stack, dispersion_curves, eigensystem_stack
 
 __all__ = [
     "QuenchProtocol",
-    "MatchingMatrix",
     "EnergyTrace",
-    "matching_matrix",
-    "occupations",
     "occupations_all",
     "energy_stored",
     "energy_at_times",
@@ -96,19 +86,6 @@ class QuenchProtocol:
 
 
 @dataclass(frozen=True)
-class MatchingMatrix:
-    """Unitary M_q connecting pre- and post-quench quasiparticle modes."""
-
-    mode: ModeIndex
-    m: np.ndarray
-    omega_initial: tuple[float, float]
-    omega_charging: tuple[float, float]
-
-    def __post_init__(self):
-        self.m.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class EnergyTrace:
     """Stored energy sampled on an ascending time grid (units of 1/J).
 
@@ -143,7 +120,10 @@ def _lock(*arrays: np.ndarray) -> None:
 
 @lru_cache(maxsize=32)
 def _mode_data(protocol: QuenchProtocol):
-    """Per-mode spectra and matching matrices, shapes (N,2), (N,2), (N,4,4)."""
+    """Battery and charging bands and matching matrices M_q = V_q^dag U_q.
+
+    Shapes (N, 2), (N, 2), (N, 4, 4); row i is the mode q = i + 1/2.
+    """
     omega, u = eigensystem_stack(
         bloch_stack(protocol.gamma, protocol.delta0, protocol.n_dimers)
     )
@@ -193,17 +173,6 @@ def _occupation_tables(protocol: QuenchProtocol):
                 sin_b[:, s, col] += sgn * 2.0 * z.imag
     _lock(freqs, const, cos_a, sin_b)
     return freqs, const, cos_a, sin_b
-
-
-def _occupation_values(protocol: QuenchProtocol, t: float, evaluator: str) -> np.ndarray:
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    _check_evaluator(evaluator)
-    freqs, const, cos_a, sin_b = _occupation_tables(protocol)
-    ph = freqs * t
-    return const + np.einsum("nsf,nf->ns", cos_a, np.cos(ph)) + np.einsum(
-        "nsf,nf->ns", sin_b, np.sin(ph)
-    )
 
 
 # ----------------------------------------------------------------------
@@ -256,40 +225,21 @@ def _uniform_times(t_end: float, dt: float, bound: float) -> np.ndarray:
 # public operations
 # ----------------------------------------------------------------------
 
-def _mode_row(protocol: QuenchProtocol, mode: ModeIndex) -> int:
-    if mode.n_dimers != protocol.n_dimers:
-        raise ValueError(
-            f"mode built for n_dimers={mode.n_dimers}, protocol has {protocol.n_dimers}"
-        )
-    return int(mode.q - 0.5)
-
-
-def matching_matrix(protocol: QuenchProtocol, mode: ModeIndex) -> MatchingMatrix:
-    """M_q = V_q^{-1} U_q between battery and charging eigenbases."""
-    i = _mode_row(protocol, mode)
-    omega, omega_p, m = _mode_data(protocol)
-    return MatchingMatrix(
-        mode=mode,
-        m=m[i].copy(),
-        omega_initial=(float(omega[i, 0]), float(omega[i, 1])),
-        omega_charging=(float(omega_p[i, 0]), float(omega_p[i, 1])),
-    )
-
-
-def occupations(
-    protocol: QuenchProtocol, mode: ModeIndex, t: float, evaluator: str = "full"
-) -> tuple[float, float]:
-    """Quasiparticle occupations (n1, n2) of one mode at time t >= 0."""
-    i = _mode_row(protocol, mode)
-    vals = _occupation_values(protocol, t, evaluator)
-    return float(vals[i, 0]), float(vals[i, 1])
-
-
 def occupations_all(
     protocol: QuenchProtocol, t: float, evaluator: str = "full"
 ) -> np.ndarray:
-    """Occupations for every mode, shape (n_dimers, 2), ascending q."""
-    return _occupation_values(protocol, t, evaluator)
+    """Quasiparticle occupations (n1, n2) of every mode at time t >= 0.
+
+    Shape (n_dimers, 2); row i is the mode q = i + 1/2.
+    """
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    _check_evaluator(evaluator)
+    freqs, const, cos_a, sin_b = _occupation_tables(protocol)
+    ph = freqs * t
+    return const + np.einsum("nsf,nf->ns", cos_a, np.cos(ph)) + np.einsum(
+        "nsf,nf->ns", sin_b, np.sin(ph)
+    )
 
 
 def _energy_tables(protocol: QuenchProtocol):

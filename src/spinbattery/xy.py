@@ -24,38 +24,28 @@ from .sums import compensated_sum
 
 __all__ = [
     "ChainParams",
-    "ModeIndex",
-    "BlochMatrix",
-    "ModeSpectrum",
     "Phase",
-    "momentum_modes",
-    "bloch_hamiltonian",
-    "dispersion",
-    "mode_eigensystem",
+    "bloch_stack",
+    "eigensystem_stack",
+    "dispersion_curves",
     "classify_phase",
     "ground_energy",
-    "spectral_gap",
 ]
 
 # Tolerance band for the critical-line classifiers; inputs are exact reals.
 CRITICAL_TOL = 1e-12
-
-GAUGE_TAG = "largest-modulus-entry-real-positive"
 
 
 @dataclass(frozen=True)
 class ChainParams:
     """Anisotropy, dimerization and size of one XY chain instance.
 
-    ``energy_scale`` is the exchange constant J; it exists for documentation
-    only and must be 1 (all energies and times are expressed in units of J
-    and 1/J).
+    Energies and times are in units of the exchange constant J = 1 and 1/J.
     """
 
     gamma: float
     delta: float
     n_dimers: int
-    energy_scale: float = 1.0
 
     def __post_init__(self):
         _check_finite(gamma=self.gamma, delta=self.delta)
@@ -65,70 +55,10 @@ class ChainParams:
             raise ValueError(f"delta must be >= 0, got {self.delta}")
         if int(self.n_dimers) != self.n_dimers or self.n_dimers < 2:
             raise ValueError(f"n_dimers must be an integer >= 2, got {self.n_dimers}")
-        if self.energy_scale != 1.0:
-            raise ValueError("energy_scale J is the reference scale and must equal 1")
 
     @property
     def n_sites(self) -> int:
         return 2 * self.n_dimers
-
-
-@dataclass(frozen=True)
-class ModeIndex:
-    """Half-integer momentum label q with derived momentum k = 2 pi q / n_dimers."""
-
-    q: float
-    n_dimers: int
-
-    def __post_init__(self):
-        two_q = 2.0 * self.q
-        if two_q != round(two_q) or round(two_q) % 2 != 1:
-            raise ValueError(f"q must be half-integer (m + 1/2), got {self.q}")
-        if not 0 < self.q < self.n_dimers:
-            raise ValueError(
-                f"q={self.q} outside the mode set (0, {self.n_dimers}) for n_dimers={self.n_dimers}"
-            )
-
-    @property
-    def k(self) -> float:
-        return 2.0 * math.pi * self.q / self.n_dimers
-
-
-def momentum_modes(n_dimers: int) -> tuple[ModeIndex, ...]:
-    """All modes of the even-parity sector, ascending in q."""
-    return tuple(ModeIndex(j + 0.5, n_dimers) for j in range(n_dimers))
-
-
-@dataclass(frozen=True)
-class BlochMatrix:
-    """4x4 Hermitian single-mode matrix with its two structure constants."""
-
-    entries: np.ndarray
-    zq: complex
-    wq: complex
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class ModeSpectrum:
-    """Eigensystem of one Bloch matrix.
-
-    ``eigvecs`` columns are ordered to the eigenvalues
-    (+omega1, +omega2, -omega1, -omega2) with omega1 >= omega2 >= 0, and each
-    column is phase-fixed so its largest-modulus entry is real positive
-    (ties broken by lowest row index).
-    """
-
-    mode: ModeIndex
-    omega1: float
-    omega2: float
-    eigvecs: np.ndarray
-    gauge_tag: str = GAUGE_TAG
-
-    def __post_init__(self):
-        self.eigvecs.setflags(write=False)
 
 
 class Phase(Enum):
@@ -165,7 +95,7 @@ def _check_finite(**values: float) -> None:
 
 
 # ----------------------------------------------------------------------
-# batched internals (shared with the quench engine)
+# per-mode quantities, batched over the mode set (row i is q = i + 1/2)
 # ----------------------------------------------------------------------
 
 def structure_constants(gamma: float, delta: float, k: np.ndarray | float):
@@ -202,7 +132,14 @@ def _bloch_entries(z, w) -> np.ndarray:
 
 
 def bloch_stack(gamma: float, delta: float, n_dimers: int) -> np.ndarray:
-    """Bloch matrices for every q, shape (n_dimers, 4, 4)."""
+    """Bloch matrices for every q, shape (n_dimers, 4, 4).
+
+    Convention: the chain Hamiltonian equals (J/2) sum_q Psi_q^dag H_q Psi_q
+    over the half-integer mode set, with Psi_q mixing the two dimer-sublattice
+    fermions at q with their conjugates at n_dimers - q.  The 1/2 compensates
+    the q <-> n_dimers - q double counting, so the eigenvalues of H_q are the
+    band energies themselves.
+    """
     q = np.arange(n_dimers) + 0.5
     k = 2.0 * np.pi * q / n_dimers
     return _bloch_entries(*structure_constants(gamma, delta, k))
@@ -231,8 +168,10 @@ def eigensystem_stack(bloch: np.ndarray):
     """Eigen-decompose a (n, 4, 4) Bloch stack.
 
     Returns ``(omegas, vecs)`` with ``omegas[:, 0] >= omegas[:, 1] >= 0`` and
-    ``vecs`` columns ordered to (+w1, +w2, -w1, -w2), gauge fixed.  A failed
-    eigensolver raises ``numpy.linalg.LinAlgError`` (never returns garbage).
+    ``vecs`` columns ordered to (+w1, +w2, -w1, -w2).  Each column is phase
+    fixed so its largest-modulus entry is real positive (ties broken by the
+    lowest row index).  A failed eigensolver raises
+    ``numpy.linalg.LinAlgError`` (never returns garbage).
     """
     vals, vecs = np.linalg.eigh(bloch)
     vals = vals[:, _BAND_ORDER]
@@ -243,7 +182,11 @@ def eigensystem_stack(bloch: np.ndarray):
 
 
 def dispersion_curves(gamma: float, delta: float, n_dimers: int) -> np.ndarray:
-    """Closed-form bands, shape (n_dimers, 2) ordered (w1, w2) per mode."""
+    """Closed-form bands, shape (n_dimers, 2) ordered (w1, w2) per mode.
+
+    The two branches never cross for gamma > 0, delta >= 0 (their squared
+    difference is 16 gamma delta), so the '+' branch is always w1 >= w2.
+    """
     q = np.arange(n_dimers) + 0.5
     x = np.pi * q / n_dimers
     cos2 = np.cos(x) ** 2
@@ -251,60 +194,6 @@ def dispersion_curves(gamma: float, delta: float, n_dimers: int) -> np.ndarray:
     plus = 2.0 * np.sqrt((1.0 + gamma * delta) ** 2 * cos2 + (delta + gamma) ** 2 * sin2)
     minus = 2.0 * np.sqrt((1.0 - gamma * delta) ** 2 * cos2 + (delta - gamma) ** 2 * sin2)
     return np.column_stack([plus, minus])
-
-
-# ----------------------------------------------------------------------
-# public per-mode operations
-# ----------------------------------------------------------------------
-
-def _check_mode(params: ChainParams, mode: ModeIndex) -> None:
-    if mode.n_dimers != params.n_dimers:
-        raise ValueError(
-            f"mode built for n_dimers={mode.n_dimers}, params have {params.n_dimers}"
-        )
-
-
-def bloch_hamiltonian(params: ChainParams, mode: ModeIndex) -> BlochMatrix:
-    """4x4 Bloch matrix of one momentum mode.
-
-    Convention: the chain Hamiltonian equals (J/2) sum_q Psi_q^dag H_q Psi_q
-    over the half-integer mode set, with Psi_q mixing the two dimer-sublattice
-    fermions at q with their conjugates at n_dimers - q.  The 1/2 compensates
-    the q <-> n_dimers - q double counting, so the eigenvalues of H_q are the
-    band energies themselves.
-    """
-    _check_mode(params, mode)
-    z, w = structure_constants(params.gamma, params.delta, mode.k)
-    return BlochMatrix(entries=_bloch_entries(z, w), zq=complex(z), wq=complex(w))
-
-
-def dispersion(params: ChainParams, mode: ModeIndex) -> tuple[float, float]:
-    """Band energies (omega1, omega2) with omega1 >= omega2 >= 0.
-
-    The two closed-form branches never cross for gamma > 0, delta >= 0
-    (their squared difference is 16 gamma delta), so the '+' branch is
-    always omega1 and the '-' branch always omega2.
-    """
-    _check_mode(params, mode)
-    x = math.pi * mode.q / params.n_dimers
-    cos2 = math.cos(x) ** 2
-    sin2 = math.sin(x) ** 2
-    g, d = params.gamma, params.delta
-    plus = 2.0 * math.sqrt((1.0 + g * d) ** 2 * cos2 + (d + g) ** 2 * sin2)
-    minus = 2.0 * math.sqrt((1.0 - g * d) ** 2 * cos2 + (d - g) ** 2 * sin2)
-    return (max(plus, minus), min(plus, minus))
-
-
-def mode_eigensystem(params: ChainParams, mode: ModeIndex) -> ModeSpectrum:
-    """Gauge-fixed eigensystem of one Bloch matrix."""
-    bloch = bloch_hamiltonian(params, mode)
-    omegas, vecs = eigensystem_stack(bloch.entries[None, :, :])
-    return ModeSpectrum(
-        mode=mode,
-        omega1=float(omegas[0, 0]),
-        omega2=float(omegas[0, 1]),
-        eigvecs=vecs[0],
-    )
 
 
 def classify_phase(gamma: float, delta: float) -> Phase:
@@ -333,8 +222,3 @@ def ground_energy(params: ChainParams) -> float:
     bands = dispersion_curves(params.gamma, params.delta, params.n_dimers)
     return -0.5 * compensated_sum(bands[:, 0] + bands[:, 1])
 
-
-def spectral_gap(params: ChainParams) -> float:
-    """Smallest single-quasiparticle energy over the mode set."""
-    bands = dispersion_curves(params.gamma, params.delta, params.n_dimers)
-    return float(np.min(bands))

@@ -18,17 +18,15 @@ import pytest
 from spinbattery import (
     ChainParams,
     IsingParams,
-    ModeIndex,
     QuenchProtocol,
     asymptotic_energy,
+    bloch_stack,
+    eigensystem_stack,
     energy_at_times,
     energy_trace,
     ground_energy,
     ising_asymptotic_energy,
     ising_energy_at_times,
-    ising_mode_data,
-    mode_eigensystem,
-    occupations,
     occupations_all,
     resolution_bound,
     scaling_study,
@@ -42,6 +40,7 @@ from spinbattery.ed import (
     oracle_energy_trace,
     parity_diagonal,
 )
+from spinbattery.ising import _mode_arrays
 from spinbattery.regimes import (
     DT_SAFETY,
     analyze_trace,
@@ -219,23 +218,24 @@ class TestCriterion8Properties:
                 int(rng.integers(2, 9)),
             )
             i = int(rng.integers(0, p.n_dimers))
-            mode = ModeIndex(i + 0.5, p.n_dimers)
             t = float(rng.uniform(0.0, 20.0))
-            u = mode_eigensystem(p.battery_params(), mode).eigvecs.copy()
-            spectrum_c = mode_eigensystem(p.charging_params(), mode)
-            v = spectrum_c.eigvecs.copy()
+            _, vecs = eigensystem_stack(bloch_stack(p.gamma, p.delta0, p.n_dimers))
+            omega_c, vecs_c = eigensystem_stack(
+                bloch_stack(p.gamma, p.delta0 + p.delta1, p.n_dimers)
+            )
+            u = vecs[i].copy()
+            v = vecs_c[i].copy()
             u *= np.exp(1j * rng.uniform(0, 2 * np.pi, 4))[None, :]
             v *= np.exp(1j * rng.uniform(0, 2 * np.pi, 4))[None, :]
             m = v.conj().T @ u
-            d = np.exp(
-                -1j * np.array([spectrum_c.omega1, spectrum_c.omega2, -spectrum_c.omega1, -spectrum_c.omega2]) * t
-            )
+            w1p, w2p = omega_c[i]
+            d = np.exp(-1j * np.array([w1p, w2p, -w1p, -w2p]) * t)
             tm = m.conj().T @ (d[:, None] * m)
             n_ref = (
                 abs(tm[0, 2]) ** 2 + abs(tm[0, 3]) ** 2,
                 abs(tm[1, 2]) ** 2 + abs(tm[1, 3]) ** 2,
             )
-            n_prod = occupations(p, mode, t)
+            n_prod = occupations_all(p, t)[i]
             worst = max(worst, abs(n_ref[0] - n_prod[0]), abs(n_ref[1] - n_prod[1]))
         assert worst <= 1e-10
         _report("8/gauge", f"occupations move {worst:.2e} under random rephasing")
@@ -277,19 +277,20 @@ class TestCriterion8Properties:
 
     def test_ising_beta_amplitude(self):
         params = IsingParams(ISING_H0, ISING_H1, 600)
+        omega, amp = _mode_arrays(params)
         worst = 0.0
         for j in range(0, 600, 13):
-            q = j + 0.5
-            data = ising_mode_data(params, q)
-            si, ci = data.angle_initial
-            sf, cf = data.angle_charging
+            # reference Bogoliubov pairs (sin 2theta, cos 2theta) = (sin k, h - cos k) / eps
+            k = 2 * math.pi * (j + 0.5) / params.n_sites
+            eps = math.hypot(math.sin(k), ISING_H0 - math.cos(k))
+            eps_c = math.hypot(math.sin(k), ISING_H0 + ISING_H1 - math.cos(k))
+            si, ci = math.sin(k) / eps, (ISING_H0 - math.cos(k)) / eps
+            sf, cf = math.sin(k) / eps_c, (ISING_H0 + ISING_H1 - math.cos(k)) / eps_c
             sin2diff = si * cf - ci * sf
-            k = 2 * math.pi * q / params.n_sites
-            amp = params.h1**2 * math.sin(k) ** 2 / (2 * data.eps * data.omega**2)
             for t in (0.7, 5.3, 31.0):
-                beta2 = math.sin(data.omega * t) ** 2 * sin2diff**2
-                closed = amp * (1.0 - math.cos(2.0 * data.omega * t))
-                worst = max(worst, abs(data.eps * beta2 - closed))
+                beta2 = math.sin(omega[j] * t) ** 2 * sin2diff**2
+                closed = amp[j] * (1.0 - math.cos(2.0 * omega[j] * t))
+                worst = max(worst, abs(eps * beta2 - closed))
         assert worst <= 1e-12
         _report("8/beta", f"|beta|^2 form vs closed form per mode, max |diff| {worst:.2e}")
 

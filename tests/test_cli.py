@@ -266,6 +266,24 @@ class TestOracleCheck:
         assert code == 0
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["trace", "--model", "ising", "--n-sites", "5", "--h0", "-1", "--h1", "0.5"],
+        ["oracle-check", "--model", "ising", "--n-sites", "5", "--h0", "-1.5", "--h1", "0.5"],
+        ["sweep", "--model", "ising", "--n-sites", "7", "--h1", "0.5",
+         "--param-min", "-1.5", "--param-max", "-1.5"],
+    ],
+    ids=["trace", "oracle-check", "sweep"],
+)
+def test_odd_ising_ring_with_a_vanishing_zone_edge_mode(tmp_path, monkeypatch, capsys, args):
+    # odd N has the mode k = pi, whose dispersion vanishes at h0 = -1 or
+    # h0 + h1 = -1; the quench does not couple it, so every command runs
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(args + ["--out", str(tmp_path / "out.csv")]) in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_warnings_print_one_line_without_source_location(tmp_path, workers):
     # the recurrence maximum of this sweep sits on the window edge; with two

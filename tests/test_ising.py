@@ -5,21 +5,35 @@ import pytest
 
 from spinbattery import (
     IsingParams,
-    bogoliubov_angle,
     ising_asymptotic_energy,
-    ising_dispersion,
     ising_energy_at_times,
     ising_energy_stored,
     ising_energy_trace,
-    ising_mode_data,
 )
 from spinbattery.ed import TransverseIsing, build_hamiltonian, oracle_energy_trace
-from spinbattery.ising import ising_resolution_bound
+from spinbattery.ising import _mode_arrays, ising_resolution_bound
 
 # Frozen 50-digit evaluations of the closed-form dispersion and angle pair.
 FROZEN_EPS = 0.2000548234962534756  # h=0.8, N=600, q=1/2
 FROZEN_SIN2T = 0.06273646219296270348  # h=0.75, N=600, q=3/2
 FROZEN_COS2T = -0.99803012795782420775
+
+
+def _dispersion(h, n_sites):
+    """The engine's dispersion at field h for every mode (row j is q = j + 1/2)."""
+    return _mode_arrays(IsingParams(h, 0.0, n_sites))[0]
+
+
+def _bogoliubov_pair(h, n_sites, q):
+    """Reference (sin 2theta, cos 2theta) = (sin k, h - cos k) / eps_q.
+
+    The hypot form keeps the pair normalized even where the quadratic form
+    1 + h^2 - 2 h cos k cancels.
+    """
+    k = 2 * math.pi * q / n_sites
+    s, c = math.sin(k), h - math.cos(k)
+    eps = math.hypot(s, c)
+    return s / eps, c / eps
 
 
 class TestIsingParams:
@@ -41,41 +55,36 @@ class TestIsingParams:
 
 class TestDispersion:
     def test_zero_field_is_flat(self):
-        for q in (0.5, 1.5, 3.5):
-            assert ising_dispersion(0.0, 4, q) == pytest.approx(1.0, abs=1e-15)
+        assert np.max(np.abs(_dispersion(0.0, 4) - 1.0)) <= 1e-15
 
     def test_critical_field_identity(self):
-        for q in (0.5, 2.5, 4.5):
-            k = 2 * math.pi * q / 6
-            assert ising_dispersion(1.0, 6, q) == pytest.approx(
-                2 * abs(math.sin(k / 2)), abs=1e-14
-            )
+        k = 2 * np.pi * (np.arange(6) + 0.5) / 6
+        assert np.max(np.abs(_dispersion(1.0, 6) - 2 * np.abs(np.sin(k / 2)))) <= 1e-14
 
     def test_derived_value(self):
-        assert ising_dispersion(0.8, 600, 0.5) == pytest.approx(FROZEN_EPS, abs=1e-14)
-
-    @pytest.mark.parametrize("q", [0.0, 1.0, -0.5, 600.5, 0.3])
-    def test_rejects_bad_modes(self, q):
-        with pytest.raises(ValueError):
-            ising_dispersion(0.8, 600, q)
+        assert _dispersion(0.8, 600)[0] == pytest.approx(FROZEN_EPS, abs=1e-14)
 
 
 class TestBogoliubovAngle:
+    # the reference pair that the per-mode amplitude checks rely on
     def test_zero_field(self):
         for q in (0.5, 1.5, 2.5):
             k = 2 * math.pi * q / 4
-            s, c = bogoliubov_angle(0.0, 4, q)
+            s, c = _bogoliubov_pair(0.0, 4, q)
             assert s == pytest.approx(math.sin(k), abs=1e-14)
             assert c == pytest.approx(-math.cos(k), abs=1e-14)
 
     def test_zone_edge(self):
-        # q = N/2 is representable for odd N and puts k exactly at pi
-        s, c = bogoliubov_angle(0.75, 5, 2.5)
+        # q = N/2 is representable for odd N and puts k exactly at pi: the
+        # pair is (0, 1), so the quench leaves the mode alone and the
+        # engine gives it amplitude exactly 0
+        s, c = _bogoliubov_pair(0.75, 5, 2.5)
         assert s == pytest.approx(0.0, abs=1e-15)
         assert c == pytest.approx(1.0, abs=1e-15)
+        assert _mode_arrays(IsingParams(0.75, 0.5, 5))[1][2] == 0.0
 
     def test_derived_pair(self):
-        s, c = bogoliubov_angle(0.75, 600, 1.5)
+        s, c = _bogoliubov_pair(0.75, 600, 1.5)
         assert s == pytest.approx(FROZEN_SIN2T, abs=1e-14)
         assert c == pytest.approx(FROZEN_COS2T, abs=1e-14)
 
@@ -85,7 +94,7 @@ class TestBogoliubovAngle:
             n = int(rng.integers(2, 40))
             q = int(rng.integers(0, n)) + 0.5
             h = float(rng.uniform(-2.0, 2.0))
-            s, c = bogoliubov_angle(h, n, q)
+            s, c = _bogoliubov_pair(h, n, q)
             assert s * s + c * c == pytest.approx(1.0, abs=1e-14)
 
 
@@ -112,18 +121,17 @@ class TestEnergyStored:
         # |beta(t)|^2 from the angle pairs, times the battery dispersion,
         # must reproduce each mode's closed-form contribution
         params = IsingParams(0.8, 0.7, 10)
+        omega, amp = _mode_arrays(params)
+        eps = _dispersion(params.h0, params.n_sites)
         for j in range(10):
             q = j + 0.5
-            data = ising_mode_data(params, q)
-            si, ci = data.angle_initial
-            sf, cf = data.angle_charging
+            si, ci = _bogoliubov_pair(params.h0, params.n_sites, q)
+            sf, cf = _bogoliubov_pair(params.h0 + params.h1, params.n_sites, q)
             sin2diff = si * cf - ci * sf
-            k = 2 * math.pi * q / params.n_sites
-            amp = params.h1**2 * math.sin(k) ** 2 / (2 * data.eps * data.omega**2)
             for t in (0.3, 1.7, 9.2):
-                beta2 = math.sin(data.omega * t) ** 2 * sin2diff**2
-                closed = amp * (1 - math.cos(2 * data.omega * t))
-                assert data.eps * beta2 == pytest.approx(closed, abs=1e-12)
+                beta2 = math.sin(omega[j] * t) ** 2 * sin2diff**2
+                closed = amp[j] * (1 - math.cos(2 * omega[j] * t))
+                assert eps[j] * beta2 == pytest.approx(closed, abs=1e-12)
 
     def test_reflection_symmetry_half_zone(self):
         # contributions at q and N - q coincide, so twice the half zone
@@ -131,14 +139,15 @@ class TestEnergyStored:
         params = IsingParams(0.8, 0.7, 12)
         t = 4.2
 
-        def contrib(q):
-            k = 2 * math.pi * q / 12
-            eps = ising_dispersion(0.8, 12, q)
-            om = ising_dispersion(1.5, 12, q)
-            return 0.7**2 * math.sin(k) ** 2 / (2 * eps * om**2) * (1 - math.cos(2 * om * t))
+        eps, om = _dispersion(0.8, 12), _dispersion(1.5, 12)
 
-        full = sum(contrib(j + 0.5) for j in range(12))
-        half_doubled = 2.0 * sum(contrib(j + 0.5) for j in range(6))
+        def contrib(j):
+            k = 2 * math.pi * (j + 0.5) / 12
+            amp = 0.7**2 * math.sin(k) ** 2 / (2 * eps[j] * om[j] ** 2)
+            return amp * (1 - math.cos(2 * om[j] * t))
+
+        full = sum(contrib(j) for j in range(12))
+        half_doubled = 2.0 * sum(contrib(j) for j in range(6))
         assert half_doubled == pytest.approx(full, abs=1e-12)
         assert ising_energy_stored(params, t) == pytest.approx(full, abs=1e-12)
 
@@ -153,6 +162,34 @@ class TestEnergyStored:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             ising_energy_stored(IsingParams(0.8, 0.7, 6), -1.0)
+
+
+class TestZoneEdgeMode:
+    # odd N has the mode k = pi, where sin k = 0: the quench leaves it alone,
+    # and its dispersion vanishes at h0 = -1 (battery) or h0 + h1 = -1 (charger)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "n_sites,h0,h1", [(5, -1.5, 0.5), (7, -1.5, 0.5), (5, -1.0, 0.4), (7, -1.0, -0.3)]
+    )
+    def test_matches_oracle(self, n_sites, h0, h1):
+        times = np.linspace(0.0, 20.0, 201)
+        engine = ising_energy_at_times(IsingParams(h0, h1, n_sites), times)
+        battery = build_hamiltonian(TransverseIsing(h0), n_sites)
+        charger = build_hamiltonian(TransverseIsing(h0 + h1), n_sites)
+        oracle = oracle_energy_trace(battery, charger, times)
+        assert np.max(np.abs(engine - oracle.values)) <= 1e-12
+
+    @pytest.mark.parametrize("n_sites", [7, 8])
+    def test_other_modes_keep_the_closed_form_bitwise(self, n_sites):
+        h0, h1 = 0.8, 0.7
+        k = 2.0 * np.pi * (np.arange(n_sites) + 0.5) / n_sites
+        eps = np.sqrt(1.0 + h0**2 - 2.0 * h0 * np.cos(k))
+        omega = np.sqrt(1.0 + (h0 + h1) ** 2 - 2.0 * (h0 + h1) * np.cos(k))
+        amp = h1**2 * np.sin(k) ** 2 / (2.0 * eps * omega**2)
+        # odd N: every mode but k = pi; even N: all of them
+        coupled = np.arange(n_sites) != (n_sites // 2 if n_sites % 2 else -1)
+        engine = _mode_arrays(IsingParams(h0, h1, n_sites))[1]
+        assert np.array_equal(engine[coupled], amp[coupled])
 
 
 class TestAsymptotic:

@@ -4,22 +4,19 @@ from scipy.linalg import expm
 
 from spinbattery import (
     ChainParams,
-    ModeIndex,
     QuenchProtocol,
     asymptotic_energy,
-    bloch_hamiltonian,
+    bloch_stack,
+    dispersion_curves,
+    eigensystem_stack,
     energy_at_times,
     energy_stored,
     energy_trace,
-    matching_matrix,
-    mode_eigensystem,
-    occupations,
     occupations_all,
     resolution_bound,
 )
 from spinbattery.ed import DimerizedXY, build_hamiltonian, oracle_energy_trace
 from spinbattery.quench import _mode_data
-from spinbattery.xy import dispersion_curves
 
 FIG2 = QuenchProtocol(1.25, 0.3, 0.6, 300)
 FIG3 = QuenchProtocol(1.1, 0.2, 0.8, 300)
@@ -73,42 +70,35 @@ class TestQuenchProtocol:
             QuenchProtocol(**kwargs)
 
 
+def _eigensystem(params):
+    return eigensystem_stack(bloch_stack(params.gamma, params.delta, params.n_dimers))
+
+
 class TestMatchingMatrix:
     def test_null_quench_is_identity(self):
-        p = QuenchProtocol(1.25, 0.3, 0.0, 4)
-        for q in (0.5, 1.5, 2.5, 3.5):
-            mm = matching_matrix(p, ModeIndex(q, 4))
-            assert np.max(np.abs(mm.m - np.eye(4))) <= 1e-13
-            assert mm.omega_initial == mm.omega_charging
+        omega, omega_p, m = _mode_data(QuenchProtocol(1.25, 0.3, 0.0, 4))
+        assert np.max(np.abs(m - np.eye(4))) <= 1e-13
+        assert np.array_equal(omega, omega_p)
 
     def test_unitarity(self):
         rng = np.random.default_rng(21)
         eye = np.eye(4)
         for _ in range(25):
             p = _random_protocol(rng)
-            q = float(rng.integers(0, p.n_dimers)) + 0.5
-            mm = matching_matrix(p, ModeIndex(q, p.n_dimers))
-            assert np.max(np.abs(mm.m.conj().T @ mm.m - eye)) <= 1e-12
+            m = _mode_data(p)[2][int(rng.integers(0, p.n_dimers))]
+            assert np.max(np.abs(m.conj().T @ m - eye)) <= 1e-12
 
     def test_derived_moduli(self):
-        mm = matching_matrix(QuenchProtocol(1.25, 0.3, 0.6, 4), ModeIndex(0.5, 4))
-        assert np.max(np.abs(np.abs(mm.m) ** 2 - FROZEN_M_ABS2)) <= 1e-12
+        m = _mode_data(QuenchProtocol(1.25, 0.3, 0.6, 4))[2][0]
+        assert np.max(np.abs(np.abs(m) ** 2 - FROZEN_M_ABS2)) <= 1e-12
 
     def test_band_energies_match_dispersion(self):
         p = QuenchProtocol(1.25, 0.3, 0.6, 4)
-        mm = matching_matrix(p, ModeIndex(1.5, 4))
-        from spinbattery import dispersion
-
-        assert mm.omega_initial == pytest.approx(
-            dispersion(p.battery_params(), ModeIndex(1.5, 4)), abs=1e-12
-        )
-        assert mm.omega_charging == pytest.approx(
-            dispersion(p.charging_params(), ModeIndex(1.5, 4)), abs=1e-12
-        )
-
-    def test_rejects_mismatched_mode(self):
-        with pytest.raises(ValueError):
-            matching_matrix(QuenchProtocol(1.0, 0.3, 0.1, 4), ModeIndex(0.5, 6))
+        omega, omega_p, _ = _mode_data(p)
+        battery = dispersion_curves(p.gamma, p.delta0, p.n_dimers)
+        charging = dispersion_curves(p.gamma, p.delta0 + p.delta1, p.n_dimers)
+        assert tuple(omega[1]) == pytest.approx(tuple(battery[1]), abs=1e-12)
+        assert tuple(omega_p[1]) == pytest.approx(tuple(charging[1]), abs=1e-12)
 
 
 class TestOccupations:
@@ -122,14 +112,14 @@ class TestOccupations:
     def test_null_quench_stays_empty(self):
         p = QuenchProtocol(1.25, 0.3, 0.0, 4)
         for t in (0.0, 1.7, 42.0):
-            n1, n2 = occupations(p, ModeIndex(2.5, 4), t)
+            n1, n2 = occupations_all(p, t)[2]
             assert abs(n1) <= 1e-10
             assert abs(n2) <= 1e-10
 
     def test_matrix_exponential_reference_point(self):
         # frozen from the expm evolution path at gamma=1.25, delta0=0.3,
         # delta1=0.6, n_dimers=4, q=1/2, t=1
-        n1, n2 = occupations(QuenchProtocol(1.25, 0.3, 0.6, 4), ModeIndex(0.5, 4), 1.0)
+        n1, n2 = occupations_all(QuenchProtocol(1.25, 0.3, 0.6, 4), 1.0)[0]
         assert n1 == pytest.approx(1.2898435722172930e-03, abs=1e-12)
         assert n2 == pytest.approx(1.1730845351715065e-01, abs=1e-12)
 
@@ -137,18 +127,17 @@ class TestOccupations:
         # independent evolution path: exact expm of the charging Bloch matrix
         # instead of the matching-matrix phase construction
         rng = np.random.default_rng(23)
-        cases = [(QuenchProtocol(1.25, 0.3, 0.6, 4), 0.5, 1.0)]
+        cases = [(QuenchProtocol(1.25, 0.3, 0.6, 4), 0, 1.0)]
         for _ in range(10):
             p = _random_protocol(rng)
-            cases.append((p, float(rng.integers(0, p.n_dimers)) + 0.5, float(rng.uniform(0, 20))))
-        for p, q, t in cases:
-            mode = ModeIndex(q, p.n_dimers)
-            u = mode_eigensystem(p.battery_params(), mode).eigvecs
-            hc = bloch_hamiltonian(p.charging_params(), mode).entries
+            cases.append((p, int(rng.integers(0, p.n_dimers)), float(rng.uniform(0, 20))))
+        for p, i, t in cases:
+            u = _eigensystem(p.battery_params())[1][i]
+            hc = bloch_stack(p.gamma, p.delta0 + p.delta1, p.n_dimers)[i]
             tm = u.conj().T @ expm(-1j * hc * t) @ u
             n1_ref = abs(tm[0, 2]) ** 2 + abs(tm[0, 3]) ** 2
             n2_ref = abs(tm[1, 2]) ** 2 + abs(tm[1, 3]) ** 2
-            n1, n2 = occupations(p, mode, t)
+            n1, n2 = occupations_all(p, t)[i]
             assert n1 == pytest.approx(n1_ref, abs=1e-12)
             assert n2 == pytest.approx(n2_ref, abs=1e-12)
 
@@ -163,7 +152,7 @@ class TestOccupations:
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
-            occupations(QuenchProtocol(1.0, 0.3, 0.1, 4), ModeIndex(0.5, 4), -1.0)
+            occupations_all(QuenchProtocol(1.0, 0.3, 0.1, 4), -1.0)
 
 
 class TestQuadrupleSum:
@@ -324,20 +313,19 @@ class TestGaugeInvariance:
         for _ in range(10):
             p = _random_protocol(rng)
             i = int(rng.integers(0, p.n_dimers))
-            mode = ModeIndex(i + 0.5, p.n_dimers)
             t = float(rng.uniform(0.0, 20.0))
-            u = mode_eigensystem(p.battery_params(), mode).eigvecs.copy()
-            spectrum_c = mode_eigensystem(p.charging_params(), mode)
-            v = spectrum_c.eigvecs.copy()
+            u = _eigensystem(p.battery_params())[1][i].copy()
+            omega_c, vecs_c = _eigensystem(p.charging_params())
+            v = vecs_c[i].copy()
             u *= np.exp(1j * rng.uniform(0, 2 * np.pi, size=4))[None, :]
             v *= np.exp(1j * rng.uniform(0, 2 * np.pi, size=4))[None, :]
             m = v.conj().T @ u
-            w1p, w2p = spectrum_c.omega1, spectrum_c.omega2
+            w1p, w2p = omega_c[i]
             d = np.exp(-1j * np.array([w1p, w2p, -w1p, -w2p]) * t)
             tm = m.conj().T @ (d[:, None] * m)
             n1_ref = abs(tm[0, 2]) ** 2 + abs(tm[0, 3]) ** 2
             n2_ref = abs(tm[1, 2]) ** 2 + abs(tm[1, 3]) ** 2
-            n1, n2 = occupations(p, mode, t)
+            n1, n2 = occupations_all(p, t)[i]
             assert abs(n1 - n1_ref) <= 1e-10
             assert abs(n2 - n2_ref) <= 1e-10
 

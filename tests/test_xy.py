@@ -3,18 +3,15 @@ import pytest
 
 from spinbattery import (
     ChainParams,
-    ModeIndex,
     Phase,
-    bloch_hamiltonian,
+    bloch_stack,
     classify_phase,
-    dispersion,
+    dispersion_curves,
+    eigensystem_stack,
     ground_energy,
-    mode_eigensystem,
-    momentum_modes,
-    spectral_gap,
 )
 from spinbattery.ed import DimerizedXY, build_hamiltonian, even_sector_ground_state
-from spinbattery.xy import bloch_stack
+from spinbattery.xy import _bloch_entries, structure_constants
 
 # Frozen with a 50-digit mpmath evaluation of the closed-form structure
 # constants at gamma=1.25, delta=0.3, n_dimers=4, q=1/2.
@@ -41,7 +38,6 @@ class TestChainParams:
     def test_valid(self):
         p = ChainParams(1.25, 0.3, 300)
         assert p.n_sites == 600
-        assert p.energy_scale == 1.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -50,7 +46,6 @@ class TestChainParams:
             dict(gamma=-1.0, delta=0.3, n_dimers=4),
             dict(gamma=1.0, delta=-0.1, n_dimers=4),
             dict(gamma=1.0, delta=0.3, n_dimers=1),
-            dict(gamma=1.0, delta=0.3, n_dimers=4, energy_scale=2.0),
         ],
     )
     def test_rejects(self, kwargs):
@@ -65,81 +60,81 @@ class TestChainParams:
             ChainParams(**kwargs)
 
 
-class TestModeIndex:
-    def test_k(self):
-        assert ModeIndex(0.5, 4).k == pytest.approx(np.pi / 4, abs=1e-15)
+def _eigensystem(p):
+    return eigensystem_stack(bloch_stack(p.gamma, p.delta, p.n_dimers))
 
-    @pytest.mark.parametrize("q", [0.0, 1.0, -0.5, 4.5, 0.25])
-    def test_rejects(self, q):
-        with pytest.raises(ValueError):
-            ModeIndex(q, 4)
+
+class TestModeIndex:
+    # row i of every batched per-mode array is the mode q = i + 1/2,
+    # at momentum k = 2 pi q / n_dimers
+    def test_k(self):
+        z, w = structure_constants(1.25, 0.3, np.pi / 4)
+        assert np.max(np.abs(bloch_stack(1.25, 0.3, 4)[0] - _bloch_entries(z, w))) <= 1e-15
 
     def test_momentum_modes(self):
-        modes = momentum_modes(5)
-        assert [m.q for m in modes] == [0.5, 1.5, 2.5, 3.5, 4.5]
-        assert all(0 < m.k < 2 * np.pi for m in modes)
+        q = np.array([0.5, 1.5, 2.5, 3.5, 4.5])
+        x = np.pi * q / 5
+        w1 = 2 * np.sqrt((1 + 1.25 * 0.3) ** 2 * np.cos(x) ** 2 + (0.3 + 1.25) ** 2 * np.sin(x) ** 2)
+        assert bloch_stack(1.25, 0.3, 5).shape == (5, 4, 4)
+        assert np.max(np.abs(dispersion_curves(1.25, 0.3, 5)[:, 0] - w1)) <= 1e-14
 
 
 class TestBlochHamiltonian:
     def test_fully_dimerized(self):
         # delta = 1 switches off inter-dimer hopping: Z and W lose their
         # momentum dependence entirely.
-        for q in (0.5, 1.5, 2.5):
-            b = bloch_hamiltonian(ChainParams(1.0, 1.0, 3), ModeIndex(q, 3))
-            assert b.zq == pytest.approx(-2.0, abs=1e-15)
-            assert b.wq == pytest.approx(-2.0, abs=1e-15)
+        h = bloch_stack(1.0, 1.0, 3)
+        assert np.max(np.abs(h[:, 0, 1] - (-2.0))) <= 1e-15
+        assert np.max(np.abs(-h[:, 0, 3] - (-2.0))) <= 1e-15
 
     def test_zone_edge_zero_hopping(self):
-        # undimerized chain at k = pi: the two hopping phases cancel
-        b = bloch_hamiltonian(ChainParams(0.7, 0.0, 3), ModeIndex(1.5, 3))
-        assert abs(b.zq) < 1e-15
-        assert b.wq == pytest.approx(-1.4, abs=1e-15)
+        # undimerized chain at k = pi (q = 3/2 of three dimers): the two
+        # hopping phases cancel
+        h = bloch_stack(0.7, 0.0, 3)[1]
+        assert abs(h[0, 1]) < 1e-15
+        assert -h[0, 3] == pytest.approx(-1.4, abs=1e-15)
 
     def test_derived_values(self):
-        b = bloch_hamiltonian(ChainParams(1.25, 0.3, 4), ModeIndex(0.5, 4))
-        assert b.zq == pytest.approx(FROZEN_Z, abs=1e-15)
-        assert b.wq == pytest.approx(FROZEN_W, abs=1e-15)
+        h = bloch_stack(1.25, 0.3, 4)[0]
+        assert h[0, 1] == pytest.approx(FROZEN_Z, abs=1e-15)
+        assert -h[0, 3] == pytest.approx(FROZEN_W, abs=1e-15)
 
     def test_invariants(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
             p = _random_params(rng)
-            q = float(rng.integers(0, p.n_dimers)) + 0.5
-            b = bloch_hamiltonian(p, ModeIndex(q, p.n_dimers))
-            h = b.entries
+            i = int(rng.integers(0, p.n_dimers))
+            h = bloch_stack(p.gamma, p.delta, p.n_dimers)[i]
+            k = 2.0 * np.pi * (np.arange(p.n_dimers) + 0.5) / p.n_dimers
+            z, w = (c[i] for c in structure_constants(p.gamma, p.delta, k))
             assert np.max(np.abs(h - h.conj().T)) <= 1e-14
             assert np.trace(h) == 0
             # A-A / B-B entries and the diagonal are structurally zero
-            for i, j in [(0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (2, 0), (1, 3), (3, 1)]:
-                assert h[i, j] == 0
-            assert h[0, 1] == b.zq
-            assert h[0, 3] == -b.wq
-
-    def test_rejects_mismatched_mode(self):
-        with pytest.raises(ValueError):
-            bloch_hamiltonian(ChainParams(1.0, 0.5, 4), ModeIndex(0.5, 6))
+            for a, b in [(0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (2, 0), (1, 3), (3, 1)]:
+                assert h[a, b] == 0
+            assert h[0, 1] == z
+            assert h[0, 3] == -w
 
 
 class TestDispersion:
     def test_flat_bands(self):
-        for q in (0.5, 1.5):
-            w1, w2 = dispersion(ChainParams(1.0, 1.0, 2), ModeIndex(q, 2))
-            assert w1 == pytest.approx(4.0, abs=1e-14)
-            assert w2 == pytest.approx(0.0, abs=1e-14)
+        bands = dispersion_curves(1.0, 1.0, 2)
+        assert np.max(np.abs(bands[:, 0] - 4.0)) <= 1e-14
+        assert np.max(np.abs(bands[:, 1])) <= 1e-14
 
     def test_zone_center_of_reduced_variable(self):
         # pi q / Nd = pi/2 kills the cosine: bands are 2|delta +- gamma|
-        w1, w2 = dispersion(ChainParams(1.25, 0.3, 3), ModeIndex(1.5, 3))
+        w1, w2 = dispersion_curves(1.25, 0.3, 3)[1]
         assert w1 == pytest.approx(3.1, abs=1e-13)
         assert w2 == pytest.approx(1.9, abs=1e-13)
 
     def test_gap_closes_on_critical_line(self):
         n = 2000
-        w1, w2 = dispersion(ChainParams(1.1, 1.0 / 1.1, n), ModeIndex(0.5, n))
+        w1, w2 = dispersion_curves(1.1, 1.0 / 1.1, n)[0]
         assert w2 < 10.0 / n
 
     def test_derived_values(self):
-        w1, w2 = dispersion(ChainParams(1.25, 0.3, 4), ModeIndex(1.5, 4))
+        w1, w2 = dispersion_curves(1.25, 0.3, 4)[1]
         assert w1 == pytest.approx(FROZEN_W1_Q32, abs=1e-13)
         assert w2 == pytest.approx(FROZEN_W2_Q32, abs=1e-13)
 
@@ -148,8 +143,8 @@ class TestDispersion:
         for _ in range(25):
             p = _random_params(rng)
             j = int(rng.integers(0, p.n_dimers))
-            a = dispersion(p, ModeIndex(j + 0.5, p.n_dimers))
-            b = dispersion(p, ModeIndex(p.n_dimers - j - 0.5, p.n_dimers))
+            bands = dispersion_curves(p.gamma, p.delta, p.n_dimers)
+            a, b = bands[j], bands[p.n_dimers - 1 - j]
             assert a[0] == pytest.approx(b[0], abs=1e-12)
             assert a[1] == pytest.approx(b[1], abs=1e-12)
 
@@ -171,18 +166,19 @@ class TestModeEigensystem:
         eye = np.eye(4)
         for _ in range(25):
             p = _random_params(rng)
-            mode = ModeIndex(float(rng.integers(0, p.n_dimers)) + 0.5, p.n_dimers)
-            spectrum = mode_eigensystem(p, mode)
-            u = spectrum.eigvecs
+            i = int(rng.integers(0, p.n_dimers))
+            omegas, vecs = _eigensystem(p)
+            w1, w2 = omegas[i]
+            u = vecs[i]
             assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-12
-            lam = np.array([spectrum.omega1, spectrum.omega2, -spectrum.omega1, -spectrum.omega2])
-            h = bloch_hamiltonian(p, mode).entries
+            lam = np.array([w1, w2, -w1, -w2])
+            h = bloch_stack(p.gamma, p.delta, p.n_dimers)[i]
             assert np.max(np.abs(u.conj().T @ h @ u - np.diag(lam))) <= 1e-12
             assert np.max(np.abs((u * lam) @ u.conj().T - h)) <= 1e-12
-            w1, w2 = dispersion(p, mode)
-            assert spectrum.omega1 == pytest.approx(w1, abs=1e-12)
-            assert spectrum.omega2 == pytest.approx(w2, abs=1e-12)
-            assert spectrum.omega1 >= spectrum.omega2 >= 0.0
+            bands = dispersion_curves(p.gamma, p.delta, p.n_dimers)
+            assert w1 == pytest.approx(bands[i, 0], abs=1e-12)
+            assert w2 == pytest.approx(bands[i, 1], abs=1e-12)
+            assert w1 >= w2 >= 0.0
 
     def test_gauge_fixing(self):
         # Every eigenvector of this Bloch structure has all four moduli equal
@@ -192,8 +188,7 @@ class TestModeEigensystem:
         rng = np.random.default_rng(14)
         for _ in range(15):
             p = _random_params(rng)
-            mode = ModeIndex(float(rng.integers(0, p.n_dimers)) + 0.5, p.n_dimers)
-            u = mode_eigensystem(p, mode).eigvecs
+            u = _eigensystem(p)[1][int(rng.integers(0, p.n_dimers))]
             for col in range(4):
                 moduli = np.abs(u[:, col])
                 near_max = np.nonzero(moduli >= moduli.max() * (1.0 - 1e-14))[0]
@@ -203,18 +198,17 @@ class TestModeEigensystem:
     def test_flat_band_degenerate_case(self):
         # omega2 = 0 identically at gamma = delta = 1: the +-0 subspace is
         # degenerate but the returned basis must still be orthonormal.
-        spectrum = mode_eigensystem(ChainParams(1.0, 1.0, 2), ModeIndex(0.5, 2))
-        assert spectrum.omega1 == pytest.approx(4.0, abs=1e-13)
-        assert spectrum.omega2 == pytest.approx(0.0, abs=1e-13)
-        u = spectrum.eigvecs
+        omegas, vecs = _eigensystem(ChainParams(1.0, 1.0, 2))
+        assert omegas[0, 0] == pytest.approx(4.0, abs=1e-13)
+        assert omegas[0, 1] == pytest.approx(0.0, abs=1e-13)
+        u = vecs[0]
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
 
     def test_against_characteristic_polynomial(self):
         p = ChainParams(1.25, 0.3, 4)
-        mode = ModeIndex(1.5, 4)
-        roots = _charpoly_roots(bloch_hamiltonian(p, mode).entries)
-        spectrum = mode_eigensystem(p, mode)
-        ref = np.sort([-spectrum.omega1, -spectrum.omega2, spectrum.omega2, spectrum.omega1])
+        roots = _charpoly_roots(bloch_stack(p.gamma, p.delta, p.n_dimers)[1])
+        w1, w2 = _eigensystem(p)[0][1]
+        ref = np.sort([-w1, -w2, w2, w1])
         assert np.max(np.abs(roots - ref)) <= 1e-10
 
     def test_particle_hole_spectrum(self):
@@ -278,8 +272,8 @@ class TestCriticalityGap:
     def test_gap_closes_only_on_boundaries(self):
         n = 2000
         # on both critical lines the minimum band energy drops below 10/Nd
-        assert spectral_gap(ChainParams(1.1, 1.0 / 1.1, n)) < 10.0 / n
-        assert spectral_gap(ChainParams(0.8, 0.8, n)) < 10.0 / n
+        assert dispersion_curves(1.1, 1.0 / 1.1, n).min() < 10.0 / n
+        assert dispersion_curves(0.8, 0.8, n).min() < 10.0 / n
         # away from them it stays of order one
-        assert spectral_gap(ChainParams(1.25, 0.3, n)) > 0.3
-        assert spectral_gap(ChainParams(0.5, 1.6, n)) > 0.3
+        assert dispersion_curves(1.25, 0.3, n).min() > 0.3
+        assert dispersion_curves(0.5, 1.6, n).min() > 0.3
