@@ -33,24 +33,12 @@ from .ed import (
     check_oracle_size,
     oracle_energy_trace,
 )
-from .ising import (
-    IsingParams,
-    ising_asymptotic_energy,
-    ising_energy_at_times,
-    ising_energy_trace,
-    ising_resolution_bound,
-)
-from .quench import (
-    QuenchProtocol,
-    _uniform_times,
-    asymptotic_energy,
-    energy_at_times,
-    energy_trace,
-    resolution_bound,
-)
+from .ising import IsingParams
+from .quench import QuenchProtocol, _build_trace, _uniform_times
 from .regimes import (
     DT_SAFETY,
     RegimeDetectionError,
+    _engine,
     analyze_trace,
     default_recurrence_window,
     ising_recurrence_window,
@@ -246,24 +234,18 @@ def cmd_trace(opts: dict) -> int:
             opts["gamma"], opts["delta0"], opts["delta1"], opts["n_dimers"]
         )
         window = _window(opts, default_recurrence_window(protocol.n_dimers))
-        bound = resolution_bound(protocol)
         charged = protocol.delta1 > 0
     else:
         protocol = IsingParams(opts["h0"], opts["h1"], opts["n_sites"])
         window = _window(opts, ising_recurrence_window(protocol.n_sites))
-        bound = ising_resolution_bound(protocol)
         charged = protocol.h1 != 0
     if not window[0] < window[1]:
         raise ValueError(f"recurrence window {window} is empty")
+    energy, asymptote, bound = _engine(protocol)
     t_end = opts["t_end"] if opts["t_end"] is not None else window[1]
-    dt = opts["dt"] if opts["dt"] is not None else DT_SAFETY * bound
-
-    if opts["model"] == "xy":
-        trace = energy_trace(protocol, t_end, dt, opts["evaluator"])
-        e_inf = asymptotic_energy(protocol)
-    else:
-        trace = ising_energy_trace(protocol, t_end, dt)
-        e_inf = ising_asymptotic_energy(protocol)
+    dt = opts["dt"] if opts["dt"] is not None else DT_SAFETY * bound(protocol)
+    trace = _build_trace(energy, bound, protocol, t_end, dt)
+    e_inf = asymptote(protocol)
 
     meta = {"params": {
         "model": opts["model"], **asdict(protocol),
@@ -312,7 +294,6 @@ def cmd_sweep(opts: dict) -> int:
             opts["gamma"], opts["delta1"], opts["n_dimers"], grid,
             workers=opts["workers"], t_short=opts["t_short"],
             window=_window(opts, default_recurrence_window(opts["n_dimers"])),
-            evaluator=opts["evaluator"],
         )
         params = {
             "model": "xy", "gamma": opts["gamma"], "delta1": opts["delta1"],
@@ -335,11 +316,11 @@ def cmd_scaling(opts: dict) -> int:
     """Per-dimer energies and recurrence time across system sizes."""
     _check_choice(opts, "model", {"xy"})
     sizes = [int(s) for s in opts["n_list"].split(",") if s.strip()]
-    if not sizes:
-        raise ValueError("n-list is empty")
+    if len(set(sizes)) < 2:
+        raise ValueError(f"n-list needs two distinct sizes for the tau_r fit, got {sizes}")
     rows = scaling_study(
         opts["gamma"], opts["delta0"], opts["delta1"], sizes,
-        workers=opts["workers"], t_short=opts["t_short"], evaluator=opts["evaluator"],
+        workers=opts["workers"], t_short=opts["t_short"],
     )
     slope, intercept, r2 = linear_fit([r.n_dimers for r in rows], [r.tau_r for r in rows])
     fit = {"tau_r_fit": {"slope": slope, "intercept": intercept, "r_squared": r2}}
@@ -367,7 +348,7 @@ def cmd_snapshot(opts: dict) -> int:
     protocol = QuenchProtocol(
         opts["gamma"], opts["delta0"], opts["delta1"], opts["n_dimers"]
     )
-    pairs = occupation_snapshot(protocol, opts["time"], opts["evaluator"])
+    pairs = occupation_snapshot(protocol, opts["time"])
     params = {"model": "xy", **asdict(protocol), "time": opts["time"]}
     _emit(opts, "snapshot", "k,n2", pairs, {"params": params})
     return EXIT_OK
@@ -382,19 +363,16 @@ def cmd_oracle_check(opts: dict) -> int:
     if opts["model"] == "xy":
         if n_sites % 2 != 0:
             raise ValueError("the XY oracle needs an even number of sites")
-        protocol = QuenchProtocol(
-            opts["gamma"], opts["delta0"], opts["delta1"], n_sites // 2
-        )
-        engine = energy_at_times(protocol, times, opts["evaluator"])
+        params = QuenchProtocol(opts["gamma"], opts["delta0"], opts["delta1"], n_sites // 2)
         battery = build_hamiltonian(DimerizedXY(opts["gamma"], opts["delta0"]), n_sites)
         charger = build_hamiltonian(
             DimerizedXY(opts["gamma"], opts["delta0"] + opts["delta1"]), n_sites
         )
     else:
         params = IsingParams(opts["h0"], opts["h1"], n_sites)
-        engine = ising_energy_at_times(params, times)
         battery = build_hamiltonian(TransverseIsing(opts["h0"]), n_sites)
         charger = build_hamiltonian(TransverseIsing(opts["h0"] + opts["h1"]), n_sites)
+    engine = _engine(params)[0](params, times)
     oracle = oracle_energy_trace(battery, charger, times)
     deviation = float(np.max(np.abs(engine - oracle.values)))
     print(f"max deviation = {format_float(deviation)} (tolerance {format_float(opts['tol'])})")

@@ -230,5 +230,4 @@ def oracle_energy_trace(
         times=times.copy(),
         values=values,
         protocol=(battery.kind, charger.kind, battery.n_sites),
-        evaluator="ed-oracle",
     )

@@ -20,9 +20,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quench import EnergyTrace, _lock, _mode_sum_at_times, _resolution_bound, _uniform_times
+from .quench import EnergyTrace, _build_trace, _lock, _mode_sum_at_times, _resolution_bound
 from .sums import compensated_sum
-from .xy import _check_finite
+from .xy import _check_finite, _check_size
 
 __all__ = [
     "IsingParams",
@@ -44,8 +44,7 @@ class IsingParams:
 
     def __post_init__(self):
         _check_finite(h0=self.h0, h1=self.h1)
-        if int(self.n_sites) != self.n_sites or self.n_sites < 2:
-            raise ValueError(f"n_sites must be an integer >= 2, got {self.n_sites}")
+        _check_size("n_sites", self.n_sites)
 
 
 @lru_cache(maxsize=32)
@@ -74,9 +73,8 @@ def _mode_arrays(params: IsingParams):
 def ising_energy_at_times(params: IsingParams, times: np.ndarray) -> np.ndarray:
     """Stored energy on an arbitrary grid of times >= 0."""
     omega, amp = _mode_arrays(params)
-    return _mode_sum_at_times(
-        times, lambda chunk: amp[:, None] * (1.0 - np.cos(2.0 * omega[:, None] * chunk[None, :]))
-    )
+    a, w2 = amp[:, None], 2.0 * omega[:, None]
+    return _mode_sum_at_times(times, lambda chunk: a * (1.0 - np.cos(w2 * chunk)), amp.size)
 
 
 def ising_energy_stored(params: IsingParams, t: float) -> float:
@@ -91,13 +89,11 @@ def ising_asymptotic_energy(params: IsingParams) -> float:
 
 
 def ising_resolution_bound(params: IsingParams) -> float:
-    """Trace-step bound, ten samples per period of the fastest mode 2 w_q."""
+    """Trace-step bound, twenty samples per period of the fastest cosine 2 max_q w_q."""
     omega, _ = _mode_arrays(params)
     return _resolution_bound(2.0 * float(np.max(omega)))
 
 
 def ising_energy_trace(params: IsingParams, t_end: float, dt: float) -> EnergyTrace:
     """Stored energy on the uniform grid {0, dt, 2dt, ...} up to t_end."""
-    times = _uniform_times(t_end, dt, ising_resolution_bound(params))
-    values = ising_energy_at_times(params, times)
-    return EnergyTrace(times=times, values=values, protocol=params, evaluator="closed-form")
+    return _build_trace(ising_energy_at_times, ising_resolution_bound, params, t_end, dt)

@@ -16,10 +16,10 @@ matching-matrix entries (both cosine families, overall factor 2), organised
 as squared moduli; the equivalence is enforced in the test suite together
 with agreement against brute-force exact diagonalization.
 
-Both evaluator names, ``"full"`` and ``"simplified"``, are accepted and run
-this same sum.  The matching matrix does not mix the two bands, so a
-band-diagonal truncation of the sum agrees with it to rounding and needs no
-path of its own.
+``energy_at_times`` and ``occupations_all`` accept both evaluator names,
+``"full"`` and ``"simplified"``, and run this same sum for either.  The
+matching matrix does not mix the two bands, so a band-diagonal truncation
+of the sum agrees with it to rounding and needs no path of its own.
 """
 
 from __future__ import annotations
@@ -47,13 +47,17 @@ __all__ = [
 # their cross terms belong to the time-independent part of the energy.
 EQUAL_FREQ_TOL = 1e-10
 
-# A trace grid must sample the fastest oscillation at least this densely.
+# A resolution bound pi / (SAMPLES_PER_PERIOD_FACTOR f) puts 2 x this many
+# samples on one period of the frequency f it is given.
 SAMPLES_PER_PERIOD_FACTOR = 10.0
 
 # Largest trace grid accepted; checked before the grid is allocated.
 MAX_SAMPLES = 10**7
 
+# A kernel block holds at most _TIME_BLOCK times and _BLOCK_ELEMENTS floats per
+# temporary; up to 600 XY modes (2400 floats per time) that allows 4096 times.
 _TIME_BLOCK = 4096
+_BLOCK_ELEMENTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -97,7 +101,6 @@ class EnergyTrace:
     times: np.ndarray
     values: np.ndarray
     protocol: object
-    evaluator: str
 
     def __post_init__(self):
         if self.times.shape != self.values.shape:
@@ -179,26 +182,27 @@ def _occupation_tables(protocol: QuenchProtocol):
 # scaffolding shared with the Ising closed form
 # ----------------------------------------------------------------------
 
-def _mode_sum_at_times(times, contrib) -> np.ndarray:
+def _mode_sum_at_times(times, contrib, width: int) -> np.ndarray:
     """Sum the per-mode terms ``contrib(chunk)``, shape (modes, chunk), over modes.
 
-    Times must be >= 0.  They are processed in blocks of ``_TIME_BLOCK`` to
-    bound the temporaries, and modes are reduced in ascending-q order with
+    Times must be >= 0.  ``width`` is the number of float64 temporaries the
+    kernel makes per sample; times are processed in blocks sized from it
+    to bound them, and modes are reduced in ascending-q order with
     compensated accumulation, so the result is independent of how the
     per-mode work was scheduled.
     """
     times = np.asarray(times, dtype=float)
     if times.size and float(np.min(times)) < 0:
         raise ValueError("times must be >= 0")
+    block = max(1, min(_TIME_BLOCK, _BLOCK_ELEMENTS // width))
     out = np.empty(times.size, dtype=float)
-    for lo in range(0, times.size, _TIME_BLOCK):
-        chunk = times[lo : lo + _TIME_BLOCK]
-        out[lo : lo + _TIME_BLOCK] = compensated_sum_axis0(contrib(chunk))
+    for lo in range(0, times.size, block):
+        out[lo : lo + block] = compensated_sum_axis0(contrib(times[lo : lo + block]))
     return out
 
 
 def _resolution_bound(fmax: float) -> float:
-    """Largest step with ten samples per period of the frequency fmax."""
+    """Largest step with twenty samples per period of the frequency fmax."""
     if fmax == 0.0:
         return np.inf
     return np.pi / (SAMPLES_PER_PERIOD_FACTOR * fmax)
@@ -219,6 +223,12 @@ def _uniform_times(t_end: float, dt: float, bound: float) -> np.ndarray:
             f"dt={dt} puts more than {MAX_SAMPLES} samples on [0, {t_end}]; raise dt"
         )
     return dt * np.arange(int(np.floor(t_end / dt)) + 1)
+
+
+def _build_trace(energy, bound, params, t_end: float, dt: float) -> EnergyTrace:
+    """``energy(params, times)`` on {0, dt, 2dt, ...} up to t_end, dt <= bound(params)."""
+    times = _uniform_times(t_end, dt, bound(params))
+    return EnergyTrace(times=times, values=energy(params, times), protocol=params)
 
 
 # ----------------------------------------------------------------------
@@ -270,19 +280,20 @@ def energy_at_times(
             + np.einsum("nf,nft->nt", e_sin, np.sin(ph))
         )
 
-    return _mode_sum_at_times(times, contrib)
+    return _mode_sum_at_times(times, contrib, freqs.size)
 
 
-def energy_stored(protocol: QuenchProtocol, t: float, evaluator: str = "full") -> float:
+def energy_stored(protocol: QuenchProtocol, t: float) -> float:
     """Stored energy at a single time t >= 0."""
-    return float(energy_at_times(protocol, np.array([t]), evaluator)[0])
+    return float(energy_at_times(protocol, np.array([t]))[0])
 
 
 def resolution_bound(protocol: QuenchProtocol) -> float:
     """Largest trace step that still resolves the fastest oscillation.
 
-    The highest frequency present is max_q (w1' + w2'); the bound demands
-    ten samples per period of it: dt <= pi / (10 max_q(w1' + w2')).
+    The bound is dt <= pi / (10 max_q(w1' + w2')).  The fastest column of
+    the table is 2 max_q w1', and max_q w1' <= max_q(w1' + w2') <= 2 max_q w1',
+    so this gives 10 to 20 samples per period of it.
     """
     charging = dispersion_curves(
         protocol.gamma, protocol.delta0 + protocol.delta1, protocol.n_dimers
@@ -290,9 +301,7 @@ def resolution_bound(protocol: QuenchProtocol) -> float:
     return _resolution_bound(float(np.max(charging[:, 0] + charging[:, 1])))
 
 
-def energy_trace(
-    protocol: QuenchProtocol, t_end: float, dt: float, evaluator: str = "full"
-) -> EnergyTrace:
+def energy_trace(protocol: QuenchProtocol, t_end: float, dt: float) -> EnergyTrace:
     """Stored energy on the uniform grid {0, dt, 2dt, ...} up to t_end.
 
     t_end plays the role of the charging duration tau: once the quench is
@@ -302,9 +311,7 @@ def energy_trace(
     Rejects steps coarser than :func:`resolution_bound`; an aliased grid
     would silently corrupt downstream regime detection.
     """
-    times = _uniform_times(t_end, dt, resolution_bound(protocol))
-    values = energy_at_times(protocol, times, evaluator)
-    return EnergyTrace(times=times, values=values, protocol=protocol, evaluator=evaluator)
+    return _build_trace(energy_at_times, resolution_bound, protocol, t_end, dt)
 
 
 def asymptotic_energy(protocol: QuenchProtocol) -> float:

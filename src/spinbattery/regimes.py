@@ -134,12 +134,9 @@ def _noise_floor(protocol) -> float:
 
     Traces are only guaranteed to vanish to 1e-10 per dimer (or site), so
     maxima below that band are numerical noise, not charging features.
+    Traces of other sources (no size attribute) get a floor of 0.
     """
-    if isinstance(protocol, QuenchProtocol):
-        return 1e-10 * protocol.n_dimers
-    if isinstance(protocol, IsingParams):
-        return 1e-10 * protocol.n_sites
-    return 0.0
+    return 1e-10 * getattr(protocol, "n_dimers", getattr(protocol, "n_sites", 0))
 
 
 def find_short_time_max(trace: EnergyTrace) -> tuple[float, float]:
@@ -173,11 +170,9 @@ def analyze_trace(
     )
 
 
-def occupation_snapshot(
-    protocol: QuenchProtocol, t: float, evaluator: str = "full"
-) -> list[tuple[float, float]]:
+def occupation_snapshot(protocol: QuenchProtocol, t: float) -> list[tuple[float, float]]:
     """Lower-band occupation versus momentum k = 2 pi q / n_dimers at time t."""
-    occ = occupations_all(protocol, t, evaluator)
+    occ = occupations_all(protocol, t)
     q = np.arange(protocol.n_dimers) + 0.5
     k = 2.0 * np.pi * q / protocol.n_dimers
     return [(float(ki), float(n2)) for ki, n2 in zip(k, occ[:, 1])]
@@ -212,23 +207,28 @@ def _first_strict_max(
     )
 
 
+def _engine(params):
+    """(energy_at_times, asymptotic_energy, resolution_bound) for the model of ``params``.
+
+    The only place that picks engine functions by model; names resolve per call.
+    """
+    if isinstance(params, IsingParams):
+        return ising_energy_at_times, ising_asymptotic_energy, ising_resolution_bound
+    return energy_at_times, asymptotic_energy, resolution_bound
+
+
 def _regime_point(args) -> tuple[float, float, float, float, float]:
     """(tau_s, e_s, e_inf, tau_r, e_r) of one XY protocol or Ising parameter set."""
-    params, t_short, window, evaluator = args
-    if isinstance(params, IsingParams):
-        bound = ising_resolution_bound(params)
-        e_inf = ising_asymptotic_energy(params)
-        energy = partial(ising_energy_at_times, params)
-    else:
-        bound = resolution_bound(params)
-        e_inf = asymptotic_energy(params)
-        energy = partial(energy_at_times, params, evaluator=evaluator)
+    params, t_short, window = args
+    energy, asymptote, resolution = _engine(params)
+    bound = resolution(params)
     dt = DT_SAFETY * bound
     short_times = _uniform_times(t_short, dt, bound)
-    tau_s, e_s = _first_strict_max(short_times, energy(short_times), _noise_floor(params))
+    floor = _noise_floor(params)
+    tau_s, e_s = _first_strict_max(short_times, energy(params, short_times), floor)
     win_times = window[0] + _uniform_times(window[1] - window[0], dt, bound)
-    tau_r, e_r = _windowed_argmax(win_times, energy(win_times))
-    return tau_s, e_s, e_inf, tau_r, e_r
+    tau_r, e_r = _windowed_argmax(win_times, energy(params, win_times))
+    return tau_s, e_s, asymptote(params), tau_r, e_r
 
 
 def _recording_warnings(func, job):
@@ -256,11 +256,11 @@ def _map_ordered(func, jobs: list, workers: int) -> list:
     return [result for result, _ in outputs]
 
 
-def _sweep_rows(grid, protocols, size, workers, t_short, window, evaluator="full"):
+def _sweep_rows(grid, protocols, size, workers, t_short, window):
     """One SweepRow per grid value, energies divided by the system size."""
     if not window[0] < window[1]:
         raise ValueError(f"recurrence window {window} is empty")
-    jobs = [(p, t_short, window, evaluator) for p in protocols]
+    jobs = [(p, t_short, window) for p in protocols]
     points = _map_ordered(_regime_point, jobs, workers)
     return [
         SweepRow(
@@ -284,7 +284,6 @@ def sweep_delta0(
     workers: int = 1,
     t_short: float = DEFAULT_SHORT_SPAN,
     window: tuple[float, float] | None = None,
-    evaluator: str = "full",
 ) -> list[SweepRow]:
     """Regime energies per dimer across a grid of initial dimerizations.
 
@@ -297,7 +296,7 @@ def sweep_delta0(
         raise ValueError("delta0 and delta0 + delta1 must stay positive on the grid")
     win = default_recurrence_window(n_dimers) if window is None else window
     protocols = [QuenchProtocol(gamma, d0, delta1, n_dimers) for d0 in grid]
-    return _sweep_rows(grid, protocols, n_dimers, workers, t_short, win, evaluator)
+    return _sweep_rows(grid, protocols, n_dimers, workers, t_short, win)
 
 
 def sweep_field(
@@ -324,14 +323,13 @@ def scaling_study(
     *,
     workers: int = 1,
     t_short: float = DEFAULT_SHORT_SPAN,
-    evaluator: str = "full",
 ) -> list[ScalingRow]:
     """Per-dimer regime energies and recurrence time across system sizes."""
     sizes = [int(n) for n in n_list]
     if any(n < 5 for n in sizes):
         raise ValueError("scaling sizes below n_dimers = 5 show no regime structure")
     protocols = [QuenchProtocol(gamma, delta0, delta1, n) for n in sizes]
-    jobs = [(p, t_short, default_recurrence_window(p.n_dimers), evaluator) for p in protocols]
+    jobs = [(p, t_short, default_recurrence_window(p.n_dimers)) for p in protocols]
     points = _map_ordered(_regime_point, jobs, workers)
     return [
         ScalingRow(
@@ -346,9 +344,11 @@ def scaling_study(
 
 
 def linear_fit(x, y) -> tuple[float, float, float]:
-    """Least-squares line y = a x + b; returns (a, b, R^2)."""
+    """Least-squares line y = a x + b through at least two distinct x; returns (a, b, R^2)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if np.unique(x).size < 2:
+        raise ValueError("a line fit needs at least two distinct x values")
     a, b = np.polyfit(x, y, 1)
     resid = y - (a * x + b)
     total = y - np.mean(y)

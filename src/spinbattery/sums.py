@@ -1,4 +1,4 @@
-"""Compensated (Neumaier) summation for order-fixed, reproducible reductions.
+"""Order-fixed, reproducible reductions of per-mode terms.
 
 Mode sums are always reduced in ascending-q order with an error-free
 transformation so results are bitwise stable across runs and across any
@@ -7,30 +7,22 @@ parallel work splitting that feeds per-mode terms in order.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["compensated_sum", "compensated_sum_axis0"]
 
 
 def compensated_sum(values: np.ndarray) -> float:
-    """Sum a 1-D array in index order with Neumaier compensation."""
-    total = 0.0
-    comp = 0.0
-    for v in np.asarray(values, dtype=float):
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return float(total + comp)
+    """Exactly rounded sum of a 1-D array, so independent of its order."""
+    return math.fsum(np.asarray(values, dtype=float))
 
 
 def compensated_sum_axis0(values: np.ndarray) -> np.ndarray:
-    """Neumaier-compensated sum of a (n, m) array along axis 0.
+    """Neumaier-compensated sum of a (n, m) array along axis 0, in row order.
 
-    Equivalent to ``compensated_sum`` applied column-wise, vectorized so
-    traces over many time points stay cheap.
+    Vectorized over columns so traces over many time points stay cheap.
     """
     arr = np.asarray(values, dtype=float)
     total = np.zeros(arr.shape[1], dtype=float)

@@ -35,6 +35,9 @@ __all__ = [
 # Tolerance band for the critical-line classifiers; inputs are exact reals.
 CRITICAL_TOL = 1e-12
 
+# Largest chain size (n_dimers or n_sites); XY tables alone cost ~1.6 KB per mode.
+MAX_SIZE = 10**6
+
 
 @dataclass(frozen=True)
 class ChainParams:
@@ -53,8 +56,7 @@ class ChainParams:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if self.delta < 0:
             raise ValueError(f"delta must be >= 0, got {self.delta}")
-        if int(self.n_dimers) != self.n_dimers or self.n_dimers < 2:
-            raise ValueError(f"n_dimers must be an integer >= 2, got {self.n_dimers}")
+        _check_size("n_dimers", self.n_dimers)
 
     @property
     def n_sites(self) -> int:
@@ -92,6 +94,14 @@ def _check_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _check_size(name: str, n: int) -> None:
+    """Reject a chain size ``name`` that is not an integer in [2, MAX_SIZE]."""
+    if int(n) != n or n < 2:
+        raise ValueError(f"{name} must be an integer >= 2, got {n}")
+    if n > MAX_SIZE:
+        raise ValueError(f"{name} must be at most {MAX_SIZE}, got {n}")
 
 
 # ----------------------------------------------------------------------

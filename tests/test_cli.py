@@ -109,6 +109,11 @@ class TestTrace:
              "param-step 1e-12 puts more than"),
             (["oracle-check", "--n-sites", "12", "--dt", "1e-4"],
              "500001 samples on the 12-site oracle"),
+            (["scaling", "--n-list", "50"], "n-list needs two distinct sizes"),
+            (["scaling", "--n-list", "50,50"], "n-list needs two distinct sizes"),
+            (["trace", "--n-dimers", "1000001"], "n_dimers must be at most 1000000"),
+            (["trace", "--model", "ising", "--n-sites", "1000001"],
+             "n_sites must be at most 1000000"),
         ],
     )
     def test_bad_number_exits_2_and_names_it(self, capsys, args, message):

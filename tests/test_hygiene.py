@@ -1,17 +1,23 @@
 """Static checks on the package source, using only the standard library.
 
 No linter is a dependency, so the stale imports and ``__all__`` entries that
-removals tend to leave behind are caught here.
+removals tend to leave behind are caught here, and so are names the
+benchmark harness in ``bench/`` reaches that no longer exist (its files are
+only read).
 """
 
 import ast
 import importlib
+import inspect
+import json
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spinbattery"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "spinbattery"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+BENCH = ROOT / "bench"
 
 
 def _tree(module):
@@ -55,3 +61,113 @@ def test_star_import(module):
     namespace = {}
     exec(f"from {target} import *", namespace)
     assert len(namespace) > 1
+
+
+# ----------------------------------------------------------------------
+# the benchmark's view of the library
+# ----------------------------------------------------------------------
+
+def _assigned(tree, name):
+    """The value node of the module-level assignment ``name = ...``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return node.value
+    raise LookupError(name)
+
+
+def _functions(layer):
+    """Plain functions defined in ``spinbattery.<layer>``: what the tracer can wrap."""
+    mod = importlib.import_module(f"spinbattery.{layer}")
+    return {
+        name for name, obj in vars(mod).items()
+        if inspect.isfunction(obj) and obj.__module__ == mod.__name__
+    }
+
+
+def _mods_layer(node):
+    """``layer`` if ``node`` is the expression ``mods["layer"]``, else None."""
+    if (
+        isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "mods"
+        and isinstance(node.slice, ast.Constant)
+    ):
+        return node.slice.value
+    return None
+
+
+@pytest.mark.parametrize("script", sorted(path.name for path in BENCH.glob("*.py")))
+def test_bench_imports_resolve(script):
+    missing = []
+    for node in ast.walk(ast.parse((BENCH / script).read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "spinbattery":
+                    importlib.import_module(alias.name)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("spinbattery"):
+            mod = importlib.import_module(node.module)
+            missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(mod, a.name)]
+    assert missing == []
+
+
+def test_traced_span_names_are_module_functions():
+    # Every "<layer>.<name>" string in traced.py names a span, so a function
+    # defined in that module: HOOKS keys, engine names, the spans summed into
+    # metrics.  Metric names are left out.  SOURCES values and "layer."
+    # strings are span-name prefixes, which must each start a function's name.
+    tree = ast.parse((BENCH / "traced.py").read_text())
+    layers = ast.literal_eval(_assigned(tree, "LAYERS"))
+    config = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"] for key in ("end_to_end", "per_layer") for m in config[key]}
+    sources = _assigned(tree, "SOURCES")
+    prefixes = {id(node) for node in sources.values}
+    skipped = {id(node) for node in sources.keys}
+    hooked = [node.value for node in _assigned(tree, "HOOKS").keys]
+    assert "quench.energy_at_times" in hooked and "ising.ising_energy_at_times" in hooked
+    checked, broken = [], []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Constant) and isinstance(node.value, str)):
+            continue
+        layer, dot, name = node.value.partition(".")
+        if layer not in layers or not dot or node.value in metrics or id(node) in skipped:
+            continue
+        functions = _functions(layer)
+        if id(node) in prefixes or not name:  # "layer." prefixes sum a whole layer
+            ok = any(f.startswith(name) for f in functions)
+        else:
+            ok = name in functions
+        checked.append(node.value)
+        if not ok:
+            broken.append(node.value)
+    assert set(hooked) <= set(checked)
+    assert broken == []
+
+
+def test_traced_module_attributes_resolve():
+    # mods["layer"].name and the probe's local aliases (quench = mods["quench"], ...)
+    tree = ast.parse((BENCH / "traced.py").read_text())
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+            pairs = (
+                zip(target.elts, value.elts)
+                if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
+                else [(target, value)]
+            )
+            for name, expr in pairs:
+                if isinstance(name, ast.Name) and _mods_layer(expr):
+                    aliases[name.id] = _mods_layer(expr)
+    assert {"quench", "ising", "regimes", "ed"} <= set(aliases)
+    missing = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        layer = _mods_layer(node.value)
+        if layer is None and isinstance(node.value, ast.Name):
+            layer = aliases.get(node.value.id)
+        if layer and not hasattr(importlib.import_module(f"spinbattery.{layer}"), node.attr):
+            missing.append(f"{layer}.{node.attr}")
+    assert missing == []

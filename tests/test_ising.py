@@ -10,6 +10,7 @@ from spinbattery import (
     ising_energy_stored,
     ising_energy_trace,
 )
+from spinbattery import quench
 from spinbattery.ed import TransverseIsing, build_hamiltonian, oracle_energy_trace
 from spinbattery.ising import _mode_arrays, ising_resolution_bound
 
@@ -44,6 +45,11 @@ class TestIsingParams:
     def test_rejects_small_chains(self, n):
         with pytest.raises(ValueError):
             IsingParams(0.8, 0.7, n)
+
+    def test_rejects_chains_above_the_size_cap(self):
+        IsingParams(0.8, 0.7, 10**6)
+        with pytest.raises(ValueError, match="n_sites must be at most 1000000"):
+            IsingParams(0.8, 0.7, 10**6 + 1)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["h0", "h1"])
@@ -220,6 +226,14 @@ class TestTrace:
         trace = ising_energy_trace(params, 12.0, 0.05)
         pointwise = np.array([ising_energy_stored(params, float(t)) for t in trace.times])
         assert np.array_equal(trace.values, pointwise)
+
+    @pytest.mark.parametrize("budget", [600 * 333, 600 * 777, 600 * 1000])
+    def test_block_budget_keeps_the_bits(self, monkeypatch, budget):
+        params = IsingParams(0.8, 0.7, 600)
+        times = 0.05 * np.arange(5000)
+        default = ising_energy_at_times(params, times)
+        monkeypatch.setattr(quench, "_BLOCK_ELEMENTS", budget)
+        assert np.array_equal(ising_energy_at_times(params, times), default)
 
     def test_rejects_coarse_dt(self):
         params = IsingParams(0.8, 0.7, 8)

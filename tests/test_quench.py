@@ -15,6 +15,7 @@ from spinbattery import (
     occupations_all,
     resolution_bound,
 )
+from spinbattery import quench
 from spinbattery.ed import DimerizedXY, build_hamiltonian, oracle_energy_trace
 from spinbattery.quench import _mode_data
 
@@ -225,7 +226,7 @@ class TestEnergyStored:
 
     def test_rejects_unknown_evaluator(self):
         with pytest.raises(ValueError):
-            energy_stored(FIG2, 1.0, evaluator="fast")
+            energy_at_times(FIG2, np.array([1.0]), evaluator="fast")
 
 
 class TestEnergyTrace:
@@ -234,6 +235,19 @@ class TestEnergyTrace:
         trace = energy_trace(p, 10.0, 0.05)
         pointwise = np.array([energy_stored(p, float(t)) for t in trace.times])
         assert np.array_equal(trace.values, pointwise)
+
+    @pytest.mark.parametrize(
+        "budget, samples", [(1, 40), (1200 * 7, 1500), (1200 * 333, 1500), (1200 * 777, 1500)]
+    )
+    def test_block_budget_keeps_the_bits(self, monkeypatch, budget, samples):
+        # 300 dimers make 1200 temporaries per sample: blocks of 1, 7, 333 and 777
+        times = 0.05 * np.arange(samples)
+        default = energy_at_times(FIG2, times)
+        monkeypatch.setattr(quench, "_BLOCK_ELEMENTS", budget)
+        assert np.array_equal(energy_at_times(FIG2, times), default)
+
+    def test_default_budget_keeps_full_blocks_up_to_600_modes(self):
+        assert quench._BLOCK_ELEMENTS // (600 * 4) >= quench._TIME_BLOCK
 
     def test_grid_and_initial_value(self):
         p = QuenchProtocol(1.25, 0.3, 0.6, 40)

@@ -43,7 +43,6 @@ def _synthetic_trace(times, values):
         times=np.asarray(times, dtype=float),
         values=np.asarray(values, dtype=float),
         protocol=None,
-        evaluator="synthetic",
     )
 
 
@@ -265,6 +264,11 @@ class TestLinearFit:
         assert intercept == pytest.approx(-1.0, abs=1e-12)
         assert r2 == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("x", [[50.0], [50.0, 50.0]])
+    def test_rejects_fewer_than_two_distinct_x(self, x):
+        with pytest.raises(ValueError, match="two distinct x"):
+            linear_fit(x, [1.0] * len(x))
+
 
 class TestPlateauRobustness:
     @pytest.mark.parametrize("delta1", [0.5, 0.7, 0.9])
@@ -286,7 +290,7 @@ class TestPlateauRobustness:
             dt = DT_SAFETY * resolution_bound(protocol)
             times = dt * np.arange(int(50.0 / dt) + 1)
             values = energy_at_times(protocol, times)
-            trace = EnergyTrace(times=times, values=values, protocol=protocol, evaluator="full")
+            trace = EnergyTrace(times=times, values=values, protocol=protocol)
             _, peak = find_short_time_max(trace)
             e_s.append(peak / n_dimers)
 

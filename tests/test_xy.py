@@ -46,6 +46,7 @@ class TestChainParams:
             dict(gamma=-1.0, delta=0.3, n_dimers=4),
             dict(gamma=1.0, delta=-0.1, n_dimers=4),
             dict(gamma=1.0, delta=0.3, n_dimers=1),
+            dict(gamma=1.0, delta=0.3, n_dimers=10**6 + 1),
         ],
     )
     def test_rejects(self, kwargs):
