@@ -139,7 +139,6 @@ _OPTIONS = {
     "out": (str, "output file"),
     "format": (str, "csv (curve + JSON report) or json (single file)"),
     "workers": (int, "parallel worker budget for sweep/scaling rows"),
-    "evaluator": (str, "full or simplified; both names run the same mode sum"),
     "gamma": (float, "anisotropy"),
     "delta0": (float, "battery dimerization"),
     "delta1": (float, "dimerization step applied while charging"),
@@ -160,8 +159,8 @@ _OPTIONS = {
     "tol": (float, "acceptance tolerance on the max deviation"),
 }
 
-# Options every subcommand except phase takes, with their defaults (None: none).
-_COMMON = {"model": "xy", "out": None, "format": "csv", "workers": 1, "evaluator": "full"}
+# Allowed values of the options that name a choice.
+_CHOICES = {"format": ("csv", "json"), "model": ("xy", "ising")}
 
 
 def _add_options(parser: argparse.ArgumentParser, defaults: dict) -> None:
@@ -202,16 +201,12 @@ def _resolve(ns: argparse.Namespace, defaults: dict) -> dict:
         opts[name] = default if value is None else value
         if _OPTIONS[name][0] is float and opts[name] is not None:
             _check_finite(**{name: opts[name]})
-    _check_choice(opts, "format", {"csv", "json"})
-    _check_choice(opts, "evaluator", {"full", "simplified"})
-    if opts["workers"] < 1:
+    for name, allowed in _CHOICES.items():
+        if name in opts and opts[name] not in allowed:
+            raise ValueError(f"{name} must be one of {sorted(allowed)}, got {opts[name]!r}")
+    if opts.get("workers", 1) < 1:
         raise ValueError("workers must be >= 1")
     return opts
-
-
-def _check_choice(opts: dict, name: str, allowed) -> None:
-    if opts[name] not in allowed:
-        raise ValueError(f"{name} must be one of {sorted(allowed)}, got {opts[name]!r}")
 
 
 def _window(opts: dict, default: tuple[float, float]) -> tuple[float, float]:
@@ -228,7 +223,6 @@ def _window(opts: dict, default: tuple[float, float]) -> tuple[float, float]:
 
 def cmd_trace(opts: dict) -> int:
     """Write the stored-energy trace and its three-regime report."""
-    _check_choice(opts, "model", {"xy", "ising"})
     if opts["model"] == "xy":
         protocol = QuenchProtocol(
             opts["gamma"], opts["delta0"], opts["delta1"], opts["n_dimers"]
@@ -249,7 +243,7 @@ def cmd_trace(opts: dict) -> int:
 
     meta = {"params": {
         "model": opts["model"], **asdict(protocol),
-        "t_end": t_end, "dt": dt, "evaluator": opts["evaluator"],
+        "t_end": t_end, "dt": dt,
     }}
     rows = zip(trace.times, trace.values)
     try:
@@ -284,7 +278,6 @@ def _make_grid(lo: float, hi: float, step: float) -> list[float]:
 
 def cmd_sweep(opts: dict) -> int:
     """Sweep the initial dimerization (or field) and tabulate the regimes."""
-    _check_choice(opts, "model", {"xy", "ising"})
     if opts["param_min"] is None or opts["param_max"] is None:
         raise ValueError("param-min and param-max are required")
     grid = _make_grid(opts["param_min"], opts["param_max"], opts["param_step"])
@@ -314,8 +307,10 @@ def cmd_sweep(opts: dict) -> int:
 
 def cmd_scaling(opts: dict) -> int:
     """Per-dimer energies and recurrence time across system sizes."""
-    _check_choice(opts, "model", {"xy"})
-    sizes = [int(s) for s in opts["n_list"].split(",") if s.strip()]
+    try:
+        sizes = [int(s) for s in opts["n_list"].split(",") if s.strip()]
+    except ValueError:
+        raise ValueError(f"n-list must list integer sizes, got {opts['n_list']!r}") from None
     if len(set(sizes)) < 2:
         raise ValueError(f"n-list needs two distinct sizes for the tau_r fit, got {sizes}")
     rows = scaling_study(
@@ -342,7 +337,6 @@ def cmd_phase(opts: dict) -> int:
 
 def cmd_snapshot(opts: dict) -> int:
     """Lower-band occupation versus momentum at a fixed time."""
-    _check_choice(opts, "model", {"xy"})
     if opts["time"] is None or opts["time"] < 0:
         raise ValueError("--time must be given and >= 0")
     protocol = QuenchProtocol(
@@ -356,7 +350,6 @@ def cmd_snapshot(opts: dict) -> int:
 
 def cmd_oracle_check(opts: dict) -> int:
     """Compare the momentum-space engine against dense spin-space ED."""
-    _check_choice(opts, "model", {"xy", "ising"})
     n_sites = opts["n_sites"]
     times = _uniform_times(opts["t_end"], opts["dt"], np.inf)
     check_oracle_size(n_sites, times.size)
@@ -387,28 +380,28 @@ def cmd_oracle_check(opts: dict) -> int:
 # order; phase takes two positionals instead of options.
 _COMMANDS = {
     "trace": (cmd_trace, "energy trace plus regime report", {
-        **_COMMON, "gamma": 1.25, "delta0": 0.3, "delta1": 0.6, "n_dimers": 300,
+        "model": "xy", "out": None, "format": "csv",
+        "gamma": 1.25, "delta0": 0.3, "delta1": 0.6, "n_dimers": 300,
         "h0": 0.8, "h1": 0.7, "n_sites": 600,
         "t_end": None, "dt": None, "window_min": None, "window_max": None,
     }),
     "sweep": (cmd_sweep, "regime energies across a parameter grid", {
-        **_COMMON, "gamma": 1.1, "delta1": 0.8, "n_dimers": 300,
-        "h1": 0.25, "n_sites": 600,
+        "model": "xy", "out": None, "format": "csv", "workers": 1,
+        "gamma": 1.1, "delta1": 0.8, "n_dimers": 300, "h1": 0.25, "n_sites": 600,
         "param_min": None, "param_max": None, "param_step": 0.005,
         "t_short": 50.0, "window_min": None, "window_max": None,
     }),
     "scaling": (cmd_scaling, "regime energies across system sizes", {
-        **_COMMON, "gamma": 1.25, "delta0": 0.3, "delta1": 0.6,
-        "n_list": "50,100,200,300", "t_short": 50.0,
+        "out": None, "format": "csv", "workers": 1,
+        "gamma": 1.25, "delta0": 0.3, "delta1": 0.6, "n_list": "50,100,200,300", "t_short": 50.0,
     }),
     "phase": (cmd_phase, "classify a point of the phase diagram", None),
     "snapshot": (cmd_snapshot, "occupation-number profile at a time", {
-        **_COMMON, "gamma": 1.1, "delta0": 0.2, "delta1": 0.8, "n_dimers": 300,
-        "time": None,
+        "out": None, "format": "csv",
+        "gamma": 1.1, "delta0": 0.2, "delta1": 0.8, "n_dimers": 300, "time": None,
     }),
     "oracle-check": (cmd_oracle_check, "engine vs exact diagonalization", {
-        **_COMMON, "gamma": 1.25, "delta0": 0.3, "delta1": 0.6,
-        "h0": 0.8, "h1": 0.7,
+        "model": "xy", "gamma": 1.25, "delta0": 0.3, "delta1": 0.6, "h0": 0.8, "h1": 0.7,
         "n_sites": 4, "t_end": 50.0, "dt": 0.1, "tol": 1e-8,
     }),
 }

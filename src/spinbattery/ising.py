@@ -20,9 +20,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quench import EnergyTrace, _build_trace, _lock, _mode_sum_at_times, _resolution_bound
+from .quench import (
+    EnergyTrace,
+    _build_trace,
+    _check_work,
+    _lock,
+    _mode_sum_at_times,
+    _resolution_bound,
+)
 from .sums import compensated_sum
-from .xy import _check_finite, _check_size
+from .xy import _check_parameters, _check_size
 
 __all__ = [
     "IsingParams",
@@ -43,7 +50,7 @@ class IsingParams:
     n_sites: int
 
     def __post_init__(self):
-        _check_finite(h0=self.h0, h1=self.h1)
+        _check_parameters(h0=self.h0, h1=self.h1)
         _check_size("n_sites", self.n_sites)
 
 
@@ -72,6 +79,7 @@ def _mode_arrays(params: IsingParams):
 
 def ising_energy_at_times(params: IsingParams, times: np.ndarray) -> np.ndarray:
     """Stored energy on an arbitrary grid of times >= 0."""
+    _check_work("n_sites", params.n_sites, times)
     omega, amp = _mode_arrays(params)
     a, w2 = amp[:, None], 2.0 * omega[:, None]
     return _mode_sum_at_times(times, lambda chunk: a * (1.0 - np.cos(w2 * chunk)), amp.size)

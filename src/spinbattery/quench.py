@@ -16,10 +16,10 @@ matching-matrix entries (both cosine families, overall factor 2), organised
 as squared moduli; the equivalence is enforced in the test suite together
 with agreement against brute-force exact diagonalization.
 
-``energy_at_times`` and ``occupations_all`` accept both evaluator names,
-``"full"`` and ``"simplified"``, and run this same sum for either.  The
-matching matrix does not mix the two bands, so a band-diagonal truncation
-of the sum agrees with it to rounding and needs no path of its own.
+``energy_at_times`` accepts both evaluator names, ``"full"`` and
+``"simplified"``, and runs this same sum for either.  The matching matrix
+does not mix the two bands, so a band-diagonal truncation of the sum agrees
+with it to rounding and needs no path of its own.
 """
 
 from __future__ import annotations
@@ -30,7 +30,14 @@ from functools import lru_cache
 import numpy as np
 
 from .sums import compensated_sum, compensated_sum_axis0
-from .xy import ChainParams, _check_finite, bloch_stack, dispersion_curves, eigensystem_stack
+from .xy import (
+    ChainParams,
+    _check_finite,
+    _check_parameters,
+    bloch_stack,
+    dispersion_curves,
+    eigensystem_stack,
+)
 
 __all__ = [
     "QuenchProtocol",
@@ -54,6 +61,10 @@ SAMPLES_PER_PERIOD_FACTOR = 10.0
 # Largest trace grid accepted; checked before the grid is allocated.
 MAX_SAMPLES = 10**7
 
+# Largest modes x samples of one energy_at_times or ising_energy_at_times
+# call; checked before any per-mode table is built.
+MAX_MODE_SAMPLES = 10**9
+
 # A kernel block holds at most _TIME_BLOCK times and _BLOCK_ELEMENTS floats per
 # temporary; up to 600 XY modes (2400 floats per time) that allows 4096 times.
 _TIME_BLOCK = 4096
@@ -76,7 +87,7 @@ class QuenchProtocol:
     def __post_init__(self):
         # ChainParams re-validates gamma/n_dimers; the deltas are checked here
         # so that errors name them.
-        _check_finite(delta0=self.delta0, delta1=self.delta1)
+        _check_parameters(delta0=self.delta0, delta1=self.delta1)
         if self.delta1 < 0:
             raise ValueError(f"delta1 must be >= 0, got {self.delta1}")
         self.battery_params()
@@ -109,11 +120,6 @@ class EnergyTrace:
             raise ValueError("times must be strictly ascending")
         self.times.setflags(write=False)
         self.values.setflags(write=False)
-
-
-def _check_evaluator(evaluator: str) -> None:
-    if evaluator not in ("full", "simplified"):
-        raise ValueError(f"evaluator must be 'full' or 'simplified', got {evaluator!r}")
 
 
 def _lock(*arrays: np.ndarray) -> None:
@@ -201,6 +207,16 @@ def _mode_sum_at_times(times, contrib, width: int) -> np.ndarray:
     return out
 
 
+def _check_work(size_name: str, modes: int, times) -> None:
+    """Reject ``modes`` x ``len(times)`` above MAX_MODE_SAMPLES, naming the size."""
+    samples = np.size(times)
+    if modes * samples > MAX_MODE_SAMPLES:
+        raise ValueError(
+            f"{size_name}={modes} x {samples} samples exceeds the engine's work budget "
+            f"of {MAX_MODE_SAMPLES:.0e} mode-samples; raise dt or lower {size_name}"
+        )
+
+
 def _resolution_bound(fmax: float) -> float:
     """Largest step with twenty samples per period of the frequency fmax."""
     if fmax == 0.0:
@@ -235,16 +251,13 @@ def _build_trace(energy, bound, params, t_end: float, dt: float) -> EnergyTrace:
 # public operations
 # ----------------------------------------------------------------------
 
-def occupations_all(
-    protocol: QuenchProtocol, t: float, evaluator: str = "full"
-) -> np.ndarray:
+def occupations_all(protocol: QuenchProtocol, t: float) -> np.ndarray:
     """Quasiparticle occupations (n1, n2) of every mode at time t >= 0.
 
     Shape (n_dimers, 2); row i is the mode q = i + 1/2.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    _check_evaluator(evaluator)
     freqs, const, cos_a, sin_b = _occupation_tables(protocol)
     ph = freqs * t
     return const + np.einsum("nsf,nf->ns", cos_a, np.cos(ph)) + np.einsum(
@@ -269,7 +282,9 @@ def energy_at_times(
     Modes are reduced in ascending-q order with compensated accumulation, so
     the result is independent of how the per-mode work was scheduled.
     """
-    _check_evaluator(evaluator)
+    if evaluator not in ("full", "simplified"):
+        raise ValueError(f"evaluator must be 'full' or 'simplified', got {evaluator!r}")
+    _check_work("n_dimers", protocol.n_dimers, times)
     freqs, e_const, e_cos, e_sin = _energy_tables(protocol)
 
     def contrib(chunk):

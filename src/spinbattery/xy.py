@@ -38,6 +38,10 @@ CRITICAL_TOL = 1e-12
 # Largest chain size (n_dimers or n_sites); XY tables alone cost ~1.6 KB per mode.
 MAX_SIZE = 10**6
 
+# Largest magnitude of a model parameter (gamma, delta, h), far above any
+# physical value; much larger ones overflow the dispersions.
+MAX_PARAMETER = 1e6
+
 
 @dataclass(frozen=True)
 class ChainParams:
@@ -51,7 +55,7 @@ class ChainParams:
     n_dimers: int
 
     def __post_init__(self):
-        _check_finite(gamma=self.gamma, delta=self.delta)
+        _check_parameters(gamma=self.gamma, delta=self.delta)
         if not self.gamma > 0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if self.delta < 0:
@@ -79,14 +83,7 @@ class Phase(Enum):
 
     @property
     def label(self) -> str:
-        return {
-            Phase.FERROMAGNET_X: "ferromagnet-x",
-            Phase.SPIN1_ANTIFERROMAGNET_X: "spin1-antiferromagnet-x",
-            Phase.DIMER_ALIGNED_Z: "dimer-aligned-z",
-            Phase.DIMER_ANTIALIGNED_Z: "dimer-antialigned-z",
-            Phase.CRITICAL_GAMMA_DELTA: "critical-gamma-delta",
-            Phase.CRITICAL_DELTA_GAMMA: "critical-delta-gamma",
-        }[self]
+        return self.name.lower().replace("_", "-")
 
 
 def _check_finite(**values: float) -> None:
@@ -94,6 +91,16 @@ def _check_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _check_parameters(**values: float) -> None:
+    """Reject model parameters that are not finite or exceed MAX_PARAMETER in magnitude."""
+    _check_finite(**values)
+    for name, value in values.items():
+        if abs(value) > MAX_PARAMETER:
+            raise ValueError(
+                f"{name} must be at most {MAX_PARAMETER:.0e} in magnitude, got {value}"
+            )
 
 
 def _check_size(name: str, n: int) -> None:
@@ -213,7 +220,7 @@ def classify_phase(gamma: float, delta: float) -> Phase:
     |g^2 d^2 - 1| <= 1e-12 or |d^2 - g^2| <= 1e-12; at the multicritical
     point gamma = delta = 1 both hold and CRITICAL_GAMMA_DELTA is reported.
     """
-    _check_finite(gamma=gamma, delta=delta)
+    _check_parameters(gamma=gamma, delta=delta)
     if not gamma > 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
     if delta < 0:

@@ -3,7 +3,7 @@
 No linter is a dependency, so the stale imports and ``__all__`` entries that
 removals tend to leave behind are caught here, and so are names the
 benchmark harness in ``bench/`` reaches that no longer exist (its files are
-only read).
+only read) and command-line options that no subcommand reads.
 """
 
 import ast
@@ -13,6 +13,8 @@ import json
 from pathlib import Path
 
 import pytest
+
+from spinbattery.cli import _COMMANDS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "spinbattery"
@@ -171,3 +173,42 @@ def test_traced_module_attributes_resolve():
         if layer and not hasattr(importlib.import_module(f"spinbattery.{layer}"), node.attr):
             missing.append(f"{layer}.{node.attr}")
     assert missing == []
+
+
+# ----------------------------------------------------------------------
+# the command line's options
+# ----------------------------------------------------------------------
+
+def _opts_keys(function):
+    """The keys ``opts["name"]`` that ``function`` reads."""
+    return {
+        node.slice.value
+        for node in ast.walk(function)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "opts"
+        and isinstance(node.slice, ast.Constant)
+    }
+
+
+def test_every_cli_option_is_read():
+    # An option a subcommand declares must be read by its cmd_* function or by
+    # a cli function it passes ``opts`` to (_emit, _window); otherwise it
+    # changes nothing.  --config is read by the parser itself.
+    functions = {
+        node.name: node for node in _tree("cli").body if isinstance(node, ast.FunctionDef)
+    }
+    unread = []
+    for command, (func, _, defaults) in _COMMANDS.items():
+        body = functions[func.__name__]
+        helpers = {
+            call.func.id
+            for call in ast.walk(body)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id in functions
+            and any(isinstance(arg, ast.Name) and arg.id == "opts" for arg in call.args)
+        }
+        read = set().union(*(_opts_keys(functions[name]) for name in helpers | {func.__name__}))
+        unread += [f"{command} --{name}" for name in defaults or () if name not in read]
+    assert unread == []

@@ -17,6 +17,7 @@ from spinbattery import (
 )
 from spinbattery import quench
 from spinbattery.ed import DimerizedXY, build_hamiltonian, oracle_energy_trace
+from spinbattery.ising import IsingParams, _mode_arrays, ising_energy_at_times
 from spinbattery.quench import _mode_data
 
 FIG2 = QuenchProtocol(1.25, 0.3, 0.6, 300)
@@ -246,6 +247,22 @@ class TestEnergyTrace:
         monkeypatch.setattr(quench, "_BLOCK_ELEMENTS", budget)
         assert np.array_equal(energy_at_times(FIG2, times), default)
 
+    @pytest.mark.parametrize(
+        "energy, params, tables",
+        [
+            (energy_at_times, QuenchProtocol(1.25, 0.3, 0.6, 1000), _mode_data),
+            (ising_energy_at_times, IsingParams(0.8, 0.7, 1000), _mode_arrays),
+        ],
+        ids=["xy", "ising"],
+    )
+    def test_work_budget_is_checked_before_the_tables(self, energy, params, tables):
+        # 1000 modes x (10^6 + 1) samples is one sample over the budget
+        times = np.zeros(quench.MAX_MODE_SAMPLES // 1000 + 1)
+        misses = tables.cache_info().misses
+        with pytest.raises(ValueError, match="=1000 x 1000001 samples exceeds"):
+            energy(params, times)
+        assert tables.cache_info().misses == misses
+
     def test_default_budget_keeps_full_blocks_up_to_600_modes(self):
         assert quench._BLOCK_ELEMENTS // (600 * 4) >= quench._TIME_BLOCK
 
@@ -292,10 +309,6 @@ class TestEvaluators:
         assert np.array_equal(
             energy_at_times(protocol, times, "full"),
             energy_at_times(protocol, times, "simplified"),
-        )
-        assert np.array_equal(
-            occupations_all(protocol, 7.5, "full"),
-            occupations_all(protocol, 7.5, "simplified"),
         )
 
     def test_band_occupation_structure(self):
