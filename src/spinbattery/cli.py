@@ -174,6 +174,7 @@ def _add_options(parser: argparse.ArgumentParser, defaults: dict) -> None:
 
 
 def _read_config(path: str) -> dict:
+    """Option name -> (value text, ``path:line`` it came from)."""
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -183,7 +184,7 @@ def _read_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'name = value'")
             key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
+            values[key.strip().replace("-", "_")] = (val.strip(), f"{path}:{lineno}")
     return values
 
 
@@ -197,7 +198,14 @@ def _resolve(ns: argparse.Namespace, defaults: dict) -> dict:
     for name, default in defaults.items():
         value = getattr(ns, name)
         if value is None and name in config:
-            value = _OPTIONS[name][0](config[name])
+            text, where = config[name]
+            kind = _OPTIONS[name][0]
+            try:
+                value = kind(text)
+            except ValueError:
+                raise ValueError(
+                    f"{where}: {name} = {text!r} does not parse as {kind.__name__}"
+                ) from None
         opts[name] = default if value is None else value
         if _OPTIONS[name][0] is float and opts[name] is not None:
             _check_finite(**{name: opts[name]})

@@ -1,11 +1,12 @@
 """Brute-force spin-space oracle for small chains.
 
-Everything here works on the dense 2^N-dimensional spin Hamiltonian with
-periodic boundaries and knows nothing about fermions or momentum space: it
-exists to verify the momentum-space engines independently.  Ground states
-are taken inside the even sector of the parity operator P = prod_j sz_j,
-and time evolution uses one full eigendecomposition of the charging
-Hamiltonian (no stepping error).
+Everything here works in raw spin space with periodic boundaries and knows
+nothing about fermions or momentum space: it exists to verify the
+momentum-space engines independently.  Both models commute with the parity
+P = prod_j sz_j and the initial state is the even-sector ground state, so
+only the dense 2^(N-1)-dimensional even block is built; the odd block is
+built only to compare ground energies.  Time evolution uses one full
+eigendecomposition of the charging Hamiltonian (no stepping error).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "DegenerateGroundStateError",
     "check_oracle_size",
     "build_hamiltonian",
-    "parity_diagonal",
     "even_sector_ground_state",
     "oracle_energy_trace",
 ]
@@ -57,7 +57,11 @@ class TransverseIsing:
 
 @dataclass(frozen=True)
 class SpinHamiltonian:
-    """Dense 2^N x 2^N Hamiltonian of a periodic chain of n_sites spins."""
+    """Even-parity block of the Hamiltonian of a periodic chain of n_sites spins.
+
+    ``matrix`` is dense, 2^(N-1) x 2^(N-1), over the even basis states in
+    ascending order of their index.
+    """
 
     n_sites: int
     matrix: np.ndarray
@@ -100,17 +104,21 @@ def check_oracle_size(n_sites: int, samples: int) -> None:
         )
 
 
-def build_hamiltonian(kind: DimerizedXY | TransverseIsing, n_sites: int) -> SpinHamiltonian:
-    """Assemble the dense periodic spin Hamiltonian bond by bond.
+def _block(kind: DimerizedXY | TransverseIsing, n_sites: int, parity: int) -> np.ndarray:
+    """Block of the periodic spin Hamiltonian on one sector of P = prod_j sz_j.
 
-    In the computational basis (bit 0 is spin up) sx_a sx_b and sy_a sy_b
-    both send |s> to |s ^ mask>, with amplitudes 1 and -1 or +1 as the two
-    bits agree or not, and sz_a is the diagonal +-1.  Each bond's entries are
-    written straight into the matrix, in site order.
+    The basis is the ascending indices s with popcount(s) % 2 == parity
+    (bit 0 is spin up, so parity 0 is P = +1).  There sx_a sx_b and sy_a sy_b
+    both send |s> to |s ^ mask>, which stays in the sector, with amplitudes 1
+    and -1 or +1 as the two bits agree or not, and sz_a is the diagonal +-1.
+    Each bond's entries are written straight into the block, in site order.
     """
-    _check_sites(n_sites)
-    dim = 2**n_sites
-    idx = np.arange(dim)
+    idx = np.arange(2**n_sites)
+    states = idx[sum((idx >> bit) & 1 for bit in range(n_sites)) % 2 == parity]
+    dim = states.size
+    pos = np.empty_like(idx)
+    pos[states] = np.arange(dim)
+    rows = np.arange(dim) * dim
     h = np.zeros((dim, dim))
     flat = h.reshape(-1)
     if isinstance(kind, DimerizedXY):
@@ -118,8 +126,8 @@ def build_hamiltonian(kind: DimerizedXY | TransverseIsing, n_sites: int) -> Spin
             raise ValueError("the dimerized XY chain needs an even number of sites")
         for j in range(1, n_sites + 1):
             mask = _site_bit(j, n_sites) | _site_bit(j + 1, n_sites)
-            entries = idx * dim + (idx ^ mask)
-            pair = idx & mask
+            entries = rows + pos[states ^ mask]
+            pair = states & mask
             agree = np.where((pair == 0) | (pair == mask), 1.0, -1.0)
             bond = 1.0 - (-1.0) ** j * kind.delta
             flat[entries] -= bond * (1.0 + kind.gamma) / 2.0
@@ -127,66 +135,47 @@ def build_hamiltonian(kind: DimerizedXY | TransverseIsing, n_sites: int) -> Spin
     elif isinstance(kind, TransverseIsing):
         for j in range(1, n_sites + 1):
             mask = _site_bit(j, n_sites) | _site_bit(j + 1, n_sites)
-            flat[idx * dim + (idx ^ mask)] += 0.5
-            up = np.where(idx & _site_bit(j, n_sites), -1.0, 1.0)
-            flat[idx * (dim + 1)] += 0.5 * kind.h * up
+            flat[rows + pos[states ^ mask]] += 0.5
+            up = np.where(states & _site_bit(j, n_sites), -1.0, 1.0)
+            flat[np.arange(dim) * (dim + 1)] += 0.5 * kind.h * up
     else:
         raise TypeError(f"unknown Hamiltonian kind {kind!r}")
-    return SpinHamiltonian(n_sites=n_sites, matrix=h, kind=kind)
+    return h
 
 
-def parity_diagonal(n_sites: int) -> np.ndarray:
-    """Diagonal of P = prod_j sz_j over the computational basis."""
-    idx = np.arange(2**n_sites)
-    pop = np.zeros_like(idx)
-    for bit in range(n_sites):
-        pop += (idx >> bit) & 1
-    return np.where(pop % 2 == 0, 1.0, -1.0)
+def build_hamiltonian(kind: DimerizedXY | TransverseIsing, n_sites: int) -> SpinHamiltonian:
+    """The even-parity block of the periodic spin Hamiltonian, bond by bond.
+
+    No 2^N x 2^N matrix is built: the block is assembled directly over the
+    2^(N-1) even basis states (see :func:`_block`).
+    """
+    _check_sites(n_sites)
+    return SpinHamiltonian(n_sites=n_sites, matrix=_block(kind, n_sites, 0), kind=kind)
 
 
-def _even_indices(n_sites: int) -> np.ndarray:
-    return np.nonzero(parity_diagonal(n_sites) > 0)[0]
+def even_sector_ground_state(ham: SpinHamiltonian) -> np.ndarray:
+    """Normalized lowest eigenvector of the even block, in the block's basis.
 
-
-def _even_block(ham: SpinHamiltonian) -> np.ndarray:
-    idx = _even_indices(ham.n_sites)
-    return ham.matrix[np.ix_(idx, idx)]
-
-
-def _even_ground(hb: np.ndarray, ham: SpinHamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of the even block hb of ham; warns when the odd sector reaches its minimum."""
-    vals, vecs = np.linalg.eigh(hb)
-    odd_idx = np.nonzero(parity_diagonal(ham.n_sites) < 0)[0]
-    odd_min = float(np.min(np.linalg.eigvalsh(ham.matrix[np.ix_(odd_idx, odd_idx)])))
+    Warns with :class:`DegenerateGroundStateWarning` when the odd-sector
+    minimum lies within 1e-10 of the even ground energy.  Raises
+    :class:`DegenerateGroundStateError` when another even state does: then
+    there is no unique ground state to return.
+    """
+    odd_min = float(np.linalg.eigvalsh(_block(ham.kind, ham.n_sites, 1))[0])
+    vals, vecs = np.linalg.eigh(ham.matrix)
     if abs(odd_min - vals[0]) < 1e-10:
         warnings.warn(
             f"even and odd sector ground energies within {abs(odd_min - vals[0]):.3e}",
             DegenerateGroundStateWarning,
         )
-    return vals, vecs
-
-
-def _even_degeneracy(vals: np.ndarray) -> str | None:
-    if len(vals) > 1 and vals[1] - vals[0] < 1e-10:
-        return f"even-sector ground state degenerate within {vals[1] - vals[0]:.3e}"
-    return None
-
-
-def even_sector_ground_state(ham: SpinHamiltonian) -> np.ndarray:
-    """Normalized lowest eigenvector with parity +1, in the full 2^N space.
-
-    Warns with :class:`DegenerateGroundStateWarning` when the selection is
-    ambiguous: another even state, or the odd-sector minimum, lies within
-    1e-10 of the even ground energy.
-    """
-    idx = _even_indices(ham.n_sites)
-    vals, vecs = _even_ground(_even_block(ham), ham)
-    message = _even_degeneracy(vals)
-    if message:
-        warnings.warn(message, DegenerateGroundStateWarning)
-    full = np.zeros(ham.matrix.shape[0], dtype=complex)
-    full[idx] = vecs[:, 0]
-    return full
+    if vals[1] - vals[0] < 1e-10:
+        raise DegenerateGroundStateError(
+            f"even-sector ground state degenerate within {vals[1] - vals[0]:.3e}: "
+            "no unique initial state"
+        )
+    # Only the ground vector is kept: the full eigenbasis would raise the
+    # oracle's peak memory by a block's worth.
+    return vecs[:, 0].copy()
 
 
 def oracle_energy_trace(
@@ -205,17 +194,10 @@ def oracle_energy_trace(
     if battery.n_sites != charger.n_sites:
         raise ValueError("battery and charger must share n_sites")
     times = np.asarray(times, dtype=float)
-    hb = _even_block(battery)
-    vals, vecs = _even_ground(hb, battery)
-    message = _even_degeneracy(vals)
-    if message:
-        raise DegenerateGroundStateError(f"{message}: no unique initial state")
-    # Keep the ground state only: the full eigenbasis would outlive the
-    # evolution and raise the peak memory by a block's worth.
-    psi0 = vecs[:, 0].copy()
-    del vals, vecs
+    psi0 = even_sector_ground_state(battery)
+    hb = battery.matrix
     e0 = float(psi0 @ hb @ psi0)
-    w, qmat = np.linalg.eigh(_even_block(charger))
+    w, qmat = np.linalg.eigh(charger.matrix)
     coeff = qmat.T @ psi0
     hb_rot = qmat.T @ hb @ qmat
     values = np.empty(times.size, dtype=float)

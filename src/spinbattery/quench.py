@@ -85,11 +85,13 @@ class QuenchProtocol:
     n_dimers: int
 
     def __post_init__(self):
-        # ChainParams re-validates gamma/n_dimers; the deltas are checked here
-        # so that errors name them.
+        # ChainParams re-validates gamma/n_dimers; the dimerizations it is
+        # given are checked here first so that errors name the inputs.
         _check_parameters(delta0=self.delta0, delta1=self.delta1)
-        if self.delta1 < 0:
-            raise ValueError(f"delta1 must be >= 0, got {self.delta1}")
+        for name, value in (("delta0", self.delta0), ("delta1", self.delta1)):
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        _check_parameters(**{"delta0 + delta1": self.delta0 + self.delta1})
         self.battery_params()
         self.charging_params()
 

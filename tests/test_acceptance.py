@@ -38,7 +38,6 @@ from spinbattery.ed import (
     build_hamiltonian,
     even_sector_ground_state,
     oracle_energy_trace,
-    parity_diagonal,
 )
 from spinbattery.ising import _mode_arrays
 from spinbattery.regimes import (
@@ -47,6 +46,8 @@ from spinbattery.regimes import (
     default_recurrence_window,
     linear_fit,
 )
+
+from ed_reference import embed_even, kron_hamiltonian, parity_diagonal
 
 XY_GAMMA, XY_D0, XY_D1 = 1.25, 0.3, 0.6
 ISING_H0, ISING_H1 = 0.8, 0.7
@@ -297,8 +298,8 @@ class TestCriterion8Properties:
     def test_oracle_parity_and_norm_conservation(self):
         battery = build_hamiltonian(DimerizedXY(XY_GAMMA, XY_D0), 8)
         charger = build_hamiltonian(DimerizedXY(XY_GAMMA, XY_D0 + XY_D1), 8)
-        psi0 = even_sector_ground_state(battery)
-        w, qmat = np.linalg.eigh(charger.matrix)
+        psi0 = embed_even(even_sector_ground_state(battery), 8)
+        w, qmat = np.linalg.eigh(kron_hamiltonian(charger.kind, 8))
         coeff = qmat.conj().T @ psi0
         pi = parity_diagonal(8)
         for t in np.linspace(0.0, 30.0, 16):

@@ -128,6 +128,9 @@ class TestTrace:
             (["scaling", "--n-list", "50,100.5"], "n-list must list integer sizes"),
             (["trace", "--n-dimers", "20000"],
              "n_dimers=20000 x 1697653 samples exceeds the engine's work budget"),
+            (["trace", "--delta0", "-0.1", "--n-dimers", "10"], "delta0 must be >= 0"),
+            (["trace", "--delta0", "6e5", "--delta1", "6e5", "--n-dimers", "10"],
+             "delta0 + delta1 must be at most 1e+06 in magnitude"),
         ],
     )
     def test_bad_number_exits_2_and_names_it(self, capsys, args, message):
@@ -348,6 +351,21 @@ class TestConfigFile:
                         "--out", str(tmp_path / "s.csv")])
         assert code == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n_dimers = abc\n", ":1: n_dimers = 'abc' does not parse as int"),
+            ("# comment\ngamma = 1,5\n", ":2: gamma = '1,5' does not parse as float"),
+        ],
+    )
+    def test_unparsable_value_names_key_and_line(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        code = run_cli(["snapshot", "--config", str(cfg), "--time", "1.0",
+                        "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert f"error: {cfg}{message}" in capsys.readouterr().err
 
     def test_malformed_line_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

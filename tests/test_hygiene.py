@@ -2,14 +2,16 @@
 
 No linter is a dependency, so the stale imports and ``__all__`` entries that
 removals tend to leave behind are caught here, and so are names the
-benchmark harness in ``bench/`` reaches that no longer exist (its files are
-only read) and command-line options that no subcommand reads.
+benchmark harness in ``bench/`` or the README's examples reach that no
+longer exist (those files are only read) and command-line options that no
+subcommand reads.
 """
 
 import ast
 import importlib
 import inspect
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -100,10 +102,13 @@ def _mods_layer(node):
     return None
 
 
-@pytest.mark.parametrize("script", sorted(path.name for path in BENCH.glob("*.py")))
-def test_bench_imports_resolve(script):
+def _missing_imports(source):
+    """``module.name`` for each name ``source`` imports from spinbattery that does not exist.
+
+    A spinbattery module that does not exist raises ImportError.
+    """
     missing = []
-    for node in ast.walk(ast.parse((BENCH / script).read_text())):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.split(".")[0] == "spinbattery":
@@ -111,7 +116,19 @@ def test_bench_imports_resolve(script):
         elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("spinbattery"):
             mod = importlib.import_module(node.module)
             missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(mod, a.name)]
-    assert missing == []
+    return missing
+
+
+@pytest.mark.parametrize("script", sorted(path.name for path in BENCH.glob("*.py")))
+def test_bench_imports_resolve(script):
+    assert _missing_imports((BENCH / script).read_text()) == []
+
+
+def test_readme_imports_resolve():
+    # the README's python examples import only names the package still has
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    assert [name for block in blocks for name in _missing_imports(block)] == []
 
 
 def test_traced_span_names_are_module_functions():
