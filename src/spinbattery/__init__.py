@@ -2,7 +2,7 @@
 
 The dimerized XY battery is solved in momentum space (``xy``, ``quench``),
 the transverse-field Ising battery in closed form (``ising``), charging
-regimes and sweeps live in ``regimes``, and ``ed`` provides the even-parity
+regimes and sweeps live in ``regimes``, and ``ed`` provides the momentum-sector
 spin-space oracle used to verify everything at small sizes.
 """
 

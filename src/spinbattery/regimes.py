@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -248,6 +247,9 @@ def _map_ordered(func, jobs: list, workers: int) -> list:
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         return [func(job) for job in jobs]
+    # Imported here: the process-pool module costs every CLI start ~15 ms.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         outputs = list(pool.map(partial(_recording_warnings, func), jobs))
     for _, caught in outputs:

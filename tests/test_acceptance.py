@@ -47,7 +47,7 @@ from spinbattery.regimes import (
     linear_fit,
 )
 
-from ed_reference import embed_even, kron_hamiltonian, parity_diagonal
+from ed_reference import embed_sector, kron_hamiltonian, parity_diagonal
 
 XY_GAMMA, XY_D0, XY_D1 = 1.25, 0.3, 0.6
 ISING_H0, ISING_H1 = 0.8, 0.7
@@ -89,8 +89,9 @@ def test_criterion_3_ground_energy_pin():
     worst = 0.0
     for n_dimers in (2, 3, 4):
         ham = build_hamiltonian(DimerizedXY(XY_GAMMA, XY_D0), 2 * n_dimers)
-        psi = even_sector_ground_state(ham)
-        e_ed = float(np.real(psi.conj() @ ham.matrix @ psi))
+        vec, m = even_sector_ground_state(ham)
+        psi = embed_sector(vec, ham.kind, ham.n_sites, m)
+        e_ed = float(np.real(psi.conj() @ kron_hamiltonian(ham.kind, ham.n_sites) @ psi))
         e_free = ground_energy(ChainParams(XY_GAMMA, XY_D0, n_dimers))
         worst = max(worst, abs(e_ed - e_free))
     assert worst <= 1e-10
@@ -298,7 +299,8 @@ class TestCriterion8Properties:
     def test_oracle_parity_and_norm_conservation(self):
         battery = build_hamiltonian(DimerizedXY(XY_GAMMA, XY_D0), 8)
         charger = build_hamiltonian(DimerizedXY(XY_GAMMA, XY_D0 + XY_D1), 8)
-        psi0 = embed_even(even_sector_ground_state(battery), 8)
+        vec, m = even_sector_ground_state(battery)
+        psi0 = embed_sector(vec, battery.kind, 8, m)
         w, qmat = np.linalg.eigh(kron_hamiltonian(charger.kind, 8))
         coeff = qmat.conj().T @ psi0
         pi = parity_diagonal(8)

@@ -6,7 +6,12 @@ import sys
 import pytest
 
 from spinbattery.cli import deterministic_json, format_float, main
-from spinbattery.ed import DegenerateGroundStateWarning
+from spinbattery.ed import (
+    DegenerateGroundStateWarning,
+    DimerizedXY,
+    TransverseIsing,
+    check_oracle_size,
+)
 
 
 def run_cli(args):
@@ -278,6 +283,13 @@ class TestOracleCheck:
     def test_odd_sites_with_unique_ground_state_passes(self):
         assert run_cli(["oracle-check", "--model", "ising", "--n-sites", "5",
                         "--h0", "-2.5", "--h1", "0.3"]) == 0
+
+    def test_fourteen_sites_fit_and_fifteen_exit_2(self, capsys):
+        # the budget alone is checked at 14 sites: no 14-site evolution runs
+        for kind in (DimerizedXY(1.25, 0.3), TransverseIsing(0.8)):
+            check_oracle_size(kind, 14, 501)
+        assert run_cli(["oracle-check", "--model", "ising", "--n-sites", "15"]) == 2
+        assert "n_sites must be an integer in [2, 14], got 15" in capsys.readouterr().err
 
     def test_even_odd_degeneracy_only_warns(self):
         # at h0 = 0 the even and odd sector minima coincide, but the even

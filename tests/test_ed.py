@@ -7,19 +7,31 @@ from spinbattery.ed import (
     DegenerateGroundStateWarning,
     DimerizedXY,
     TransverseIsing,
-    _block,
+    _sector,
     build_hamiltonian,
     even_sector_ground_state,
     oracle_energy_trace,
 )
 
-from ed_reference import embed_even, kron_hamiltonian, parity_diagonal, sector
+from ed_reference import _block, embed_sector, kron_hamiltonian, parity_diagonal, sector
 
 
-def _spectrum(kind, n_sites):
-    """Both parity blocks' eigenvalues together: the full spectrum."""
-    blocks = (build_hamiltonian(kind, n_sites).matrix, _block(kind, n_sites, 1))
+def _sectors(kind, n_sites, parity):
+    """Every momentum sector block of one parity of the oracle."""
+    length = n_sites // (2 if isinstance(kind, DimerizedXY) else 1)
+    return [_sector(kind, n_sites, parity, m) for m in range(length)]
+
+
+def _spectrum(kind, n_sites, parities=(0, 1)):
+    """The sector blocks' eigenvalues together: the spectrum of those parities."""
+    blocks = [b for p in parities for b in _sectors(kind, n_sites, p)]
     return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+
+
+def _ground(ham):
+    """The oracle's initial state, placed in the full 2^N space."""
+    vec, m = even_sector_ground_state(ham)
+    return embed_sector(vec, ham.kind, ham.n_sites, m)
 
 
 class TestBuildHamiltonian:
@@ -37,11 +49,11 @@ class TestBuildHamiltonian:
         ],
     )
     def test_matches_kron_reference(self, kind, n_sites):
-        # each parity block bitwise, including the doubled bond of the
-        # two-site ring
+        # each parity block of the reference the sectors are checked
+        # against, bitwise, including the doubled bond of the two-site ring
         ref = kron_hamiltonian(kind, n_sites)
         even, odd = sector(n_sites, 0), sector(n_sites, 1)
-        assert np.array_equal(build_hamiltonian(kind, n_sites).matrix, ref[np.ix_(even, even)])
+        assert np.array_equal(_block(kind, n_sites, 0), ref[np.ix_(even, even)])
         assert np.array_equal(_block(kind, n_sites, 1), ref[np.ix_(odd, odd)])
 
     def test_two_site_ising_zero_field(self):
@@ -61,8 +73,8 @@ class TestBuildHamiltonian:
     )
     @pytest.mark.parametrize("n_sites", [4, 6])
     def test_invariants(self, kind, n_sites):
-        h = build_hamiltonian(kind, n_sites).matrix
-        assert np.max(np.abs(h - h.conj().T)) <= 1e-13
+        for h in _sectors(kind, n_sites, 0) + _sectors(kind, n_sites, 1):
+            assert np.max(np.abs(h - h.conj().T), initial=0.0) <= 1e-13
         # parity commutes with the full reference, which is what lets the
         # oracle work inside one block
         h = kron_hamiltonian(kind, n_sites)
@@ -74,34 +86,103 @@ class TestBuildHamiltonian:
         with pytest.raises(ValueError):
             build_hamiltonian(TransverseIsing(1.0), 1)
         with pytest.raises(ValueError):
-            build_hamiltonian(TransverseIsing(1.0), 13)
+            build_hamiltonian(TransverseIsing(1.0), 15)
         with pytest.raises(ValueError):
             build_hamiltonian(DimerizedXY(1.0, 0.5), 5)
         with pytest.raises(TypeError):
             build_hamiltonian("ising", 4)
 
 
+# Points on both sides of each critical line: Ising h = +-1, XY delta =
+# gamma and gamma delta = 1.
+SIDES = [
+    *(pytest.param(DimerizedXY(g, d), n, id=f"xy{g},{d}-{n}")
+      for g, d in [(1.25, 0.3), (1.25, 0.9), (0.6, 1.5), (0.6, 1.8)] for n in range(2, 11, 2)),
+    *(pytest.param(TransverseIsing(h), n, id=f"ising{h}-{n}")
+      for h in (-1.5, -0.5, 0.5, 1.5) for n in range(2, 11)),
+]
+
+# Battery -> charger quenches across those lines, with a unique even ground
+# state at every size listed.
+PROTOCOLS = [
+    *(pytest.param(DimerizedXY(1.25, 0.3), DimerizedXY(1.25, 0.9), n, id=f"xy-cross-gd-{n}")
+      for n in range(4, 11, 2)),
+    *(pytest.param(DimerizedXY(0.6, 0.3), DimerizedXY(0.6, 1.8), n, id=f"xy-cross-both-{n}")
+      for n in range(4, 11, 2)),
+    *(pytest.param(TransverseIsing(0.5), TransverseIsing(1.5), n, id=f"ising-cross-1-{n}")
+      for n in range(4, 11, 2)),
+    *(pytest.param(TransverseIsing(-1.5), TransverseIsing(-0.5), n, id=f"ising-cross-m1-{n}")
+      for n in range(3, 11)),
+]
+
+
+class TestSectors:
+    @pytest.mark.parametrize("parity", [0, 1])
+    @pytest.mark.parametrize("kind, n_sites", SIDES)
+    def test_spectra_match_block_reference(self, kind, n_sites, parity):
+        # N = 2 has a single XY translation (L = 1): every orbit has period 1
+        ref = np.linalg.eigvalsh(_block(kind, n_sites, parity))
+        got = _spectrum(kind, n_sites, (parity,))
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("kind, n_sites", SIDES)
+    def test_opposite_momenta_are_complex_conjugates(self, kind, n_sites):
+        # what lets even_sector_ground_state diagonalise only m <= L / 2
+        for parity in (0, 1):
+            blocks = _sectors(kind, n_sites, parity)
+            for m in range(1, len(blocks)):
+                assert np.max(np.abs(blocks[-m] - blocks[m].conj()), initial=0.0) <= 1e-13
+
+    @pytest.mark.parametrize("battery_kind, charger_kind, n_sites", PROTOCOLS)
+    def test_trace_matches_block_evolution(self, battery_kind, charger_kind, n_sites):
+        battery = build_hamiltonian(battery_kind, n_sites)
+        charger = build_hamiltonian(charger_kind, n_sites)
+        times = np.linspace(0.0, 30.0, 150)
+        trace = oracle_energy_trace(battery, charger, times)
+        h_b = _block(battery_kind, n_sites, 0)
+        vals, vecs = np.linalg.eigh(h_b)
+        w, qmat = np.linalg.eigh(_block(charger_kind, n_sites, 0))
+        coeff = qmat.T @ vecs[:, 0]
+        ref = [
+            float(np.real(psi.conj() @ h_b @ psi)) - vals[0]
+            for psi in (qmat @ (np.exp(-1j * w * t) * coeff) for t in times)
+        ]
+        assert np.max(np.abs(trace.values - ref)) <= 1e-12
+        psi0 = _ground(battery)
+        e0 = float(np.real(psi0.conj() @ kron_hamiltonian(battery_kind, n_sites) @ psi0))
+        assert e0 == pytest.approx(vals[0], abs=1e-10)
+
+    @pytest.mark.parametrize("n_sites", [6, 10])
+    def test_ground_pair_outside_zero_momentum_raises(self, n_sites):
+        # the lowest even states are a +-k pair; k = 0 alone holds a unique,
+        # higher minimum that a k = 0-only oracle would have returned
+        kind = DimerizedXY(0.6, 1.5)
+        zero = np.linalg.eigvalsh(_sector(kind, n_sites, 0, 0))
+        assert zero[1] - zero[0] > 1.0
+        assert zero[0] - _spectrum(kind, n_sites, (0,))[0] > 0.3
+        with pytest.raises(DegenerateGroundStateError, match="even-sector"):
+            even_sector_ground_state(build_hamiltonian(kind, n_sites))
+
+
 class TestEvenSectorGroundState:
     def test_parity_and_norm(self):
         for kind in (DimerizedXY(1.25, 0.3), TransverseIsing(0.8)):
-            ham = build_hamiltonian(kind, 6)
-            psi = embed_even(even_sector_ground_state(ham), 6)
+            psi = _ground(build_hamiltonian(kind, 6))
             assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
             parity = np.real(psi.conj() @ (parity_diagonal(6) * psi))
             assert parity == pytest.approx(1.0, abs=1e-12)
 
     def test_deep_paramagnet_polarized(self):
         # large +h sz/2 favors all spins down: the last basis state dominates
-        ham = build_hamiltonian(TransverseIsing(2.0), 4)
-        psi = even_sector_ground_state(ham)
+        psi = _ground(build_hamiltonian(TransverseIsing(2.0), 4))
         assert abs(psi[-1]) ** 2 > 0.9
 
     def test_ground_energy_pin(self):
         # even-sector ED energy equals the momentum-space ground energy:
         # this fixes every prefactor convention at once
-        ham = build_hamiltonian(DimerizedXY(1.25, 0.3), 4)
-        psi = even_sector_ground_state(ham)
-        e_ed = float(np.real(psi.conj() @ ham.matrix @ psi))
+        psi = _ground(build_hamiltonian(DimerizedXY(1.25, 0.3), 4))
+        e_ed = float(np.real(psi.conj() @ kron_hamiltonian(DimerizedXY(1.25, 0.3), 4) @ psi))
         assert e_ed == pytest.approx(ground_energy(ChainParams(1.25, 0.3, 2)), abs=1e-10)
 
     def test_degenerate_flat_band_raises(self):
@@ -157,6 +238,9 @@ class TestOracleTrace:
         b = build_hamiltonian(TransverseIsing(1.5), 6)
         with pytest.raises(ValueError):
             oracle_energy_trace(a, b, np.array([0.0]))
+        # the two models have different translation sectors
+        with pytest.raises(ValueError):
+            oracle_energy_trace(a, build_hamiltonian(DimerizedXY(1.25, 0.3), 4), np.array([0.0]))
 
     def test_conservation_laws(self):
         # evolve manually through the charger's spectral decomposition and
@@ -166,7 +250,7 @@ class TestOracleTrace:
         charger = build_hamiltonian(DimerizedXY(1.25, 0.9), 6)
         h_b = kron_hamiltonian(battery.kind, 6)
         h_c = kron_hamiltonian(charger.kind, 6)
-        psi0 = embed_even(even_sector_ground_state(battery), 6)
+        psi0 = _ground(battery)
         e0 = float(np.real(psi0.conj() @ h_b @ psi0))
         w, qmat = np.linalg.eigh(h_c)
         coeff = qmat.conj().T @ psi0
@@ -189,7 +273,7 @@ class TestOracleTrace:
         battery = build_hamiltonian(TransverseIsing(0.8), 6)
         charger = build_hamiltonian(TransverseIsing(1.5), 6)
         h_b = kron_hamiltonian(battery.kind, 6)
-        psi0 = embed_even(even_sector_ground_state(battery), 6)
+        psi0 = _ground(battery)
         e0 = float(np.real(psi0.conj() @ h_b @ psi0))
         w, qmat = np.linalg.eigh(kron_hamiltonian(charger.kind, 6))
         coeff = qmat.conj().T @ psi0

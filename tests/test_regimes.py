@@ -212,7 +212,7 @@ class TestSweeps:
             def map(self, func, jobs):
                 return map(func, jobs)
 
-        monkeypatch.setattr(regimes, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(regimes.os, "cpu_count", lambda: 4)
         for n_jobs, workers in ((3, 64), (8, 64), (8, 2), (1, 64)):
             jobs = list(range(-n_jobs, 0))

@@ -10,7 +10,7 @@ from spinbattery import (
     eigensystem_stack,
     ground_energy,
 )
-from spinbattery.ed import DimerizedXY, build_hamiltonian, even_sector_ground_state
+from spinbattery.ed import DimerizedXY, _sector, build_hamiltonian, even_sector_ground_state
 from spinbattery.xy import _bloch_entries, structure_constants
 
 # Frozen with a 50-digit mpmath evaluation of the closed-form structure
@@ -264,8 +264,8 @@ class TestGroundEnergy:
     def test_matches_even_sector_ed(self, n_sites):
         params = ChainParams(1.25, 0.3, n_sites // 2)
         ham = build_hamiltonian(DimerizedXY(1.25, 0.3), n_sites)
-        psi = even_sector_ground_state(ham)
-        e_ed = float(np.real(psi.conj() @ ham.matrix @ psi))
+        psi, m = even_sector_ground_state(ham)
+        e_ed = float(np.real(psi.conj() @ _sector(ham.kind, n_sites, 0, m) @ psi))
         assert ground_energy(params) == pytest.approx(e_ed, abs=1e-10)
 
 
