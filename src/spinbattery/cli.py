@@ -36,6 +36,7 @@ from .ed import (
 from .ising import IsingParams
 from .quench import QuenchProtocol, _build_trace, _uniform_times
 from .regimes import (
+    DEFAULT_SHORT_SPAN,
     DT_SAFETY,
     RegimeDetectionError,
     _engine,
@@ -369,6 +370,8 @@ def cmd_oracle_check(opts: dict) -> int:
         kinds = (TransverseIsing(opts["h0"]), TransverseIsing(opts["h0"] + opts["h1"]))
     check_oracle_size(kinds[0], n_sites, times.size)
     if opts["model"] == "xy":
+        if n_sites < 4:
+            raise ValueError(f"n-sites must be >= 4 for the XY engine's two dimers, got {n_sites}")
         params = QuenchProtocol(opts["gamma"], opts["delta0"], opts["delta1"], n_sites // 2)
     else:
         params = IsingParams(opts["h0"], opts["h1"], n_sites)
@@ -397,11 +400,11 @@ _COMMANDS = {
         "model": "xy", "out": None, "format": "csv", "workers": 1,
         "gamma": 1.1, "delta1": 0.8, "n_dimers": 300, "h1": 0.25, "n_sites": 600,
         "param_min": None, "param_max": None, "param_step": 0.005,
-        "t_short": 50.0, "window_min": None, "window_max": None,
+        "t_short": DEFAULT_SHORT_SPAN, "window_min": None, "window_max": None,
     }),
     "scaling": (cmd_scaling, "regime energies across system sizes", {
-        "out": None, "format": "csv", "workers": 1,
-        "gamma": 1.25, "delta0": 0.3, "delta1": 0.6, "n_list": "50,100,200,300", "t_short": 50.0,
+        "out": None, "format": "csv", "workers": 1, "gamma": 1.25, "delta0": 0.3,
+        "delta1": 0.6, "n_list": "50,100,200,300", "t_short": DEFAULT_SHORT_SPAN,
     }),
     "phase": (cmd_phase, "classify a point of the phase diagram", None),
     "snapshot": (cmd_snapshot, "occupation-number profile at a time", {

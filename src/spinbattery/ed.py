@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quench import EnergyTrace
+from .quench import EnergyTrace, _as_times
 
 __all__ = [
     "DimerizedXY",
@@ -261,13 +261,14 @@ def oracle_energy_trace(
     with parity and translation, so everything is done in that sector's
     block.  There, with the charger's H_C = Q diag(w) Q^+ and c = Q^+ psi(0),
     the amplitudes a(t) = c e^{-iwt} give dE(t) = a(t)^+ (Q^+ H_B Q) a(t) -
-    E_gs, one GEMM per block of times.  Raises
+    E_gs, one GEMM per block of times.  ``times`` must be a 1-D array of
+    finite values; negative ones are allowed.  Raises
     :class:`DegenerateGroundStateError` when the battery's even-sector ground
     state is degenerate.
     """
     if battery.n_sites != charger.n_sites or type(battery.kind) is not type(charger.kind):
         raise ValueError("battery and charger must be the same model on the same n_sites")
-    times = np.asarray(times, dtype=float)
+    times = _as_times(times)
     psi0, m_star = even_sector_ground_state(battery)
     hb = _sector(battery.kind, battery.n_sites, 0, m_star)
     e0 = float(np.real(psi0.conj() @ hb @ psi0))

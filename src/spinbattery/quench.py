@@ -190,16 +190,26 @@ def _occupation_tables(protocol: QuenchProtocol):
 # scaffolding shared with the Ising closed form
 # ----------------------------------------------------------------------
 
+def _as_times(times) -> np.ndarray:
+    """``times`` as a float array; ValueError unless it is 1-D and finite."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"times must be a 1-D array, got shape {times.shape}")
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
+    return times
+
+
 def _mode_sum_at_times(times, contrib, width: int) -> np.ndarray:
     """Sum the per-mode terms ``contrib(chunk)``, shape (modes, chunk), over modes.
 
-    Times must be >= 0.  ``width`` is the number of float64 temporaries the
-    kernel makes per sample; times are processed in blocks sized from it
-    to bound them, and modes are reduced in ascending-q order with
-    compensated accumulation, so the result is independent of how the
-    per-mode work was scheduled.
+    Times must be a 1-D array of finite values >= 0.  ``width`` is the number
+    of float64 temporaries the kernel makes per sample; times are processed
+    in blocks sized from it to bound them, and modes are reduced in
+    ascending-q order with compensated accumulation, so the result is
+    independent of how the per-mode work was scheduled.
     """
-    times = np.asarray(times, dtype=float)
+    times = _as_times(times)
     if times.size and float(np.min(times)) < 0:
         raise ValueError("times must be >= 0")
     block = max(1, min(_TIME_BLOCK, _BLOCK_ELEMENTS // width))
@@ -258,6 +268,7 @@ def occupations_all(protocol: QuenchProtocol, t: float) -> np.ndarray:
 
     Shape (n_dimers, 2); row i is the mode q = i + 1/2.
     """
+    _check_finite(t=t)
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     freqs, const, cos_a, sin_b = _occupation_tables(protocol)

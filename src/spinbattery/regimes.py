@@ -14,7 +14,6 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -150,12 +149,14 @@ def find_short_time_max(trace: EnergyTrace) -> tuple[float, float]:
 def find_recurrence(
     trace: EnergyTrace, window: tuple[float, float]
 ) -> tuple[float, float]:
-    """Windowed maximum of the trace, parabolically refined."""
+    """Windowed maximum of the trace, parabolically refined; warns if it sits on an edge."""
     t_min, t_max = window
     idx = np.nonzero((trace.times >= t_min) & (trace.times <= t_max))[0]
     if idx.size == 0:
         raise ValueError(f"window {window} contains no trace samples")
-    return _windowed_argmax(trace.times, trace.values, idx[0], idx[-1] + 1)
+    tau_r, e_r, on_edge = _windowed_argmax(trace.times, trace.values, idx[0], idx[-1] + 1)
+    _warn_edge_hits([on_edge])
+    return tau_r, e_r
 
 
 def analyze_trace(
@@ -183,16 +184,23 @@ def occupation_snapshot(protocol: QuenchProtocol, t: float) -> list[tuple[float,
 
 def _windowed_argmax(
     times: np.ndarray, values: np.ndarray, lo: int = 0, hi: int | None = None
-) -> tuple[float, float]:
-    """Maximum over samples lo..hi-1, refined with the neighbours outside them."""
+) -> tuple[float, float, bool]:
+    """(tau, e, on_edge) of the maximum over samples lo..hi-1, refined with the
+    neighbours outside them; on_edge if it is sample lo or hi-1.  Never warns.
+    """
     hi = len(values) if hi is None else hi
     j = lo + int(np.argmax(values[lo:hi]))
-    if j == lo or j == hi - 1:
-        warnings.warn(
-            "recurrence maximum sits on a window edge; the window is likely misplaced",
-            RecurrenceWindowWarning,
-        )
-    return _refine_parabolic(times, values, j)
+    return (*_refine_parabolic(times, values, j), j in (lo, hi - 1))
+
+
+def _warn_edge_hits(on_edge) -> None:
+    """One RecurrenceWindowWarning per true flag, in order."""
+    for hit in on_edge:
+        if hit:
+            warnings.warn(
+                "recurrence maximum sits on a window edge; the window is likely misplaced",
+                RecurrenceWindowWarning,
+            )
 
 
 def _first_strict_max(
@@ -216,8 +224,8 @@ def _engine(params):
     return energy_at_times, asymptotic_energy, resolution_bound
 
 
-def _regime_point(args) -> tuple[float, float, float, float, float]:
-    """(tau_s, e_s, e_inf, tau_r, e_r) of one XY protocol or Ising parameter set."""
+def _regime_point(args) -> tuple[float, float, float, float, float, bool]:
+    """(tau_s, e_s, e_inf, tau_r, e_r, on_edge) of one XY or Ising parameter set; never warns."""
     params, t_short, window = args
     energy, asymptote, resolution = _engine(params)
     bound = resolution(params)
@@ -226,22 +234,15 @@ def _regime_point(args) -> tuple[float, float, float, float, float]:
     floor = _noise_floor(params)
     tau_s, e_s = _first_strict_max(short_times, energy(params, short_times), floor)
     win_times = window[0] + _uniform_times(window[1] - window[0], dt, bound)
-    tau_r, e_r = _windowed_argmax(win_times, energy(params, win_times))
-    return tau_s, e_s, asymptote(params), tau_r, e_r
-
-
-def _recording_warnings(func, job):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = func(job)
-    return result, [(w.category, str(w.message)) for w in caught]
+    tau_r, e_r, on_edge = _windowed_argmax(win_times, energy(params, win_times))
+    return tau_s, e_s, asymptote(params), tau_r, e_r, on_edge
 
 
 def _map_ordered(func, jobs: list, workers: int) -> list:
     """[func(job) for job in jobs], over a process pool when workers > 1.
 
-    Warnings raised in pool workers are re-issued here, in job order, so the
-    caller's filters and formatting apply whatever the start method.
+    ``func`` returns everything the caller needs as data: a pool worker's
+    warnings and other side effects never reach the caller.
     """
     # A fork pool starts all its processes up front, used or not.
     workers = min(workers, len(jobs), os.cpu_count() or 1)
@@ -251,11 +252,7 @@ def _map_ordered(func, jobs: list, workers: int) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        outputs = list(pool.map(partial(_recording_warnings, func), jobs))
-    for _, caught in outputs:
-        for category, message in caught:
-            warnings.warn(message, category)
-    return [result for result, _ in outputs]
+        return list(pool.map(func, jobs))
 
 
 def _sweep_rows(grid, protocols, size, workers, t_short, window):
@@ -264,6 +261,7 @@ def _sweep_rows(grid, protocols, size, workers, t_short, window):
         raise ValueError(f"recurrence window {window} is empty")
     jobs = [(p, t_short, window) for p in protocols]
     points = _map_ordered(_regime_point, jobs, workers)
+    _warn_edge_hits(point[-1] for point in points)
     return [
         SweepRow(
             param=x,
@@ -273,7 +271,7 @@ def _sweep_rows(grid, protocols, size, workers, t_short, window):
             tau_s=tau_s,
             tau_r=tau_r,
         )
-        for x, (tau_s, e_s, e_inf, tau_r, e_r) in zip(grid, points)
+        for x, (tau_s, e_s, e_inf, tau_r, e_r, _) in zip(grid, points)
     ]
 
 
@@ -333,6 +331,7 @@ def scaling_study(
     protocols = [QuenchProtocol(gamma, delta0, delta1, n) for n in sizes]
     jobs = [(p, t_short, default_recurrence_window(p.n_dimers)) for p in protocols]
     points = _map_ordered(_regime_point, jobs, workers)
+    _warn_edge_hits(point[-1] for point in points)
     return [
         ScalingRow(
             n_dimers=n,
@@ -341,7 +340,7 @@ def scaling_study(
             e_inf_per=e_inf / n,
             tau_r=tau_r,
         )
-        for n, (tau_s, e_s, e_inf, tau_r, e_r) in zip(sizes, points)
+        for n, (tau_s, e_s, e_inf, tau_r, e_r, _) in zip(sizes, points)
     ]
 
 

@@ -55,11 +55,7 @@ class ChainParams:
     n_dimers: int
 
     def __post_init__(self):
-        _check_parameters(gamma=self.gamma, delta=self.delta)
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if self.delta < 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
+        _check_point(self.gamma, self.delta)
         _check_size("n_dimers", self.n_dimers)
 
     @property
@@ -101,6 +97,15 @@ def _check_parameters(**values: float) -> None:
             raise ValueError(
                 f"{name} must be at most {MAX_PARAMETER:.0e} in magnitude, got {value}"
             )
+
+
+def _check_point(gamma: float, delta: float) -> None:
+    """Reject a (gamma, delta) point off the XY plane gamma > 0, delta >= 0."""
+    _check_parameters(gamma=gamma, delta=delta)
+    if not gamma > 0:
+        raise ValueError(f"gamma must be > 0, got {gamma}")
+    if delta < 0:
+        raise ValueError(f"delta must be >= 0, got {delta}")
 
 
 def _check_size(name: str, n: int) -> None:
@@ -220,11 +225,7 @@ def classify_phase(gamma: float, delta: float) -> Phase:
     |g^2 d^2 - 1| <= 1e-12 or |d^2 - g^2| <= 1e-12; at the multicritical
     point gamma = delta = 1 both hold and CRITICAL_GAMMA_DELTA is reported.
     """
-    _check_parameters(gamma=gamma, delta=delta)
-    if not gamma > 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    _check_point(gamma, delta)
     if abs(gamma**2 * delta**2 - 1.0) <= CRITICAL_TOL:
         return Phase.CRITICAL_GAMMA_DELTA
     if abs(delta**2 - gamma**2) <= CRITICAL_TOL:

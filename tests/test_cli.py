@@ -136,6 +136,7 @@ class TestTrace:
             (["trace", "--delta0", "-0.1", "--n-dimers", "10"], "delta0 must be >= 0"),
             (["trace", "--delta0", "6e5", "--delta1", "6e5", "--n-dimers", "10"],
              "delta0 + delta1 must be at most 1e+06 in magnitude"),
+            (["oracle-check", "--n-sites", "2"], "n-sites must be >= 4 for the XY engine"),
         ],
     )
     def test_bad_number_exits_2_and_names_it(self, capsys, args, message):
@@ -322,7 +323,7 @@ def test_odd_ising_ring_with_a_vanishing_zone_edge_mode(tmp_path, monkeypatch, c
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_warnings_print_one_line_without_source_location(tmp_path, workers):
     # the recurrence maximum of this sweep sits on the window edge; with two
-    # workers the warning is raised in a pool process
+    # workers its row is computed in a pool process and the caller warns
     path = os.pathsep.join(os.path.abspath(p) for p in sys.path if p)
     proc = subprocess.run(
         [sys.executable, "-m", "spinbattery.cli", "sweep", "--n-dimers", "40",

@@ -242,6 +242,28 @@ class TestOracleTrace:
         with pytest.raises(ValueError):
             oracle_energy_trace(a, build_hamiltonian(DimerizedXY(1.25, 0.3), 4), np.array([0.0]))
 
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            ([np.nan], "times must be finite"),
+            ([0.0, np.inf], "times must be finite"),
+            (1.0, "times must be a 1-D array"),
+            ([[0.0, 1.0]], "times must be a 1-D array"),
+        ],
+    )
+    def test_rejects_bad_times(self, times, message):
+        battery = build_hamiltonian(TransverseIsing(0.5), 4)
+        charger = build_hamiltonian(TransverseIsing(1.5), 4)
+        with pytest.raises(ValueError, match=message):
+            oracle_energy_trace(battery, charger, times)
+
+    def test_negative_times_evolve_backwards(self):
+        # the spin Hamiltonians are real and the ground state unique, so dE(-t) = dE(t)
+        battery = build_hamiltonian(DimerizedXY(1.25, 0.3), 6)
+        charger = build_hamiltonian(DimerizedXY(1.25, 0.9), 6)
+        values = oracle_energy_trace(battery, charger, np.array([-2.0, -1.0, 1.0, 2.0])).values
+        assert np.allclose(values, values[::-1], atol=1e-12)
+
     def test_conservation_laws(self):
         # evolve manually through the charger's spectral decomposition and
         # confirm what oracle_energy_trace relies on: unit norm, even parity,

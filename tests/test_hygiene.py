@@ -59,6 +59,19 @@ def test_all_entries_resolve(module):
     assert missing == []
 
 
+def test_package_all_is_the_modules_all():
+    # each module's __all__ is its one list of public names; the package republishes them
+    import spinbattery
+    from spinbattery import RecurrenceWindowWarning, check_oracle_size, ising_resolution_bound
+
+    names = ("ed", "ising", "quench", "regimes", "xy")
+    modules = [importlib.import_module(f"spinbattery.{name}") for name in names]
+    assert spinbattery.__all__ == [name for mod in modules for name in mod.__all__]
+    assert RecurrenceWindowWarning is spinbattery.regimes.RecurrenceWindowWarning
+    assert check_oracle_size is spinbattery.ed.check_oracle_size
+    assert ising_resolution_bound is spinbattery.ising.ising_resolution_bound
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_star_import(module):
     target = "spinbattery" if module == "__init__" else f"spinbattery.{module}"

@@ -156,6 +156,11 @@ class TestOccupations:
         with pytest.raises(ValueError):
             occupations_all(QuenchProtocol(1.0, 0.3, 0.1, 4), -1.0)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            occupations_all(QuenchProtocol(1.0, 0.3, 0.1, 4), t)
+
 
 class TestQuadrupleSum:
     def test_printed_form_matches_engine(self):
@@ -224,6 +229,29 @@ class TestEnergyStored:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             energy_stored(FIG2, -0.5)
+
+    @pytest.mark.parametrize(
+        "energy, params",
+        [
+            (energy_at_times, QuenchProtocol(1.25, 0.3, 0.6, 4)),
+            (ising_energy_at_times, IsingParams(0.8, 0.7, 8)),
+        ],
+        ids=["xy", "ising"],
+    )
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            ([np.nan], "times must be finite"),
+            ([np.inf], "times must be finite"),
+            ([1.0, -np.inf], "times must be finite"),
+            ([-0.5, 1.0], "times must be >= 0"),
+            (1.0, r"times must be a 1-D array, got shape \(\)"),
+            ([[0.0, 1.0]], r"times must be a 1-D array, got shape \(1, 2\)"),
+        ],
+    )
+    def test_rejects_bad_times(self, energy, params, times, message):
+        with pytest.raises(ValueError, match=message):
+            energy(params, times)
 
     def test_rejects_unknown_evaluator(self):
         with pytest.raises(ValueError):

@@ -33,11 +33,6 @@ from spinbattery.regimes import (
 )
 
 
-def _square_with_warning(x):
-    warnings.warn(f"job {x}", RecurrenceWindowWarning)
-    return x * x
-
-
 def _synthetic_trace(times, values):
     return EnergyTrace(
         times=np.asarray(times, dtype=float),
@@ -222,14 +217,20 @@ class TestSweeps:
         assert sizes == [3, 4, 2]
 
     def test_pool_worker_warnings_reach_the_caller(self, monkeypatch):
-        # Workers keep their own warning state, whatever the start method;
-        # what they raise is re-issued in the caller, in job order.
+        # delta0 = 0.1 puts the recurrence maximum on the edge of [80, 100] at
+        # 40 dimers and 0.05 does not: a real two-worker pool gives the caller
+        # the same rows and the same window-edge warnings, in row order, as
+        # one worker.
         monkeypatch.setattr(regimes.os, "cpu_count", lambda: 2)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert regimes._map_ordered(_square_with_warning, [3, 1, 2], 2) == [9, 1, 4]
-        assert [str(w.message) for w in caught] == ["job 3", "job 1", "job 2"]
-        assert all(w.category is RecurrenceWindowWarning for w in caught)
+        seen = []
+        for workers in (1, 2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rows = sweep_delta0(1.1, 0.8, 40, [0.1, 0.05, 0.1], workers=workers,
+                                    window=(80.0, 100.0))
+            seen.append((rows, [(w.category, str(w.message)) for w in caught]))
+        assert seen[0] == seen[1]
+        assert [category for category, _ in seen[0][1]] == [RecurrenceWindowWarning] * 2
 
 
 class TestScalingStudy:
