@@ -23,7 +23,7 @@ import numpy as np
 from .quench import (
     EnergyTrace,
     _build_trace,
-    _check_work,
+    _engine_times,
     _lock,
     _mode_sum_at_times,
     _resolution_bound,
@@ -79,7 +79,7 @@ def _mode_arrays(params: IsingParams):
 
 def ising_energy_at_times(params: IsingParams, times: np.ndarray) -> np.ndarray:
     """Stored energy on an arbitrary grid of times >= 0."""
-    _check_work("n_sites", params.n_sites, times)
+    times = _engine_times("n_sites", params.n_sites, times)
     omega, amp = _mode_arrays(params)
     a, w2 = amp[:, None], 2.0 * omega[:, None]
     return _mode_sum_at_times(times, lambda chunk: a * (1.0 - np.cos(w2 * chunk)), amp.size)

@@ -200,33 +200,36 @@ def _as_times(times) -> np.ndarray:
     return times
 
 
-def _mode_sum_at_times(times, contrib, width: int) -> np.ndarray:
+def _engine_times(size_name: str, modes: int, times) -> np.ndarray:
+    """``times`` as a float array, checked before any per-mode table is built.
+
+    ValueError unless it is 1-D, finite and >= 0 and modes x len(times) fits MAX_MODE_SAMPLES.
+    """
+    times = _as_times(times)
+    if times.size and float(np.min(times)) < 0:
+        raise ValueError("times must be >= 0")
+    if modes * times.size > MAX_MODE_SAMPLES:
+        raise ValueError(
+            f"{size_name}={modes} x {times.size} samples exceeds the engine's work budget "
+            f"of {MAX_MODE_SAMPLES:.0e} mode-samples; raise dt or lower {size_name}"
+        )
+    return times
+
+
+def _mode_sum_at_times(times: np.ndarray, contrib, width: int) -> np.ndarray:
     """Sum the per-mode terms ``contrib(chunk)``, shape (modes, chunk), over modes.
 
-    Times must be a 1-D array of finite values >= 0.  ``width`` is the number
+    ``times`` comes from :func:`_engine_times`.  ``width`` is the number
     of float64 temporaries the kernel makes per sample; times are processed
     in blocks sized from it to bound them, and modes are reduced in
     ascending-q order with compensated accumulation, so the result is
     independent of how the per-mode work was scheduled.
     """
-    times = _as_times(times)
-    if times.size and float(np.min(times)) < 0:
-        raise ValueError("times must be >= 0")
     block = max(1, min(_TIME_BLOCK, _BLOCK_ELEMENTS // width))
     out = np.empty(times.size, dtype=float)
     for lo in range(0, times.size, block):
         out[lo : lo + block] = compensated_sum_axis0(contrib(times[lo : lo + block]))
     return out
-
-
-def _check_work(size_name: str, modes: int, times) -> None:
-    """Reject ``modes`` x ``len(times)`` above MAX_MODE_SAMPLES, naming the size."""
-    samples = np.size(times)
-    if modes * samples > MAX_MODE_SAMPLES:
-        raise ValueError(
-            f"{size_name}={modes} x {samples} samples exceeds the engine's work budget "
-            f"of {MAX_MODE_SAMPLES:.0e} mode-samples; raise dt or lower {size_name}"
-        )
 
 
 def _resolution_bound(fmax: float) -> float:
@@ -297,7 +300,7 @@ def energy_at_times(
     """
     if evaluator not in ("full", "simplified"):
         raise ValueError(f"evaluator must be 'full' or 'simplified', got {evaluator!r}")
-    _check_work("n_dimers", protocol.n_dimers, times)
+    times = _engine_times("n_dimers", protocol.n_dimers, times)
     freqs, e_const, e_cos, e_sin = _energy_tables(protocol)
 
     def contrib(chunk):

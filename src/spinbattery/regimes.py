@@ -155,7 +155,7 @@ def find_recurrence(
     if idx.size == 0:
         raise ValueError(f"window {window} contains no trace samples")
     tau_r, e_r, on_edge = _windowed_argmax(trace.times, trace.values, idx[0], idx[-1] + 1)
-    _warn_edge_hits([on_edge])
+    _warn_edge_hits([""] if on_edge else [])
     return tau_r, e_r
 
 
@@ -193,14 +193,13 @@ def _windowed_argmax(
     return (*_refine_parabolic(times, values, j), j in (lo, hi - 1))
 
 
-def _warn_edge_hits(on_edge) -> None:
-    """One RecurrenceWindowWarning per true flag, in order."""
-    for hit in on_edge:
-        if hit:
-            warnings.warn(
-                "recurrence maximum sits on a window edge; the window is likely misplaced",
-                RecurrenceWindowWarning,
-            )
+def _warn_edge_hits(rows) -> None:
+    """One RecurrenceWindowWarning per row label (e.g. " of row 2 (delta0 = 0.1)"), in order."""
+    for row in rows:
+        warnings.warn(
+            f"recurrence maximum{row} sits on a window edge; the window is likely misplaced",
+            RecurrenceWindowWarning,
+        )
 
 
 def _first_strict_max(
@@ -215,22 +214,26 @@ def _first_strict_max(
 
 
 def _engine(params):
-    """(energy_at_times, asymptotic_energy, resolution_bound) for the model of ``params``.
+    """The engine functions, size and default recurrence window of ``params``.
 
-    The only place that picks engine functions by model; names resolve per call.
+    Returns (energy_at_times, asymptotic_energy, resolution_bound, size,
+    window), the size being n_dimers (XY) or n_sites (Ising).  The only
+    place that tells the models apart; names resolve per call.
     """
     if isinstance(params, IsingParams):
-        return ising_energy_at_times, ising_asymptotic_energy, ising_resolution_bound
-    return energy_at_times, asymptotic_energy, resolution_bound
+        return (ising_energy_at_times, ising_asymptotic_energy, ising_resolution_bound,
+                params.n_sites, ising_recurrence_window(params.n_sites))
+    return (energy_at_times, asymptotic_energy, resolution_bound,
+            params.n_dimers, default_recurrence_window(params.n_dimers))
 
 
 def _regime_point(args) -> tuple[float, float, float, float, float, bool]:
     """(tau_s, e_s, e_inf, tau_r, e_r, on_edge) of one XY or Ising parameter set; never warns."""
-    params, t_short, window = args
-    energy, asymptote, resolution = _engine(params)
+    params, window = args
+    energy, asymptote, resolution, _, _ = _engine(params)
     bound = resolution(params)
     dt = DT_SAFETY * bound
-    short_times = _uniform_times(t_short, dt, bound)
+    short_times = _uniform_times(DEFAULT_SHORT_SPAN, dt, bound)
     floor = _noise_floor(params)
     tau_s, e_s = _first_strict_max(short_times, energy(params, short_times), floor)
     win_times = window[0] + _uniform_times(window[1] - window[0], dt, bound)
@@ -255,23 +258,22 @@ def _map_ordered(func, jobs: list, workers: int) -> list:
         return list(pool.map(func, jobs))
 
 
-def _sweep_rows(grid, protocols, size, workers, t_short, window):
-    """One SweepRow per grid value, energies divided by the system size."""
-    if not window[0] < window[1]:
+def _sweep_rows(name, grid, params, workers, window=None):
+    """One SweepRow per grid value of ``name``, energies divided by the system size.
+
+    Each row's recurrence is searched in ``window``, or else in its default window.
+    """
+    if window is not None and not window[0] < window[1]:
         raise ValueError(f"recurrence window {window} is empty")
-    jobs = [(p, t_short, window) for p in protocols]
+    sized = [_engine(p)[3:] for p in params]  # (size, default window)
+    jobs = [(p, window or default) for p, (_, default) in zip(params, sized)]
     points = _map_ordered(_regime_point, jobs, workers)
-    _warn_edge_hits(point[-1] for point in points)
+    _warn_edge_hits(
+        f" of row {i} ({name} = {x})" for i, (x, point) in enumerate(zip(grid, points)) if point[-1]
+    )
     return [
-        SweepRow(
-            param=x,
-            e_s_per=e_s / size,
-            e_r_per=e_r / size,
-            e_inf_per=e_inf / size,
-            tau_s=tau_s,
-            tau_r=tau_r,
-        )
-        for x, (tau_s, e_s, e_inf, tau_r, e_r, _) in zip(grid, points)
+        SweepRow(x, e_s / size, e_r / size, e_inf / size, tau_s, tau_r)
+        for x, (size, _), (tau_s, e_s, e_inf, tau_r, e_r, _) in zip(grid, sized, points)
     ]
 
 
@@ -282,7 +284,6 @@ def sweep_delta0(
     delta0_grid,
     *,
     workers: int = 1,
-    t_short: float = DEFAULT_SHORT_SPAN,
     window: tuple[float, float] | None = None,
 ) -> list[SweepRow]:
     """Regime energies per dimer across a grid of initial dimerizations.
@@ -294,9 +295,8 @@ def sweep_delta0(
     grid = [float(d) for d in delta0_grid]
     if any(d <= 0 or d + delta1 <= 0 for d in grid):
         raise ValueError("delta0 and delta0 + delta1 must stay positive on the grid")
-    win = default_recurrence_window(n_dimers) if window is None else window
     protocols = [QuenchProtocol(gamma, d0, delta1, n_dimers) for d0 in grid]
-    return _sweep_rows(grid, protocols, n_dimers, workers, t_short, win)
+    return _sweep_rows("delta0", grid, protocols, workers, window)
 
 
 def sweep_field(
@@ -305,14 +305,12 @@ def sweep_field(
     h0_grid,
     *,
     workers: int = 1,
-    t_short: float = DEFAULT_SHORT_SPAN,
     window: tuple[float, float] | None = None,
 ) -> list[SweepRow]:
     """Ising analogue of :func:`sweep_delta0`, normalized per site."""
     grid = [float(h0) for h0 in h0_grid]
-    win = ising_recurrence_window(n_sites) if window is None else window
     params = [IsingParams(h0, h1, n_sites) for h0 in grid]
-    return _sweep_rows(grid, params, n_sites, workers, t_short, win)
+    return _sweep_rows("h0", grid, params, workers, window)
 
 
 def scaling_study(
@@ -322,26 +320,14 @@ def scaling_study(
     n_list,
     *,
     workers: int = 1,
-    t_short: float = DEFAULT_SHORT_SPAN,
 ) -> list[ScalingRow]:
     """Per-dimer regime energies and recurrence time across system sizes."""
     sizes = [int(n) for n in n_list]
     if any(n < 5 for n in sizes):
         raise ValueError("scaling sizes below n_dimers = 5 show no regime structure")
     protocols = [QuenchProtocol(gamma, delta0, delta1, n) for n in sizes]
-    jobs = [(p, t_short, default_recurrence_window(p.n_dimers)) for p in protocols]
-    points = _map_ordered(_regime_point, jobs, workers)
-    _warn_edge_hits(point[-1] for point in points)
-    return [
-        ScalingRow(
-            n_dimers=n,
-            e_s_per=e_s / n,
-            e_r_per=e_r / n,
-            e_inf_per=e_inf / n,
-            tau_r=tau_r,
-        )
-        for n, (tau_s, e_s, e_inf, tau_r, e_r, _) in zip(sizes, points)
-    ]
+    rows = _sweep_rows("n_dimers", sizes, protocols, workers)
+    return [ScalingRow(n, r.e_s_per, r.e_r_per, r.e_inf_per, r.tau_r) for n, r in zip(sizes, rows)]
 
 
 def linear_fit(x, y) -> tuple[float, float, float]:

@@ -107,7 +107,8 @@ class TestTrace:
             (["sweep", "--param-min", "0.1", "--param-max", "inf"], "param_max must be finite"),
             (["sweep", "--param-min", "nan", "--param-max", "0.2"], "param_min must be finite"),
             (["snapshot", "--time", "nan"], "time must be finite"),
-            (["scaling", "--t-short", "inf"], "t_short must be finite"),
+            (["sweep", "--param-min", "0.1", "--param-max", "0.2", "--window-max", "nan"],
+             "window_max must be finite"),
             (["oracle-check", "--tol", "nan"], "tol must be finite"),
             (["trace", "--dt", "1e-9", "--t-end", "1e3"], "dt=1e-09 puts more than"),
             (["sweep", "--param-min", "0.05", "--param-max", "0.4", "--param-step", "1e-12"],
@@ -270,6 +271,13 @@ class TestOracleCheck:
     def test_impossible_tolerance_exits_4(self):
         assert run_cli(["oracle-check", "--t-end", "5", "--tol", "1e-18"]) == 4
 
+    def test_tolerance_is_relative_to_the_trace_scale(self, capsys):
+        # energies near 1e3 carry a float64 rounding deviation of ~3e-8, which
+        # passes tol x max|dE|; a zero tolerance still fails
+        assert run_cli(["oracle-check", "--gamma", "1000"]) == 0
+        assert "max deviation = 2.86" in capsys.readouterr().out
+        assert run_cli(["oracle-check", "--gamma", "1000", "--tol", "0"]) == 4
+
     def test_odd_sites_xy_exits_2(self):
         assert run_cli(["oracle-check", "--n-sites", "5"]) == 2
 
@@ -338,7 +346,37 @@ def test_warnings_print_one_line_without_source_location(tmp_path, workers):
     assert all(line.startswith("warning: ") for line in proc.stderr.splitlines())
 
 
+def test_sweep_prints_one_line_per_window_edge_row(tmp_path):
+    # rows 0 and 2 (delta0 = 0.1) sit on the edge of [80, 100] at 40 dimers,
+    # row 1 does not; the default warning filter prints both edge rows
+    path = os.pathsep.join(os.path.abspath(p) for p in sys.path if p)
+    script = (
+        "from spinbattery import sweep_delta0\n"
+        "sweep_delta0(1.1, 0.8, 40, [0.1, 0.05, 0.1], window=(80.0, 100.0))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0
+    lines = [line for line in proc.stderr.splitlines() if "RecurrenceWindowWarning" in line]
+    assert len(lines) == 2
+    assert "row 0 (delta0 = 0.1)" in lines[0] and "row 2 (delta0 = 0.1)" in lines[1]
+
+
 class TestConfigFile:
+    def test_retired_t_short_exits_2(self, tmp_path, capsys):
+        # the first-maximum search span is fixed; neither a flag nor a key sets it
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["scaling", "--t-short", "50"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --t-short" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t-short = 50\n")
+        assert run_cli(["sweep", "--config", str(cfg), "--param-min", "0.1",
+                        "--param-max", "0.2", "--out", str(tmp_path / "s.csv")]) == 2
+        assert "unknown config keys: t_short" in capsys.readouterr().err
+
     def test_config_provides_values_flags_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

@@ -257,6 +257,16 @@ class TestOracleTrace:
         with pytest.raises(ValueError, match=message):
             oracle_energy_trace(battery, charger, times)
 
+    @pytest.mark.parametrize("kind", [DimerizedXY(1.25, 0.3), TransverseIsing(0.8)])
+    def test_work_budget_is_checked_before_any_diagonalisation(self, monkeypatch, kind):
+        def no_sector(*args):
+            raise AssertionError("a sector was built")
+
+        monkeypatch.setattr(ed, "_sector", no_sector)
+        ham = build_hamiltonian(kind, 14)
+        with pytest.raises(ValueError, match="100000 samples on the 14-site oracle"):
+            oracle_energy_trace(ham, ham, 0.1 * np.arange(10**5))
+
     def test_negative_times_evolve_backwards(self):
         # the spin Hamiltonians are real and the ground state unique, so dE(-t) = dE(t)
         battery = build_hamiltonian(DimerizedXY(1.25, 0.3), 6)

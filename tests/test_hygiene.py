@@ -242,3 +242,19 @@ def test_every_cli_option_is_read():
         read = set().union(*(_opts_keys(functions[name]) for name in helpers | {func.__name__}))
         unread += [f"{command} --{name}" for name in defaults or () if name not in read]
     assert unread == []
+
+
+def test_readme_option_table_lists_each_commands_options():
+    # the README's "| subcommand | options |" table names exactly the long
+    # options of each subcommand (--config aside, which every one but phase takes)
+    text = (ROOT / "README.md").read_text()
+    table = text.split("| subcommand | options |", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for line in table.splitlines()[2:]:
+        command, options = re.match(r"\| `([a-z-]+)` \| (.*) \|$", line).groups()
+        listed[command] = set(re.findall(r"`(--[a-z0-9-]+)", options))
+    expected = {
+        command: {"--" + name.replace("_", "-") for name in defaults or ()}
+        for command, (_, _, defaults) in _COMMANDS.items()
+    }
+    assert listed == expected

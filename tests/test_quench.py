@@ -291,6 +291,22 @@ class TestEnergyTrace:
             energy(params, times)
         assert tables.cache_info().misses == misses
 
+    @pytest.mark.parametrize(
+        "energy, params, tables",
+        [
+            (energy_at_times, QuenchProtocol(1.25, 0.3, 0.6, 50), _mode_data),
+            (ising_energy_at_times, IsingParams(0.8, 0.7, 50), _mode_arrays),
+        ],
+        ids=["xy", "ising"],
+    )
+    @pytest.mark.parametrize("times", [[np.nan], [-0.5], [[0.0, 1.0]]], ids=["nan", "neg", "2d"])
+    def test_bad_times_are_rejected_before_the_tables(self, energy, params, tables, times):
+        # a fresh protocol: a table build would show as a cache miss
+        tables.cache_clear()
+        with pytest.raises(ValueError, match="times must"):
+            energy(params, times)
+        assert tables.cache_info().misses == 0
+
     def test_default_budget_keeps_full_blocks_up_to_600_modes(self):
         assert quench._BLOCK_ELEMENTS // (600 * 4) >= quench._TIME_BLOCK
 

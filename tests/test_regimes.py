@@ -247,6 +247,15 @@ class TestScalingStudy:
         # short-time and asymptotic densities are already size converged
         assert rows[0].e_inf_per == pytest.approx(rows[1].e_inf_per, rel=1e-3)
 
+    def test_rows_are_sweep_rows(self):
+        # one row path: a scaling row is the one-point delta0 sweep at its size
+        rows = scaling_study(1.25, 0.3, 0.6, [20, 30])
+        for row in rows:
+            (sweep,) = sweep_delta0(1.25, 0.6, row.n_dimers, [0.3])
+            assert (row.e_s_per, row.e_r_per, row.e_inf_per, row.tau_r) == (
+                sweep.e_s_per, sweep.e_r_per, sweep.e_inf_per, sweep.tau_r
+            )
+
     def test_first_maximum_time_does_not_grow_with_size(self):
         taus = []
         for n_dimers in (20, 40):
