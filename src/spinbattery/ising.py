@@ -11,6 +11,17 @@ with k = 2 pi q / N over the half-integer set {1/2, ..., N - 1/2},
 eps_q the dispersion at h0 and w_q the dispersion at h0 + h1.  The
 Bogoliubov angles, (sin 2theta, cos 2theta) = (sin k, h - cos k) / eps_q,
 enter only through this amplitude, which is eps_q sin^2(2theta' - 2theta) / 2.
+
+``ising_energy_at_times`` evaluates the sum with the phase-block kernel of
+``quench`` (``_phase_block_sum``): on a uniform grid of T times it takes
+about 4 sqrt(T) sines and cosines per mode and one matrix product, instead
+of a cosine per mode and sample.  It matches the mode-by-mode sum, exactly
+rounded over modes, to within 1e-12 max(1, E^inf) up to t = 10^3, a bound
+that grows in proportion to t past it with the rounding of the phases
+2 w_q t.  A trace and pointwise calls at its times therefore agree to that
+tolerance, not bit for bit.  A result depends only on the parameters, the
+time grid and the BLAS thread count (to 7e-16 relative), so it is the same
+for any worker count.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from .quench import (
     _build_trace,
     _engine_times,
     _lock,
-    _mode_sum_at_times,
+    _phase_block_sum,
     _resolution_bound,
 )
 from .sums import compensated_sum
@@ -81,8 +92,7 @@ def ising_energy_at_times(params: IsingParams, times: np.ndarray) -> np.ndarray:
     """Stored energy on an arbitrary grid of times >= 0."""
     times = _engine_times("n_sites", params.n_sites, times)
     omega, amp = _mode_arrays(params)
-    a, w2 = amp[:, None], 2.0 * omega[:, None]
-    return _mode_sum_at_times(times, lambda chunk: a * (1.0 - np.cos(w2 * chunk)), amp.size)
+    return _phase_block_sum(times, amp, 2.0 * omega)
 
 
 def ising_energy_stored(params: IsingParams, t: float) -> float:

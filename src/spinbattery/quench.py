@@ -24,6 +24,7 @@ with it to rounding and needs no path of its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -65,10 +66,15 @@ MAX_SAMPLES = 10**7
 # call; checked before any per-mode table is built.
 MAX_MODE_SAMPLES = 10**9
 
-# A kernel block holds at most _TIME_BLOCK times and _BLOCK_ELEMENTS floats per
-# temporary; up to 600 XY modes (2400 floats per time) that allows 4096 times.
+# An XY kernel block holds at most _TIME_BLOCK times and _BLOCK_ELEMENTS floats
+# per temporary; up to 600 XY modes (2400 floats per time) that allows 4096
+# times.  The phase-block kernel's temporaries hold _BLOCK_ELEMENTS together.
 _TIME_BLOCK = 4096
 _BLOCK_ELEMENTS = 10**7
+
+# A grid is uniform for the phase-block kernel when it departs from an exact
+# arithmetic progression by at most this many ulp of its largest time.
+_UNIFORM_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -219,16 +225,73 @@ def _engine_times(size_name: str, modes: int, times) -> np.ndarray:
 def _mode_sum_at_times(times: np.ndarray, contrib, width: int) -> np.ndarray:
     """Sum the per-mode terms ``contrib(chunk)``, shape (modes, chunk), over modes.
 
-    ``times`` comes from :func:`_engine_times`.  ``width`` is the number
-    of float64 temporaries the kernel makes per sample; times are processed
-    in blocks sized from it to bound them, and modes are reduced in
-    ascending-q order with compensated accumulation, so the result is
-    independent of how the per-mode work was scheduled.
+    The XY time kernel.  ``times`` comes from :func:`_engine_times`.
+    ``width`` is the number of float64 temporaries the kernel makes per
+    sample; times are processed in blocks sized from it to bound them, and
+    modes are reduced in ascending-q order with compensated accumulation, so
+    the result is independent of how the per-mode work was scheduled.
     """
     block = max(1, min(_TIME_BLOCK, _BLOCK_ELEMENTS // width))
     out = np.empty(times.size, dtype=float)
     for lo in range(0, times.size, block):
         out[lo : lo + block] = compensated_sum_axis0(contrib(times[lo : lo + block]))
+    return out
+
+
+def _phase_block(times: np.ndarray) -> tuple[int, float]:
+    """(B, step): B = ceil(sqrt(T)) if ``times`` is uniform, else (1, 0.0).
+
+    Uniform means every t_j lies within _UNIFORM_ULPS ulp of max|t| of
+    t_0 + j step, with step = (t_{T-1} - t_0) / (T - 1).
+    """
+    n = times.size
+    if n < 2:
+        return 1, 0.0
+    step = (times[-1] - times[0]) / (n - 1)
+    drift = np.max(np.abs(times - (times[0] + step * np.arange(n))))
+    if drift > _UNIFORM_ULPS * np.finfo(float).eps * np.max(np.abs(times)):
+        return 1, 0.0
+    return math.isqrt(n - 1) + 1, float(step)
+
+
+def _phase_block_sum(times: np.ndarray, amp: np.ndarray, freq: np.ndarray) -> np.ndarray:
+    """sum_q amp_q [1 - cos(freq_q t)] at every time t of ``times``, by phase blocks.
+
+    The grid is cut into blocks of B times t_b + j step (j < B, see
+    :func:`_phase_block`), and with x = f t_b, y = f j step,
+
+        1 - cos(x + y) = (1 - cos x) + cos x (1 - cos y) + sin x sin y.
+
+    The phases x at the block starts are computed directly, so no rounding
+    carries from block to block, and the y part is one (2M x B) table per
+    call: the whole trace is (blocks x 2M) @ (2M x B) matrix products, with
+    no trigonometric call per sample.  Each term is small where dE is, so
+    dE(0) = 0 exactly.  Modes are taken in tiles
+    whose temporaries hold at most _BLOCK_ELEMENTS floats together, and the
+    tiles are summed in ascending order, so a result depends only on the
+    grid, the modes, the budget and the BLAS thread count.
+    """
+    block, step = _phase_block(times)
+    starts = times[::block]
+    offsets = step * np.arange(block)
+    tile = max(1, _BLOCK_ELEMENTS // (2 * (starts.size + block)))
+    out = np.zeros((starts.size, block))
+    for lo in range(0, amp.size, tile):
+        out += _phase_tile(starts, offsets, amp[lo : lo + tile], freq[lo : lo + tile])
+    return out.ravel()[: times.size]
+
+
+def _phase_tile(starts, offsets, a, f) -> np.ndarray:
+    """(blocks, B) sums over the modes (a, f) of a [1 - cos(f (t_b + offset_j))]."""
+    y = np.multiply.outer(f, offsets)
+    sin_y = np.sin(y)
+    np.subtract(1.0, np.cos(y, out=y), out=y)
+    x = np.multiply.outer(starts, f)
+    cos_x = np.cos(x)
+    np.sin(x, out=x)
+    out = np.multiply(x, a, out=x) @ sin_y
+    out += np.multiply(cos_x, a, out=x) @ y
+    out += (np.subtract(1.0, cos_x, out=cos_x) @ a)[:, None]
     return out
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,9 +110,14 @@ class TestEnergyStored:
         p = IsingParams(0.8, 0.0, 12)
         for t in (0.0, 3.0, 50.0):
             assert ising_energy_stored(p, t) == 0.0
+        # a uniform grid runs in phase blocks, this one in blocks of one
+        for times in (0.05 * np.arange(1000), [3.0, 1.0, 70.5]):
+            assert np.all(ising_energy_at_times(p, times) == 0.0)
 
     def test_zero_at_t0(self):
-        assert ising_energy_stored(IsingParams(0.8, 0.7, 600), 0.0) == 0.0
+        params = IsingParams(0.8, 0.7, 600)
+        assert ising_energy_stored(params, 0.0) == 0.0
+        assert ising_energy_at_times(params, 0.05 * np.arange(5000))[0] == 0.0
 
     @pytest.mark.parametrize("n_sites", [4, 6])
     def test_matches_oracle(self, n_sites):
@@ -222,18 +228,25 @@ class TestAsymptotic:
 
 class TestTrace:
     def test_matches_pointwise(self):
+        # a trace runs in phase blocks, a single time in a block of one, so
+        # they agree to rounding, not bit for bit
         params = IsingParams(0.8, 0.7, 8)
         trace = ising_energy_trace(params, 12.0, 0.05)
         pointwise = np.array([ising_energy_stored(params, float(t)) for t in trace.times])
-        assert np.array_equal(trace.values, pointwise)
+        tol = 1e-12 * max(1.0, ising_asymptotic_energy(params))
+        assert np.max(np.abs(trace.values - pointwise)) <= tol
 
-    @pytest.mark.parametrize("budget", [600 * 333, 600 * 777, 600 * 1000])
-    def test_block_budget_keeps_the_bits(self, monkeypatch, budget):
+    @pytest.mark.parametrize("budget", [142, 142 * 7, 142 * 333, 142 * 1000])
+    def test_mode_tiles_agree(self, monkeypatch, budget):
+        # 5000 uniform times make 71 blocks of 71, so the temporaries take
+        # 2 x 142 floats per mode: tiles of 1, 7, 333 and all 600 modes
         params = IsingParams(0.8, 0.7, 600)
         times = 0.05 * np.arange(5000)
         default = ising_energy_at_times(params, times)
         monkeypatch.setattr(quench, "_BLOCK_ELEMENTS", budget)
-        assert np.array_equal(ising_energy_at_times(params, times), default)
+        tiled = ising_energy_at_times(params, times)
+        tol = 1e-12 * max(1.0, ising_asymptotic_energy(params))
+        assert np.max(np.abs(tiled - default)) <= tol
 
     def test_rejects_coarse_dt(self):
         params = IsingParams(0.8, 0.7, 8)
@@ -257,3 +270,67 @@ class TestTrace:
         mask = (trace.times >= 50.0) & (trace.times <= 250.0)
         plateau = trace.values[mask]
         assert float(np.std(plateau) / np.mean(plateau)) < 0.02
+
+
+def _direct(params, times):
+    """The closed form mode by mode, exactly rounded over modes (math.fsum)."""
+    omega, amp = _mode_arrays(params)
+    return np.array([math.fsum(amp * (1.0 - np.cos(2.0 * omega * t))) for t in times])
+
+
+def _tolerance(params, times):
+    # the kernel and the direct sum round the phases 2 w t differently, by
+    # about eps 2 w t: 1e-12 relative up to t = 10^3, growing linearly past it
+    t_max = float(np.max(times, initial=0.0))
+    return 1e-12 * max(1.0, ising_asymptotic_energy(params)) * max(1.0, t_max / 1e3)
+
+
+class TestPhaseBlockKernel:
+    # the phase-block kernel against the direct mode sum; 64 = 8^2 uniform
+    # times fill 8 blocks of 8, one more opens a 9th block and B = 9
+    @pytest.mark.parametrize("length", [1, 2, 3, 63, 64, 65, 10**4])
+    @pytest.mark.parametrize("start", [0.0, 280.0, 1e4])
+    def test_uniform_grids_match_the_direct_sum(self, length, start):
+        params = IsingParams(0.8, 0.7, 60)
+        times = start + 0.05 * np.arange(length)
+        if length > 1:
+            assert quench._phase_block(times)[0] == math.ceil(math.sqrt(length))
+        values = ising_energy_at_times(params, times)
+        assert np.max(np.abs(values - _direct(params, times))) <= _tolerance(params, times)
+
+    def test_jittered_grid_takes_blocks_of_one(self):
+        params = IsingParams(0.8, 0.7, 60)
+        times = 0.05 * np.arange(200) + np.random.default_rng(7).uniform(0.0, 1e-6, 200)
+        assert quench._phase_block(times) == (1, 0.0)
+        values = ising_energy_at_times(params, times)
+        assert np.max(np.abs(values - _direct(params, times))) <= _tolerance(params, times)
+
+    def test_grid_within_a_few_ulp_is_uniform(self):
+        # the trace and sweep grids are t0 + dt * arange(T), off by rounding
+        times = 280.0 + (np.pi / 88) * np.arange(1000)
+        assert quench._phase_block(times) == (32, (times[-1] - times[0]) / 999)
+
+    @pytest.mark.parametrize("h0", [0.75, -1.5, -1.0])
+    def test_odd_ring(self, h0):
+        # N = 7 has the mode k = pi at amplitude 0; its battery or charging
+        # dispersion vanishes at h0 = -1 or h0 + h1 = -1
+        params = IsingParams(h0, 0.5, 7)
+        assert _mode_arrays(params)[1][3] == 0.0
+        times = 280.0 + 0.01 * np.arange(3000)
+        values = ising_energy_at_times(params, times)
+        assert np.max(np.abs(values - _direct(params, times))) <= _tolerance(params, times)
+
+    def test_memory_stays_at_the_block_budget(self):
+        # 200,000 modes x 1000 times: the kernel's temporaries hold at most
+        # _BLOCK_ELEMENTS floats together (80 MB), under the 161.7 MB that a
+        # direct cosine per mode-sample in blocks of that budget peaks at
+        params = IsingParams(0.8, 0.7, 200_000)
+        times = 0.05 * np.arange(1000)
+        ising_energy_at_times(params, times[:1])  # build the tables first
+        tracemalloc.start()
+        try:
+            ising_energy_at_times(params, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * quench._BLOCK_ELEMENTS + 4 * 10**6
