@@ -37,6 +37,7 @@ from .quench import QuenchProtocol, _build_trace, _uniform_times
 from .regimes import (
     DT_SAFETY,
     RegimeDetectionError,
+    _check_window,
     _engine,
     analyze_trace,
     default_recurrence_window,
@@ -239,9 +240,10 @@ def cmd_trace(opts: dict) -> int:
         charged = protocol.h1 != 0
     energy, asymptote, bound, _, default = _engine(protocol)
     window = _window(opts, default)
-    if not window[0] < window[1]:
-        raise ValueError(f"recurrence window {window} is empty")
+    _check_window(window)
     t_end = opts["t_end"] if opts["t_end"] is not None else window[1]
+    if t_end < window[0]:
+        raise ValueError(f"t-end {t_end} ends before window-min {window[0]}")
     dt = opts["dt"] if opts["dt"] is not None else DT_SAFETY * bound(protocol)
     trace = _build_trace(energy, bound, protocol, t_end, dt)
     e_inf = asymptote(protocol)

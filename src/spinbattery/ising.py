@@ -21,13 +21,13 @@ that grows in proportion to t past it with the rounding of the phases
 2 w_q t.  A trace and pointwise calls at its times therefore agree to that
 tolerance, not bit for bit.  A result depends only on the parameters, the
 time grid and the BLAS thread count (to 7e-16 relative), so it is the same
-for any worker count.
+for any worker count.  Each call builds the per-mode arrays it needs and
+keeps nothing once it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .quench import (
     EnergyTrace,
     _build_trace,
     _engine_times,
-    _lock,
     _phase_block_sum,
     _resolution_bound,
 )
@@ -65,7 +64,6 @@ class IsingParams:
         _check_size("n_sites", self.n_sites)
 
 
-@lru_cache(maxsize=32)
 def _mode_arrays(params: IsingParams):
     """(omega, amplitude) arrays: dE(t) = sum_q amp_q [1 - cos(2 w_q t)].
 
@@ -84,7 +82,6 @@ def _mode_arrays(params: IsingParams):
     amp = np.divide(
         params.h1**2 * sin_k**2, 2.0 * eps * omega**2, out=np.zeros(n), where=sin_k != 0.0
     )
-    _lock(omega, amp)
     return omega, amp
 
 

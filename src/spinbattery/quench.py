@@ -16,17 +16,22 @@ matching-matrix entries (both cosine families, overall factor 2), organised
 as squared moduli; the equivalence is enforced in the test suite together
 with agreement against brute-force exact diagonalization.
 
-``energy_at_times`` accepts both evaluator names, ``"full"`` and
-``"simplified"``, and runs this same sum for either.  The matching matrix
-does not mix the two bands, so a band-diagonal truncation of the sum agrees
-with it to rounding and needs no path of its own.
+``energy_at_times`` is the XY time kernel.  It accepts both evaluator
+names, ``"full"`` and ``"simplified"``, and runs this same sum for either.
+The matching matrix does not mix the two bands, so a band-diagonal
+truncation of the sum agrees with it to rounding and needs no path of its
+own.
+
+Engines keep nothing between calls: each call builds the per-mode tables it
+needs once and drops them when it returns.  The helpers under "scaffolding
+shared with the Ising closed form" (time checks, the phase-block kernel and
+the trace grid) serve both models.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -65,6 +70,11 @@ MAX_SAMPLES = 10**7
 # Largest modes x samples of one energy_at_times or ising_energy_at_times
 # call; checked before any per-mode table is built.
 MAX_MODE_SAMPLES = 10**9
+
+# Largest |t| any engine, the oracle or occupations_all accepts.  Parameters
+# up to 1e6 in magnitude keep every frequency below ~4e12, so every phase
+# w t stays finite.
+MAX_TIME = 1e100
 
 # An XY kernel block holds at most _TIME_BLOCK times and _BLOCK_ELEMENTS floats
 # per temporary; up to 600 XY modes (2400 floats per time) that allows 4096
@@ -130,12 +140,6 @@ class EnergyTrace:
         self.values.setflags(write=False)
 
 
-def _lock(*arrays: np.ndarray) -> None:
-    for arr in arrays:
-        arr.setflags(write=False)
-
-
-@lru_cache(maxsize=32)
 def _mode_data(protocol: QuenchProtocol):
     """Battery and charging bands and matching matrices M_q = V_q^dag U_q.
 
@@ -148,7 +152,6 @@ def _mode_data(protocol: QuenchProtocol):
         bloch_stack(protocol.gamma, protocol.delta0 + protocol.delta1, protocol.n_dimers)
     )
     m = np.conj(np.transpose(v, (0, 2, 1))) @ u
-    _lock(omega, omega_p, m)
     return omega, omega_p, m
 
 
@@ -166,14 +169,13 @@ _PAIR_TABLE = (
 )
 
 
-@lru_cache(maxsize=32)
-def _occupation_tables(protocol: QuenchProtocol):
+def _occupation_tables(omega_p: np.ndarray, m: np.ndarray):
     """Constant/cosine/sine coefficient tables for n_{s,q}(t).
 
+    Takes the charging bands and matching matrices of :func:`_mode_data`.
     Returns ``(freqs, const, cos_a, sin_b)`` with shapes (N, 4), (N, 2),
     (N, 2, 4), (N, 2, 4) over the frequencies [w1'-w2', 2 w1', w1'+w2', 2 w2'].
     """
-    _, omega_p, m = _mode_data(protocol)
     n = m.shape[0]
     w1p, w2p = omega_p[:, 0], omega_p[:, 1]
     freqs = np.column_stack([w1p - w2p, 2.0 * w1p, w1p + w2p, 2.0 * w2p])
@@ -188,7 +190,6 @@ def _occupation_tables(protocol: QuenchProtocol):
                 z = g[:, a] * np.conj(g[:, b])
                 cos_a[:, s, col] += 2.0 * z.real
                 sin_b[:, s, col] += sgn * 2.0 * z.imag
-    _lock(freqs, const, cos_a, sin_b)
     return freqs, const, cos_a, sin_b
 
 
@@ -197,12 +198,12 @@ def _occupation_tables(protocol: QuenchProtocol):
 # ----------------------------------------------------------------------
 
 def _as_times(times) -> np.ndarray:
-    """``times`` as a float array; ValueError unless it is 1-D and finite."""
+    """``times`` as a float array; ValueError unless it is 1-D with every |t| <= MAX_TIME."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError(f"times must be a 1-D array, got shape {times.shape}")
-    if not np.isfinite(times).all():
-        raise ValueError("times must be finite")
+    if not (np.abs(times) <= MAX_TIME).all():
+        raise ValueError(f"times must be finite and at most {MAX_TIME:.0e} in magnitude")
     return times
 
 
@@ -220,22 +221,6 @@ def _engine_times(size_name: str, modes: int, times) -> np.ndarray:
             f"of {MAX_MODE_SAMPLES:.0e} mode-samples; raise dt or lower {size_name}"
         )
     return times
-
-
-def _mode_sum_at_times(times: np.ndarray, contrib, width: int) -> np.ndarray:
-    """Sum the per-mode terms ``contrib(chunk)``, shape (modes, chunk), over modes.
-
-    The XY time kernel.  ``times`` comes from :func:`_engine_times`.
-    ``width`` is the number of float64 temporaries the kernel makes per
-    sample; times are processed in blocks sized from it to bound them, and
-    modes are reduced in ascending-q order with compensated accumulation, so
-    the result is independent of how the per-mode work was scheduled.
-    """
-    block = max(1, min(_TIME_BLOCK, _BLOCK_ELEMENTS // width))
-    out = np.empty(times.size, dtype=float)
-    for lo in range(0, times.size, block):
-        out[lo : lo + block] = compensated_sum_axis0(contrib(times[lo : lo + block]))
-    return out
 
 
 def _phase_block(times: np.ndarray) -> tuple[int, float]:
@@ -334,10 +319,12 @@ def occupations_all(protocol: QuenchProtocol, t: float) -> np.ndarray:
 
     Shape (n_dimers, 2); row i is the mode q = i + 1/2.
     """
-    _check_finite(t=t)
+    if not abs(t) <= MAX_TIME:
+        raise ValueError(f"t must be finite and at most {MAX_TIME:.0e} in magnitude, got {t}")
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    freqs, const, cos_a, sin_b = _occupation_tables(protocol)
+    _, omega_p, m = _mode_data(protocol)
+    freqs, const, cos_a, sin_b = _occupation_tables(omega_p, m)
     ph = freqs * t
     return const + np.einsum("nsf,nf->ns", cos_a, np.cos(ph)) + np.einsum(
         "nsf,nf->ns", sin_b, np.sin(ph)
@@ -345,8 +332,9 @@ def occupations_all(protocol: QuenchProtocol, t: float) -> np.ndarray:
 
 
 def _energy_tables(protocol: QuenchProtocol):
-    freqs, const, cos_a, sin_b = _occupation_tables(protocol)
-    omega, _, _ = _mode_data(protocol)
+    """``(freqs, e_const, e_cos, e_sin)``: the occupation tables weighted by the battery bands."""
+    omega, omega_p, m = _mode_data(protocol)
+    freqs, const, cos_a, sin_b = _occupation_tables(omega_p, m)
     e_const = np.sum(omega * const, axis=1)
     e_cos = np.einsum("ns,nsf->nf", omega, cos_a)
     e_sin = np.einsum("ns,nsf->nf", omega, sin_b)
@@ -358,23 +346,26 @@ def energy_at_times(
 ) -> np.ndarray:
     """Stored energy on an arbitrary grid of times >= 0.
 
-    Modes are reduced in ascending-q order with compensated accumulation, so
-    the result is independent of how the per-mode work was scheduled.
+    The XY time kernel.  Times are processed in blocks of at most _TIME_BLOCK,
+    sized so that each (N, F, T) temporary holds at most _BLOCK_ELEMENTS
+    floats, and modes are reduced in ascending-q order with compensated
+    accumulation, so the result is independent of the block length and of
+    how the per-mode work was scheduled.
     """
     if evaluator not in ("full", "simplified"):
         raise ValueError(f"evaluator must be 'full' or 'simplified', got {evaluator!r}")
     times = _engine_times("n_dimers", protocol.n_dimers, times)
     freqs, e_const, e_cos, e_sin = _energy_tables(protocol)
-
-    def contrib(chunk):
-        ph = freqs[:, :, None] * chunk[None, None, :]  # (N, F, T)
-        return (
+    block = max(1, min(_TIME_BLOCK, _BLOCK_ELEMENTS // freqs.size))
+    out = np.empty(times.size, dtype=float)
+    for lo in range(0, times.size, block):
+        ph = freqs[:, :, None] * times[None, None, lo : lo + block]  # (N, F, T)
+        out[lo : lo + block] = compensated_sum_axis0(
             e_const[:, None]
             + np.einsum("nf,nft->nt", e_cos, np.cos(ph))
             + np.einsum("nf,nft->nt", e_sin, np.sin(ph))
         )
-
-    return _mode_sum_at_times(times, contrib, freqs.size)
+    return out
 
 
 def energy_stored(protocol: QuenchProtocol, t: float) -> float:

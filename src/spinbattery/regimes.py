@@ -114,6 +114,12 @@ def ising_recurrence_window(n_sites: int) -> tuple[float, float]:
     return (ISING_WINDOW_FACTORS[0] * n_sites, ISING_WINDOW_FACTORS[1] * n_sites)
 
 
+def _check_window(window: tuple[float, float]) -> None:
+    """ValueError unless the recurrence window satisfies 0 <= window-min < window-max."""
+    if not 0 <= window[0] < window[1]:
+        raise ValueError(f"recurrence window needs 0 <= window-min < window-max, got {window}")
+
+
 def _refine_parabolic(times: np.ndarray, values: np.ndarray, i: int) -> tuple[float, float]:
     """Vertex of the parabola through samples i-1, i, i+1 (uniform grid)."""
     if i <= 0 or i >= len(times) - 1:
@@ -263,8 +269,8 @@ def _sweep_rows(name, grid, params, workers, window=None):
 
     Each row's recurrence is searched in ``window``, or else in its default window.
     """
-    if window is not None and not window[0] < window[1]:
-        raise ValueError(f"recurrence window {window} is empty")
+    if window is not None:
+        _check_window(window)
     sized = [_engine(p)[3:] for p in params]  # (size, default window)
     jobs = [(p, window or default) for p, (_, default) in zip(params, sized)]
     points = _map_ordered(_regime_point, jobs, workers)

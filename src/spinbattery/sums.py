@@ -1,10 +1,11 @@
 """Order-fixed, reproducible reductions of per-mode terms.
 
-Scalar mode sums are exactly rounded, and the XY time kernel reduces its
-mode sums in ascending-q order with an error-free transformation, so results
-are bitwise stable across runs and across any parallel work splitting that
-feeds per-mode terms in order.  (The Ising time kernel reduces by matrix
-products; see ``quench._phase_block_sum``.)
+Scalar mode sums are exactly rounded, and the XY time kernel
+(``quench.energy_at_times``) reduces its mode sums in ascending-q order with
+an error-free transformation, so results are bitwise stable across runs and
+across any parallel work splitting that feeds per-mode terms in order.  (The
+Ising time kernel reduces by matrix products; see
+``quench._phase_block_sum``.)
 """
 
 from __future__ import annotations

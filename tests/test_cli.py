@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from spinbattery import cli
 from spinbattery.cli import deterministic_json, format_float, main
 from spinbattery.ed import (
     DegenerateGroundStateWarning,
@@ -138,11 +139,26 @@ class TestTrace:
             (["trace", "--delta0", "6e5", "--delta1", "6e5", "--n-dimers", "10"],
              "delta0 + delta1 must be at most 1e+06 in magnitude"),
             (["oracle-check", "--n-sites", "2"], "n-sites must be >= 4 for the XY engine"),
+            (["snapshot", "--n-dimers", "10", "--time", "1e308"],
+             "t must be finite and at most 1e+100 in magnitude"),
+            (["oracle-check", "--t-end", "1e308", "--dt", "1e307"],
+             "times must be finite and at most 1e+100 in magnitude"),
+            (["sweep", "--n-dimers", "10", "--param-min", "0.2", "--param-max", "0.2",
+              "--window-min", "-5"], "0 <= window-min < window-max"),
+            (["trace", "--n-dimers", "10", "--window-min", "-5"], "0 <= window-min < window-max"),
+            (["trace", "--n-dimers", "10", "--window-min", "30", "--window-max", "20"],
+             "0 <= window-min < window-max"),
         ],
     )
     def test_bad_number_exits_2_and_names_it(self, capsys, args, message):
         assert run_cli(args) == 2
         assert message in capsys.readouterr().err
+
+    def test_t_end_before_the_window_exits_2_before_the_trace(self, monkeypatch, capsys):
+        # n_dimers = 10: the default recurrence window is [20, 26.67]
+        monkeypatch.setattr(cli, "_build_trace", lambda *args: pytest.fail("trace built"))
+        assert run_cli(["trace", "--n-dimers", "10", "--t-end", "5"]) == 2
+        assert "t-end 5.0 ends before window-min 20.0" in capsys.readouterr().err
 
     def test_ising_model_trace(self, tmp_path):
         out = tmp_path / "ising.csv"

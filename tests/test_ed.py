@@ -249,6 +249,7 @@ class TestOracleTrace:
             ([0.0, np.inf], "times must be finite"),
             (1.0, "times must be a 1-D array"),
             ([[0.0, 1.0]], "times must be a 1-D array"),
+            ([-1e308], r"times must be finite and at most 1e\+100 in magnitude"),
         ],
     )
     def test_rejects_bad_times(self, times, message):

@@ -324,12 +324,12 @@ class TestPhaseBlockKernel:
         # 200,000 modes x 1000 times: the kernel's temporaries hold at most
         # _BLOCK_ELEMENTS floats together (80 MB), under the 161.7 MB that a
         # direct cosine per mode-sample in blocks of that budget peaks at
-        params = IsingParams(0.8, 0.7, 200_000)
+        omega, amp = _mode_arrays(IsingParams(0.8, 0.7, 200_000))
+        freq = 2.0 * omega
         times = 0.05 * np.arange(1000)
-        ising_energy_at_times(params, times[:1])  # build the tables first
         tracemalloc.start()
         try:
-            ising_energy_at_times(params, times)
+            quench._phase_block_sum(times, amp, freq)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

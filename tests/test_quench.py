@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -15,9 +18,9 @@ from spinbattery import (
     occupations_all,
     resolution_bound,
 )
-from spinbattery import quench
+from spinbattery import ising, quench
 from spinbattery.ed import DimerizedXY, build_hamiltonian, oracle_energy_trace
-from spinbattery.ising import IsingParams, _mode_arrays, ising_energy_at_times
+from spinbattery.ising import IsingParams, ising_asymptotic_energy, ising_energy_at_times
 from spinbattery.quench import _mode_data
 
 FIG2 = QuenchProtocol(1.25, 0.3, 0.6, 300)
@@ -34,6 +37,15 @@ FROZEN_M_ABS2 = np.array(
         [0.0, 5.74541881157740712e-01, 0.0, 4.25458118842259288e-01],
     ]
 )
+
+
+def _forbid(monkeypatch, module, name):
+    """Make the table builder ``module.name`` fail the test if it is called."""
+
+    def build(*args):
+        pytest.fail(f"{name} was called before the check")
+
+    monkeypatch.setattr(module, name, build)
 
 
 def _random_protocol(rng, max_dimers=9):
@@ -156,10 +168,19 @@ class TestOccupations:
         with pytest.raises(ValueError):
             occupations_all(QuenchProtocol(1.0, 0.3, 0.1, 4), -1.0)
 
-    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, 1e308])
     def test_rejects_non_finite_time(self, t):
         with pytest.raises(ValueError, match="t must be finite"):
             occupations_all(QuenchProtocol(1.0, 0.3, 0.1, 4), t)
+
+    def test_phases_stay_finite_up_to_the_time_bound(self):
+        # the fastest accepted frequencies at the largest accepted time; the
+        # suite turns any overflow warning into an error
+        p = QuenchProtocol(1e6, 5e5, 5e5, 4)
+        assert np.isfinite(occupations_all(p, quench.MAX_TIME)).all()
+        assert np.isfinite(energy_at_times(p, [0.0, quench.MAX_TIME])).all()
+        ising_params = IsingParams(1e6, 1e6, 5)
+        assert np.isfinite(ising_energy_at_times(ising_params, [0.0, quench.MAX_TIME])).all()
 
 
 class TestQuadrupleSum:
@@ -247,6 +268,7 @@ class TestEnergyStored:
             ([-0.5, 1.0], "times must be >= 0"),
             (1.0, r"times must be a 1-D array, got shape \(\)"),
             ([[0.0, 1.0]], r"times must be a 1-D array, got shape \(1, 2\)"),
+            ([0.0, 1e308], r"times must be finite and at most 1e\+100 in magnitude"),
         ],
     )
     def test_rejects_bad_times(self, energy, params, times, message):
@@ -278,34 +300,33 @@ class TestEnergyTrace:
     @pytest.mark.parametrize(
         "energy, params, tables",
         [
-            (energy_at_times, QuenchProtocol(1.25, 0.3, 0.6, 1000), _mode_data),
-            (ising_energy_at_times, IsingParams(0.8, 0.7, 1000), _mode_arrays),
+            (energy_at_times, QuenchProtocol(1.25, 0.3, 0.6, 1000), (quench, "_mode_data")),
+            (ising_energy_at_times, IsingParams(0.8, 0.7, 1000), (ising, "_mode_arrays")),
         ],
         ids=["xy", "ising"],
     )
-    def test_work_budget_is_checked_before_the_tables(self, energy, params, tables):
+    def test_work_budget_is_checked_before_the_tables(self, monkeypatch, energy, params, tables):
         # 1000 modes x (10^6 + 1) samples is one sample over the budget
         times = np.zeros(quench.MAX_MODE_SAMPLES // 1000 + 1)
-        misses = tables.cache_info().misses
+        _forbid(monkeypatch, *tables)
         with pytest.raises(ValueError, match="=1000 x 1000001 samples exceeds"):
             energy(params, times)
-        assert tables.cache_info().misses == misses
 
     @pytest.mark.parametrize(
         "energy, params, tables",
         [
-            (energy_at_times, QuenchProtocol(1.25, 0.3, 0.6, 50), _mode_data),
-            (ising_energy_at_times, IsingParams(0.8, 0.7, 50), _mode_arrays),
+            (energy_at_times, QuenchProtocol(1.25, 0.3, 0.6, 50), (quench, "_mode_data")),
+            (ising_energy_at_times, IsingParams(0.8, 0.7, 50), (ising, "_mode_arrays")),
         ],
         ids=["xy", "ising"],
     )
     @pytest.mark.parametrize("times", [[np.nan], [-0.5], [[0.0, 1.0]]], ids=["nan", "neg", "2d"])
-    def test_bad_times_are_rejected_before_the_tables(self, energy, params, tables, times):
-        # a fresh protocol: a table build would show as a cache miss
-        tables.cache_clear()
+    def test_bad_times_are_rejected_before_the_tables(
+        self, monkeypatch, energy, params, tables, times
+    ):
+        _forbid(monkeypatch, *tables)
         with pytest.raises(ValueError, match="times must"):
             energy(params, times)
-        assert tables.cache_info().misses == 0
 
     def test_default_budget_keeps_full_blocks_up_to_600_modes(self):
         assert quench._BLOCK_ELEMENTS // (600 * 4) >= quench._TIME_BLOCK
@@ -436,3 +457,41 @@ class TestAsymptoticEnergy:
         times = 100.0 + dt * np.arange(int(400.0 / dt) + 1)
         mean = float(np.mean(energy_at_times(p, times)))
         assert abs(asymptotic_energy(p) - mean) <= 0.005 * abs(mean)
+
+
+class TestStatelessEngines:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: energy_at_times(p, [0.0, 1.0]),
+            asymptotic_energy,
+            lambda p: occupations_all(p, 1.0),
+        ],
+        ids=["energy_at_times", "asymptotic_energy", "occupations_all"],
+    )
+    def test_each_call_decomposes_each_bloch_stack_once(self, monkeypatch, call):
+        decomposed = []
+
+        def counted(stack):
+            decomposed.append(stack.shape)
+            return eigensystem_stack(stack)
+
+        monkeypatch.setattr(quench, "eigensystem_stack", counted)
+        call(QuenchProtocol(1.25, 0.3, 0.6, 6))
+        assert decomposed == [(6, 4, 4), (6, 4, 4)]
+
+    def test_no_per_mode_table_outlives_its_call(self):
+        # four fresh protocols per engine: tables kept per protocol would
+        # hold ~9 MB per XY call at 20,000 dimers and ~3 MB per Ising call
+        # at 200,000 sites
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for x in (0.1, 0.2, 0.3, 0.4):
+                asymptotic_energy(QuenchProtocol(1.25, x, 0.6, 20_000))
+                ising_asymptotic_energy(IsingParams(x, 0.7, 200_000))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert retained <= 10**6

@@ -216,6 +216,12 @@ class TestSweeps:
         assert regimes._map_ordered(abs, [-1, -2], 64) == [1, 2]
         assert sizes == [3, 4, 2]
 
+    @pytest.mark.parametrize("window", [(-5.0, 10.0), (20.0, 20.0), (30.0, 20.0)])
+    def test_bad_window_rejected_before_any_row(self, monkeypatch, window):
+        monkeypatch.setattr(regimes, "_regime_point", lambda job: pytest.fail("row evaluated"))
+        with pytest.raises(ValueError, match="0 <= window-min < window-max"):
+            sweep_delta0(1.1, 0.8, 10, [0.2], window=window)
+
     def test_pool_worker_warnings_reach_the_caller(self, monkeypatch):
         # delta0 = 0.1 puts the recurrence maximum on the edge of [80, 100] at
         # 40 dimers and 0.05 does not: a real two-worker pool gives the caller
