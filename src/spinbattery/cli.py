@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Subcommands: trace, sweep, scaling, phase, snapshot, oracle-check.
+Subcommands: trace, sweep, scaling, phase, snapshot, oracle-check.  They parse
+options and format output; the per-model rules (engines, default recurrence
+windows and their one-sided flags, the no-charge verdict) live in ``regimes``.
 Curves are written as CSV, reports as JSON (or everything as one JSON file
 with ``--format json``).  All numeric output uses 17 significant digits in
 scientific notation with '.' decimal separator and LF line endings, and a
@@ -33,15 +35,13 @@ from .ed import (
     oracle_energy_trace,
 )
 from .ising import IsingParams
-from .quench import QuenchProtocol, _build_trace, _uniform_times
+from .quench import EnergyTrace, QuenchProtocol, _uniform_times
 from .regimes import (
     DT_SAFETY,
     RegimeDetectionError,
-    _check_window,
     _engine,
+    _recurrence_window,
     analyze_trace,
-    default_recurrence_window,
-    ising_recurrence_window,
     linear_fit,
     occupation_snapshot,
     scaling_study,
@@ -216,14 +216,6 @@ def _resolve(ns: argparse.Namespace, defaults: dict) -> dict:
     return opts
 
 
-def _window(opts: dict, default: tuple[float, float]) -> tuple[float, float]:
-    """The recurrence window of the flags; a side not given comes from ``default``."""
-    return (
-        default[0] if opts["window_min"] is None else opts["window_min"],
-        default[1] if opts["window_max"] is None else opts["window_max"],
-    )
-
-
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -234,18 +226,21 @@ def cmd_trace(opts: dict) -> int:
         protocol = QuenchProtocol(
             opts["gamma"], opts["delta0"], opts["delta1"], opts["n_dimers"]
         )
-        charged = protocol.delta1 > 0
     else:
         protocol = IsingParams(opts["h0"], opts["h1"], opts["n_sites"])
-        charged = protocol.h1 != 0
     energy, asymptote, bound, _, default = _engine(protocol)
-    window = _window(opts, default)
-    _check_window(window)
+    window = _recurrence_window((opts["window_min"], opts["window_max"]), default)
     t_end = opts["t_end"] if opts["t_end"] is not None else window[1]
     if t_end < window[0]:
         raise ValueError(f"t-end {t_end} ends before window-min {window[0]}")
     dt = opts["dt"] if opts["dt"] is not None else DT_SAFETY * bound(protocol)
-    trace = _build_trace(energy, bound, protocol, t_end, dt)
+    times = _uniform_times(t_end, dt, bound(protocol))
+    if not np.any((times >= window[0]) & (times <= window[1])):
+        raise ValueError(
+            f"window-min {window[0]} to window-max {window[1]} holds no sample of the "
+            f"grid 0, dt, 2 dt, ... with dt={dt}; widen the window or lower dt"
+        )
+    trace = EnergyTrace(times=times, values=energy(protocol, times), protocol=protocol)
     e_inf = asymptote(protocol)
 
     meta = {"params": {
@@ -257,8 +252,7 @@ def cmd_trace(opts: dict) -> int:
         report = analyze_trace(trace, e_inf, window)
     except RegimeDetectionError as exc:
         _emit(opts, "trace", "t,delta_e", rows, meta, by_column=True)
-        message = "no charging occurred" if not charged else str(exc)
-        return _fail(message, EXIT_ANALYSIS)
+        return _fail(str(exc), EXIT_ANALYSIS)
 
     meta["report"] = {
         **asdict(report),
@@ -289,11 +283,11 @@ def cmd_sweep(opts: dict) -> int:
         raise ValueError("param-min and param-max are required")
     grid = _make_grid(opts["param_min"], opts["param_max"], opts["param_step"])
 
+    window = (opts["window_min"], opts["window_max"])
     if opts["model"] == "xy":
         rows = sweep_delta0(
             opts["gamma"], opts["delta1"], opts["n_dimers"], grid,
-            workers=opts["workers"],
-            window=_window(opts, default_recurrence_window(opts["n_dimers"])),
+            workers=opts["workers"], window=window,
         )
         params = {
             "model": "xy", "gamma": opts["gamma"], "delta1": opts["delta1"],
@@ -301,9 +295,7 @@ def cmd_sweep(opts: dict) -> int:
         }
     else:
         rows = sweep_field(
-            opts["h1"], opts["n_sites"], grid,
-            workers=opts["workers"],
-            window=_window(opts, ising_recurrence_window(opts["n_sites"])),
+            opts["h1"], opts["n_sites"], grid, workers=opts["workers"], window=window
         )
         params = {"model": "ising", "h1": opts["h1"], "n_sites": opts["n_sites"]}
 
@@ -358,20 +350,19 @@ def cmd_oracle_check(opts: dict) -> int:
     """Compare the momentum-space engine against spin-space ED, to tol x max(1, max|dE|)."""
     n_sites = opts["n_sites"]
     times = _uniform_times(opts["t_end"], opts["dt"], np.inf)
+    # The sites (build_hamiltonian) are checked before the engine's parameters.
     if opts["model"] == "xy":
-        kinds = (
-            DimerizedXY(opts["gamma"], opts["delta0"]),
-            DimerizedXY(opts["gamma"], opts["delta0"] + opts["delta1"]),
-        )
-    else:
-        kinds = (TransverseIsing(opts["h0"]), TransverseIsing(opts["h0"] + opts["h1"]))
-    battery, charger = (build_hamiltonian(kind, n_sites) for kind in kinds)
-    if opts["model"] == "xy":
+        gamma, delta0, delta1 = opts["gamma"], opts["delta0"], opts["delta1"]
+        kinds = DimerizedXY(gamma, delta0), DimerizedXY(gamma, delta0 + delta1)
+        battery, charger = (build_hamiltonian(kind, n_sites) for kind in kinds)
         if n_sites < 4:
             raise ValueError(f"n-sites must be >= 4 for the XY engine's two dimers, got {n_sites}")
-        params = QuenchProtocol(opts["gamma"], opts["delta0"], opts["delta1"], n_sites // 2)
+        params = QuenchProtocol(gamma, delta0, delta1, n_sites // 2)
     else:
-        params = IsingParams(opts["h0"], opts["h1"], n_sites)
+        h0, h1 = opts["h0"], opts["h1"]
+        kinds = TransverseIsing(h0), TransverseIsing(h0 + h1)
+        battery, charger = (build_hamiltonian(kind, n_sites) for kind in kinds)
+        params = IsingParams(h0, h1, n_sites)
     oracle = oracle_energy_trace(battery, charger, times).values
     engine = _engine(params)[0](params, times)
     deviation = float(np.max(np.abs(engine - oracle)))

@@ -261,16 +261,18 @@ def oracle_energy_trace(
     with parity and translation, so everything is done in that sector's
     block.  There, with the charger's H_C = Q diag(w) Q^+ and c = Q^+ psi(0),
     the amplitudes a(t) = c e^{-iwt} give dE(t) = a(t)^+ (Q^+ H_B Q) a(t) -
-    E_gs, one GEMM per block of times.  ``times`` must be a 1-D array of
-    finite values; negative ones are allowed.  The run must fit the work
-    budget of :func:`check_oracle_size`, checked before anything is
-    diagonalised.  Raises
+    E_gs, one GEMM per block of times.  ``times`` must be a strictly
+    ascending 1-D array of finite values; negative ones are allowed.  The
+    order and the work budget of :func:`check_oracle_size` are checked
+    before anything is diagonalised.  Raises
     :class:`DegenerateGroundStateError` when the battery's even-sector ground
     state is degenerate.
     """
     if battery.n_sites != charger.n_sites or type(battery.kind) is not type(charger.kind):
         raise ValueError("battery and charger must be the same model on the same n_sites")
     times = _as_times(times)
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly ascending")
     check_oracle_size(battery.kind, battery.n_sites, times.size)
     psi0, m_star = even_sector_ground_state(battery)
     hb = _sector(battery.kind, battery.n_sites, 0, m_star)

@@ -6,7 +6,10 @@ recurrence maximum (tau_r, E^r) searched inside a window that scales
 linearly with system size.  Sweeps evaluate these per grid point of the
 initial dimerization (or transverse field) and are embarrassingly parallel
 over rows; row order and per-row arithmetic are fixed, so outputs do not
-depend on the worker budget.
+depend on the worker budget.  The per-model rules live here, not in the
+command line: ``_engine`` picks the engines and default window,
+``_recurrence_window`` fills and checks a window, and an uncharged trace of
+either model fails with "no charging occurred".
 """
 
 from __future__ import annotations
@@ -114,10 +117,15 @@ def ising_recurrence_window(n_sites: int) -> tuple[float, float]:
     return (ISING_WINDOW_FACTORS[0] * n_sites, ISING_WINDOW_FACTORS[1] * n_sites)
 
 
-def _check_window(window: tuple[float, float]) -> None:
-    """ValueError unless the recurrence window satisfies 0 <= window-min < window-max."""
+def _recurrence_window(
+    window: tuple[float | None, float | None] | None, default: tuple[float, float]
+) -> tuple[float, float]:
+    """(min, max) of ``window``, None sides from ``default``; ValueError unless 0 <= min < max."""
+    lo, hi = window or (None, None)
+    window = (default[0] if lo is None else lo, default[1] if hi is None else hi)
     if not 0 <= window[0] < window[1]:
         raise ValueError(f"recurrence window needs 0 <= window-min < window-max, got {window}")
+    return window
 
 
 def _refine_parabolic(times: np.ndarray, values: np.ndarray, i: int) -> tuple[float, float]:
@@ -147,9 +155,18 @@ def find_short_time_max(trace: EnergyTrace) -> tuple[float, float]:
     """Time and height of the first strict local maximum of the trace.
 
     Maxima that do not rise above the trace's zero-level noise band do not
-    count; an uncharged battery therefore has no first maximum.
+    count.  RegimeDetectionError says "no charging occurred" when no sample
+    rises above that band, else "no local maximum found".
     """
-    return _first_strict_max(trace.times, trace.values, _noise_floor(trace.protocol))
+    times, values, floor = trace.times, trace.values, _noise_floor(trace.protocol)
+    for i in range(1, len(values) - 1):
+        if values[i] > values[i - 1] and values[i] > values[i + 1] and values[i] > floor:
+            return _refine_parabolic(times, values, i)
+    if not np.any(values > floor):
+        raise RegimeDetectionError(f"no charging occurred: no sample above noise floor {floor:.3g}")
+    raise RegimeDetectionError(
+        "no local maximum found: trace is monotone or flat over its span"
+    )
 
 
 def find_recurrence(
@@ -208,17 +225,6 @@ def _warn_edge_hits(rows) -> None:
         )
 
 
-def _first_strict_max(
-    times: np.ndarray, values: np.ndarray, floor: float = 0.0
-) -> tuple[float, float]:
-    for i in range(1, len(values) - 1):
-        if values[i] > values[i - 1] and values[i] > values[i + 1] and values[i] > floor:
-            return _refine_parabolic(times, values, i)
-    raise RegimeDetectionError(
-        "no local maximum found: trace is monotone or flat over its span"
-    )
-
-
 def _engine(params):
     """The engine functions, size and default recurrence window of ``params``.
 
@@ -240,8 +246,8 @@ def _regime_point(args) -> tuple[float, float, float, float, float, bool]:
     bound = resolution(params)
     dt = DT_SAFETY * bound
     short_times = _uniform_times(DEFAULT_SHORT_SPAN, dt, bound)
-    floor = _noise_floor(params)
-    tau_s, e_s = _first_strict_max(short_times, energy(params, short_times), floor)
+    short = EnergyTrace(times=short_times, values=energy(params, short_times), protocol=params)
+    tau_s, e_s = find_short_time_max(short)
     win_times = window[0] + _uniform_times(window[1] - window[0], dt, bound)
     tau_r, e_r, on_edge = _windowed_argmax(win_times, energy(params, win_times))
     return tau_s, e_s, asymptote(params), tau_r, e_r, on_edge
@@ -267,12 +273,10 @@ def _map_ordered(func, jobs: list, workers: int) -> list:
 def _sweep_rows(name, grid, params, workers, window=None):
     """One SweepRow per grid value of ``name``, energies divided by the system size.
 
-    Each row's recurrence is searched in ``window``, or else in its default window.
+    Each row's recurrence is searched in ``window``, its None sides from the row's default.
     """
-    if window is not None:
-        _check_window(window)
     sized = [_engine(p)[3:] for p in params]  # (size, default window)
-    jobs = [(p, window or default) for p, (_, default) in zip(params, sized)]
+    jobs = [(p, _recurrence_window(window, default)) for p, (_, default) in zip(params, sized)]
     points = _map_ordered(_regime_point, jobs, workers)
     _warn_edge_hits(
         f" of row {i} ({name} = {x})" for i, (x, point) in enumerate(zip(grid, points)) if point[-1]
@@ -290,13 +294,14 @@ def sweep_delta0(
     delta0_grid,
     *,
     workers: int = 1,
-    window: tuple[float, float] | None = None,
+    window: tuple[float | None, float | None] | None = None,
 ) -> list[SweepRow]:
     """Regime energies per dimer across a grid of initial dimerizations.
 
     E^s and E^r peak where the charging chain is fully dimerized
     (delta0 + delta1 = 1); E^r additionally spikes where the charging chain
     is critical (gamma (delta0 + delta1) = 1 or delta0 + delta1 = gamma).
+    A None side of the recurrence ``window`` (min, max) keeps its default side.
     """
     grid = [float(d) for d in delta0_grid]
     if any(d <= 0 or d + delta1 <= 0 for d in grid):
@@ -311,7 +316,7 @@ def sweep_field(
     h0_grid,
     *,
     workers: int = 1,
-    window: tuple[float, float] | None = None,
+    window: tuple[float | None, float | None] | None = None,
 ) -> list[SweepRow]:
     """Ising analogue of :func:`sweep_delta0`, normalized per site."""
     grid = [float(h0) for h0 in h0_grid]

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from spinbattery import cli
+from spinbattery import cli, regimes
 from spinbattery.cli import deterministic_json, format_float, main
 from spinbattery.ed import (
     DegenerateGroundStateWarning,
@@ -156,9 +156,41 @@ class TestTrace:
 
     def test_t_end_before_the_window_exits_2_before_the_trace(self, monkeypatch, capsys):
         # n_dimers = 10: the default recurrence window is [20, 26.67]
-        monkeypatch.setattr(cli, "_build_trace", lambda *args: pytest.fail("trace built"))
+        monkeypatch.setattr(regimes, "energy_at_times", lambda *args: pytest.fail("trace built"))
         assert run_cli(["trace", "--n-dimers", "10", "--t-end", "5"]) == 2
         assert "t-end 5.0 ends before window-min 20.0" in capsys.readouterr().err
+
+    def test_window_between_samples_exits_2_before_the_trace(self, monkeypatch, capsys):
+        # the default step (~0.0315 at 10 dimers) puts no sample in [20, 20.001]
+        monkeypatch.setattr(regimes, "energy_at_times", lambda *args: pytest.fail("trace built"))
+        args = ["trace", "--n-dimers", "10", "--window-min", "20", "--window-max", "20.001"]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert "window-min 20.0 to window-max 20.001 holds no sample" in err
+        assert "dt=" in err
+
+    @pytest.mark.parametrize("window", [("20", "20.03"), ("19.99", "20")])
+    def test_window_edge_on_a_grid_point_is_accepted(self, tmp_path, window):
+        # dt = 1/16 puts the sample 320 dt = 20.0 exactly on one window edge
+        args = ["trace", "--n-dimers", "10", "--dt", "0.0625", "--window-min", window[0],
+                "--window-max", window[1], "--out", str(tmp_path / "t.csv")]
+        with pytest.warns(regimes.RecurrenceWindowWarning):
+            assert run_cli(args) == 0
+        report = json.loads((tmp_path / "t.report.json").read_text())
+        assert report["report"]["tau_r"] == 20.0
+
+    def test_one_window_flag_keeps_the_other_default_side(self, tmp_path):
+        # n_dimers = 10: the default recurrence window is [20, 26.67]
+        low, high = (repr(edge) for edge in regimes.default_recurrence_window(10))
+
+        def outputs(*window):
+            out = tmp_path / "t.csv"
+            assert run_cli(["trace", "--n-dimers", "10", "--out", str(out), *window]) == 0
+            return out.read_text(), (tmp_path / "t.report.json").read_text()
+
+        assert outputs("--window-min", "22") == outputs("--window-min", "22", "--window-max", high)
+        assert outputs("--window-max", "25") == outputs("--window-min", low, "--window-max", "25")
+        assert outputs("--window-max", "25") != outputs()
 
     def test_ising_model_trace(self, tmp_path):
         out = tmp_path / "ising.csv"
@@ -210,6 +242,31 @@ class TestSweep:
         assert rows("--window-min", "30") != rows()
         assert rows("--window-max", "56") == rows("--window-min", "48", "--window-max", "56")
         assert rows("--window-max", "56") != rows()
+
+    def test_one_ising_window_flag_keeps_the_other_default_side(self, tmp_path):
+        # n_sites = 60: the default recurrence window is [28, 35]
+        low, high = (repr(edge) for edge in regimes.ising_recurrence_window(60))
+
+        def rows(*window):
+            out = tmp_path / "s.csv"
+            assert run_cli(
+                ["sweep", "--model", "ising", "--n-sites", "60", "--param-min", "0.7",
+                 "--param-max", "0.75", "--param-step", "0.05", "--out", str(out), *window]
+            ) == 0
+            return out.read_text()
+
+        assert rows("--window-min", "25") == rows("--window-min", "25", "--window-max", high)
+        assert rows("--window-min", "25") != rows()
+        assert rows("--window-max", "33") == rows("--window-min", low, "--window-max", "33")
+        assert rows("--window-max", "33") != rows()
+
+    def test_null_quench_exits_3_and_says_no_charging(self, tmp_path, capsys):
+        code = run_cli(
+            ["sweep", "--n-dimers", "20", "--delta1", "0", "--param-min", "0.2",
+             "--param-max", "0.2", "--out", str(tmp_path / "s.csv")]
+        )
+        assert code == 3
+        assert "no charging occurred" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -258,6 +258,15 @@ class TestOracleTrace:
         with pytest.raises(ValueError, match=message):
             oracle_energy_trace(battery, charger, times)
 
+    @pytest.mark.parametrize("times", [[1.0, 0.5], [0.0, 1.0, 1.0]])
+    def test_time_order_is_checked_before_any_diagonalisation(self, monkeypatch, times):
+        monkeypatch.setattr(ed, "check_oracle_size", lambda *a: pytest.fail("size checked"))
+        monkeypatch.setattr(ed, "even_sector_ground_state", lambda h: pytest.fail("diagonalised"))
+        battery = build_hamiltonian(DimerizedXY(1.25, 0.3), 8)
+        charger = build_hamiltonian(DimerizedXY(1.25, 0.9), 8)
+        with pytest.raises(ValueError, match="times must be strictly ascending"):
+            oracle_energy_trace(battery, charger, times)
+
     @pytest.mark.parametrize("kind", [DimerizedXY(1.25, 0.3), TransverseIsing(0.8)])
     def test_work_budget_is_checked_before_any_diagonalisation(self, monkeypatch, kind):
         def no_sector(*args):

@@ -81,6 +81,44 @@ def test_star_import(module):
 
 
 # ----------------------------------------------------------------------
+# one home per rule
+# ----------------------------------------------------------------------
+
+WINDOW_FUNCTIONS = {"default_recurrence_window", "ising_recurrence_window"}
+
+
+def _names(node):
+    """Every name ``node`` mentions: variables, attributes and imported names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def test_cli_keeps_no_window_rule():
+    # the default recurrence windows are the library's per-model rule
+    banned = WINDOW_FUNCTIONS | {"XY_WINDOW_FACTORS", "ISING_WINDOW_FACTORS"}
+    assert sorted(set(_names(_tree("cli"))) & banned) == []
+
+
+def test_only_the_engine_dispatch_calls_the_window_functions():
+    callers = set()
+    for module in MODULES:
+        for func in ast.walk(_tree(module)):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                called = {
+                    name for call in ast.walk(func) if isinstance(call, ast.Call)
+                    for name in _names(call.func)
+                }
+                if called & WINDOW_FUNCTIONS:
+                    callers.add(f"{module}.{func.name}")
+    assert callers == {"regimes._engine"}
+
+
+# ----------------------------------------------------------------------
 # the benchmark's view of the library
 # ----------------------------------------------------------------------
 
@@ -223,7 +261,7 @@ def _opts_keys(function):
 
 def test_every_cli_option_is_read():
     # An option a subcommand declares must be read by its cmd_* function or by
-    # a cli function it passes ``opts`` to (_emit, _window); otherwise it
+    # a cli function it passes ``opts`` to (such as _emit); otherwise it
     # changes nothing.  --config is read by the parser itself.
     functions = {
         node.name: node for node in _tree("cli").body if isinstance(node, ast.FunctionDef)

@@ -63,12 +63,12 @@ class TestFindShortTimeMax:
 
     def test_flat_trace_fails(self):
         trace = _synthetic_trace(np.arange(0.0, 5.0, 0.1), np.zeros(50))
-        with pytest.raises(RegimeDetectionError):
+        with pytest.raises(RegimeDetectionError, match="no charging occurred"):
             find_short_time_max(trace)
 
     def test_monotone_trace_fails(self):
         times = np.arange(0.0, 5.0, 0.1)
-        with pytest.raises(RegimeDetectionError):
+        with pytest.raises(RegimeDetectionError, match="no local maximum found"):
             find_short_time_max(_synthetic_trace(times, times**2))
 
     def test_refinement_beats_grid(self):
@@ -221,6 +221,24 @@ class TestSweeps:
         monkeypatch.setattr(regimes, "_regime_point", lambda job: pytest.fail("row evaluated"))
         with pytest.raises(ValueError, match="0 <= window-min < window-max"):
             sweep_delta0(1.1, 0.8, 10, [0.2], window=window)
+
+    def test_one_sided_window_keeps_the_default_side(self):
+        # n_dimers = 10: [20, 26.67]; n_sites = 40: [18.67, 23.33]
+        xy_high = default_recurrence_window(10)[1]
+        assert sweep_delta0(1.1, 0.8, 10, [0.2], window=(15.0, None)) == sweep_delta0(
+            1.1, 0.8, 10, [0.2], window=(15.0, xy_high)
+        )
+        ising_low = ising_recurrence_window(40)[0]
+        assert sweep_field(0.25, 40, [0.7], window=(None, 21.0)) == sweep_field(
+            0.25, 40, [0.7], window=(ising_low, 21.0)
+        )
+        assert sweep_field(0.25, 40, [0.7], window=(None, None)) == sweep_field(0.25, 40, [0.7])
+
+    def test_null_quench_rows_say_no_charging(self):
+        with pytest.raises(RegimeDetectionError, match="no charging occurred"):
+            sweep_delta0(1.1, 0.0, 10, [0.2])
+        with pytest.raises(RegimeDetectionError, match="no charging occurred"):
+            sweep_field(0.0, 40, [0.7])
 
     def test_pool_worker_warnings_reach_the_caller(self, monkeypatch):
         # delta0 = 0.1 puts the recurrence maximum on the edge of [80, 100] at
