@@ -213,6 +213,8 @@ def _resolve(ns: argparse.Namespace, defaults: dict) -> dict:
             raise ValueError(f"{name} must be one of {sorted(allowed)}, got {opts[name]!r}")
     if opts.get("workers", 1) < 1:
         raise ValueError("workers must be >= 1")
+    if opts.get("tol", 0.0) < 0:
+        raise ValueError(f"tol must be >= 0, got {opts['tol']}")
     return opts
 
 

@@ -43,7 +43,6 @@ from .xy import _check_parameters, _check_size
 
 __all__ = [
     "IsingParams",
-    "ising_energy_stored",
     "ising_energy_at_times",
     "ising_energy_trace",
     "ising_asymptotic_energy",
@@ -90,11 +89,6 @@ def ising_energy_at_times(params: IsingParams, times: np.ndarray) -> np.ndarray:
     times = _engine_times("n_sites", params.n_sites, times)
     omega, amp = _mode_arrays(params)
     return _phase_block_sum(times, amp, 2.0 * omega)
-
-
-def ising_energy_stored(params: IsingParams, t: float) -> float:
-    """Closed-form stored energy at a single time t >= 0."""
-    return float(ising_energy_at_times(params, np.array([t]))[0])
 
 
 def ising_asymptotic_energy(params: IsingParams) -> float:

@@ -49,7 +49,6 @@ __all__ = [
     "QuenchProtocol",
     "EnergyTrace",
     "occupations_all",
-    "energy_stored",
     "energy_at_times",
     "energy_trace",
     "asymptotic_energy",
@@ -366,11 +365,6 @@ def energy_at_times(
             + np.einsum("nf,nft->nt", e_sin, np.sin(ph))
         )
     return out
-
-
-def energy_stored(protocol: QuenchProtocol, t: float) -> float:
-    """Stored energy at a single time t >= 0."""
-    return float(energy_at_times(protocol, np.array([t]))[0])
 
 
 def resolution_bound(protocol: QuenchProtocol) -> float:

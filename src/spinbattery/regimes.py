@@ -210,6 +210,11 @@ def _windowed_argmax(
 ) -> tuple[float, float, bool]:
     """(tau, e, on_edge) of the maximum over samples lo..hi-1, refined with the
     neighbours outside them; on_edge if it is sample lo or hi-1.  Never warns.
+
+    Flat charging bands (delta0 + delta1 = 1) make the trace exactly periodic,
+    so np.argmax picks among maxima equal up to rounding by their last bits: at
+    delta0 = 0.2 on the Fig-3 line (n = 300), 13 samples lie within 5.7e-14 and
+    the pick is tau_r = 714.712.  ROADMAP item 1's earliest-peak rule fixes it.
     """
     hi = len(values) if hi is None else hi
     j = lo + int(np.argmax(values[lo:hi]))

@@ -148,6 +148,7 @@ class TestTrace:
             (["trace", "--n-dimers", "10", "--window-min", "-5"], "0 <= window-min < window-max"),
             (["trace", "--n-dimers", "10", "--window-min", "30", "--window-max", "20"],
              "0 <= window-min < window-max"),
+            (["oracle-check", "--tol", "-1"], "tol must be >= 0, got -1.0"),
         ],
     )
     def test_bad_number_exits_2_and_names_it(self, capsys, args, message):

@@ -2,9 +2,9 @@
 
 No linter is a dependency, so the stale imports and ``__all__`` entries that
 removals tend to leave behind are caught here, and so are names the
-benchmark harness in ``bench/`` or the README's examples reach that no
-longer exist (those files are only read) and command-line options that no
-subcommand reads.
+benchmark harness in ``bench/`` reaches that no longer exist (those files
+are only read), README examples that no longer run, and command-line
+options that no subcommand reads.
 """
 
 import ast
@@ -175,11 +175,13 @@ def test_bench_imports_resolve(script):
     assert _missing_imports((BENCH / script).read_text()) == []
 
 
-def test_readme_imports_resolve():
-    # the README's python examples import only names the package still has
+def test_readme_examples_run():
+    # each python example of the README runs as written, so one that names a
+    # retired function or passes a rejected argument fails here
     blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
     assert blocks
-    assert [name for block in blocks for name in _missing_imports(block)] == []
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_traced_span_names_are_module_functions():

@@ -8,7 +8,6 @@ from spinbattery import (
     IsingParams,
     ising_asymptotic_energy,
     ising_energy_at_times,
-    ising_energy_stored,
     ising_energy_trace,
 )
 from spinbattery import quench
@@ -109,14 +108,14 @@ class TestEnergyStored:
     def test_null_quench(self):
         p = IsingParams(0.8, 0.0, 12)
         for t in (0.0, 3.0, 50.0):
-            assert ising_energy_stored(p, t) == 0.0
+            assert ising_energy_at_times(p, np.array([t]))[0] == 0.0
         # a uniform grid runs in phase blocks, this one in blocks of one
         for times in (0.05 * np.arange(1000), [3.0, 1.0, 70.5]):
             assert np.all(ising_energy_at_times(p, times) == 0.0)
 
     def test_zero_at_t0(self):
         params = IsingParams(0.8, 0.7, 600)
-        assert ising_energy_stored(params, 0.0) == 0.0
+        assert ising_energy_at_times(params, np.array([0.0]))[0] == 0.0
         assert ising_energy_at_times(params, 0.05 * np.arange(5000))[0] == 0.0
 
     @pytest.mark.parametrize("n_sites", [4, 6])
@@ -161,19 +160,18 @@ class TestEnergyStored:
         full = sum(contrib(j) for j in range(12))
         half_doubled = 2.0 * sum(contrib(j) for j in range(6))
         assert half_doubled == pytest.approx(full, abs=1e-12)
-        assert ising_energy_stored(params, t) == pytest.approx(full, abs=1e-12)
+        assert ising_energy_at_times(params, np.array([t]))[0] == pytest.approx(full, abs=1e-12)
 
     def test_exact_upper_bound(self):
         params = IsingParams(0.8, 0.7, 30)
         bound = 2.0 * ising_asymptotic_energy(params)
         rng = np.random.default_rng(32)
-        for t in rng.uniform(0.0, 200.0, size=20):
-            de = ising_energy_stored(params, float(t))
-            assert 0.0 <= de <= bound + 1e-12
+        de = ising_energy_at_times(params, rng.uniform(0.0, 200.0, size=20))
+        assert np.all((0.0 <= de) & (de <= bound + 1e-12))
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
-            ising_energy_stored(IsingParams(0.8, 0.7, 6), -1.0)
+            ising_energy_at_times(IsingParams(0.8, 0.7, 6), np.array([-1.0]))
 
 
 class TestZoneEdgeMode:
@@ -232,7 +230,7 @@ class TestTrace:
         # they agree to rounding, not bit for bit
         params = IsingParams(0.8, 0.7, 8)
         trace = ising_energy_trace(params, 12.0, 0.05)
-        pointwise = np.array([ising_energy_stored(params, float(t)) for t in trace.times])
+        pointwise = np.array([ising_energy_at_times(params, [t])[0] for t in trace.times])
         tol = 1e-12 * max(1.0, ising_asymptotic_energy(params))
         assert np.max(np.abs(trace.values - pointwise)) <= tol
 

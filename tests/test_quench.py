@@ -13,7 +13,6 @@ from spinbattery import (
     dispersion_curves,
     eigensystem_stack,
     energy_at_times,
-    energy_stored,
     energy_trace,
     occupations_all,
     resolution_bound,
@@ -21,7 +20,7 @@ from spinbattery import (
 from spinbattery import ising, quench
 from spinbattery.ed import DimerizedXY, build_hamiltonian, oracle_energy_trace
 from spinbattery.ising import IsingParams, ising_asymptotic_energy, ising_energy_at_times
-from spinbattery.quench import _mode_data
+from spinbattery.quench import EQUAL_FREQ_TOL, _mode_data
 
 FIG2 = QuenchProtocol(1.25, 0.3, 0.6, 300)
 FIG3 = QuenchProtocol(1.1, 0.2, 0.8, 300)
@@ -223,7 +222,7 @@ class TestQuadrupleSum:
 
 class TestEnergyStored:
     def test_zero_at_t0(self):
-        assert abs(energy_stored(FIG2, 0.0)) <= 1e-10 * FIG2.n_dimers
+        assert abs(energy_at_times(FIG2, np.array([0.0]))[0]) <= 1e-10 * FIG2.n_dimers
 
     def test_null_quench_trace_is_zero(self):
         p = QuenchProtocol(1.25, 0.3, 0.0, 6)
@@ -235,7 +234,7 @@ class TestEnergyStored:
         battery = build_hamiltonian(DimerizedXY(1.25, 0.3), 4)
         charger = build_hamiltonian(DimerizedXY(1.25, 0.9), 4)
         ref = oracle_energy_trace(battery, charger, np.array([2.0])).values[0]
-        assert energy_stored(p, 2.0) == pytest.approx(ref, abs=1e-8)
+        assert energy_at_times(p, np.array([2.0]))[0] == pytest.approx(ref, abs=1e-8)
 
     def test_loose_upper_bound(self):
         rng = np.random.default_rng(26)
@@ -243,13 +242,12 @@ class TestEnergyStored:
             p = _random_protocol(rng)
             bands = dispersion_curves(p.gamma, p.delta0, p.n_dimers)
             bound = 2.0 * float(np.sum(bands))
-            for t in rng.uniform(0.0, 30.0, size=3):
-                de = energy_stored(p, float(t))
-                assert -1e-10 * p.n_dimers <= de <= bound + 1e-10
+            de = energy_at_times(p, rng.uniform(0.0, 30.0, size=3))
+            assert np.all((-1e-10 * p.n_dimers <= de) & (de <= bound + 1e-10))
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
-            energy_stored(FIG2, -0.5)
+            energy_at_times(FIG2, np.array([-0.5]))
 
     @pytest.mark.parametrize(
         "energy, params",
@@ -284,7 +282,7 @@ class TestEnergyTrace:
     def test_matches_pointwise_calls(self):
         p = QuenchProtocol(1.25, 0.3, 0.6, 2)
         trace = energy_trace(p, 10.0, 0.05)
-        pointwise = np.array([energy_stored(p, float(t)) for t in trace.times])
+        pointwise = np.array([energy_at_times(p, np.array([t]))[0] for t in trace.times])
         assert np.array_equal(trace.values, pointwise)
 
     @pytest.mark.parametrize(
@@ -495,3 +493,54 @@ class TestStatelessEngines:
         finally:
             tracemalloc.stop()
         assert retained <= 10**6
+
+
+def _two_chain_modes(p: QuenchProtocol):
+    """(amp, freq, |d|) per mode and chain, shapes (n_dimers, 2): a reference
+    that shares no code with the engine.
+
+    The XY battery is two Ising chains with (a, b) = (1 + g d, d + g) and
+    (1 - g d, d - g), d = (a cos x, b sin x) at x = pi (q + 1/2) / n for the
+    battery and d' for the charger; dE(t) = sum amp [1 - cos(4 |d'| t)].
+    """
+    x = np.pi * (np.arange(p.n_dimers) + 0.5) / p.n_dimers
+    c, s = np.cos(x)[:, None], np.sin(x)[:, None]
+    sign = np.array([1.0, -1.0])
+    g, d, dp = p.gamma, p.delta0, p.delta0 + p.delta1
+    a, b = 1.0 + sign * g * d, d + sign * g
+    ap, bp = 1.0 + sign * g * dp, dp + sign * g
+    norm, normp = np.hypot(a * c, b * s), np.hypot(ap * c, bp * s)
+    num = (c * s * (a * bp - ap * b)) ** 2
+    amp = np.divide(num, norm * normp**2, out=np.zeros_like(num), where=norm * normp != 0)
+    return amp, 4.0 * normp, norm
+
+
+class TestTwoIsingChains:
+    # ROADMAP item 3's identity, checked at 1e-12 max(1, max|dE|)
+    TIMES = 0.37 * np.arange(100)
+
+    @pytest.mark.parametrize(
+        "protocol",
+        [
+            *(_random_protocol(np.random.default_rng(seed), max_dimers=40) for seed in range(8)),
+            QuenchProtocol(1.0, 0.4, 0.5, 9),  # gamma = 1: every bond commutes
+            QuenchProtocol(1.25, 0.3, 0.5, 12),  # charging on gamma delta' = 1
+            QuenchProtocol(0.8, 0.3, 0.5, 12),  # charging on delta' = gamma
+            QuenchProtocol(0.8, 0.3, 0.5, 7),  # ... with odd n: |d'| = 0 at x = pi/2
+            QuenchProtocol(1.4, 0.6, 0.0, 10),  # delta1 = 0
+            FIG3,  # Fig. 3, delta0 = 0.2: flat charging bands
+        ],
+        ids=[*(f"random{seed}" for seed in range(8)),
+             "gamma1", "gd1", "d_gamma", "d_gamma_odd", "null", "fig3"],
+    )
+    def test_engine_is_two_ising_chains(self, protocol):
+        amp, freq, norm = _two_chain_modes(protocol)
+        ref = np.array([np.sum(amp * (1.0 - np.cos(freq * t))) for t in self.TIMES])
+        engine = energy_at_times(protocol, self.TIMES)
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(engine))))
+        assert np.max(np.abs(engine - ref)) <= tol
+        assert abs(asymptotic_energy(protocol) - np.sum(amp[freq > EQUAL_FREQ_TOL])) <= tol
+        sin2 = np.divide(amp, norm, out=np.zeros_like(amp), where=norm != 0)
+        for t in self.TIMES[::11]:
+            occ = sin2 * np.sin(0.5 * freq * t) ** 2
+            assert np.max(np.abs(occupations_all(protocol, t) - occ)) <= tol
