@@ -18,9 +18,15 @@ with agreement against brute-force exact diagonalization.
 
 ``energy_at_times`` is the XY time kernel.  It accepts both evaluator
 names, ``"full"`` and ``"simplified"``, and runs this same sum for either.
-The matching matrix does not mix the two bands, so a band-diagonal
-truncation of the sum agrees with it to rounding and needs no path of its
-own.
+Before its time loop it drops every frequency column whose total weight
+sum_q (|e_cos| + |e_sin|) is at most eps sum_q |e_const|: such a column
+cannot move a result by more than one rounding unit of its scale.  The
+matching matrix of a gapped chain does not mix the two bands, so the two
+cross-band columns fall under that rule and only 2 w1' and 2 w2' run; the
+band-diagonal truncation is this rule and needs no path of its own.  Where
+the charging bands are nearly degenerate (gamma (delta0 + delta1) ~ 0),
+``eigh`` mixes them, the w1'+w2' column carries weight and is kept; up to
+all four columns can be.
 
 Engines keep nothing between calls: each call builds the per-mode tables it
 needs once and drops them when it returns.  The helpers under "scaffolding
@@ -55,8 +61,8 @@ __all__ = [
     "resolution_bound",
 ]
 
-# Charging frequencies closer than this are treated as exactly degenerate:
-# their cross terms belong to the time-independent part of the energy.
+# A frequency column at most this large is treated as static: it belongs to
+# the time-independent part of the energy.
 EQUAL_FREQ_TOL = 1e-10
 
 # A resolution bound pi / (SAMPLES_PER_PERIOD_FACTOR f) puts 2 x this many
@@ -76,8 +82,10 @@ MAX_MODE_SAMPLES = 10**9
 MAX_TIME = 1e100
 
 # An XY kernel block holds at most _TIME_BLOCK times and _BLOCK_ELEMENTS floats
-# per temporary; up to 600 XY modes (2400 floats per time) that allows 4096
-# times.  The phase-block kernel's temporaries hold _BLOCK_ELEMENTS together.
+# per temporary (modes x kept columns x times).  Up to 4 frequency columns can
+# be kept (2 on a gapped chain), so up to 600 XY modes (2400 floats per time)
+# that allows 4096 times.  The phase-block kernel's temporaries hold
+# _BLOCK_ELEMENTS together.
 _TIME_BLOCK = 4096
 _BLOCK_ELEMENTS = 10**7
 
@@ -345,17 +353,23 @@ def energy_at_times(
 ) -> np.ndarray:
     """Stored energy on an arbitrary grid of times >= 0.
 
-    The XY time kernel.  Times are processed in blocks of at most _TIME_BLOCK,
-    sized so that each (N, F, T) temporary holds at most _BLOCK_ELEMENTS
-    floats, and modes are reduced in ascending-q order with compensated
-    accumulation, so the result is independent of the block length and of
-    how the per-mode work was scheduled.
+    The XY time kernel.  Only the F frequency columns whose weight
+    sum_q (|e_cos| + |e_sin|) exceeds eps sum_q |e_const| run: 2 on a gapped
+    chain, up to 4 where ``eigh`` mixes nearly degenerate charging bands
+    (see the module docstring).  Times are processed in blocks of at most
+    _TIME_BLOCK, sized so that each (N, F, T) temporary holds at most
+    _BLOCK_ELEMENTS floats, and modes are reduced in ascending-q order with
+    compensated accumulation, so the result is independent of the block
+    length and of how the per-mode work was scheduled.
     """
     if evaluator not in ("full", "simplified"):
         raise ValueError(f"evaluator must be 'full' or 'simplified', got {evaluator!r}")
     times = _engine_times("n_dimers", protocol.n_dimers, times)
     freqs, e_const, e_cos, e_sin = _energy_tables(protocol)
-    block = max(1, min(_TIME_BLOCK, _BLOCK_ELEMENTS // freqs.size))
+    weight = np.sum(np.abs(e_cos) + np.abs(e_sin), axis=0)
+    keep = weight > np.finfo(float).eps * np.sum(np.abs(e_const))
+    freqs, e_cos, e_sin = freqs[:, keep], e_cos[:, keep], e_sin[:, keep]
+    block = max(1, min(_TIME_BLOCK, _BLOCK_ELEMENTS // max(1, freqs.size)))
     out = np.empty(times.size, dtype=float)
     for lo in range(0, times.size, block):
         ph = freqs[:, :, None] * times[None, None, lo : lo + block]  # (N, F, T)
@@ -397,9 +411,11 @@ def asymptotic_energy(protocol: QuenchProtocol) -> float:
     """Time-independent part of the stored energy (infinite-time average).
 
     Every cosine column whose frequency is at most ``EQUAL_FREQ_TOL`` is
-    time independent and enters the constant: the w1'-w2' cross terms of
-    degenerate charging bands, and the 2 w' terms of a band whose charging
-    frequency vanishes (a flat band at a gap closing).
+    time independent and enters the constant: the 2 w' terms of a band whose
+    charging frequency vanishes (a flat band at a gap closing).  The w1'-w2'
+    column, whose frequency vanishes where the charging bands are degenerate,
+    carries no more than rounding there: ``eigh``'s mixing of such bands
+    shows up in the w1'+w2' column instead.
     """
     freqs, e_const, e_cos, _ = _energy_tables(protocol)
     static = np.where(freqs <= EQUAL_FREQ_TOL, e_cos, 0.0)

@@ -42,6 +42,17 @@ def test_xy_engine_on_small_rings(n_dimers):
     assert _deviation(engine, reference) <= 1e-9
 
 
+def test_xy_engine_with_near_degenerate_charging_bands():
+    # gamma (delta0 + delta1) ~ 1e-12: eigh mixes the charging bands, and
+    # the w1' + w2' column carries weight that the engine must keep
+    times = np.linspace(0.0, 150.0, 61)
+    engine = energy_at_times(QuenchProtocol(1e-12, 0.3, 0.6, 50), times)
+    reference = majorana.stored_energy(
+        DimerizedXY(1e-12, 0.3), DimerizedXY(1e-12, 0.9), 100, times
+    )
+    assert _deviation(engine, reference) <= 1e-9
+
+
 def test_xy_engine_at_the_papers_size():
     # the reference protocol at 300 dimers: the first maximum tau_s, the
     # plateau, and the recurrence tau_r in its window [600, 800]

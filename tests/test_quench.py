@@ -1,4 +1,5 @@
 import gc
+import math
 import tracemalloc
 
 import numpy as np
@@ -286,10 +287,11 @@ class TestEnergyTrace:
         assert np.array_equal(trace.values, pointwise)
 
     @pytest.mark.parametrize(
-        "budget, samples", [(1, 40), (1200 * 7, 1500), (1200 * 333, 1500), (1200 * 777, 1500)]
+        "budget, samples", [(600, 40), (600 * 7, 1500), (600 * 333, 1500), (600 * 777, 1500)]
     )
     def test_block_budget_keeps_the_bits(self, monkeypatch, budget, samples):
-        # 300 dimers make 1200 temporaries per sample: blocks of 1, 7, 333 and 777
+        # 300 dimers x 2 kept columns make 600 temporaries per sample: blocks
+        # of 1, 7, 333 and 777
         times = 0.05 * np.arange(samples)
         default = energy_at_times(FIG2, times)
         monkeypatch.setattr(quench, "_BLOCK_ELEMENTS", budget)
@@ -355,6 +357,64 @@ class TestEnergyTrace:
     def test_rejects_non_finite_grid(self, t_end, dt, name):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             energy_trace(FIG2, t_end, dt)
+
+
+def _four_column_sum(protocol: QuenchProtocol, times) -> np.ndarray:
+    """Stored energy from every column of the tables, one ``math.fsum`` per time."""
+    freqs, e_const, e_cos, e_sin = quench._energy_tables(protocol)
+
+    def at(t):
+        ph = freqs * t
+        return math.fsum([*e_const, *(e_cos * np.cos(ph)).flat, *(e_sin * np.sin(ph)).flat])
+
+    return np.array([at(t) for t in times])
+
+
+class TestWeightlessColumns:
+    # energy_at_times skips the frequency columns that carry no weight; the
+    # sum over all four columns must agree to 1e-13 max(1, max|dE|)
+    TIMES = np.concatenate([0.37 * np.arange(60), [679.14, 1e4]])
+
+    @pytest.mark.parametrize(
+        "protocol",
+        [
+            FIG2,
+            FIG3,  # delta0 = 0.2: flat charging bands
+            QuenchProtocol(1.25, 0.0, 0.6, 20),  # delta0 = 0: degenerate battery bands
+            QuenchProtocol(1e-12, 0.3, 0.6, 50),  # near-degenerate charging bands
+            QuenchProtocol(1e-15, 1e-15, 0.6, 20),
+            QuenchProtocol(1.0, 0.4, 0.5, 9),  # gamma = 1
+            QuenchProtocol(1.25, 0.3, 0.5, 12),  # charging on gamma delta' = 1
+            QuenchProtocol(0.8, 0.3, 0.5, 12),  # charging on delta' = gamma
+            QuenchProtocol(0.8, 0.3, 0.5, 7),  # ... with odd n
+            QuenchProtocol(1.4, 0.6, 0.0, 10),  # delta1 = 0
+        ],
+        ids=["fig2", "fig3", "delta0_0", "gamma_1e-12", "gamma_delta0_1e-15", "gamma1",
+             "gd1", "d_gamma", "d_gamma_odd", "null"],
+    )
+    def test_matches_the_four_column_sum(self, protocol):
+        ref = _four_column_sum(protocol, self.TIMES)
+        engine = energy_at_times(protocol, self.TIMES)
+        assert np.max(np.abs(engine - ref)) <= 1e-13 * max(1.0, float(np.max(np.abs(ref))))
+
+    @pytest.mark.parametrize(
+        "protocol, columns",
+        [(FIG2, 2), (QuenchProtocol(1e-12, 0.3, 0.6, 50), 3)],
+        ids=["fig2", "gamma_1e-12"],
+    )
+    def test_evaluates_only_the_weighted_columns(self, monkeypatch, protocol, columns):
+        # Fig. 2 keeps 2 w1' and 2 w2'; near-degenerate charging bands that
+        # eigh mixes also keep w1' + w2'
+        phases = []
+        for name in ("cos", "sin"):
+            def spy(x, *args, _trig=getattr(np, name), **kwargs):
+                if np.ndim(x) == 3:
+                    phases.append(np.shape(x))
+                return _trig(x, *args, **kwargs)
+
+            monkeypatch.setattr(np, name, spy)
+        energy_at_times(protocol, 0.05 * np.arange(10))
+        assert phases == [(protocol.n_dimers, columns, 10)] * 2
 
 
 class TestEvaluators:
