@@ -5,24 +5,27 @@ H(h) = (1/2) sum_j [sx_j sx_{j+1} + h sz_j] the whole calculation collapses
 to one Bogoliubov rotation per mode and the stored energy has the closed
 form
 
-    dE(t) = sum_q  h1^2 sin^2(k) / (2 eps_q w_q^2) * [1 - cos(2 w_q t)]
+    dE(t) = sum_q  h1^2 sin^2(k) / (eps_q w_q^2) * [1 - cos(2 w_q t)]
 
-with k = 2 pi q / N over the half-integer set {1/2, ..., N - 1/2},
-eps_q the dispersion at h0 and w_q the dispersion at h0 + h1.  The
+with k = 2 pi q / N over the half zone q = 1/2, ..., N/2 - 1/2 (0 < k < pi),
+eps_q the dispersion at h0 and w_q the dispersion at h0 + h1, both > 0
+there.  Modes q and N - q store the same energy, so each mirror pair enters
+once, at twice the per-mode amplitude; the k = pi mode of an odd ring is its
+own mirror, is not coupled by the field quench and never enters.  The
 Bogoliubov angles, (sin 2theta, cos 2theta) = (sin k, h - cos k) / eps_q,
-enter only through this amplitude, which is eps_q sin^2(2theta' - 2theta) / 2.
+enter only through this amplitude, which is eps_q sin^2(2theta' - 2theta).
 
 ``ising_energy_at_times`` evaluates the sum with the phase-block kernel of
 ``quench`` (``_phase_block_sum``): on a uniform grid of T times it takes
-about 4 sqrt(T) sines and cosines per mode and one matrix product, instead
-of a cosine per mode and sample.  It matches the mode-by-mode sum, exactly
-rounded over modes, to within 1e-12 max(1, E^inf) up to t = 10^3, a bound
-that grows in proportion to t past it with the rounding of the phases
-2 w_q t.  A trace and pointwise calls at its times therefore agree to that
-tolerance, not bit for bit.  A result depends only on the parameters, the
-time grid and the BLAS thread count (to 7e-16 relative), so it is the same
-for any worker count.  Each call builds the per-mode arrays it needs and
-keeps nothing once it returns.
+about 4 sqrt(T) sines and cosines per mode and a matrix-vector product per
+block column, instead of a cosine per mode and sample.  It matches the
+mode-by-mode sum, exactly rounded over modes, to within 1e-12 max(1, E^inf)
+up to t = 10^3, a bound that grows in proportion to t past it with the
+rounding of the phases 2 w_q t.  A trace and pointwise calls at its times
+therefore agree to that tolerance, not bit for bit.  A result depends only
+on the parameters and the time grid, so it is the same for any worker or
+BLAS thread count.  Each call builds the per-mode arrays it needs and keeps
+nothing once it returns.
 """
 
 from __future__ import annotations
@@ -64,24 +67,13 @@ class IsingParams:
 
 
 def _mode_arrays(params: IsingParams):
-    """(omega, amplitude) arrays: dE(t) = sum_q amp_q [1 - cos(2 w_q t)].
-
-    For odd N the mode q = N/2 sits at k = pi, where sin k = 0: the field
-    quench does not couple it, so its amplitude is exactly 0.  Only there
-    can a dispersion vanish (at h0 = -1 or h0 + h1 = -1).
-    """
+    """(omega, amplitude) over the half zone: dE(t) = sum_q amp_q [1 - cos(2 w_q t)]."""
     n = params.n_sites
-    k = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+    k = 2.0 * np.pi * (np.arange(n // 2) + 0.5) / n
     eps = np.sqrt(1.0 + params.h0**2 - 2.0 * params.h0 * np.cos(k))
     hf = params.h0 + params.h1
     omega = np.sqrt(1.0 + hf**2 - 2.0 * hf * np.cos(k))
-    sin_k = np.sin(k)
-    if n % 2:
-        sin_k[n // 2] = 0.0
-    amp = np.divide(
-        params.h1**2 * sin_k**2, 2.0 * eps * omega**2, out=np.zeros(n), where=sin_k != 0.0
-    )
-    return omega, amp
+    return omega, params.h1**2 * np.sin(k) ** 2 / (eps * omega**2)
 
 
 def ising_energy_at_times(params: IsingParams, times: np.ndarray) -> np.ndarray:
@@ -98,7 +90,7 @@ def ising_asymptotic_energy(params: IsingParams) -> float:
 
 
 def ising_resolution_bound(params: IsingParams) -> float:
-    """Trace-step bound, twenty samples per period of the fastest cosine 2 max_q w_q."""
+    """Trace-step bound: twenty samples per period of 2 max_q w_q over the half zone."""
     omega, _ = _mode_arrays(params)
     return _resolution_bound(2.0 * float(np.max(omega)))
 

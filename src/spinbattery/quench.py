@@ -255,18 +255,19 @@ def _phase_block_sum(times: np.ndarray, amp: np.ndarray, freq: np.ndarray) -> np
         1 - cos(x + y) = (1 - cos x) + cos x (1 - cos y) + sin x sin y.
 
     The phases x at the block starts are computed directly, so no rounding
-    carries from block to block, and the y part is one (2M x B) table per
-    call: the whole trace is (blocks x 2M) @ (2M x B) matrix products, with
-    no trigonometric call per sample.  Each term is small where dE is, so
-    dE(0) = 0 exactly.  Modes are taken in tiles
-    whose temporaries hold at most _BLOCK_ELEMENTS floats together, and the
-    tiles are summed in ascending order, so a result depends only on the
-    grid, the modes, the budget and the BLAS thread count.
+    carries from block to block, and the y part is one (B x M) table per call:
+    each block column j of the trace is two matrix-vector products,
+    (blocks x M) @ (M,), with no trigonometric call per sample.  Each term is
+    small where dE is, so dE(0) = 0 exactly.  Modes are taken in tiles whose
+    temporaries hold at most _BLOCK_ELEMENTS floats together, and the tiles
+    are summed in ascending order.  A matrix-vector product gives every
+    output element to one BLAS thread, so a result depends only on the grid,
+    the modes and the budget, not on the BLAS thread count.
     """
     block, step = _phase_block(times)
     starts = times[::block]
     offsets = step * np.arange(block)
-    tile = max(1, _BLOCK_ELEMENTS // (2 * (starts.size + block)))
+    tile = max(1, _BLOCK_ELEMENTS // (3 * starts.size + 2 * block))
     out = np.zeros((starts.size, block))
     for lo in range(0, amp.size, tile):
         out += _phase_tile(starts, offsets, amp[lo : lo + tile], freq[lo : lo + tile])
@@ -275,14 +276,14 @@ def _phase_block_sum(times: np.ndarray, amp: np.ndarray, freq: np.ndarray) -> np
 
 def _phase_tile(starts, offsets, a, f) -> np.ndarray:
     """(blocks, B) sums over the modes (a, f) of a [1 - cos(f (t_b + offset_j))]."""
-    y = np.multiply.outer(f, offsets)
+    y = np.multiply.outer(offsets, f)
     sin_y = np.sin(y)
     np.subtract(1.0, np.cos(y, out=y), out=y)
     x = np.multiply.outer(starts, f)
     cos_x = np.cos(x)
     np.sin(x, out=x)
-    out = np.multiply(x, a, out=x) @ sin_y
-    out += np.multiply(cos_x, a, out=x) @ y
+    xa, ca = np.multiply(x, a, out=x), cos_x * a
+    out = np.column_stack([xa @ s + ca @ c for s, c in zip(sin_y, y)])
     out += (np.subtract(1.0, cos_x, out=cos_x) @ a)[:, None]
     return out
 

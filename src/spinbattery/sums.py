@@ -4,7 +4,7 @@ Scalar mode sums are exactly rounded, and the XY time kernel
 (``quench.energy_at_times``) reduces its mode sums in ascending-q order with
 an error-free transformation, so results are bitwise stable across runs and
 across any parallel work splitting that feeds per-mode terms in order.  (The
-Ising time kernel reduces by matrix products; see
+Ising time kernel reduces by matrix-vector products; see
 ``quench._phase_block_sum``.)
 """
 

@@ -281,8 +281,9 @@ class TestCriterion8Properties:
         params = IsingParams(ISING_H0, ISING_H1, 600)
         omega, amp = _mode_arrays(params)
         worst = 0.0
-        for j in range(0, 600, 13):
-            # reference Bogoliubov pairs (sin 2theta, cos 2theta) = (sin k, h - cos k) / eps
+        for j in range(0, 300, 13):
+            # reference Bogoliubov pairs (sin 2theta, cos 2theta) = (sin k, h - cos k) / eps;
+            # half-zone mode j carries the mirror pair j, N - 1 - j, so weight 2
             k = 2 * math.pi * (j + 0.5) / params.n_sites
             eps = math.hypot(math.sin(k), ISING_H0 - math.cos(k))
             eps_c = math.hypot(math.sin(k), ISING_H0 + ISING_H1 - math.cos(k))
@@ -292,7 +293,7 @@ class TestCriterion8Properties:
             for t in (0.7, 5.3, 31.0):
                 beta2 = math.sin(omega[j] * t) ** 2 * sin2diff**2
                 closed = amp[j] * (1.0 - math.cos(2.0 * omega[j] * t))
-                worst = max(worst, abs(eps * beta2 - closed))
+                worst = max(worst, abs(2.0 * eps * beta2 - closed))
         assert worst <= 1e-12
         _report("8/beta", f"|beta|^2 form vs closed form per mode, max |diff| {worst:.2e}")
 

@@ -521,3 +521,26 @@ class TestDeterminism:
             ) == 0
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
+
+
+def test_ising_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the default Ising trace and a 31-point field sweep at 600 sites, each
+    # run with one and with two BLAS threads, must write the same bytes
+    path = os.pathsep.join(os.path.abspath(p) for p in sys.path if p)
+    script = (
+        "from spinbattery.cli import main\n"
+        "assert main(['trace', '--model', 'ising', '--out', 'trace.csv']) == 0\n"
+        "assert main(['sweep', '--model', 'ising', '--h1', '0.25', '--param-min', '0.4',\n"
+        "             '--param-max', '1.0', '--param-step', '0.02', '--out', 'sweep.csv']) == 0\n"
+    )
+    outputs = {}
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONPATH": path}
+        env.update({v: threads for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")})
+        proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env)
+        assert proc.returncode == 0
+        outputs[threads] = [(cwd / name).read_bytes() for name in ("trace.csv", "sweep.csv")]
+    assert len(outputs["1"][1].splitlines()) == 32
+    assert outputs["1"] == outputs["2"]

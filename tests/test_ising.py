@@ -21,8 +21,9 @@ FROZEN_COS2T = -0.99803012795782420775
 
 
 def _dispersion(h, n_sites):
-    """The engine's dispersion at field h for every mode (row j is q = j + 1/2)."""
-    return _mode_arrays(IsingParams(h, 0.0, n_sites))[0]
+    """The closed-form dispersion at field h over the full zone (row j is q = j + 1/2)."""
+    k = 2.0 * np.pi * (np.arange(n_sites) + 0.5) / n_sites
+    return np.sqrt(1.0 + h**2 - 2.0 * h * np.cos(k))
 
 
 def _bogoliubov_pair(h, n_sites, q):
@@ -70,6 +71,12 @@ class TestDispersion:
     def test_derived_value(self):
         assert _dispersion(0.8, 600)[0] == pytest.approx(FROZEN_EPS, abs=1e-14)
 
+    @pytest.mark.parametrize("n_sites", [2, 3, 7, 600])
+    def test_engine_runs_the_half_zone(self, n_sites):
+        # the charging dispersion of the modes q = 1/2, ..., N/2 - 1/2
+        omega = _mode_arrays(IsingParams(0.8, 0.7, n_sites))[0]
+        assert np.array_equal(omega, _dispersion(1.5, n_sites)[: n_sites // 2])
+
 
 class TestBogoliubovAngle:
     # the reference pair that the per-mode amplitude checks rely on
@@ -82,12 +89,14 @@ class TestBogoliubovAngle:
 
     def test_zone_edge(self):
         # q = N/2 is representable for odd N and puts k exactly at pi: the
-        # pair is (0, 1), so the quench leaves the mode alone and the
-        # engine gives it amplitude exactly 0
+        # pair is (0, 1), so the quench leaves the mode alone, and the
+        # engine's half zone (N // 2 modes, k < pi) leaves it out
         s, c = _bogoliubov_pair(0.75, 5, 2.5)
         assert s == pytest.approx(0.0, abs=1e-15)
         assert c == pytest.approx(1.0, abs=1e-15)
-        assert _mode_arrays(IsingParams(0.75, 0.5, 5))[1][2] == 0.0
+        omega, amp = _mode_arrays(IsingParams(0.75, 0.5, 5))
+        assert omega.size == amp.size == 2
+        assert np.array_equal(omega, _dispersion(1.25, 5)[:2])
 
     def test_derived_pair(self):
         s, c = _bogoliubov_pair(0.75, 600, 1.5)
@@ -129,12 +138,13 @@ class TestEnergyStored:
         assert np.max(np.abs(engine - oracle.values)) <= 1e-8
 
     def test_beta_amplitude_equals_closed_form_per_mode(self):
-        # |beta(t)|^2 from the angle pairs, times the battery dispersion,
-        # must reproduce each mode's closed-form contribution
+        # |beta(t)|^2 from the angle pairs, times the battery dispersion and
+        # the weight 2 of a mirror pair, must reproduce each half-zone mode's
+        # closed-form contribution
         params = IsingParams(0.8, 0.7, 10)
         omega, amp = _mode_arrays(params)
         eps = _dispersion(params.h0, params.n_sites)
-        for j in range(10):
+        for j in range(5):
             q = j + 0.5
             si, ci = _bogoliubov_pair(params.h0, params.n_sites, q)
             sf, cf = _bogoliubov_pair(params.h0 + params.h1, params.n_sites, q)
@@ -142,7 +152,7 @@ class TestEnergyStored:
             for t in (0.3, 1.7, 9.2):
                 beta2 = math.sin(omega[j] * t) ** 2 * sin2diff**2
                 closed = amp[j] * (1 - math.cos(2 * omega[j] * t))
-                assert eps[j] * beta2 == pytest.approx(closed, abs=1e-12)
+                assert 2 * eps[j] * beta2 == pytest.approx(closed, abs=1e-12)
 
     def test_reflection_symmetry_half_zone(self):
         # contributions at q and N - q coincide, so twice the half zone
@@ -176,7 +186,8 @@ class TestEnergyStored:
 
 class TestZoneEdgeMode:
     # odd N has the mode k = pi, where sin k = 0: the quench leaves it alone,
-    # and its dispersion vanishes at h0 = -1 (battery) or h0 + h1 = -1 (charger)
+    # and its dispersion vanishes at h0 = -1 (battery) or h0 + h1 = -1
+    # (charger); the engine's half zone stops below it
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "n_sites,h0,h1", [(5, -1.5, 0.5), (7, -1.5, 0.5), (5, -1.0, 0.4), (7, -1.0, -0.3)]
@@ -196,10 +207,9 @@ class TestZoneEdgeMode:
         eps = np.sqrt(1.0 + h0**2 - 2.0 * h0 * np.cos(k))
         omega = np.sqrt(1.0 + (h0 + h1) ** 2 - 2.0 * (h0 + h1) * np.cos(k))
         amp = h1**2 * np.sin(k) ** 2 / (2.0 * eps * omega**2)
-        # odd N: every mode but k = pi; even N: all of them
-        coupled = np.arange(n_sites) != (n_sites // 2 if n_sites % 2 else -1)
+        # a mirror pair q, N - q enters once, at twice the amplitude of q < N/2
         engine = _mode_arrays(IsingParams(h0, h1, n_sites))[1]
-        assert np.array_equal(engine[coupled], amp[coupled])
+        assert np.array_equal(engine, 2.0 * amp[: n_sites // 2])
 
 
 class TestAsymptotic:
@@ -237,7 +247,7 @@ class TestTrace:
     @pytest.mark.parametrize("budget", [142, 142 * 7, 142 * 333, 142 * 1000])
     def test_mode_tiles_agree(self, monkeypatch, budget):
         # 5000 uniform times make 71 blocks of 71, so the temporaries take
-        # 2 x 142 floats per mode: tiles of 1, 7, 333 and all 600 modes
+        # 5 x 71 floats per mode: tiles of 1, 2, 133 and 400 of the 600 modes
         params = IsingParams(0.8, 0.7, 600)
         times = 0.05 * np.arange(5000)
         default = ising_energy_at_times(params, times)
@@ -310,19 +320,20 @@ class TestPhaseBlockKernel:
 
     @pytest.mark.parametrize("h0", [0.75, -1.5, -1.0])
     def test_odd_ring(self, h0):
-        # N = 7 has the mode k = pi at amplitude 0; its battery or charging
-        # dispersion vanishes at h0 = -1 or h0 + h1 = -1
+        # N = 7 has the uncoupled mode k = pi, left out of the half zone; its
+        # battery or charging dispersion vanishes at h0 = -1 or h0 + h1 = -1
         params = IsingParams(h0, 0.5, 7)
-        assert _mode_arrays(params)[1][3] == 0.0
+        assert _mode_arrays(params)[1].size == 3
         times = 280.0 + 0.01 * np.arange(3000)
         values = ising_energy_at_times(params, times)
         assert np.max(np.abs(values - _direct(params, times))) <= _tolerance(params, times)
 
     def test_memory_stays_at_the_block_budget(self):
-        # 200,000 modes x 1000 times: the kernel's temporaries hold at most
-        # _BLOCK_ELEMENTS floats together (80 MB), under the 161.7 MB that a
-        # direct cosine per mode-sample in blocks of that budget peaks at
-        omega, amp = _mode_arrays(IsingParams(0.8, 0.7, 200_000))
+        # 200,000 modes (400,000 sites) x 1000 times: the kernel's
+        # temporaries hold at most _BLOCK_ELEMENTS floats together (80 MB),
+        # under the 161.7 MB that a direct cosine per mode-sample in blocks of
+        # that budget peaks at
+        omega, amp = _mode_arrays(IsingParams(0.8, 0.7, 400_000))
         freq = 2.0 * omega
         times = 0.05 * np.arange(1000)
         tracemalloc.start()
@@ -332,3 +343,51 @@ class TestPhaseBlockKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * quench._BLOCK_ELEMENTS + 4 * 10**6
+
+
+def _full_zone(params):
+    """(omega, amp) of the closed form over the full zone q = 1/2, ..., N - 1/2.
+
+    The mode k = pi of an odd ring (q = N/2), where sin k = 0 and the quench
+    couples nothing, is left out.
+    """
+    n, hf = params.n_sites, params.h0 + params.h1
+    q = np.arange(n) + 0.5
+    k = 2.0 * np.pi * q[q != n / 2] / n
+    eps = np.sqrt(1.0 + params.h0**2 - 2.0 * params.h0 * np.cos(k))
+    omega = np.sqrt(1.0 + hf**2 - 2.0 * hf * np.cos(k))
+    return omega, params.h1**2 * np.sin(k) ** 2 / (2.0 * eps * omega**2)
+
+
+def _random_protocols(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        h0, h1 = rng.uniform(-2.0, 2.0, size=2)
+        yield float(h0), float(h1), int(rng.integers(2, 120))
+
+
+class TestHalfZone:
+    # the engine sums each mirror pair once; the full-zone sum, exactly
+    # rounded, counts both modes of every pair
+    @pytest.mark.parametrize(
+        "h0, h1, n_sites",
+        [
+            (0.8, 0.7, 2),
+            (0.8, 0.7, 3),
+            (-1.0, 0.4, 3),
+            (-1.5, 0.5, 2),
+            (-1.0, 0.4, 7),
+            (-1.5, 0.5, 9),
+            (0.75, 0.5, 601),
+            *_random_protocols(20, 41),
+        ],
+    )
+    def test_matches_the_full_zone_sum(self, h0, h1, n_sites):
+        params = IsingParams(h0, h1, n_sites)
+        omega, amp = _full_zone(params)
+        e_inf = ising_asymptotic_energy(params)
+        assert abs(e_inf - math.fsum(amp)) <= _tolerance(params, [0.0])
+        for times in (0.05 * np.arange(400), 900.0 + 0.05 * np.arange(400)):
+            full = [math.fsum(amp * (1.0 - np.cos(2.0 * omega * t))) for t in times]
+            values = ising_energy_at_times(params, times)
+            assert np.max(np.abs(values - full)) <= _tolerance(params, times)

@@ -62,6 +62,19 @@ def test_xy_engine_at_the_papers_size():
     assert _deviation(engine, reference) <= 1e-9
 
 
+@pytest.mark.parametrize("delta0", [0.05, 0.2, 0.3])
+def test_xy_engine_on_the_fig3_line(delta0):
+    # gamma = 1.1, delta1 = 0.8 at 300 dimers: delta0 = 0.2 charges with flat
+    # bands (delta0 + delta1 = 1), 0.05 and 0.3 on either side; times span
+    # the first maximum, the plateau and the recurrence window [600, 800]
+    times = np.array([2.0, 50.0, 150.0, 400.0, 600.0, 714.712, 800.0])
+    engine = energy_at_times(QuenchProtocol(1.1, delta0, 0.8, 300), times)
+    reference = majorana.stored_energy(
+        DimerizedXY(1.1, delta0), DimerizedXY(1.1, delta0 + 0.8), 600, times
+    )
+    assert _deviation(engine, reference) <= 1e-9
+
+
 def test_ising_engine_on_a_ring():
     # the CLI's default Ising protocol, through its recurrence window [280, 350]
     times = np.linspace(0.0, 350.0, 36)
