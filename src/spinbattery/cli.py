@@ -99,20 +99,19 @@ def _csv_text(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(opts: dict, stem: str, header: str, rows, meta: dict,
-          sidecar: bool = False, by_column: bool = False) -> None:
+def _emit(opts: dict, stem: str, header: str, rows, meta: dict, by_column: bool = False) -> None:
     """Write the table named by ``header`` to ``--out`` (default ``<stem>.<format>``).
 
-    CSV also writes ``meta`` to a ``.report.json`` sidecar if ``sidecar``; JSON
-    writes one document of ``meta`` plus the table, as records under ``rows``
-    or, ``by_column``, as one list per column under ``trace``.
+    CSV also writes ``meta`` to a ``.report.json`` sidecar when it holds more
+    than ``params``; JSON writes one document of ``meta`` plus the table, as
+    records under ``rows`` or, ``by_column``, as one list per column under ``trace``.
     """
     out = opts["out"] or f"{stem}.{opts['format']}"
     columns = list(zip(*rows))
     if opts["format"] == "csv":
         cells = (map(str if isinstance(c[0], int) else format_float, c) for c in columns)
         _write_text(out, _csv_text(header, zip(*cells)))
-        if sidecar:
+        if meta.keys() - {"params"}:
             report = os.path.splitext(out)[0] + ".report.json"
             _write_text(report, deterministic_json(meta) + "\n")
         return
@@ -261,7 +260,7 @@ def cmd_trace(opts: dict) -> int:
         "power_s": report.e_s / report.tau_s,
         "power_r": report.e_r / report.tau_r,
     }
-    _emit(opts, "trace", "t,delta_e", rows, meta, sidecar=True, by_column=True)
+    _emit(opts, "trace", "t,delta_e", rows, meta, by_column=True)
     return EXIT_OK
 
 
@@ -320,7 +319,7 @@ def cmd_scaling(opts: dict) -> int:
     slope, intercept, r2 = linear_fit([r.n_dimers for r in rows], [r.tau_r for r in rows])
     fit = {"tau_r_fit": {"slope": slope, "intercept": intercept, "r_squared": r2}}
     header = "n_dimers,e_s_per,e_r_per,e_inf_per,tau_r"
-    _emit(opts, "scaling", header, map(astuple, rows), fit, sidecar=True)
+    _emit(opts, "scaling", header, map(astuple, rows), fit)
     print(
         f"tau_r linear fit: slope={format_float(slope)} r_squared={format_float(r2)}"
     )

@@ -78,7 +78,7 @@ def _mode_arrays(params: IsingParams):
 
 def ising_energy_at_times(params: IsingParams, times: np.ndarray) -> np.ndarray:
     """Stored energy on an arbitrary grid of times >= 0."""
-    times = _engine_times("n_sites", params.n_sites, times)
+    times = _engine_times("n_sites", params.n_sites, params.n_sites // 2, times)
     omega, amp = _mode_arrays(params)
     return _phase_block_sum(times, amp, 2.0 * omega)
 

@@ -10,11 +10,12 @@ T(t) = M_q^dag D(t) M_q, the band occupations are
 
     n_{s,q}(t) = |T_{s,3}(t)|^2 + |T_{s,4}(t)|^2      (s = 1, 2)
 
-which expands into a constant plus oscillations at the four frequencies
-w1'-w2', 2 w1', w1'+w2', 2 w2'.  This is the full quadruple sum over the
-matching-matrix entries (both cosine families, overall factor 2), organised
-as squared moduli; the equivalence is enforced in the test suite together
-with agreement against brute-force exact diagonalization.
+which ``occupations_all`` evaluates as written.  The energy kernel
+(``_energy_tables``) expands them instead into a constant plus oscillations
+at w1'-w2', 2 w1', w1'+w2', 2 w2': the paper's quadruple sum over the
+matching-matrix entries (both cosine families, overall factor 2).  The test
+suite checks the printed sum against the occupations, the occupations
+against the energies, and both against brute-force exact diagonalization.
 
 ``energy_at_times`` is the XY time kernel.  It accepts both evaluator
 names, ``"full"`` and ``"simplified"``, and runs this same sum for either.
@@ -82,9 +83,9 @@ MAX_MODE_SAMPLES = 10**9
 MAX_TIME = 1e100
 
 # An XY kernel block holds at most _TIME_BLOCK times and _BLOCK_ELEMENTS floats
-# per temporary (modes x kept columns x times).  Up to 4 frequency columns can
-# be kept (2 on a gapped chain), so up to 600 XY modes (2400 floats per time)
-# that allows 4096 times.  The phase-block kernel's temporaries hold
+# per temporary (modes x kept columns x times).  With all 4 frequency columns
+# kept (a gapped chain keeps 2), full blocks of 4096 times fit up to 600 XY
+# modes (2400 floats per time).  The phase-block kernel's temporaries hold
 # _BLOCK_ELEMENTS together.
 _TIME_BLOCK = 4096
 _BLOCK_ELEMENTS = 10**7
@@ -162,8 +163,9 @@ def _mode_data(protocol: QuenchProtocol):
     return omega, omega_p, m
 
 
-# Pair -> frequency bookkeeping for |T|^2.  Heisenberg phases are
-# phi = (-w1', -w2', +w1', +w2'); pair (a, b) oscillates at phi_a - phi_b.
+# Pair -> frequency bookkeeping of the energy kernel's expansion of |T|^2.
+# Heisenberg phases are phi = (-w1', -w2', +w1', +w2'); pair (a, b) oscillates
+# at phi_a - phi_b.
 # Columns of the frequency table: [w1'-w2', 2 w1', w1'+w2', 2 w2'].
 # Each entry: (a, b, column, sign of the sin coefficient).
 _PAIR_TABLE = (
@@ -174,30 +176,6 @@ _PAIR_TABLE = (
     (1, 2, 2, +1.0),
     (1, 3, 3, +1.0),
 )
-
-
-def _occupation_tables(omega_p: np.ndarray, m: np.ndarray):
-    """Constant/cosine/sine coefficient tables for n_{s,q}(t).
-
-    Takes the charging bands and matching matrices of :func:`_mode_data`.
-    Returns ``(freqs, const, cos_a, sin_b)`` with shapes (N, 4), (N, 2),
-    (N, 2, 4), (N, 2, 4) over the frequencies [w1'-w2', 2 w1', w1'+w2', 2 w2'].
-    """
-    n = m.shape[0]
-    w1p, w2p = omega_p[:, 0], omega_p[:, 1]
-    freqs = np.column_stack([w1p - w2p, 2.0 * w1p, w1p + w2p, 2.0 * w2p])
-    const = np.zeros((n, 2))
-    cos_a = np.zeros((n, 2, 4))
-    sin_b = np.zeros((n, 2, 4))
-    for s in (0, 1):
-        for j in (2, 3):
-            g = np.conj(m[:, :, s]) * m[:, :, j]  # (N, 4) over the mode index
-            const[:, s] += np.sum(np.abs(g) ** 2, axis=1)
-            for a, b, col, sgn in _PAIR_TABLE:
-                z = g[:, a] * np.conj(g[:, b])
-                cos_a[:, s, col] += 2.0 * z.real
-                sin_b[:, s, col] += sgn * 2.0 * z.imag
-    return freqs, const, cos_a, sin_b
 
 
 # ----------------------------------------------------------------------
@@ -214,17 +192,19 @@ def _as_times(times) -> np.ndarray:
     return times
 
 
-def _engine_times(size_name: str, modes: int, times) -> np.ndarray:
+def _engine_times(size_name: str, size: int, modes: int, times) -> np.ndarray:
     """``times`` as a float array, checked before any per-mode table is built.
 
-    ValueError unless it is 1-D, finite and >= 0 and modes x len(times) fits MAX_MODE_SAMPLES.
+    ValueError unless it is 1-D, finite and >= 0 and modes x len(times) fits
+    MAX_MODE_SAMPLES; the message names the size and, if it differs, the modes.
     """
     times = _as_times(times)
     if times.size and float(np.min(times)) < 0:
         raise ValueError("times must be >= 0")
     if modes * times.size > MAX_MODE_SAMPLES:
+        counted = "" if modes == size else f" ({modes} modes)"
         raise ValueError(
-            f"{size_name}={modes} x {times.size} samples exceeds the engine's work budget "
+            f"{size_name}={size}{counted} x {times.size} samples exceeds the engine's work budget "
             f"of {MAX_MODE_SAMPLES:.0e} mode-samples; raise dt or lower {size_name}"
         )
     return times
@@ -325,24 +305,41 @@ def _build_trace(energy, bound, params, t_end: float, dt: float) -> EnergyTrace:
 def occupations_all(protocol: QuenchProtocol, t: float) -> np.ndarray:
     """Quasiparticle occupations (n1, n2) of every mode at time t >= 0.
 
-    Shape (n_dimers, 2); row i is the mode q = i + 1/2.
+    Shape (n_dimers, 2); row i is the mode q = i + 1/2.  Evaluates
+    n_s = |T_{s,3}|^2 + |T_{s,4}|^2 with T = M^dag D(t) M directly.
     """
     if not abs(t) <= MAX_TIME:
         raise ValueError(f"t must be finite and at most {MAX_TIME:.0e} in magnitude, got {t}")
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     _, omega_p, m = _mode_data(protocol)
-    freqs, const, cos_a, sin_b = _occupation_tables(omega_p, m)
-    ph = freqs * t
-    return const + np.einsum("nsf,nf->ns", cos_a, np.cos(ph)) + np.einsum(
-        "nsf,nf->ns", sin_b, np.sin(ph)
-    )
+    d = np.exp(1j * t * np.hstack([-omega_p, omega_p]))
+    tm = np.conj(np.transpose(m, (0, 2, 1))) @ (d[:, :, None] * m)
+    return np.sum(np.abs(tm[:, :2, 2:]) ** 2, axis=2)
 
 
 def _energy_tables(protocol: QuenchProtocol):
-    """``(freqs, e_const, e_cos, e_sin)``: the occupation tables weighted by the battery bands."""
+    """``(freqs, e_const, e_cos, e_sin)``: the stored energy's Fourier tables.
+
+    Each occupation |T_{s,j}|^2 expands over ``_PAIR_TABLE`` into a constant
+    and cos/sin coefficients at [w1'-w2', 2 w1', w1'+w2', 2 w2']; the battery
+    bands weight them.  Shapes (N, 4), (N,), (N, 4), (N, 4).
+    """
     omega, omega_p, m = _mode_data(protocol)
-    freqs, const, cos_a, sin_b = _occupation_tables(omega_p, m)
+    n = m.shape[0]
+    w1p, w2p = omega_p[:, 0], omega_p[:, 1]
+    freqs = np.column_stack([w1p - w2p, 2.0 * w1p, w1p + w2p, 2.0 * w2p])
+    const = np.zeros((n, 2))
+    cos_a = np.zeros((n, 2, 4))
+    sin_b = np.zeros((n, 2, 4))
+    for s in (0, 1):
+        for j in (2, 3):
+            g = np.conj(m[:, :, s]) * m[:, :, j]  # (N, 4) over the mode index
+            const[:, s] += np.sum(np.abs(g) ** 2, axis=1)
+            for a, b, col, sgn in _PAIR_TABLE:
+                z = g[:, a] * np.conj(g[:, b])
+                cos_a[:, s, col] += 2.0 * z.real
+                sin_b[:, s, col] += sgn * 2.0 * z.imag
     e_const = np.sum(omega * const, axis=1)
     e_cos = np.einsum("ns,nsf->nf", omega, cos_a)
     e_sin = np.einsum("ns,nsf->nf", omega, sin_b)
@@ -365,7 +362,7 @@ def energy_at_times(
     """
     if evaluator not in ("full", "simplified"):
         raise ValueError(f"evaluator must be 'full' or 'simplified', got {evaluator!r}")
-    times = _engine_times("n_dimers", protocol.n_dimers, times)
+    times = _engine_times("n_dimers", protocol.n_dimers, protocol.n_dimers, times)
     freqs, e_const, e_cos, e_sin = _energy_tables(protocol)
     weight = np.sum(np.abs(e_cos) + np.abs(e_sin), axis=0)
     keep = weight > np.finfo(float).eps * np.sum(np.abs(e_const))

@@ -184,6 +184,32 @@ def test_readme_examples_run():
         exec(compile(block, "README.md", "exec"), {})
 
 
+def _bench_value(script, name):
+    """The literal value of ``name = ...`` in ``bench/<script>``, read without importing it."""
+    return ast.literal_eval(_assigned(ast.parse((BENCH / script).read_text()), name))
+
+
+@pytest.mark.filterwarnings("ignore::spinbattery.regimes.RecurrenceWindowWarning")
+def test_bench_copies_of_library_constants_match(tmp_path, monkeypatch):
+    # bench/ repeats these values instead of importing them, so a library
+    # change that leaves the benchmark's copy behind fails here
+    from spinbattery import IsingParams, QuenchProtocol, regimes
+    from spinbattery.cli import main
+
+    assert _bench_value("workloads.py", "T_SHORT") == regimes.DEFAULT_SHORT_SPAN
+    per_mode = _bench_value("check.py", "NOISE_PER_MODE")
+    assert regimes._noise_floor(QuenchProtocol(1.25, 0.3, 0.6, 300)) == per_mode * 300
+    assert regimes._noise_floor(IsingParams(0.8, 0.7, 600)) == per_mode * 600
+    assert _bench_value("check.py", "ORACLE_TOL") == _COMMANDS["oracle-check"][2]["tol"]
+    monkeypatch.chdir(tmp_path)
+    assert main(["trace", "--n-dimers", "4", "--out", "t.csv"]) == 0
+    assert main(["sweep", "--n-dimers", "4", "--param-min", "0.2", "--param-max", "0.2",
+                 "--out", "s.csv"]) == 0
+    for name, out in (("TRACE_HEADER", "t.csv"), ("SWEEP_HEADER", "s.csv")):
+        header = (tmp_path / out).read_text().split("\n", 1)[0]
+        assert _bench_value("check.py", name) == header
+
+
 def test_traced_span_names_are_module_functions():
     # Every "<layer>.<name>" string in traced.py names a span, so a function
     # defined in that module: HOOKS keys, engine names, the spans summed into

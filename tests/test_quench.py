@@ -164,6 +164,28 @@ class TestOccupations:
                 assert np.min(occ) >= -1e-10
                 assert np.max(occ) <= 1.0 + 1e-10
 
+    @pytest.mark.parametrize(
+        "protocols",
+        [
+            [FIG2],
+            [QuenchProtocol(1.1, 0.05, 0.8, 300), FIG3],
+            [QuenchProtocol(1.0, 0.4, 0.5, 9)],
+            [QuenchProtocol(0.8, 0.3, 0.5, 7)],
+            [_random_protocol(np.random.default_rng(seed), max_dimers=40) for seed in range(60)],
+        ],
+        ids=["reference", "fig3", "gamma1", "odd", "random"],
+    )
+    def test_band_energies_sum_to_the_stored_energy(self, protocols):
+        # occupations and the energy kernel share only _mode_data: the stored
+        # energy is sum_q sum_s w_s n_s(q, t) over the battery bands
+        rng = np.random.default_rng(26)
+        for p in protocols:
+            bands = dispersion_curves(p.gamma, p.delta0, p.n_dimers)
+            for t in (0.0, 0.7, 37.0, 1e3, float(rng.uniform(0.0, 1e3))):
+                de = energy_at_times(p, [t])[0]
+                summed = math.fsum((bands * occupations_all(p, t)).ravel())
+                assert abs(summed - de) <= 1e-12 * max(1.0, abs(de))
+
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             occupations_all(QuenchProtocol(1.0, 0.3, 0.1, 4), -1.0)
@@ -298,19 +320,39 @@ class TestEnergyTrace:
         assert np.array_equal(energy_at_times(FIG2, times), default)
 
     @pytest.mark.parametrize(
-        "energy, params, tables",
+        "energy, params, tables, size",
         [
-            (energy_at_times, QuenchProtocol(1.25, 0.3, 0.6, 1000), (quench, "_mode_data")),
-            (ising_energy_at_times, IsingParams(0.8, 0.7, 1000), (ising, "_mode_arrays")),
+            (energy_at_times, QuenchProtocol(1.25, 0.3, 0.6, 1000), (quench, "_mode_data"),
+             "n_dimers=1000"),
+            (ising_energy_at_times, IsingParams(0.8, 0.7, 2000), (ising, "_mode_arrays"),
+             r"n_sites=2000 \(1000 modes\)"),
         ],
         ids=["xy", "ising"],
     )
-    def test_work_budget_is_checked_before_the_tables(self, monkeypatch, energy, params, tables):
-        # 1000 modes x (10^6 + 1) samples is one sample over the budget
+    def test_work_budget_is_checked_before_the_tables(
+        self, monkeypatch, energy, params, tables, size
+    ):
+        # 1000 modes x (10^6 + 1) samples is one sample over the budget; an
+        # Ising ring of 2000 sites runs 1000 modes over the half zone
         times = np.zeros(quench.MAX_MODE_SAMPLES // 1000 + 1)
         _forbid(monkeypatch, *tables)
-        with pytest.raises(ValueError, match="=1000 x 1000001 samples exceeds"):
+        with pytest.raises(ValueError, match=f"{size} x 1000001 samples exceeds"):
             energy(params, times)
+
+    def test_ising_work_budget_counts_the_half_zone(self, monkeypatch):
+        # 1000 sites run 500 modes, so 1000 sites x (10^6 + 1) samples pass the
+        # check and reach the per-mode arrays
+        class Reached(Exception):
+            pass
+
+        def build(params):
+            raise Reached
+
+        monkeypatch.setattr(ising, "_mode_arrays", build)
+        with pytest.raises(Reached):
+            ising_energy_at_times(
+                IsingParams(0.8, 0.7, 1000), np.zeros(quench.MAX_MODE_SAMPLES // 1000 + 1)
+            )
 
     @pytest.mark.parametrize(
         "energy, params, tables",
