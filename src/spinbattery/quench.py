@@ -29,6 +29,15 @@ the charging bands are nearly degenerate (gamma (delta0 + delta1) ~ 0),
 ``eigh`` mixes them, the w1'+w2' column carries weight and is kept; up to
 all four columns can be.
 
+Each output sample depends only on its own time, so the kernel spreads its
+time blocks over threads (numpy releases the GIL in the trig, the einsum and
+the reduction's array operations).  A grid that the serial loop would cut
+into b blocks runs on min(cores, b) threads, each on its own share of the
+process's CPUs and taking blocks 1/threads as long, so all threads together
+hold one serial block's memory; a grid of one block, and every call inside a
+process-pool worker (which already owns one core), stays on the calling
+thread.  The result does not depend on the thread count.
+
 Engines keep nothing between calls: each call builds the per-mode tables it
 needs once and drops them when it returns.  The helpers under "scaffolding
 shared with the Ising closed form" (time checks, the phase-block kernel and
@@ -37,7 +46,11 @@ the trace grid) serve both models.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +98,9 @@ MAX_TIME = 1e100
 # An XY kernel block holds at most _TIME_BLOCK times and _BLOCK_ELEMENTS floats
 # per temporary (modes x kept columns x times).  With all 4 frequency columns
 # kept (a gapped chain keeps 2), full blocks of 4096 times fit up to 600 XY
-# modes (2400 floats per time).  The phase-block kernel's temporaries hold
-# _BLOCK_ELEMENTS together.
+# modes (2400 floats per time).  When k threads share the blocks, each runs
+# blocks 1/k as long, so the memory in flight stays one block's worth.  The
+# phase-block kernel's temporaries hold _BLOCK_ELEMENTS together.
 _TIME_BLOCK = 4096
 _BLOCK_ELEMENTS = 10**7
 
@@ -268,6 +282,77 @@ def _phase_tile(starts, offsets, a, f) -> np.ndarray:
     return out
 
 
+def _cores() -> int:
+    """CPUs this process may run on: its affinity mask, not the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _kernel_threads(blocks: int) -> int:
+    """Threads for a kernel of ``blocks`` serial blocks: min(cores, blocks), 1 in a pool worker.
+
+    A sweep or scaling pool worker already owns one core.  A process that
+    has not loaded multiprocessing cannot be one of its children, so the
+    module is only asked where it is loaded.
+    """
+    mp = sys.modules.get("multiprocessing")
+    if blocks <= 1 or (mp is not None and mp.parent_process() is not None):
+        return 1
+    return min(_cores(), blocks)
+
+
+def _fill_blocks(fill, size: int, block: int) -> None:
+    """``fill(lo, hi)`` over consecutive blocks that cover range(size).
+
+    Serially, in the calling thread, that is ceil(size / block) blocks of
+    ``block``.  With k = :func:`_kernel_threads` of that count above 1, the
+    blocks shrink to block // k and k new threads take them in turn: thread
+    j runs blocks j, j + k, j + 2k, ... on every k-th CPU of the process's
+    affinity mask from the j-th on.  A scheduler that does not balance load
+    (a cpuset with sched_load_balance = 0) keeps each thread on the core that
+    started it, so unpinned threads can share one core.  Each thread runs in
+    a copy of the caller's context, so numpy's error state (``np.errstate``)
+    holds in all of them.  The first exception raised in any thread is
+    raised here once all have stopped; an interrupt while waiting is raised
+    at once, and the threads stop after their current block.
+    """
+    threads = _kernel_threads(-(-size // block))
+    if threads == 1:
+        for lo in range(0, size, block):
+            fill(lo, lo + block)
+        return
+    width = max(1, block // threads)
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    errors = []
+
+    def share(first: int) -> None:
+        try:
+            if cpus:
+                os.sched_setaffinity(0, cpus[first::threads] or cpus)
+            for lo in range(first * width, size, threads * width):
+                if errors:
+                    return
+                fill(lo, lo + width)
+        except BaseException as exc:
+            errors.append(exc)
+
+    workers = [
+        threading.Thread(target=contextvars.copy_context().run, args=(share, j))
+        for j in range(threads)
+    ]
+    for worker in workers:
+        worker.start()
+    try:
+        for worker in workers:
+            worker.join()
+    except BaseException as exc:
+        errors.append(exc)
+        raise
+    if errors:
+        raise errors[0]
+
+
 def _resolution_bound(fmax: float) -> float:
     """Largest step with twenty samples per period of the frequency fmax."""
     if fmax == 0.0:
@@ -356,9 +441,10 @@ def energy_at_times(
     chain, up to 4 where ``eigh`` mixes nearly degenerate charging bands
     (see the module docstring).  Times are processed in blocks of at most
     _TIME_BLOCK, sized so that each (N, F, T) temporary holds at most
-    _BLOCK_ELEMENTS floats, and modes are reduced in ascending-q order with
-    compensated accumulation, so the result is independent of the block
-    length and of how the per-mode work was scheduled.
+    _BLOCK_ELEMENTS floats, and spread over threads by :func:`_fill_blocks`.
+    Modes are reduced in ascending-q order with compensated accumulation,
+    so the result is independent of the block length, the thread count and
+    how the per-mode work was scheduled.
     """
     if evaluator not in ("full", "simplified"):
         raise ValueError(f"evaluator must be 'full' or 'simplified', got {evaluator!r}")
@@ -369,13 +455,21 @@ def energy_at_times(
     freqs, e_cos, e_sin = freqs[:, keep], e_cos[:, keep], e_sin[:, keep]
     block = max(1, min(_TIME_BLOCK, _BLOCK_ELEMENTS // max(1, freqs.size)))
     out = np.empty(times.size, dtype=float)
-    for lo in range(0, times.size, block):
-        ph = freqs[:, :, None] * times[None, None, lo : lo + block]  # (N, F, T)
-        out[lo : lo + block] = compensated_sum_axis0(
-            e_const[:, None]
-            + np.einsum("nf,nft->nt", e_cos, np.cos(ph))
-            + np.einsum("nf,nft->nt", e_sin, np.sin(ph))
-        )
+    reducing = threading.Lock()
+
+    def fill(lo: int, hi: int) -> None:
+        ph = freqs[:, :, None] * times[None, None, lo:hi]  # (N, F, T)
+        # the sum order (const + cos part) + sin part fixes the bits; sines overwrite the phases
+        e = np.einsum("nf,nft->nt", e_cos, np.cos(ph))
+        e += e_const[:, None]
+        e += np.einsum("nf,nft->nt", e_sin, np.sin(ph, out=ph))
+        # one thread reduces at a time: each of the reduction's short numpy
+        # calls releases the GIL, and two threads reducing together would pass
+        # it back and forth between cores
+        with reducing:
+            out[lo:hi] = compensated_sum_axis0(e)
+
+    _fill_blocks(fill, times.size, block)
     return out
 
 

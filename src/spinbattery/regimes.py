@@ -14,7 +14,6 @@ either model fails with "no charging occurred".
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -29,6 +28,7 @@ from .ising import (
 from .quench import (
     EnergyTrace,
     QuenchProtocol,
+    _cores,
     _uniform_times,
     asymptotic_energy,
     energy_at_times,
@@ -265,7 +265,7 @@ def _map_ordered(func, jobs: list, workers: int) -> list:
     warnings and other side effects never reach the caller.
     """
     # A fork pool starts all its processes up front, used or not.
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    workers = min(workers, len(jobs), _cores())
     if workers <= 1:
         return [func(job) for job in jobs]
     # Imported here: the process-pool module costs every CLI start ~15 ms.

@@ -23,8 +23,11 @@ def compensated_sum(values: np.ndarray) -> float:
 
 
 def compensated_sum_axis0(values: np.ndarray) -> np.ndarray:
-    """Neumaier-compensated sum of a (n, m) array along axis 0, in row order.
+    """Compensated sum of a (n, m) array along axis 0, in row order.
 
+    Each addition's exact rounding error comes from Knuth's branch-free
+    TwoSum and is accumulated apart; the result is bitwise that of
+    Neumaier's branching form, which yields the same exact errors.
     Vectorized over columns so traces over many time points stay cheap.
     """
     arr = np.asarray(values, dtype=float)
@@ -32,7 +35,7 @@ def compensated_sum_axis0(values: np.ndarray) -> np.ndarray:
     comp = np.zeros(arr.shape[1], dtype=float)
     for row in arr:
         t = total + row
-        big = np.abs(total) >= np.abs(row)
-        comp += np.where(big, (total - t) + row, (row - t) + total)
+        bb = t - total
+        comp += (total - (t - bb)) + (row - bb)
         total = t
     return total + comp

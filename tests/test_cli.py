@@ -544,3 +544,33 @@ def test_ising_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         outputs[threads] = [(cwd / name).read_bytes() for name in ("trace.csv", "sweep.csv")]
     assert len(outputs["1"][1].splitlines()) == 32
     assert outputs["1"] == outputs["2"]
+
+
+@pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2, reason="needs 2 or more CPUs"
+)
+def test_trace_bytes_do_not_depend_on_the_cores(tmp_path):
+    # the reference trace spreads its time blocks over the process's cores;
+    # pinned to one CPU it runs on one thread and must write the same bytes
+    path = os.pathsep.join(os.path.abspath(p) for p in sys.path if p)
+    script = (
+        "import os, sys\n"
+        "from spinbattery import quench\n"
+        "from spinbattery.cli import main\n"
+        "if sys.argv[1] == 'pinned':\n"
+        "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "    assert quench._kernel_threads(7) == 1\n"
+        "else:\n"
+        "    assert quench._kernel_threads(7) >= 2\n"
+        "assert main(['trace', '--out', 'trace.csv']) == 0\n"
+    )
+    outputs = {}
+    for cores in ("pinned", "all"):
+        cwd = tmp_path / cores
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-c", script, cores], cwd=cwd, env=env)
+        assert proc.returncode == 0
+        outputs[cores] = [(cwd / n).read_bytes() for n in ("trace.csv", "trace.report.json")]
+    assert len(outputs["pinned"][0].splitlines()) == 25466
+    assert outputs["pinned"] == outputs["all"]

@@ -1,5 +1,9 @@
 import gc
+import itertools
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,7 +22,7 @@ from spinbattery import (
     occupations_all,
     resolution_bound,
 )
-from spinbattery import ising, quench
+from spinbattery import ising, quench, sums
 from spinbattery.ed import DimerizedXY, build_hamiltonian, oracle_energy_trace
 from spinbattery.ising import IsingParams, ising_asymptotic_energy, ising_energy_at_times
 from spinbattery.quench import EQUAL_FREQ_TOL, _mode_data
@@ -595,6 +599,135 @@ class TestStatelessEngines:
         finally:
             tracemalloc.stop()
         assert retained <= 10**6
+
+
+def _grid(protocol, t0, t1):
+    """The CLI's trace grid of ``protocol`` (half its resolution bound) on [t0, t1]."""
+    dt = 0.5 * resolution_bound(protocol)
+    return t0 + dt * np.arange(int((t1 - t0) / dt) + 1)
+
+
+class TestKernelThreads:
+    # energy_at_times spreads its time blocks over min(cores, blocks)
+    # threads; any thread count must give the bits of one thread.  At 20
+    # dimers a gapped chain keeps full blocks of _TIME_BLOCK times.
+    SMALL = QuenchProtocol(1.25, 0.3, 0.6, 20)
+    BLOCK = quench._TIME_BLOCK
+
+    @staticmethod
+    def _by_cores(monkeypatch, protocol, times):
+        out = []
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(quench, "_cores", lambda cores=cores: cores)
+            out.append(energy_at_times(protocol, times))
+        return out
+
+    @pytest.mark.parametrize(
+        "protocol, times",
+        [
+            (FIG2, _grid(FIG2, 0.0, 800.0)),  # the reference trace, 25,465 samples
+            (FIG3, _grid(FIG3, 600.0, 800.0)),
+            (QuenchProtocol(0.8, 0.3, 0.5, 7), 0.05 * np.arange(9000)),  # odd n
+        ],
+        ids=["reference", "fig3_600_800", "odd_n"],
+    )
+    def test_thread_count_keeps_the_bits(self, monkeypatch, protocol, times):
+        one, two, three = self._by_cores(monkeypatch, protocol, times)
+        assert np.array_equal(one, two) and np.array_equal(one, three)
+
+    @pytest.mark.parametrize("samples", [0, 1, BLOCK, BLOCK + 1, 2 * BLOCK + 777])
+    def test_grid_lengths_keep_the_bits(self, monkeypatch, samples):
+        one, two, three = self._by_cores(monkeypatch, self.SMALL, 0.3 * np.arange(samples))
+        assert one.shape == (samples,)
+        assert np.array_equal(one, two) and np.array_equal(one, three)
+
+    @pytest.mark.parametrize(
+        "samples, threads", [(1, 1), (BLOCK, 1), (BLOCK + 1, 2), (2 * BLOCK + 777, 3)]
+    )
+    def test_threads_share_one_blocks_memory(self, monkeypatch, samples, threads):
+        # with 3 cores: one thread per serial block up to 3, each running
+        # blocks of _TIME_BLOCK // threads times
+        seen = []
+
+        def spy(values):
+            seen.append((threading.current_thread(), values.shape[1]))
+            return sums.compensated_sum_axis0(values)
+
+        monkeypatch.setattr(quench, "_cores", lambda: 3)
+        monkeypatch.setattr(quench, "compensated_sum_axis0", spy)
+        energy_at_times(self.SMALL, 0.3 * np.arange(samples))
+        assert len({thread for thread, _ in seen}) == threads
+        assert max(width for _, width in seen) == min(samples, self.BLOCK // threads)
+        assert sum(width for _, width in seen) == samples
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_each_thread_runs_on_its_own_cpus(self, monkeypatch):
+        cpus = sorted(os.sched_getaffinity(0))
+        seen = set()
+
+        def spy(values):
+            seen.add(frozenset(os.sched_getaffinity(0)))
+            return sums.compensated_sum_axis0(values)
+
+        monkeypatch.setattr(quench, "_cores", lambda: 2)
+        monkeypatch.setattr(quench, "compensated_sum_axis0", spy)
+        energy_at_times(self.SMALL, 0.3 * np.arange(2 * self.BLOCK))
+        assert seen == {frozenset(cpus[j::2] or cpus) for j in (0, 1)}
+        assert sorted(os.sched_getaffinity(0)) == cpus  # the caller's mask is untouched
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_an_error_in_any_block_raises(self, monkeypatch, cores):
+        calls = itertools.count()
+
+        def failing(values):
+            if next(calls) == 2:
+                raise FloatingPointError("block failed")
+            return sums.compensated_sum_axis0(values)
+
+        monkeypatch.setattr(quench, "_cores", lambda: cores)
+        monkeypatch.setattr(quench, "compensated_sum_axis0", failing)
+        with pytest.raises(FloatingPointError, match="block failed"):
+            energy_at_times(self.SMALL, 0.3 * np.arange(3 * self.BLOCK))
+
+    def test_every_block_runs_under_the_callers_errstate(self, monkeypatch):
+        def overflowing(values):
+            return sums.compensated_sum_axis0(values) * 1e308 * 1e308
+
+        monkeypatch.setattr(quench, "_cores", lambda: 3)
+        monkeypatch.setattr(quench, "compensated_sum_axis0", overflowing)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            energy_at_times(self.SMALL, 0.3 + 0.3 * np.arange(3 * self.BLOCK))
+
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
+        # 8 threads of 512 times each, switching every microsecond: a lost
+        # or misplaced block write would change the bits
+        times = 0.3 * np.arange(5 * self.BLOCK + 123)
+        monkeypatch.setattr(quench, "_cores", lambda: 1)
+        one = energy_at_times(self.SMALL, times)
+        monkeypatch.setattr(quench, "_cores", lambda: 8)
+        result = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(
+                target=lambda: result.append(energy_at_times(self.SMALL, times))
+            )
+            caller.start()
+            caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert np.array_equal(result[0], one)
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_pool_workers_run_the_kernel_on_one_thread(self, method):
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = multiprocessing.get_context(method)
+        with ProcessPoolExecutor(max_workers=2, mp_context=context) as pool:
+            assert list(pool.map(quench._kernel_threads, [1000, 1000])) == [1, 1]
+        assert quench._kernel_threads(1000) == min(quench._cores(), 1000)
 
 
 def _two_chain_modes(p: QuenchProtocol):

@@ -219,11 +219,11 @@ class TestSweeps:
                 return map(func, jobs)
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(regimes.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(regimes, "_cores", lambda: 4)
         for n_jobs, workers in ((3, 64), (8, 64), (8, 2), (1, 64)):
             jobs = list(range(-n_jobs, 0))
             assert regimes._map_ordered(abs, jobs, workers) == [abs(j) for j in jobs]
-        monkeypatch.setattr(regimes.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(regimes, "_cores", lambda: 1)
         assert regimes._map_ordered(abs, [-1, -2], 64) == [1, 2]
         assert sizes == [3, 4, 2]
 
@@ -256,7 +256,7 @@ class TestSweeps:
         # 40 dimers and 0.05 does not: a real two-worker pool gives the caller
         # the same rows and the same window-edge warnings, in row order, as
         # one worker.
-        monkeypatch.setattr(regimes.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(regimes, "_cores", lambda: 2)
         seen = []
         for workers in (1, 2):
             with warnings.catch_warnings(record=True) as caught:

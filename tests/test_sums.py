@@ -1,0 +1,64 @@
+import numpy as np
+import pytest
+
+from spinbattery.sums import compensated_sum_axis0
+
+
+def _neumaier(values):
+    """Neumaier's branching compensated sum along axis 0: the reference."""
+    total = np.zeros(values.shape[1])
+    comp = np.zeros(values.shape[1])
+    for row in values:
+        t = total + row
+        big = np.abs(total) >= np.abs(row)
+        comp += np.where(big, (total - t) + row, (row - t) + total)
+        total = t
+    return total + comp
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _mixed(rng, rows, cols):
+    # each row spans 1e-5 ... 1e12 with random signs; every fifth row is
+    # scaled by a further 1e15
+    values = rng.choice([-1.0, 1.0], (rows, cols)) * 10.0 ** rng.uniform(-5, 12, (rows, cols))
+    values[::5] *= 1e15
+    return values
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_mixed_magnitudes_match_neumaier(seed):
+    values = _mixed(np.random.default_rng(seed), 300, 257)
+    assert _same_bits(compensated_sum_axis0(values), _neumaier(values))
+
+
+def test_cancellation_recovers_the_small_terms():
+    big = np.array([1e16, 1e300, -3.0, 2.0**60])
+    values = np.array([big, [1.0, 1.0, 1e-16, 1.0], -big, [0.5, -2.0, 3.0, 3.0]])
+    out = compensated_sum_axis0(values)
+    assert _same_bits(out, _neumaier(values))
+    assert out.tolist() == [1.5, -1.0, 3.0 + 1e-16, 4.0]
+
+
+def test_zero_rows_and_signed_zeros():
+    values = np.array([[0.0, -0.0, 0.0, -0.0], [-0.0, -0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    assert _same_bits(compensated_sum_axis0(values), _neumaier(values))
+    empty = np.zeros((0, 3))
+    assert _same_bits(compensated_sum_axis0(empty), _neumaier(empty))
+
+
+def test_subnormals():
+    rng = np.random.default_rng(7)
+    tiny = np.finfo(float).smallest_subnormal
+    values = rng.integers(-(2**40), 2**40, (50, 64)) * tiny
+    values[10] = 2.0 * np.finfo(float).tiny
+    values[20] = -values[10]
+    assert _same_bits(compensated_sum_axis0(values), _neumaier(values))
+
+
+def test_rows_in_order_of_the_kernel():
+    # the shape the XY kernel reduces: 300 modes x one thread's block
+    values = _mixed(np.random.default_rng(99), 300, 2048) * 1e-12
+    assert _same_bits(compensated_sum_axis0(values), _neumaier(values))
