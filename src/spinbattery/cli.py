@@ -7,8 +7,8 @@ Curves are written as CSV, reports as JSON (or everything as one JSON file
 with ``--format json``).  All numeric output uses 17 significant digits in
 scientific notation with '.' decimal separator and LF line endings, and a
 given configuration always produces byte-identical files, whatever the
-worker budget.  Exit codes: 0 success, 2 bad input, 3 analysis failure,
-4 oracle mismatch.
+worker budget or core count.  Exit codes: 0 success, 2 bad input, 3 analysis
+failure, 4 oracle mismatch.
 
 Options may also come from a flat key-value config file (``--config``):
 one ``name = value`` pair per line, ``#`` comments allowed, names matching
@@ -93,10 +93,11 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _csv_text(header: str, rows) -> str:
-    lines = [header]
-    lines.extend(",".join(cells) for cells in rows)
-    return "\n".join(lines) + "\n"
+def _csv_text(header: str, columns: list) -> str:
+    """``header``, then rows of ``%d`` (int columns) or ``%.16e`` (as :func:`format_float`)."""
+    line = ",".join("%d" if isinstance(c[0], int) else "%.16e" for c in columns) + "\n"
+    cells = tuple(x for row in zip(*columns) for x in row)
+    return f"{header}\n" + line * len(columns[0]) % cells
 
 
 def _emit(opts: dict, stem: str, header: str, rows, meta: dict, by_column: bool = False) -> None:
@@ -109,8 +110,7 @@ def _emit(opts: dict, stem: str, header: str, rows, meta: dict, by_column: bool 
     out = opts["out"] or f"{stem}.{opts['format']}"
     columns = list(zip(*rows))
     if opts["format"] == "csv":
-        cells = (map(str if isinstance(c[0], int) else format_float, c) for c in columns)
-        _write_text(out, _csv_text(header, zip(*cells)))
+        _write_text(out, _csv_text(header, columns))
         if meta.keys() - {"params"}:
             report = os.path.splitext(out)[0] + ".report.json"
             _write_text(report, deterministic_json(meta) + "\n")
@@ -137,7 +137,7 @@ _OPTIONS = {
     "model": (str, "xy or ising"),
     "out": (str, "output file"),
     "format": (str, "csv (curve + JSON report) or json (single file)"),
-    "workers": (int, "parallel worker budget for sweep/scaling rows"),
+    "workers": (int, "most time-kernel threads (default: every CPU the process may use)"),
     "gamma": (float, "anisotropy"),
     "delta0": (float, "battery dimerization"),
     "delta1": (float, "dimerization step applied while charging"),
@@ -210,7 +210,7 @@ def _resolve(ns: argparse.Namespace, defaults: dict) -> dict:
     for name, allowed in _CHOICES.items():
         if name in opts and opts[name] not in allowed:
             raise ValueError(f"{name} must be one of {sorted(allowed)}, got {opts[name]!r}")
-    if opts.get("workers", 1) < 1:
+    if opts.get("workers") is not None and opts["workers"] < 1:
         raise ValueError("workers must be >= 1")
     if opts.get("tol", 0.0) < 0:
         raise ValueError(f"tol must be >= 0, got {opts['tol']}")
@@ -386,13 +386,13 @@ _COMMANDS = {
         "t_end": None, "dt": None, "window_min": None, "window_max": None,
     }),
     "sweep": (cmd_sweep, "regime energies across a parameter grid", {
-        "model": "xy", "out": None, "format": "csv", "workers": 1,
+        "model": "xy", "out": None, "format": "csv", "workers": None,
         "gamma": 1.1, "delta1": 0.8, "n_dimers": 300, "h1": 0.25, "n_sites": 600,
         "param_min": None, "param_max": None, "param_step": 0.005,
         "window_min": None, "window_max": None,
     }),
     "scaling": (cmd_scaling, "regime energies across system sizes", {
-        "out": None, "format": "csv", "workers": 1, "gamma": 1.25, "delta0": 0.3,
+        "out": None, "format": "csv", "workers": None, "gamma": 1.25, "delta0": 0.3,
         "delta1": 0.6, "n_list": "50,100,200,300",
     }),
     "phase": (cmd_phase, "classify a point of the phase diagram", None),

@@ -29,14 +29,11 @@ the charging bands are nearly degenerate (gamma (delta0 + delta1) ~ 0),
 ``eigh`` mixes them, the w1'+w2' column carries weight and is kept; up to
 all four columns can be.
 
-Each output sample depends only on its own time, so the kernel spreads its
-time blocks over threads (numpy releases the GIL in the trig, the einsum and
-the reduction's array operations).  A grid that the serial loop would cut
-into b blocks runs on min(cores, b) threads, each on its own share of the
-process's CPUs and taking blocks 1/threads as long, so all threads together
-hold one serial block's memory; a grid of one block, and every call inside a
-process-pool worker (which already owns one core), stays on the calling
-thread.  The result does not depend on the thread count.
+Each output sample depends only on its own time, so the kernel splits every
+grid into contiguous shares over min(cores, a sweep's ``workers``, samples)
+threads, which together hold one serial block's memory (numpy releases the
+GIL in the trig, the einsum and the reduction); the result does not depend
+on the thread count.
 
 Engines keep nothing between calls: each call builds the per-mode tables it
 needs once and drops them when it returns.  The helpers under "scaffolding
@@ -49,7 +46,6 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import sys
 import threading
 from dataclasses import dataclass
 
@@ -98,11 +94,13 @@ MAX_TIME = 1e100
 # An XY kernel block holds at most _TIME_BLOCK times and _BLOCK_ELEMENTS floats
 # per temporary (modes x kept columns x times).  With all 4 frequency columns
 # kept (a gapped chain keeps 2), full blocks of 4096 times fit up to 600 XY
-# modes (2400 floats per time).  When k threads share the blocks, each runs
-# blocks 1/k as long, so the memory in flight stays one block's worth.  The
-# phase-block kernel's temporaries hold _BLOCK_ELEMENTS together.
+# modes (2400 floats per time).  When k threads split a grid, each runs its
+# share in blocks 1/k as long, so the memory in flight stays one block's
+# worth.  The phase-block kernel's temporaries hold _BLOCK_ELEMENTS together.
+# _WORKERS bounds the threads: a sweep's or scaling run's ``workers``, else None (no bound).
 _TIME_BLOCK = 4096
 _BLOCK_ELEMENTS = 10**7
+_WORKERS = contextvars.ContextVar("workers", default=None)
 
 # A grid is uniform for the phase-block kernel when it departs from an exact
 # arithmetic progression by at most this many ulp of its largest time.
@@ -289,36 +287,21 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _kernel_threads(blocks: int) -> int:
-    """Threads for a kernel of ``blocks`` serial blocks: min(cores, blocks), 1 in a pool worker.
-
-    A sweep or scaling pool worker already owns one core.  A process that
-    has not loaded multiprocessing cannot be one of its children, so the
-    module is only asked where it is loaded.
-    """
-    mp = sys.modules.get("multiprocessing")
-    if blocks <= 1 or (mp is not None and mp.parent_process() is not None):
-        return 1
-    return min(_cores(), blocks)
-
-
 def _fill_blocks(fill, size: int, block: int) -> None:
-    """``fill(lo, hi)`` over consecutive blocks that cover range(size).
+    """``fill(lo, hi)`` over consecutive blocks of at most ``block`` that cover range(size).
 
-    Serially, in the calling thread, that is ceil(size / block) blocks of
-    ``block``.  With k = :func:`_kernel_threads` of that count above 1, the
-    blocks shrink to block // k and k new threads take them in turn: thread
-    j runs blocks j, j + k, j + 2k, ... on every k-th CPU of the process's
-    affinity mask from the j-th on.  A scheduler that does not balance load
-    (a cpuset with sched_load_balance = 0) keeps each thread on the core that
-    started it, so unpinned threads can share one core.  Each thread runs in
-    a copy of the caller's context, so numpy's error state (``np.errstate``)
-    holds in all of them.  The first exception raised in any thread is
-    raised here once all have stopped; an interrupt while waiting is raised
-    at once, and the threads stop after their current block.
+    k = min(cores, :data:`_WORKERS`, size) threads run k contiguous shares,
+    of lengths within one, in blocks of block // k (at k = 1, the caller runs
+    it all).  Thread j is pinned to every k-th CPU of the affinity mask from
+    the j-th on: a scheduler that does not balance load keeps a thread on the
+    core that started it.  Threads run in copies of the caller's context, so
+    ``np.errstate`` holds in them.  The first exception of any thread is
+    raised once all have stopped; an interrupt while waiting is raised at
+    once, and the threads stop after their current block.
     """
-    threads = _kernel_threads(-(-size // block))
-    if threads == 1:
+    budget = _WORKERS.get()
+    threads = min(_cores(), size if budget is None else budget, size)
+    if threads <= 1:
         for lo in range(0, size, block):
             fill(lo, lo + block)
         return
@@ -326,14 +309,15 @@ def _fill_blocks(fill, size: int, block: int) -> None:
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     errors = []
 
-    def share(first: int) -> None:
+    def share(j: int) -> None:
         try:
             if cpus:
-                os.sched_setaffinity(0, cpus[first::threads] or cpus)
-            for lo in range(first * width, size, threads * width):
+                os.sched_setaffinity(0, cpus[j::threads] or cpus)
+            end = (j + 1) * size // threads
+            for lo in range(j * size // threads, end, width):
                 if errors:
                     return
-                fill(lo, lo + width)
+                fill(lo, min(lo + width, end))
         except BaseException as exc:
             errors.append(exc)
 
@@ -441,10 +425,9 @@ def energy_at_times(
     chain, up to 4 where ``eigh`` mixes nearly degenerate charging bands
     (see the module docstring).  Times are processed in blocks of at most
     _TIME_BLOCK, sized so that each (N, F, T) temporary holds at most
-    _BLOCK_ELEMENTS floats, and spread over threads by :func:`_fill_blocks`.
-    Modes are reduced in ascending-q order with compensated accumulation,
-    so the result is independent of the block length, the thread count and
-    how the per-mode work was scheduled.
+    _BLOCK_ELEMENTS floats, and split over threads by :func:`_fill_blocks`.
+    Modes are reduced in ascending-q order with compensated accumulation, so
+    the result is independent of the block length and the thread count.
     """
     if evaluator not in ("full", "simplified"):
         raise ValueError(f"evaluator must be 'full' or 'simplified', got {evaluator!r}")

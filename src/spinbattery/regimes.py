@@ -4,12 +4,12 @@ Three regimes are read off a stored-energy trace: the first local maximum
 (tau_s, E^s), the time-independent plateau E^inf, and the finite-size
 recurrence maximum (tau_r, E^r) searched inside a window that scales
 linearly with system size.  Sweeps evaluate these per grid point of the
-initial dimerization (or transverse field) and are embarrassingly parallel
-over rows; row order and per-row arithmetic are fixed, so outputs do not
-depend on the worker budget.  The per-model rules live here, not in the
-command line: ``_engine`` picks the engines and default window,
-``_recurrence_window`` fills and checks a window, and an uncharged trace of
-either model fails with "no charging occurred".
+initial dimerization (or transverse field), row after row; the worker
+budget only bounds the XY kernel's threads, so outputs do not depend on it.
+The per-model rules live here, not in the command line: ``_engine`` picks
+the engines and default window, ``_recurrence_window`` fills and checks a
+window, and an uncharged trace of either model fails with "no charging
+occurred".
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .ising import (
 from .quench import (
     EnergyTrace,
     QuenchProtocol,
-    _cores,
+    _WORKERS,
     _uniform_times,
     asymptotic_energy,
     energy_at_times,
@@ -202,7 +202,7 @@ def occupation_snapshot(protocol: QuenchProtocol, t: float) -> list[tuple[float,
 
 
 # ----------------------------------------------------------------------
-# per-point regime extraction (sweep / scaling workers)
+# per-point regime extraction (sweep and scaling rows)
 # ----------------------------------------------------------------------
 
 def _windowed_argmax(
@@ -244,9 +244,8 @@ def _engine(params):
             params.n_dimers, default_recurrence_window(params.n_dimers))
 
 
-def _regime_point(args) -> tuple[float, float, float, float, float, bool]:
+def _regime_point(params, window) -> tuple[float, float, float, float, float, bool]:
     """(tau_s, e_s, e_inf, tau_r, e_r, on_edge) of one XY or Ising parameter set; never warns."""
-    params, window = args
     energy, asymptote, resolution, _, _ = _engine(params)
     bound = resolution(params)
     dt = DT_SAFETY * bound
@@ -258,31 +257,19 @@ def _regime_point(args) -> tuple[float, float, float, float, float, bool]:
     return tau_s, e_s, asymptote(params), tau_r, e_r, on_edge
 
 
-def _map_ordered(func, jobs: list, workers: int) -> list:
-    """[func(job) for job in jobs], over a process pool when workers > 1.
-
-    ``func`` returns everything the caller needs as data: a pool worker's
-    warnings and other side effects never reach the caller.
-    """
-    # A fork pool starts all its processes up front, used or not.
-    workers = min(workers, len(jobs), _cores())
-    if workers <= 1:
-        return [func(job) for job in jobs]
-    # Imported here: the process-pool module costs every CLI start ~15 ms.
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, jobs))
-
-
 def _sweep_rows(name, grid, params, workers, window=None):
     """One SweepRow per grid value of ``name``, energies divided by the system size.
 
-    Each row's recurrence is searched in ``window``, its None sides from the row's default.
+    Each row's recurrence is searched in ``window``, its None sides from the
+    row's default; ``workers`` (None: every CPU) bounds the kernel's threads.
     """
     sized = [_engine(p)[3:] for p in params]  # (size, default window)
-    jobs = [(p, _recurrence_window(window, default)) for p, (_, default) in zip(params, sized)]
-    points = _map_ordered(_regime_point, jobs, workers)
+    windows = [_recurrence_window(window, default) for _, default in sized]
+    token = _WORKERS.set(workers)
+    try:
+        points = [_regime_point(p, w) for p, w in zip(params, windows)]
+    finally:
+        _WORKERS.reset(token)
     _warn_edge_hits(
         f" of row {i} ({name} = {x})" for i, (x, point) in enumerate(zip(grid, points)) if point[-1]
     )
@@ -298,7 +285,7 @@ def sweep_delta0(
     n_dimers: int,
     delta0_grid,
     *,
-    workers: int = 1,
+    workers: int | None = None,
     window: tuple[float | None, float | None] | None = None,
 ) -> list[SweepRow]:
     """Regime energies per dimer across a grid of initial dimerizations.
@@ -320,7 +307,7 @@ def sweep_field(
     n_sites: int,
     h0_grid,
     *,
-    workers: int = 1,
+    workers: int | None = None,
     window: tuple[float | None, float | None] | None = None,
 ) -> list[SweepRow]:
     """Ising analogue of :func:`sweep_delta0`, normalized per site."""
@@ -335,7 +322,7 @@ def scaling_study(
     delta1: float,
     n_list,
     *,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> list[ScalingRow]:
     """Per-dimer regime energies and recurrence time across system sizes."""
     sizes = [int(n) for n in n_list]

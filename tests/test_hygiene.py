@@ -3,15 +3,18 @@
 No linter is a dependency, so the stale imports and ``__all__`` entries that
 removals tend to leave behind are caught here, and so are names the
 benchmark harness in ``bench/`` reaches that no longer exist (those files
-are only read), README examples that no longer run, and command-line
-options that no subcommand reads.
+are only read), README examples that no longer run, command-line options
+that no subcommand reads, and process machinery a sweep no longer needs.
 """
 
 import ast
 import importlib
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,6 +81,26 @@ def test_star_import(module):
     namespace = {}
     exec(f"from {target} import *", namespace)
     assert len(namespace) > 1
+
+
+def test_a_sweep_loads_no_process_machinery(tmp_path):
+    # sweeps and scaling runs compute their rows in the calling process
+    path = os.pathsep.join(os.path.abspath(p) for p in sys.path if p)
+    script = (
+        "import sys\n"
+        "from spinbattery.cli import main\n"
+        "assert main(['sweep', '--n-dimers', '20', '--param-min', '0.15',\n"
+        "             '--param-max', '0.25', '--param-step', '0.05', '--workers', '2']) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    assert (tmp_path / "sweep.csv").read_text().count("\n") == 4
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from spinbattery import (
     occupations_all,
     resolution_bound,
 )
-from spinbattery import ising, quench, sums
+from spinbattery import ising, quench, regimes, sums
 from spinbattery.ed import DimerizedXY, build_hamiltonian, oracle_energy_trace
 from spinbattery.ising import IsingParams, ising_asymptotic_energy, ising_energy_at_times
 from spinbattery.quench import EQUAL_FREQ_TOL, _mode_data
@@ -450,7 +450,8 @@ class TestWeightlessColumns:
     )
     def test_evaluates_only_the_weighted_columns(self, monkeypatch, protocol, columns):
         # Fig. 2 keeps 2 w1' and 2 w2'; near-degenerate charging bands that
-        # eigh mixes also keep w1' + w2'
+        # eigh mixes also keep w1' + w2'.  One core: one thread sees the grid.
+        monkeypatch.setattr(quench, "_cores", lambda: 1)
         phases = []
         for name in ("cos", "sin"):
             def spy(x, *args, _trig=getattr(np, name), **kwargs):
@@ -608,11 +609,36 @@ def _grid(protocol, t0, t1):
 
 
 class TestKernelThreads:
-    # energy_at_times spreads its time blocks over min(cores, blocks)
+    # energy_at_times splits its grid over min(cores, workers, samples)
     # threads; any thread count must give the bits of one thread.  At 20
     # dimers a gapped chain keeps full blocks of _TIME_BLOCK times.
     SMALL = QuenchProtocol(1.25, 0.3, 0.6, 20)
     BLOCK = quench._TIME_BLOCK
+
+    @staticmethod
+    def _blocks(monkeypatch):
+        """(thread, CPUs, lo, hi) of every block the kernel fills, as it fills them."""
+        blocks = []
+        fill_blocks = quench._fill_blocks
+
+        def spy(fill, size, block):
+            def recorded(lo, hi):
+                cpus = frozenset(getattr(os, "sched_getaffinity", lambda _: ())(0))
+                blocks.append((threading.current_thread(), cpus, lo, min(hi, size)))
+                fill(lo, hi)
+
+            fill_blocks(recorded, size, block)
+
+        monkeypatch.setattr(quench, "_fill_blocks", spy)
+        return blocks
+
+    @staticmethod
+    def _shares(blocks):
+        """Each thread's blocks as a list of (lo, hi), the lists in grid order."""
+        by_thread = {}
+        for thread, _, lo, hi in blocks:
+            by_thread.setdefault(thread, []).append((lo, hi))
+        return sorted(sorted(share) for share in by_thread.values())
 
     @staticmethod
     def _by_cores(monkeypatch, protocol, times):
@@ -642,23 +668,49 @@ class TestKernelThreads:
         assert np.array_equal(one, two) and np.array_equal(one, three)
 
     @pytest.mark.parametrize(
-        "samples, threads", [(1, 1), (BLOCK, 1), (BLOCK + 1, 2), (2 * BLOCK + 777, 3)]
+        "samples, cores",
+        [(1, 1), (BLOCK, 1), (BLOCK + 1, 2), (2 * BLOCK + 777, 3), (BLOCK, 3), (2, 3)],
     )
-    def test_threads_share_one_blocks_memory(self, monkeypatch, samples, threads):
-        # with 3 cores: one thread per serial block up to 3, each running
-        # blocks of _TIME_BLOCK // threads times
-        seen = []
-
-        def spy(values):
-            seen.append((threading.current_thread(), values.shape[1]))
-            return sums.compensated_sum_axis0(values)
-
-        monkeypatch.setattr(quench, "_cores", lambda: 3)
-        monkeypatch.setattr(quench, "compensated_sum_axis0", spy)
+    def test_threads_share_one_blocks_memory(self, monkeypatch, samples, cores):
+        # k = min(cores, samples) threads, each on one of k contiguous shares
+        # of the grid, near-equal and in order, in blocks of _TIME_BLOCK // k
+        monkeypatch.setattr(quench, "_cores", lambda: cores)
+        blocks = self._blocks(monkeypatch)
         energy_at_times(self.SMALL, 0.3 * np.arange(samples))
-        assert len({thread for thread, _ in seen}) == threads
-        assert max(width for _, width in seen) == min(samples, self.BLOCK // threads)
-        assert sum(width for _, width in seen) == samples
+        shares = self._shares(blocks)
+        k = min(cores, samples)
+        assert len(shares) == k
+        for share in shares:
+            assert all(a[1] == b[0] for a, b in zip(share, share[1:]))
+            assert max(hi - lo for lo, hi in share) <= self.BLOCK // k
+        ends = [(share[0][0], share[-1][1]) for share in shares]
+        assert [lo for lo, _ in ends] == [0] + [hi for _, hi in ends[:-1]]
+        assert ends[-1][1] == samples
+        assert max(hi - lo for lo, hi in ends) - min(hi - lo for lo, hi in ends) <= 1
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_one_block_grid_splits_over_the_cpus(self, monkeypatch):
+        # a sweep's short span (1,401 samples, one serial block) runs on two
+        # pinned threads at two CPUs, and on the calling thread at workers = 1
+        times = _grid(FIG3, 0.0, regimes.DEFAULT_SHORT_SPAN)
+        assert times.size == 1401
+        cpus = sorted(os.sched_getaffinity(0))
+        monkeypatch.setattr(quench, "_cores", lambda: 2)
+        blocks = self._blocks(monkeypatch)
+        two = energy_at_times(FIG3, times)
+        assert len(self._shares(blocks)) == 2
+        assert {mask for _, mask, _, _ in blocks} == {
+            frozenset(cpus[j::2] or cpus) for j in (0, 1)
+        }
+        blocks.clear()
+        token = quench._WORKERS.set(1)
+        try:
+            one = energy_at_times(FIG3, times)
+        finally:
+            quench._WORKERS.reset(token)
+        assert {thread for thread, _, _, _ in blocks} == {threading.current_thread()}
+        assert [(lo, hi) for _, _, lo, hi in blocks] == [(0, 1401)]
+        assert np.array_equal(one, two)
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
     def test_each_thread_runs_on_its_own_cpus(self, monkeypatch):
@@ -718,16 +770,6 @@ class TestKernelThreads:
             sys.setswitchinterval(interval)
         assert not caller.is_alive()
         assert np.array_equal(result[0], one)
-
-    @pytest.mark.parametrize("method", ["fork", "spawn"])
-    def test_pool_workers_run_the_kernel_on_one_thread(self, method):
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        context = multiprocessing.get_context(method)
-        with ProcessPoolExecutor(max_workers=2, mp_context=context) as pool:
-            assert list(pool.map(quench._kernel_threads, [1000, 1000])) == [1, 1]
-        assert quench._kernel_threads(1000) == min(quench._cores(), 1000)
 
 
 def _two_chain_modes(p: QuenchProtocol):

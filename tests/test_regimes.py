@@ -1,4 +1,6 @@
+import itertools
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -20,7 +22,7 @@ from spinbattery import (
     sweep_delta0,
     sweep_field,
 )
-from spinbattery import regimes
+from spinbattery import quench, regimes
 from spinbattery.ising import ising_resolution_bound
 from spinbattery.regimes import (
     DT_SAFETY,
@@ -201,35 +203,9 @@ class TestSweeps:
         grid = [0.7, 0.75, 0.8]
         assert sweep_field(0.25, 60, grid, workers=1) == sweep_field(0.25, 60, grid, workers=2)
 
-    def test_pool_never_larger_than_jobs_or_cpus(self, monkeypatch):
-        # A fake executor records the pool size, so no process is started.
-        sizes = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, func, jobs):
-                return map(func, jobs)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(regimes, "_cores", lambda: 4)
-        for n_jobs, workers in ((3, 64), (8, 64), (8, 2), (1, 64)):
-            jobs = list(range(-n_jobs, 0))
-            assert regimes._map_ordered(abs, jobs, workers) == [abs(j) for j in jobs]
-        monkeypatch.setattr(regimes, "_cores", lambda: 1)
-        assert regimes._map_ordered(abs, [-1, -2], 64) == [1, 2]
-        assert sizes == [3, 4, 2]
-
     @pytest.mark.parametrize("window", [(-5.0, 10.0), (20.0, 20.0), (30.0, 20.0)])
     def test_bad_window_rejected_before_any_row(self, monkeypatch, window):
-        monkeypatch.setattr(regimes, "_regime_point", lambda job: pytest.fail("row evaluated"))
+        monkeypatch.setattr(regimes, "_regime_point", lambda *job: pytest.fail("row evaluated"))
         with pytest.raises(ValueError, match="0 <= window-min < window-max"):
             sweep_delta0(1.1, 0.8, 10, [0.2], window=window)
 
@@ -251,12 +227,10 @@ class TestSweeps:
         with pytest.raises(RegimeDetectionError, match="no charging occurred"):
             sweep_field(0.0, 40, [0.7])
 
-    def test_pool_worker_warnings_reach_the_caller(self, monkeypatch):
+    def test_worker_budget_keeps_rows_and_warnings(self):
         # delta0 = 0.1 puts the recurrence maximum on the edge of [80, 100] at
-        # 40 dimers and 0.05 does not: a real two-worker pool gives the caller
-        # the same rows and the same window-edge warnings, in row order, as
-        # one worker.
-        monkeypatch.setattr(regimes, "_cores", lambda: 2)
+        # 40 dimers and 0.05 does not: two workers give the caller the same
+        # rows and the same window-edge warnings, in row order, as one.
         seen = []
         for workers in (1, 2):
             with warnings.catch_warnings(record=True) as caught:
@@ -266,6 +240,39 @@ class TestSweeps:
             seen.append((rows, [(w.category, str(w.message)) for w in caught]))
         assert seen[0] == seen[1]
         assert [category for category, _ in seen[0][1]] == [RecurrenceWindowWarning] * 2
+
+    @pytest.mark.parametrize("workers, threads", [(1, 1), (2, 2), (None, 3)])
+    def test_workers_bound_the_kernel_threads(self, monkeypatch, workers, threads):
+        # at 3 cores: the short span and the window grid each run on
+        # min(3, workers) threads, and the bound ends with the sweep
+        monkeypatch.setattr(quench, "_cores", lambda: 3)
+        seen = []
+        fill_blocks = quench._fill_blocks
+
+        def spy(fill, size, block):
+            used = set()
+
+            def recorded(lo, hi):
+                used.add(threading.current_thread())
+                fill(lo, hi)
+
+            fill_blocks(recorded, size, block)
+            seen.append(len(used))
+
+        monkeypatch.setattr(quench, "_fill_blocks", spy)
+        sweep_delta0(1.1, 0.8, 20, [0.2], workers=workers)
+        assert seen == [threads, threads]
+        assert quench._WORKERS.get() is None
+
+    def test_rows_do_not_depend_on_workers_or_cores(self, monkeypatch):
+        # delta0 = 0.2 is the flat-band point delta0 + delta1 = 1 of the Fig-3
+        # line, whose window holds maxima equal up to their last bits
+        rows = []
+        for cores, workers in itertools.product((1, 2, 3), (1, 2, 3)):
+            monkeypatch.setattr(quench, "_cores", lambda cores=cores: cores)
+            rows.append(sweep_delta0(1.1, 0.8, 300, [0.15, 0.2], workers=workers))
+        assert 0.2 + 0.8 == 1.0
+        assert all(r == rows[0] for r in rows)
 
 
 class TestScalingStudy:
@@ -281,6 +288,11 @@ class TestScalingStudy:
         assert 1.7 < ratio < 2.3
         # short-time and asymptotic densities are already size converged
         assert rows[0].e_inf_per == pytest.approx(rows[1].e_inf_per, rel=1e-3)
+
+    def test_rows_do_not_depend_on_workers(self, monkeypatch):
+        monkeypatch.setattr(quench, "_cores", lambda: 3)
+        rows = [scaling_study(1.25, 0.3, 0.6, [20, 30], workers=w) for w in (1, 2, 3)]
+        assert rows[0] == rows[1] == rows[2]
 
     def test_rows_are_sweep_rows(self):
         # one row path: a scaling row is the one-point delta0 sweep at its size
