@@ -1,31 +1,27 @@
 """Closed-form stored energy for the transverse-field Ising chain.
 
 Same double-quench protocol as the XY battery, but for
-H(h) = (1/2) sum_j [sx_j sx_{j+1} + h sz_j] the whole calculation collapses
-to one Bogoliubov rotation per mode and the stored energy has the closed
-form
+H(h) = (1/2) sum_j [sx_j sx_{j+1} + h sz_j] each mode is one Majorana chain
+with (a, b) = ((1 - h)/2, (1 + h)/2) at x = k/2 = pi q / N (``xy._chain_modes``).
+The dispersion is eps_q = 2 |d| at h0 and w_q = 2 |d'| at h0 + h1, with no
+cancellation near h = 1, and the stored energy has the closed form
 
-    dE(t) = sum_q  h1^2 sin^2(k) / (eps_q w_q^2) * [1 - cos(2 w_q t)]
+    dE(t) = sum_q  2 |d| sin^2 dphi * [1 - cos(2 w_q t)]
+          = sum_q  h1^2 sin^2(k) / (eps_q w_q^2) * [1 - cos(2 w_q t)]
 
-with k = 2 pi q / N over the half zone q = 1/2, ..., N/2 - 1/2 (0 < k < pi),
-eps_q the dispersion at h0 and w_q the dispersion at h0 + h1, both > 0
-there.  Modes q and N - q store the same energy, so each mirror pair enters
-once, at twice the per-mode amplitude; the k = pi mode of an odd ring is its
-own mirror, is not coupled by the field quench and never enters.  The
-Bogoliubov angles, (sin 2theta, cos 2theta) = (sin k, h - cos k) / eps_q,
-enter only through this amplitude, which is eps_q sin^2(2theta' - 2theta).
+over the half zone q = 1/2, ..., N/2 - 1/2 (0 < k < pi).  Modes q and N - q
+store the same energy, so each mirror pair enters once, at twice the
+per-mode amplitude; the k = pi mode of an odd ring is its own mirror, is not
+coupled by the field quench and never enters.
 
 ``ising_energy_at_times`` evaluates the sum with the phase-block kernel of
-``quench`` (``_phase_block_sum``): on a uniform grid of T times it takes
-about 4 sqrt(T) sines and cosines per mode and a matrix-vector product per
-block column, instead of a cosine per mode and sample.  It matches the
-mode-by-mode sum, exactly rounded over modes, to within 1e-12 max(1, E^inf)
-up to t = 10^3, a bound that grows in proportion to t past it with the
-rounding of the phases 2 w_q t.  A trace and pointwise calls at its times
-therefore agree to that tolerance, not bit for bit.  A result depends only
-on the parameters and the time grid, so it is the same for any worker or
-BLAS thread count.  Each call builds the per-mode arrays it needs and keeps
-nothing once it returns.
+``quench`` (``_phase_block_sum``).  It matches the mode-by-mode sum, exactly
+rounded over modes, to within 1e-12 max(1, E^inf) up to t = 10^3, a bound
+that grows in proportion to t past it with the rounding of the phases
+2 w_q t, so a trace and pointwise calls at its times agree to that
+tolerance, not bit for bit.  A result depends only on the parameters and the
+time grid, not on the worker or BLAS thread count.  Each call builds the
+per-mode arrays it needs and keeps nothing once it returns.
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ from .quench import (
     _resolution_bound,
 )
 from .sums import compensated_sum
-from .xy import _check_parameters, _check_size
+from .xy import _chain_modes, _check_parameters, _check_size
 
 __all__ = [
     "IsingParams",
@@ -69,11 +65,10 @@ class IsingParams:
 def _mode_arrays(params: IsingParams):
     """(omega, amplitude) over the half zone: dE(t) = sum_q amp_q [1 - cos(2 w_q t)]."""
     n = params.n_sites
-    k = 2.0 * np.pi * (np.arange(n // 2) + 0.5) / n
-    eps = np.sqrt(1.0 + params.h0**2 - 2.0 * params.h0 * np.cos(k))
-    hf = params.h0 + params.h1
-    omega = np.sqrt(1.0 + hf**2 - 2.0 * hf * np.cos(k))
-    return omega, params.h1**2 * np.sin(k) ** 2 / (eps * omega**2)
+    x = np.pi * (np.arange(n // 2) + 0.5) / n
+    battery, charger = (((1.0 - h) / 2, (1.0 + h) / 2) for h in (params.h0, params.h0 + params.h1))
+    norm, norm_p, sin2_dphi = _chain_modes(*battery, *charger, x)
+    return 2.0 * norm_p, 2.0 * norm * sin2_dphi
 
 
 def ising_energy_at_times(params: IsingParams, times: np.ndarray) -> np.ndarray:

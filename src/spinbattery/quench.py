@@ -3,42 +3,36 @@
 The chain starts in the even-sector ground state at dimerization delta0, is
 driven for t in [0, tau] by the same chain at delta0 + delta1, and the
 stored energy is the battery-Hamiltonian expectation measured above the
-ground state.  Per mode q everything follows from the unitary matching
-matrix M_q between the two quasiparticle bases: with
+ground state.  Each mode q holds two Majorana chains (``xy._xy_chains``),
+chain s being band s: with |d|, |d'| the battery and charger norms and dphi
+the angle between d and d', the band occupation and stored energy are
+
+    n_{s,q}(t) = sin^2 dphi sin^2(2 |d'| t),    dE(t) = sum_{s,q} 2 |d| n_{s,q}(t)
+
+which ``occupations_all`` and ``asymptotic_energy`` evaluate as written; a
+zero-energy battery mode (|d| = 0) has occupation 0.
+
+``energy_at_times``, the XY time kernel, builds its tables instead from the
+matching matrix M_q = V_q^dag U_q between the 4x4 Bloch eigenbases: with
 D(t) = diag(e^{-i w1' t}, e^{-i w2' t}, e^{+i w1' t}, e^{+i w2' t}) and
-T(t) = M_q^dag D(t) M_q, the band occupations are
+T = M_q^dag D M_q, n_s = |T_{s,3}|^2 + |T_{s,4}|^2 expands into a constant
+plus oscillations at w1'-w2', 2 w1', w1'+w2', 2 w2': the paper's quadruple
+sum (both cosine families, overall factor 2).  Both evaluator names,
+``"full"`` and ``"simplified"``, run this sum.  Before its time loop it drops
+every frequency column whose weight sum_q (|e_cos| + |e_sin|) is at most
+eps sum_q |e_const|, which cannot move a result by more than one rounding
+unit: on a gapped chain the two cross-band columns, so only 2 w1' and 2 w2'
+run.  Where ``eigh`` mixes nearly degenerate charging bands
+(gamma (delta0 + delta1) ~ 0) up to all four columns are kept.  Each sample
+depends only on its own time, so the kernel splits every grid into
+contiguous shares over min(cores, a sweep's ``workers``, samples) threads,
+which together hold one serial block's memory (numpy releases the GIL in the
+trig, the einsum and the reduction); the result does not depend on the
+thread count.
 
-    n_{s,q}(t) = |T_{s,3}(t)|^2 + |T_{s,4}(t)|^2      (s = 1, 2)
-
-which ``occupations_all`` evaluates as written.  The energy kernel
-(``_energy_tables``) expands them instead into a constant plus oscillations
-at w1'-w2', 2 w1', w1'+w2', 2 w2': the paper's quadruple sum over the
-matching-matrix entries (both cosine families, overall factor 2).  The test
-suite checks the printed sum against the occupations, the occupations
-against the energies, and both against brute-force exact diagonalization.
-
-``energy_at_times`` is the XY time kernel.  It accepts both evaluator
-names, ``"full"`` and ``"simplified"``, and runs this same sum for either.
-Before its time loop it drops every frequency column whose total weight
-sum_q (|e_cos| + |e_sin|) is at most eps sum_q |e_const|: such a column
-cannot move a result by more than one rounding unit of its scale.  The
-matching matrix of a gapped chain does not mix the two bands, so the two
-cross-band columns fall under that rule and only 2 w1' and 2 w2' run; the
-band-diagonal truncation is this rule and needs no path of its own.  Where
-the charging bands are nearly degenerate (gamma (delta0 + delta1) ~ 0),
-``eigh`` mixes them, the w1'+w2' column carries weight and is kept; up to
-all four columns can be.
-
-Each output sample depends only on its own time, so the kernel splits every
-grid into contiguous shares over min(cores, a sweep's ``workers``, samples)
-threads, which together hold one serial block's memory (numpy releases the
-GIL in the trig, the einsum and the reduction); the result does not depend
-on the thread count.
-
-Engines keep nothing between calls: each call builds the per-mode tables it
-needs once and drops them when it returns.  The helpers under "scaffolding
-shared with the Ising closed form" (time checks, the phase-block kernel and
-the trace grid) serve both models.
+Engines keep nothing between calls.  The helpers under "scaffolding shared
+with the Ising closed form" (time checks, the phase-block kernel and the
+trace grid) serve both models.
 """
 
 from __future__ import annotations
@@ -56,6 +50,7 @@ from .xy import (
     ChainParams,
     _check_finite,
     _check_parameters,
+    _xy_chains,
     bloch_stack,
     dispersion_curves,
     eigensystem_stack,
@@ -71,8 +66,8 @@ __all__ = [
     "resolution_bound",
 ]
 
-# A frequency column at most this large is treated as static: it belongs to
-# the time-independent part of the energy.
+# A frequency at most this large is treated as static: it belongs to the
+# time-independent part of the energy.
 EQUAL_FREQ_TOL = 1e-10
 
 # A resolution bound pi / (SAMPLES_PER_PERIOD_FACTOR f) puts 2 x this many
@@ -158,21 +153,6 @@ class EnergyTrace:
             raise ValueError("times must be strictly ascending")
         self.times.setflags(write=False)
         self.values.setflags(write=False)
-
-
-def _mode_data(protocol: QuenchProtocol):
-    """Battery and charging bands and matching matrices M_q = V_q^dag U_q.
-
-    Shapes (N, 2), (N, 2), (N, 4, 4); row i is the mode q = i + 1/2.
-    """
-    omega, u = eigensystem_stack(
-        bloch_stack(protocol.gamma, protocol.delta0, protocol.n_dimers)
-    )
-    omega_p, v = eigensystem_stack(
-        bloch_stack(protocol.gamma, protocol.delta0 + protocol.delta1, protocol.n_dimers)
-    )
-    m = np.conj(np.transpose(v, (0, 2, 1))) @ u
-    return omega, omega_p, m
 
 
 # Pair -> frequency bookkeeping of the energy kernel's expansion of |T|^2.
@@ -375,16 +355,16 @@ def occupations_all(protocol: QuenchProtocol, t: float) -> np.ndarray:
     """Quasiparticle occupations (n1, n2) of every mode at time t >= 0.
 
     Shape (n_dimers, 2); row i is the mode q = i + 1/2.  Evaluates
-    n_s = |T_{s,3}|^2 + |T_{s,4}|^2 with T = M^dag D(t) M directly.
+    n_s = sin^2 dphi sin^2(2 |d'| t) per chain s; 0 where |d| or |d'| is 0.
     """
     if not abs(t) <= MAX_TIME:
         raise ValueError(f"t must be finite and at most {MAX_TIME:.0e} in magnitude, got {t}")
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    _, omega_p, m = _mode_data(protocol)
-    d = np.exp(1j * t * np.hstack([-omega_p, omega_p]))
-    tm = np.conj(np.transpose(m, (0, 2, 1))) @ (d[:, :, None] * m)
-    return np.sum(np.abs(tm[:, :2, 2:]) ** 2, axis=2)
+    _, norm_p, sin2_dphi = _xy_chains(
+        protocol.gamma, protocol.delta0, protocol.delta0 + protocol.delta1, protocol.n_dimers
+    )
+    return sin2_dphi * np.sin(2.0 * norm_p * t) ** 2
 
 
 def _energy_tables(protocol: QuenchProtocol):
@@ -394,7 +374,11 @@ def _energy_tables(protocol: QuenchProtocol):
     and cos/sin coefficients at [w1'-w2', 2 w1', w1'+w2', 2 w2']; the battery
     bands weight them.  Shapes (N, 4), (N,), (N, 4), (N, 4).
     """
-    omega, omega_p, m = _mode_data(protocol)
+    (omega, u), (omega_p, v) = (
+        eigensystem_stack(bloch_stack(chain.gamma, chain.delta, chain.n_dimers))
+        for chain in (protocol.battery_params(), protocol.charging_params())
+    )
+    m = np.conj(np.transpose(v, (0, 2, 1))) @ u  # matching matrices M_q = V_q^dag U_q
     n = m.shape[0]
     w1p, w2p = omega_p[:, 0], omega_p[:, 1]
     freqs = np.column_stack([w1p - w2p, 2.0 * w1p, w1p + w2p, 2.0 * w2p])
@@ -420,14 +404,12 @@ def energy_at_times(
 ) -> np.ndarray:
     """Stored energy on an arbitrary grid of times >= 0.
 
-    The XY time kernel.  Only the F frequency columns whose weight
-    sum_q (|e_cos| + |e_sin|) exceeds eps sum_q |e_const| run: 2 on a gapped
-    chain, up to 4 where ``eigh`` mixes nearly degenerate charging bands
-    (see the module docstring).  Times are processed in blocks of at most
+    The XY time kernel, on the F weighted frequency columns of the module
+    docstring (2 on a gapped chain, up to 4).  Times run in blocks of at most
     _TIME_BLOCK, sized so that each (N, F, T) temporary holds at most
-    _BLOCK_ELEMENTS floats, and split over threads by :func:`_fill_blocks`.
-    Modes are reduced in ascending-q order with compensated accumulation, so
-    the result is independent of the block length and the thread count.
+    _BLOCK_ELEMENTS floats, split over threads by :func:`_fill_blocks`.  Modes
+    are reduced in ascending-q order with compensated accumulation, so the
+    result is independent of the block length and the thread count.
     """
     if evaluator not in ("full", "simplified"):
         raise ValueError(f"evaluator must be 'full' or 'simplified', got {evaluator!r}")
@@ -485,13 +467,11 @@ def energy_trace(protocol: QuenchProtocol, t_end: float, dt: float) -> EnergyTra
 def asymptotic_energy(protocol: QuenchProtocol) -> float:
     """Time-independent part of the stored energy (infinite-time average).
 
-    Every cosine column whose frequency is at most ``EQUAL_FREQ_TOL`` is
-    time independent and enters the constant: the 2 w' terms of a band whose
-    charging frequency vanishes (a flat band at a gap closing).  The w1'-w2'
-    column, whose frequency vanishes where the charging bands are degenerate,
-    carries no more than rounding there: ``eigh``'s mixing of such bands
-    shows up in the w1'+w2' column instead.
+    The exactly rounded sum of |d| sin^2 dphi over the modes of both chains
+    whose frequency 4 |d'| exceeds ``EQUAL_FREQ_TOL``; a mode of a flat
+    charging band (a gap closing) does not oscillate and stores nothing.
     """
-    freqs, e_const, e_cos, _ = _energy_tables(protocol)
-    static = np.where(freqs <= EQUAL_FREQ_TOL, e_cos, 0.0)
-    return compensated_sum(e_const + np.sum(static, axis=1))
+    norm, norm_p, sin2_dphi = _xy_chains(
+        protocol.gamma, protocol.delta0, protocol.delta0 + protocol.delta1, protocol.n_dimers
+    )
+    return compensated_sum((norm * sin2_dphi)[4.0 * norm_p > EQUAL_FREQ_TOL])

@@ -4,12 +4,15 @@ The chain of N = 2*n_dimers spins with bond strengths 1 -+ delta and
 anisotropy gamma maps, in its even-parity sector, onto free fermions with
 half-integer momentum labels q in {1/2, 3/2, ..., n_dimers - 1/2}.  Each q
 carries a 4x4 Hermitian Bloch matrix whose spectrum (+w1, +w2, -w1, -w2)
-gives the two quasiparticle bands
+gives the two quasiparticle bands.  They are two Ising-like Majorana chains,
+(a, b) = (1 +- g d, d +- g) (Lieb, Schultz and Mattis 1961; Barouch and McCoy
+1971), with d = (a cos x, b sin x) at x = pi q / Nd:
 
-    w_{1/2}(q) = 2 sqrt((1 +- g d)^2 cos^2(pi q / Nd) + (d +- g)^2 sin^2(pi q / Nd))
+    w_{1/2}(q) = 2 |d| = 2 sqrt((1 +- g d)^2 cos^2 x + (d +- g)^2 sin^2 x)
 
-in units of the overall exchange scale J = 1 (hbar = 1).  Everything here is
-a pure function of its inputs; all containers are immutable.
+in units of J = 1 (hbar = 1).  ``_chain_modes`` gives every per-mode quantity
+but the XY time kernel's tables, which come from the Bloch eigensystems.
+Everything here is a pure function of its inputs; all containers are immutable.
 """
 
 from __future__ import annotations
@@ -203,19 +206,40 @@ def eigensystem_stack(bloch: np.ndarray):
     return omegas, vecs
 
 
-def dispersion_curves(gamma: float, delta: float, n_dimers: int) -> np.ndarray:
-    """Closed-form bands, shape (n_dimers, 2) ordered (w1, w2) per mode.
+def _chain_modes(a, b, a_p, b_p, x):
+    """Per-mode ``(|d|, |d'|, sin^2 dphi)`` of one Majorana chain at the mode angles x.
 
-    The two branches never cross for gamma > 0, delta >= 0 (their squared
-    difference is 16 gamma delta), so the '+' branch is always w1 >= w2.
+    d = (a cos x, b sin x) is the battery's, d' = (a_p cos x, b_p sin x) the
+    charger's, and dphi the angle between them: 0, not 0/0, where |d| |d'| = 0.
     """
-    q = np.arange(n_dimers) + 0.5
-    x = np.pi * q / n_dimers
     cos2 = np.cos(x) ** 2
     sin2 = np.sin(x) ** 2
-    plus = 2.0 * np.sqrt((1.0 + gamma * delta) ** 2 * cos2 + (delta + gamma) ** 2 * sin2)
-    minus = 2.0 * np.sqrt((1.0 - gamma * delta) ** 2 * cos2 + (delta - gamma) ** 2 * sin2)
-    return np.column_stack([plus, minus])
+    sq = a**2 * cos2 + b**2 * sin2
+    sq_p = a_p**2 * cos2 + b_p**2 * sin2
+    cross2 = (a * b_p - a_p * b) ** 2 * (cos2 * sin2)
+    norms2 = sq * sq_p
+    sin2_dphi = np.divide(cross2, norms2, out=np.zeros_like(norms2), where=norms2 > 0)
+    return np.sqrt(sq), np.sqrt(sq_p), sin2_dphi
+
+
+def _xy_chains(gamma: float, delta: float, delta_p: float, n_dimers: int):
+    """``_chain_modes`` of both chains at delta (battery) and delta_p (charger).
+
+    Three (n_dimers, 2) arrays; row i is q = i + 1/2, column s chain (band) s.
+    """
+    x = np.pi * (np.arange(n_dimers) + 0.5) / n_dimers
+    pairs = [((1.0 + gamma * d, d + gamma), (1.0 - gamma * d, d - gamma)) for d in (delta, delta_p)]
+    chains = [_chain_modes(*ab, *ab_p, x) for ab, ab_p in zip(*pairs)]
+    return tuple(np.column_stack(arrays) for arrays in zip(*chains))
+
+
+def dispersion_curves(gamma: float, delta: float, n_dimers: int) -> np.ndarray:
+    """Closed-form bands 2 |d|, shape (n_dimers, 2) ordered (w1, w2) per mode.
+
+    The two branches never cross for gamma > 0, delta >= 0 (their squared
+    difference is 16 gamma delta), so the '+' chain is always w1 >= w2.
+    """
+    return 2.0 * _xy_chains(gamma, delta, delta, n_dimers)[0]
 
 
 def classify_phase(gamma: float, delta: float) -> Phase:

@@ -21,9 +21,18 @@ FROZEN_COS2T = -0.99803012795782420775
 
 
 def _dispersion(h, n_sites):
-    """The closed-form dispersion at field h over the full zone (row j is q = j + 1/2)."""
+    """The closed-form dispersion at field h >= 0 over the full zone (row j is q = j + 1/2).
+
+    Written as sqrt((1 - h)^2 + 4 h sin^2(k/2)), which has no cancellation
+    for h >= 0; the textbook 1 + h^2 - 2 h cos k cancels near h = 1, k = 0.
+    """
     k = 2.0 * np.pi * (np.arange(n_sites) + 0.5) / n_sites
-    return np.sqrt(1.0 + h**2 - 2.0 * h * np.cos(k))
+    return np.sqrt((1.0 - h) ** 2 + 4.0 * h * np.sin(k / 2) ** 2)
+
+
+def _ulps(actual, reference):
+    """Largest |actual - reference| in units in the last place of the reference."""
+    return float(np.max(np.abs(actual - reference) / np.spacing(np.abs(reference))))
 
 
 def _bogoliubov_pair(h, n_sites, q):
@@ -73,9 +82,22 @@ class TestDispersion:
 
     @pytest.mark.parametrize("n_sites", [2, 3, 7, 600])
     def test_engine_runs_the_half_zone(self, n_sites):
-        # the charging dispersion of the modes q = 1/2, ..., N/2 - 1/2
+        # the charging dispersion of the modes q = 1/2, ..., N/2 - 1/2, to 2 ulp
         omega = _mode_arrays(IsingParams(0.8, 0.7, n_sites))[0]
-        assert np.array_equal(omega, _dispersion(1.5, n_sites)[: n_sites // 2])
+        assert omega.size == n_sites // 2
+        assert _ulps(omega, _dispersion(1.5, n_sites)[: n_sites // 2]) <= 2.0
+
+    @pytest.mark.parametrize("n_sites", [600, 601, 10**5])
+    @pytest.mark.parametrize(
+        "h1",
+        [0.4, np.nextafter(0.4, 0.0), np.nextafter(0.4, 1.0), 0.4 + 1e-9],
+        ids=["critical", "below", "above", "above_1e-9"],
+    )
+    def test_critical_charger_keeps_its_precision(self, h1, n_sites):
+        # h0 + h1 at and just either side of 1, where the textbook form
+        # 1 + h^2 - 2 h cos k cancels at small k
+        omega = _mode_arrays(IsingParams(0.6, h1, n_sites))[0]
+        assert _ulps(omega, _dispersion(0.6 + h1, n_sites)[: n_sites // 2]) <= 2.0
 
 
 class TestBogoliubovAngle:
@@ -96,7 +118,7 @@ class TestBogoliubovAngle:
         assert c == pytest.approx(1.0, abs=1e-15)
         omega, amp = _mode_arrays(IsingParams(0.75, 0.5, 5))
         assert omega.size == amp.size == 2
-        assert np.array_equal(omega, _dispersion(1.25, 5)[:2])
+        assert _ulps(omega, _dispersion(1.25, 5)[:2]) <= 2.0
 
     def test_derived_pair(self):
         s, c = _bogoliubov_pair(0.75, 600, 1.5)
@@ -201,15 +223,16 @@ class TestZoneEdgeMode:
         assert np.max(np.abs(engine - oracle.values)) <= 1e-12
 
     @pytest.mark.parametrize("n_sites", [7, 8])
-    def test_other_modes_keep_the_closed_form_bitwise(self, n_sites):
+    def test_other_modes_keep_the_closed_form(self, n_sites):
         h0, h1 = 0.8, 0.7
         k = 2.0 * np.pi * (np.arange(n_sites) + 0.5) / n_sites
-        eps = np.sqrt(1.0 + h0**2 - 2.0 * h0 * np.cos(k))
-        omega = np.sqrt(1.0 + (h0 + h1) ** 2 - 2.0 * (h0 + h1) * np.cos(k))
+        eps, omega = _dispersion(h0, n_sites), _dispersion(h0 + h1, n_sites)
         amp = h1**2 * np.sin(k) ** 2 / (2.0 * eps * omega**2)
-        # a mirror pair q, N - q enters once, at twice the amplitude of q < N/2
+        # a mirror pair q, N - q enters once, at twice the amplitude of q < N/2;
+        # the engine rounds a b' - a' b = h1 / 2 and both norms, a few ulp
         engine = _mode_arrays(IsingParams(h0, h1, n_sites))[1]
-        assert np.array_equal(engine, 2.0 * amp[: n_sites // 2])
+        assert engine.size == n_sites // 2
+        assert _ulps(engine, 2.0 * amp[: n_sites // 2]) <= 8.0
 
 
 class TestAsymptotic:

@@ -22,10 +22,10 @@ from spinbattery import (
     occupations_all,
     resolution_bound,
 )
-from spinbattery import ising, quench, regimes, sums
+from spinbattery import cli, ising, quench, regimes, sums
 from spinbattery.ed import DimerizedXY, build_hamiltonian, oracle_energy_trace
 from spinbattery.ising import IsingParams, ising_asymptotic_energy, ising_energy_at_times
-from spinbattery.quench import EQUAL_FREQ_TOL, _mode_data
+from spinbattery.quench import EQUAL_FREQ_TOL
 
 FIG2 = QuenchProtocol(1.25, 0.3, 0.6, 300)
 FIG3 = QuenchProtocol(1.1, 0.2, 0.8, 300)
@@ -90,6 +90,14 @@ class TestQuenchProtocol:
 
 def _eigensystem(params):
     return eigensystem_stack(bloch_stack(params.gamma, params.delta, params.n_dimers))
+
+
+def _mode_data(protocol):
+    """Battery and charging bands and matching matrices M_q = V_q^dag U_q from
+    the public Bloch eigensystems; shapes (N, 2), (N, 2), (N, 4, 4)."""
+    omega, u = _eigensystem(protocol.battery_params())
+    omega_p, v = _eigensystem(protocol.charging_params())
+    return omega, omega_p, np.conj(np.transpose(v, (0, 2, 1))) @ u
 
 
 class TestMatchingMatrix:
@@ -180,15 +188,21 @@ class TestOccupations:
         ids=["reference", "fig3", "gamma1", "odd", "random"],
     )
     def test_band_energies_sum_to_the_stored_energy(self, protocols):
-        # occupations and the energy kernel share only _mode_data: the stored
-        # energy is sum_q sum_s w_s n_s(q, t) over the battery bands
+        # the stored energy is sum_q sum_s w_s n_s(q, t) over the battery
+        # bands.  The occupations run on the closed-form charging bands and
+        # the energy kernel on eigh's, a few ulp of max w' apart, so their
+        # phases part by about eps t max w': besides 1e-12 max(1, |dE|), the
+        # bound allows 16 eps t max w' max(1, E^inf), 16 = 2 (the kernel's
+        # 2 w') x 8 ulp
         rng = np.random.default_rng(26)
         for p in protocols:
             bands = dispersion_curves(p.gamma, p.delta0, p.n_dimers)
+            w_max = float(np.max(dispersion_curves(p.gamma, p.delta0 + p.delta1, p.n_dimers)))
+            phase_scale = 16.0 * np.finfo(float).eps * w_max * max(1.0, asymptotic_energy(p))
             for t in (0.0, 0.7, 37.0, 1e3, float(rng.uniform(0.0, 1e3))):
                 de = energy_at_times(p, [t])[0]
                 summed = math.fsum((bands * occupations_all(p, t)).ravel())
-                assert abs(summed - de) <= 1e-12 * max(1.0, abs(de))
+                assert abs(summed - de) <= 1e-12 * max(1.0, abs(de)) + phase_scale * t
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
@@ -326,7 +340,7 @@ class TestEnergyTrace:
     @pytest.mark.parametrize(
         "energy, params, tables, size",
         [
-            (energy_at_times, QuenchProtocol(1.25, 0.3, 0.6, 1000), (quench, "_mode_data"),
+            (energy_at_times, QuenchProtocol(1.25, 0.3, 0.6, 1000), (quench, "_energy_tables"),
              "n_dimers=1000"),
             (ising_energy_at_times, IsingParams(0.8, 0.7, 2000), (ising, "_mode_arrays"),
              r"n_sites=2000 \(1000 modes\)"),
@@ -361,7 +375,7 @@ class TestEnergyTrace:
     @pytest.mark.parametrize(
         "energy, params, tables",
         [
-            (energy_at_times, QuenchProtocol(1.25, 0.3, 0.6, 50), (quench, "_mode_data")),
+            (energy_at_times, QuenchProtocol(1.25, 0.3, 0.6, 50), (quench, "_energy_tables")),
             (ising_energy_at_times, IsingParams(0.8, 0.7, 50), (ising, "_mode_arrays")),
         ],
         ids=["xy", "ising"],
@@ -565,25 +579,34 @@ class TestAsymptoticEnergy:
 
 
 class TestStatelessEngines:
+    # only the time kernel decomposes Bloch stacks, the battery's and the
+    # charger's once each; the asymptote and the occupations come from the
+    # closed-form chains and build none
     @pytest.mark.parametrize(
-        "call",
+        "call, stacks",
         [
-            lambda p: energy_at_times(p, [0.0, 1.0]),
-            asymptotic_energy,
-            lambda p: occupations_all(p, 1.0),
+            (lambda p: energy_at_times(p, [0.0, 1.0]), 2),
+            (asymptotic_energy, 0),
+            (lambda p: occupations_all(p, 1.0), 0),
         ],
         ids=["energy_at_times", "asymptotic_energy", "occupations_all"],
     )
-    def test_each_call_decomposes_each_bloch_stack_once(self, monkeypatch, call):
-        decomposed = []
+    def test_each_call_decomposes_each_bloch_stack_once(self, monkeypatch, call, stacks):
+        built, decomposed = [], []
+
+        def build(*args):
+            built.append(args)
+            return bloch_stack(*args)
 
         def counted(stack):
             decomposed.append(stack.shape)
             return eigensystem_stack(stack)
 
+        monkeypatch.setattr(quench, "bloch_stack", build)
         monkeypatch.setattr(quench, "eigensystem_stack", counted)
         call(QuenchProtocol(1.25, 0.3, 0.6, 6))
-        assert decomposed == [(6, 4, 4), (6, 4, 4)]
+        assert len(built) == stacks
+        assert decomposed == [(6, 4, 4)] * stacks
 
     def test_no_per_mode_table_outlives_its_call(self):
         # four fresh protocols per engine: tables kept per protocol would
@@ -821,3 +844,80 @@ class TestTwoIsingChains:
         for t in self.TIMES[::11]:
             occ = sin2 * np.sin(0.5 * freq * t) ** 2
             assert np.max(np.abs(occupations_all(protocol, t) - occ)) <= tol
+
+
+def _bands_formula(gamma, delta, n_dimers):
+    """A copy of the band formula behind every XY dt and time grid, operation for
+    operation, so that any change to its bits shows."""
+    q = np.arange(n_dimers) + 0.5
+    x = np.pi * q / n_dimers
+    cos2 = np.cos(x) ** 2
+    sin2 = np.sin(x) ** 2
+    plus = 2.0 * np.sqrt((1.0 + gamma * delta) ** 2 * cos2 + (delta + gamma) ** 2 * sin2)
+    minus = 2.0 * np.sqrt((1.0 - gamma * delta) ** 2 * cos2 + (delta - gamma) ** 2 * sin2)
+    return np.column_stack([plus, minus])
+
+
+def _pinned_protocols():
+    # the reference trace, the eight points of the Fig-3 delta0 sweep
+    # 0.05..0.40 at the CLI's grid, and a seeded random scan up to the
+    # parameter limits
+    yield QuenchProtocol(1.25, 0.3, 0.6, 300)
+    sweep = cli._make_grid(0.05, 0.05 + 7 * 0.05, 0.05)
+    assert len(sweep) == 8
+    for delta0 in sweep:
+        yield QuenchProtocol(1.1, delta0, 0.8, 300)
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        yield _random_protocol(rng, max_dimers=400)
+    for scale in (1e-6, 1e3, 1e6):
+        yield QuenchProtocol(scale, 0.5 * scale, 0.5 * scale, 9)
+
+
+class TestBandBits:
+    @pytest.mark.parametrize("protocol", list(_pinned_protocols()))
+    def test_bands_and_resolution_bound_keep_their_bits(self, protocol):
+        g, n = protocol.gamma, protocol.n_dimers
+        for delta in (protocol.delta0, protocol.delta0 + protocol.delta1):
+            assert np.array_equal(dispersion_curves(g, delta, n), _bands_formula(g, delta, n))
+        charging = _bands_formula(g, protocol.delta0 + protocol.delta1, n)
+        fmax = float(np.max(charging[:, 0] + charging[:, 1]))
+        assert resolution_bound(protocol) == np.pi / (10.0 * fmax)
+
+
+class TestZeroNormModes:
+    # |d| |d'| = 0 gives sin^2 dphi = 0, never 0/0: a zero-energy battery mode
+    # has occupation 0, and a zero-frequency charging mode stores nothing
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "protocol",
+        [
+            QuenchProtocol(0.8, 0.3, 0.5, 7),  # charger on delta' = gamma: |d'| ~ 0 at x = pi/2
+            QuenchProtocol(1.0, 0.3, 0.7, 7),  # charger at gamma = delta' = 1: |d'| = 0 in band 2
+            QuenchProtocol(0.8, 0.8, 0.5, 7),  # battery on delta0 = gamma: |d| ~ 0 at x = pi/2
+            QuenchProtocol(1.0, 1.0, 0.5, 7),  # battery at gamma = delta0 = 1: |d| = 0 in band 2
+        ],
+        ids=["charger_d_gamma", "charger_flat", "battery_d_gamma", "battery_flat"],
+    )
+    def test_zero_norm_modes_are_defined(self, tmp_path, protocol):
+        battery = dispersion_curves(protocol.gamma, protocol.delta0, protocol.n_dimers)
+        for t in (0.0, 1.3, 40.0):
+            occ = occupations_all(protocol, t)
+            assert np.isfinite(occ).all() and (occ >= 0.0).all() and (occ <= 1.0).all()
+            assert np.all(occ[battery == 0.0] == 0.0)
+        assert np.isfinite(asymptotic_energy(protocol))
+        out = tmp_path / "snapshot.csv"
+        argv = ["snapshot", "--gamma", repr(protocol.gamma), "--delta0", repr(protocol.delta0),
+                "--delta1", repr(protocol.delta1), "--n-dimers", str(protocol.n_dimers),
+                "--time", "3.0", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert out.stat().st_size > 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n_dimers", [6, 7])
+    def test_null_quench_is_exactly_empty(self, n_dimers):
+        # delta1 = 0: d' = d, so a b' - a' b is exactly 0 at every mode
+        p = QuenchProtocol(1.4, 0.6, 0.0, n_dimers)
+        assert asymptotic_energy(p) == 0.0
+        for t in (0.0, 1.3, 40.0):
+            assert np.all(occupations_all(p, t) == 0.0)
