@@ -67,7 +67,7 @@ def _mode_arrays(params: IsingParams):
     n = params.n_sites
     x = np.pi * (np.arange(n // 2) + 0.5) / n
     battery, charger = (((1.0 - h) / 2, (1.0 + h) / 2) for h in (params.h0, params.h0 + params.h1))
-    norm, norm_p, sin2_dphi = _chain_modes(*battery, *charger, x)
+    norm, norm_p, sin2_dphi = _chain_modes(*battery, *charger, params.h1 / 2, x)
     return 2.0 * norm_p, 2.0 * norm * sin2_dphi
 
 

@@ -13,7 +13,8 @@ which ``occupations_all`` and ``asymptotic_energy`` evaluate as written; a
 zero-energy battery mode (|d| = 0) has occupation 0.
 
 ``energy_at_times``, the XY time kernel, builds its tables instead from the
-matching matrix M_q = V_q^dag U_q between the 4x4 Bloch eigenbases: with
+matching matrix M_q = V_q^dag U_q between the battery's and the charger's 4x4
+Bloch eigenbases (``_bloch_eigensystems``, the one eigensolve here): with
 D(t) = diag(e^{-i w1' t}, e^{-i w2' t}, e^{+i w1' t}, e^{+i w2' t}) and
 T = M_q^dag D M_q, n_s = |T_{s,3}|^2 + |T_{s,4}|^2 expands into a constant
 plus oscillations at w1'-w2', 2 w1', w1'+w2', 2 w2': the paper's quadruple
@@ -51,9 +52,7 @@ from .xy import (
     _check_finite,
     _check_parameters,
     _xy_chains,
-    bloch_stack,
     dispersion_curves,
-    eigensystem_stack,
 )
 
 __all__ = [
@@ -123,14 +122,7 @@ class QuenchProtocol:
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
         _check_parameters(**{"delta0 + delta1": self.delta0 + self.delta1})
-        self.battery_params()
-        self.charging_params()
-
-    def battery_params(self) -> ChainParams:
-        return ChainParams(self.gamma, self.delta0, self.n_dimers)
-
-    def charging_params(self) -> ChainParams:
-        return ChainParams(self.gamma, self.delta0 + self.delta1, self.n_dimers)
+        ChainParams(self.gamma, self.delta0, self.n_dimers)
 
 
 @dataclass(frozen=True)
@@ -362,9 +354,40 @@ def occupations_all(protocol: QuenchProtocol, t: float) -> np.ndarray:
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     _, norm_p, sin2_dphi = _xy_chains(
-        protocol.gamma, protocol.delta0, protocol.delta0 + protocol.delta1, protocol.n_dimers
+        protocol.gamma, protocol.delta0, protocol.delta1, protocol.n_dimers
     )
     return sin2_dphi * np.sin(2.0 * norm_p * t) ** 2
+
+
+def _bloch_eigensystems(gamma: float, delta: float, n_dimers: int):
+    """``(omegas, vecs)``: bands (n, 2) and eigenvectors (n, 4, 4) of every mode's H_q.
+
+    With Z = -((1 + d) + (1 - d) e^{-ik}), W = -g ((1 + d) - (1 - d) e^{-ik}) at
+    k = 2 pi q / n_dimers, and rows particle-A, particle-B, hole-A, hole-B,
+
+        H_q = [[0, Z, 0, -W], [Z*, 0, W*, 0], [0, W, 0, -Z], [-W*, 0, -Z*, 0]]
+
+    and the chain is (J/2) sum_q Psi_q^dag H_q Psi_q, so the eigenvalues are the
+    bands, w1 >= w2 >= 0.  Columns are ordered (+w1, +w2, -w1, -w2), each phase
+    fixed so its largest-modulus entry (the lowest row on a tie) is exactly real
+    positive: FMA products can leave a one-ulp imaginary residue there, so that
+    entry is overwritten with its modulus.
+    """
+    phase = np.exp(-1j * (2.0 * np.pi * (np.arange(n_dimers) + 0.5) / n_dimers))
+    z = -((1.0 + delta) + (1.0 - delta) * phase)
+    w = -gamma * ((1.0 + delta) - (1.0 - delta) * phase)
+    h = np.zeros((n_dimers, 4, 4), dtype=complex)
+    h[:, 0, 1], h[:, 1, 0], h[:, 2, 3], h[:, 3, 2] = z, np.conj(z), -z, -np.conj(z)
+    h[:, 2, 1], h[:, 1, 2], h[:, 0, 3], h[:, 3, 0] = w, np.conj(w), -w, -np.conj(w)
+    vals, vecs = np.linalg.eigh(h)
+    order = [3, 2, 0, 1]  # eigh's ascending (-w1, -w2, +w2, +w1) -> (+w1, +w2, -w1, -w2)
+    vecs = vecs[:, :, order]
+    idx = np.argmax(np.abs(vecs), axis=1)[:, None, :]
+    lead = np.take_along_axis(vecs, idx, axis=1)
+    vecs = vecs * np.conj(lead) / np.abs(lead)
+    rotated = np.take_along_axis(vecs, idx, axis=1)
+    np.put_along_axis(vecs, idx, np.abs(rotated).astype(complex), axis=1)
+    return np.maximum(vals[:, order[:2]], 0.0), vecs
 
 
 def _energy_tables(protocol: QuenchProtocol):
@@ -375,8 +398,8 @@ def _energy_tables(protocol: QuenchProtocol):
     bands weight them.  Shapes (N, 4), (N,), (N, 4), (N, 4).
     """
     (omega, u), (omega_p, v) = (
-        eigensystem_stack(bloch_stack(chain.gamma, chain.delta, chain.n_dimers))
-        for chain in (protocol.battery_params(), protocol.charging_params())
+        _bloch_eigensystems(protocol.gamma, delta, protocol.n_dimers)
+        for delta in (protocol.delta0, protocol.delta0 + protocol.delta1)
     )
     m = np.conj(np.transpose(v, (0, 2, 1))) @ u  # matching matrices M_q = V_q^dag U_q
     n = m.shape[0]
@@ -472,6 +495,6 @@ def asymptotic_energy(protocol: QuenchProtocol) -> float:
     charging band (a gap closing) does not oscillate and stores nothing.
     """
     norm, norm_p, sin2_dphi = _xy_chains(
-        protocol.gamma, protocol.delta0, protocol.delta0 + protocol.delta1, protocol.n_dimers
+        protocol.gamma, protocol.delta0, protocol.delta1, protocol.n_dimers
     )
     return compensated_sum((norm * sin2_dphi)[4.0 * norm_p > EQUAL_FREQ_TOL])

@@ -3,16 +3,16 @@
 The chain of N = 2*n_dimers spins with bond strengths 1 -+ delta and
 anisotropy gamma maps, in its even-parity sector, onto free fermions with
 half-integer momentum labels q in {1/2, 3/2, ..., n_dimers - 1/2}.  Each q
-carries a 4x4 Hermitian Bloch matrix whose spectrum (+w1, +w2, -w1, -w2)
-gives the two quasiparticle bands.  They are two Ising-like Majorana chains,
-(a, b) = (1 +- g d, d +- g) (Lieb, Schultz and Mattis 1961; Barouch and McCoy
-1971), with d = (a cos x, b sin x) at x = pi q / Nd:
+holds two Ising-like Majorana chains, (a, b) = (1 +- g d, d +- g) (Lieb,
+Schultz and Mattis 1961; Barouch and McCoy 1971), with d = (a cos x, b sin x)
+at x = pi q / Nd, whose norms are the two quasiparticle bands:
 
     w_{1/2}(q) = 2 |d| = 2 sqrt((1 +- g d)^2 cos^2 x + (d +- g)^2 sin^2 x)
 
 in units of J = 1 (hbar = 1).  ``_chain_modes`` gives every per-mode quantity
-but the XY time kernel's tables, which come from the Bloch eigensystems.
-Everything here is a pure function of its inputs; all containers are immutable.
+but the XY time kernel's tables, which ``quench`` builds from the 4x4 Bloch
+eigensystems.  Everything here is a pure function of its inputs; all
+containers are immutable.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from .sums import compensated_sum
 __all__ = [
     "ChainParams",
     "Phase",
-    "bloch_stack",
-    "eigensystem_stack",
     "dispersion_curves",
     "classify_phase",
     "ground_energy",
@@ -123,113 +121,36 @@ def _check_size(name: str, n: int) -> None:
 # per-mode quantities, batched over the mode set (row i is q = i + 1/2)
 # ----------------------------------------------------------------------
 
-def structure_constants(gamma: float, delta: float, k: np.ndarray | float):
-    """Z and W entries of the Bloch matrix at momentum k = 2 pi q / n_dimers."""
-    phase = np.exp(-1j * np.asarray(k))
-    z = -((1.0 + delta) + (1.0 - delta) * phase)
-    w = -gamma * ((1.0 + delta) - (1.0 - delta) * phase)
-    return z, w
-
-
-def _bloch_entries(z, w) -> np.ndarray:
-    """Bloch matrices from structure constants, shape z.shape + (4, 4).
-
-    Layout (rows/cols ordered as particle-A, particle-B, hole-A, hole-B):
-
-        [[ 0,   Z,   0,  -W ],
-         [ Z*,  0,   W*,  0 ],
-         [ 0,   W,   0,  -Z ],
-         [-W*,  0,  -Z*,  0 ]]
-
-    Hermitian with zero diagonal and zero trace; the spectrum is symmetric
-    about zero because the matrix anticommutes with diag(1, -1, 1, -1).
-    """
-    h = np.zeros(np.shape(z) + (4, 4), dtype=complex)
-    h[..., 0, 1] = z
-    h[..., 1, 0] = np.conj(z)
-    h[..., 0, 3] = -w
-    h[..., 3, 0] = -np.conj(w)
-    h[..., 1, 2] = np.conj(w)
-    h[..., 2, 1] = w
-    h[..., 2, 3] = -z
-    h[..., 3, 2] = -np.conj(z)
-    return h
-
-
-def bloch_stack(gamma: float, delta: float, n_dimers: int) -> np.ndarray:
-    """Bloch matrices for every q, shape (n_dimers, 4, 4).
-
-    Convention: the chain Hamiltonian equals (J/2) sum_q Psi_q^dag H_q Psi_q
-    over the half-integer mode set, with Psi_q mixing the two dimer-sublattice
-    fermions at q with their conjugates at n_dimers - q.  The 1/2 compensates
-    the q <-> n_dimers - q double counting, so the eigenvalues of H_q are the
-    band energies themselves.
-    """
-    q = np.arange(n_dimers) + 0.5
-    k = 2.0 * np.pi * q / n_dimers
-    return _bloch_entries(*structure_constants(gamma, delta, k))
-
-
-def _gauge_fix_columns(vecs: np.ndarray) -> np.ndarray:
-    """Make the largest-modulus entry of each column real positive.
-
-    FMA-based complex products can leave a one-ulp imaginary residue on
-    z * conj(z), so the rotated lead entry is overwritten with its modulus
-    to pin the convention exactly.
-    """
-    idx = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
-    lead = np.take_along_axis(vecs, idx, axis=-2)[..., 0, :]
-    vecs = vecs * np.conj(lead)[..., None, :] / np.abs(lead)[..., None, :]
-    rotated = np.take_along_axis(vecs, idx, axis=-2)
-    np.put_along_axis(vecs, idx, np.abs(rotated).astype(complex), axis=-2)
-    return vecs
-
-
-# eigh ascending order is (-w1, -w2, +w2, +w1); map to (+w1, +w2, -w1, -w2)
-_BAND_ORDER = np.array([3, 2, 0, 1])
-
-
-def eigensystem_stack(bloch: np.ndarray):
-    """Eigen-decompose a (n, 4, 4) Bloch stack.
-
-    Returns ``(omegas, vecs)`` with ``omegas[:, 0] >= omegas[:, 1] >= 0`` and
-    ``vecs`` columns ordered to (+w1, +w2, -w1, -w2).  Each column is phase
-    fixed so its largest-modulus entry is real positive (ties broken by the
-    lowest row index).  A failed eigensolver raises
-    ``numpy.linalg.LinAlgError`` (never returns garbage).
-    """
-    vals, vecs = np.linalg.eigh(bloch)
-    vals = vals[:, _BAND_ORDER]
-    vecs = vecs[:, :, _BAND_ORDER]
-    vecs = _gauge_fix_columns(vecs)
-    omegas = np.maximum(vals[:, :2], 0.0)
-    return omegas, vecs
-
-
-def _chain_modes(a, b, a_p, b_p, x):
+def _chain_modes(a, b, a_p, b_p, cross, x):
     """Per-mode ``(|d|, |d'|, sin^2 dphi)`` of one Majorana chain at the mode angles x.
 
     d = (a cos x, b sin x) is the battery's, d' = (a_p cos x, b_p sin x) the
     charger's, and dphi the angle between them: 0, not 0/0, where |d| |d'| = 0.
+    The model passes ``cross`` = a b' - a' b in closed form; formed from the
+    rounded pairs it would lose relative precision on a small quench.
     """
     cos2 = np.cos(x) ** 2
     sin2 = np.sin(x) ** 2
     sq = a**2 * cos2 + b**2 * sin2
     sq_p = a_p**2 * cos2 + b_p**2 * sin2
-    cross2 = (a * b_p - a_p * b) ** 2 * (cos2 * sin2)
+    cross2 = cross**2 * (cos2 * sin2)
     norms2 = sq * sq_p
     sin2_dphi = np.divide(cross2, norms2, out=np.zeros_like(norms2), where=norms2 > 0)
     return np.sqrt(sq), np.sqrt(sq_p), sin2_dphi
 
 
-def _xy_chains(gamma: float, delta: float, delta_p: float, n_dimers: int):
-    """``_chain_modes`` of both chains at delta (battery) and delta_p (charger).
+def _xy_chains(gamma: float, delta: float, step: float, n_dimers: int):
+    """``_chain_modes`` of both chains at delta (battery) and delta + step (charger).
 
     Three (n_dimers, 2) arrays; row i is q = i + 1/2, column s chain (band) s.
+    Both chains have a b' - a' b = step (1 - gamma)(1 + gamma).
     """
     x = np.pi * (np.arange(n_dimers) + 0.5) / n_dimers
-    pairs = [((1.0 + gamma * d, d + gamma), (1.0 - gamma * d, d - gamma)) for d in (delta, delta_p)]
-    chains = [_chain_modes(*ab, *ab_p, x) for ab, ab_p in zip(*pairs)]
+    pairs = [
+        ((1.0 + gamma * d, d + gamma), (1.0 - gamma * d, d - gamma)) for d in (delta, delta + step)
+    ]
+    cross = step * (1.0 - gamma) * (1.0 + gamma)
+    chains = [_chain_modes(*ab, *ab_p, cross, x) for ab, ab_p in zip(*pairs)]
     return tuple(np.column_stack(arrays) for arrays in zip(*chains))
 
 
@@ -239,7 +160,7 @@ def dispersion_curves(gamma: float, delta: float, n_dimers: int) -> np.ndarray:
     The two branches never cross for gamma > 0, delta >= 0 (their squared
     difference is 16 gamma delta), so the '+' chain is always w1 >= w2.
     """
-    return 2.0 * _xy_chains(gamma, delta, delta, n_dimers)[0]
+    return 2.0 * _xy_chains(gamma, delta, 0.0, n_dimers)[0]
 
 
 def classify_phase(gamma: float, delta: float) -> Phase:

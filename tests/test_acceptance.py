@@ -20,8 +20,6 @@ from spinbattery import (
     IsingParams,
     QuenchProtocol,
     asymptotic_energy,
-    bloch_stack,
-    eigensystem_stack,
     energy_at_times,
     energy_trace,
     ground_energy,
@@ -47,6 +45,7 @@ from spinbattery.regimes import (
     linear_fit,
 )
 
+from bloch_reference import bloch_stack, eigensystem_stack
 from ed_reference import embed_sector, kron_hamiltonian, parity_diagonal
 
 XY_GAMMA, XY_D0, XY_D1 = 1.25, 0.3, 0.6

@@ -283,6 +283,36 @@ class TestSweep:
 
 
 @pytest.mark.parametrize(
+    "model, size, param, value, rel",
+    [
+        (("--gamma", "1.1", "--delta1", "0.8"), ("--n-dimers", "60"), "--delta0", "0.1", 0.0),
+        (("--gamma", "1.1", "--delta1", "0.8"), ("--n-dimers", "60"), "--delta0", "0.3", 0.0),
+        (("--model", "ising", "--h1", "0.25"), ("--n-sites", "120"), "--h0", "0.5", 1e-12),
+        (("--model", "ising", "--h1", "0.25"), ("--n-sites", "120"), "--h0", "0.76", 1e-12),
+    ],
+    ids=["xy-0.1", "xy-0.3", "ising-0.5", "ising-0.76"],
+)
+def test_trace_and_a_one_point_sweep_report_the_same_row(tmp_path, model, size, param, value, rel):
+    # both sample the short span on {0, dt, 2 dt, ...} with the same dt and
+    # take E^inf from the same asymptote.  Each XY sample depends only on its
+    # time, so XY agrees bit for bit; the Ising phase blocks depend on the
+    # grid's length, so Ising agrees to its last bits.  (tau_r, e_r) are
+    # sampled on different grids and are not compared.
+    assert run_cli(["trace", *model, *size, param, value, "--out", str(tmp_path / "t.csv")]) == 0
+    report = json.loads((tmp_path / "t.report.json").read_text())["report"]
+    out = tmp_path / "s.csv"
+    assert run_cli(["sweep", *model, *size, "--param-min", value, "--param-max", value,
+                    "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    swept = dict(zip(header.split(","), map(float, row.split(","))))
+    n = int(size[1])
+    pairs = [(report["tau_s"], swept["tau_s"]), (report["e_s"] / n, swept["e_s_per"]),
+             (report["e_inf"] / n, swept["e_inf_per"])]
+    for traced, sweep in pairs:
+        assert abs(traced - sweep) <= rel * abs(traced)
+
+
+@pytest.mark.parametrize(
     "args, keys, sidecar",
     [
         (["trace", "--n-dimers", "30", "--t-end", "85", "--window-min", "60",

@@ -11,12 +11,9 @@ import pytest
 from scipy.linalg import expm
 
 from spinbattery import (
-    ChainParams,
     QuenchProtocol,
     asymptotic_energy,
-    bloch_stack,
     dispersion_curves,
-    eigensystem_stack,
     energy_at_times,
     energy_trace,
     occupations_all,
@@ -26,6 +23,8 @@ from spinbattery import cli, ising, quench, regimes, sums
 from spinbattery.ed import DimerizedXY, build_hamiltonian, oracle_energy_trace
 from spinbattery.ising import IsingParams, ising_asymptotic_energy, ising_energy_at_times
 from spinbattery.quench import EQUAL_FREQ_TOL
+
+from bloch_reference import bloch_stack, eigensystem_stack
 
 FIG2 = QuenchProtocol(1.25, 0.3, 0.6, 300)
 FIG3 = QuenchProtocol(1.1, 0.2, 0.8, 300)
@@ -62,11 +61,6 @@ def _random_protocol(rng, max_dimers=9):
 
 
 class TestQuenchProtocol:
-    def test_battery_and_charging_params(self):
-        p = QuenchProtocol(1.25, 0.3, 0.6, 8)
-        assert p.battery_params() == ChainParams(1.25, 0.3, 8)
-        assert p.charging_params() == ChainParams(1.25, 0.3 + 0.6, 8)
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -88,15 +82,18 @@ class TestQuenchProtocol:
             QuenchProtocol(**kwargs)
 
 
-def _eigensystem(params):
-    return eigensystem_stack(bloch_stack(params.gamma, params.delta, params.n_dimers))
+def _eigensystems(p):
+    """The battery's and the charger's ``(omegas, vecs)`` from the tests-side Bloch reference."""
+    return [
+        eigensystem_stack(bloch_stack(p.gamma, delta, p.n_dimers))
+        for delta in (p.delta0, p.delta0 + p.delta1)
+    ]
 
 
 def _mode_data(protocol):
     """Battery and charging bands and matching matrices M_q = V_q^dag U_q from
-    the public Bloch eigensystems; shapes (N, 2), (N, 2), (N, 4, 4)."""
-    omega, u = _eigensystem(protocol.battery_params())
-    omega_p, v = _eigensystem(protocol.charging_params())
+    the tests-side Bloch eigensystems; shapes (N, 2), (N, 2), (N, 4, 4)."""
+    (omega, u), (omega_p, v) = _eigensystems(protocol)
     return omega, omega_p, np.conj(np.transpose(v, (0, 2, 1))) @ u
 
 
@@ -158,7 +155,7 @@ class TestOccupations:
             p = _random_protocol(rng)
             cases.append((p, int(rng.integers(0, p.n_dimers)), float(rng.uniform(0, 20))))
         for p, i, t in cases:
-            u = _eigensystem(p.battery_params())[1][i]
+            u = eigensystem_stack(bloch_stack(p.gamma, p.delta0, p.n_dimers))[1][i]
             hc = bloch_stack(p.gamma, p.delta0 + p.delta1, p.n_dimers)[i]
             tm = u.conj().T @ expm(-1j * hc * t) @ u
             n1_ref = abs(tm[0, 2]) ** 2 + abs(tm[0, 3]) ** 2
@@ -525,8 +522,8 @@ class TestGaugeInvariance:
             p = _random_protocol(rng)
             i = int(rng.integers(0, p.n_dimers))
             t = float(rng.uniform(0.0, 20.0))
-            u = _eigensystem(p.battery_params())[1][i].copy()
-            omega_c, vecs_c = _eigensystem(p.charging_params())
+            (_, vecs), (omega_c, vecs_c) = _eigensystems(p)
+            u = vecs[i].copy()
             v = vecs_c[i].copy()
             u *= np.exp(1j * rng.uniform(0, 2 * np.pi, size=4))[None, :]
             v *= np.exp(1j * rng.uniform(0, 2 * np.pi, size=4))[None, :]
@@ -581,7 +578,7 @@ class TestAsymptoticEnergy:
 class TestStatelessEngines:
     # only the time kernel decomposes Bloch stacks, the battery's and the
     # charger's once each; the asymptote and the occupations come from the
-    # closed-form chains and build none
+    # closed-form chains and decompose none
     @pytest.mark.parametrize(
         "call, stacks",
         [
@@ -592,21 +589,16 @@ class TestStatelessEngines:
         ids=["energy_at_times", "asymptotic_energy", "occupations_all"],
     )
     def test_each_call_decomposes_each_bloch_stack_once(self, monkeypatch, call, stacks):
-        built, decomposed = [], []
+        decomposed = []
+        original = quench._bloch_eigensystems
 
-        def build(*args):
-            built.append(args)
-            return bloch_stack(*args)
+        def counted(*args):
+            decomposed.append(args)
+            return original(*args)
 
-        def counted(stack):
-            decomposed.append(stack.shape)
-            return eigensystem_stack(stack)
-
-        monkeypatch.setattr(quench, "bloch_stack", build)
-        monkeypatch.setattr(quench, "eigensystem_stack", counted)
+        monkeypatch.setattr(quench, "_bloch_eigensystems", counted)
         call(QuenchProtocol(1.25, 0.3, 0.6, 6))
-        assert len(built) == stacks
-        assert decomposed == [(6, 4, 4)] * stacks
+        assert decomposed == [(1.25, 0.3, 6), (1.25, 0.3 + 0.6, 6)][:stacks]
 
     def test_no_per_mode_table_outlives_its_call(self):
         # four fresh protocols per engine: tables kept per protocol would
@@ -883,6 +875,47 @@ class TestBandBits:
         charging = _bands_formula(g, protocol.delta0 + protocol.delta1, n)
         fmax = float(np.max(charging[:, 0] + charging[:, 1]))
         assert resolution_bound(protocol) == np.pi / (10.0 * fmax)
+
+
+class TestBlochEigensystems:
+    # the time kernel's one eigensolve keeps every bit of the tests-side
+    # Bloch reference, for the battery's and the charger's dimerization
+    @pytest.mark.parametrize(
+        "protocol",
+        [*_pinned_protocols(), QuenchProtocol(1.0, 1.0, 0.0, 2), QuenchProtocol(0.8, 0.0, 0.0, 6)],
+    )
+    def test_matches_the_reference_bitwise(self, protocol):
+        for delta in (protocol.delta0, protocol.delta0 + protocol.delta1):
+            args = (protocol.gamma, delta, protocol.n_dimers)
+            ref = eigensystem_stack(bloch_stack(*args))
+            got = quench._bloch_eigensystems(*args)
+            for r, g in zip(ref, got):
+                assert (g.dtype, g.shape, g.tobytes()) == (r.dtype, r.shape, r.tobytes())
+
+
+# E^inf frozen from a 40-digit mpmath sum of |d| sin^2 dphi over the modes,
+# at the exact binary values of the inputs: XY at gamma = 1.25, delta0 = 0.3,
+# n_dimers = 50 and Ising at h0 = 0.3, n_sites = 600, for quench steps
+# delta1 or h1 of 1e-6 and 1e-3.
+SMALL_QUENCH_E_INF = {
+    ("xy", 1e-6): 4.7487075530921518607e-12,
+    ("xy", 1e-3): 4.7597065402909092309e-6,
+    ("ising", 1e-6): 1.5536740968831733203e-10,
+    ("ising", 1e-3): 1.5539269697683894895e-4,
+}
+
+
+@pytest.mark.parametrize("model, step", list(SMALL_QUENCH_E_INF), ids=str)
+def test_small_quench_keeps_the_asymptote_precise(model, step):
+    # a b' - a' b enters in closed form (delta1 (1 - gamma)(1 + gamma) for XY,
+    # h1 / 2 for Ising); formed from the rounded (a, b) pairs it cost up to
+    # 2.4e-10 relative at a step of 1e-6
+    if model == "xy":
+        e_inf = asymptotic_energy(QuenchProtocol(1.25, 0.3, step, 50))
+    else:
+        e_inf = ising_asymptotic_energy(IsingParams(0.3, step, 600))
+    frozen = SMALL_QUENCH_E_INF[model, step]
+    assert abs(e_inf - frozen) <= 1e-14 * frozen
 
 
 class TestZeroNormModes:

@@ -4,14 +4,13 @@ import pytest
 from spinbattery import (
     ChainParams,
     Phase,
-    bloch_stack,
     classify_phase,
     dispersion_curves,
-    eigensystem_stack,
     ground_energy,
 )
 from spinbattery.ed import DimerizedXY, _sector, build_hamiltonian, even_sector_ground_state
-from spinbattery.xy import _bloch_entries, structure_constants
+
+from bloch_reference import _bloch_entries, bloch_stack, eigensystem_stack, structure_constants
 
 # Frozen with a 50-digit mpmath evaluation of the closed-form structure
 # constants at gamma=1.25, delta=0.3, n_dimers=4, q=1/2.
