@@ -35,12 +35,11 @@ from .ed import (
     oracle_energy_trace,
 )
 from .ising import IsingParams
-from .quench import EnergyTrace, QuenchProtocol, _uniform_times
+from .quench import QuenchProtocol, _uniform_times
 from .regimes import (
-    DT_SAFETY,
     RegimeDetectionError,
     _engine,
-    _recurrence_window,
+    _trace_inputs,
     analyze_trace,
     linear_fit,
     occupation_snapshot,
@@ -224,43 +223,17 @@ def _resolve(ns: argparse.Namespace, defaults: dict) -> dict:
 def cmd_trace(opts: dict) -> int:
     """Write the stored-energy trace and its three-regime report."""
     if opts["model"] == "xy":
-        protocol = QuenchProtocol(
-            opts["gamma"], opts["delta0"], opts["delta1"], opts["n_dimers"]
-        )
+        protocol = QuenchProtocol(opts["gamma"], opts["delta0"], opts["delta1"], opts["n_dimers"])
     else:
         protocol = IsingParams(opts["h0"], opts["h1"], opts["n_sites"])
-    energy, asymptote, bound, _, default = _engine(protocol)
-    window = _recurrence_window((opts["window_min"], opts["window_max"]), default)
-    t_end = opts["t_end"] if opts["t_end"] is not None else window[1]
-    if t_end < window[0]:
-        raise ValueError(f"t-end {t_end} ends before window-min {window[0]}")
-    dt = opts["dt"] if opts["dt"] is not None else DT_SAFETY * bound(protocol)
-    times = _uniform_times(t_end, dt, bound(protocol))
-    if not np.any((times >= window[0]) & (times <= window[1])):
-        raise ValueError(
-            f"window-min {window[0]} to window-max {window[1]} holds no sample of the "
-            f"grid 0, dt, 2 dt, ... with dt={dt}; widen the window or lower dt"
-        )
-    trace = EnergyTrace(times=times, values=energy(protocol, times), protocol=protocol)
-    e_inf = asymptote(protocol)
-
-    meta = {"params": {
-        "model": opts["model"], **asdict(protocol),
-        "t_end": t_end, "dt": dt,
-    }}
-    rows = zip(trace.times, trace.values)
+    trace, e_inf, window, t_end, dt = _trace_inputs(
+        protocol, opts["t_end"], opts["dt"], (opts["window_min"], opts["window_max"])
+    )
+    meta = {"params": {"model": opts["model"], **asdict(protocol), "t_end": t_end, "dt": dt}}
     try:
-        report = analyze_trace(trace, e_inf, window)
-    except RegimeDetectionError as exc:
-        _emit(opts, "trace", "t,delta_e", rows, meta, by_column=True)
-        return _fail(str(exc), EXIT_ANALYSIS)
-
-    meta["report"] = {
-        **asdict(report),
-        "power_s": report.e_s / report.tau_s,
-        "power_r": report.e_r / report.tau_r,
-    }
-    _emit(opts, "trace", "t,delta_e", rows, meta, by_column=True)
+        meta["report"] = asdict(analyze_trace(trace, e_inf, window))
+    finally:
+        _emit(opts, "trace", "t,delta_e", zip(trace.times, trace.values), meta, by_column=True)
     return EXIT_OK
 
 
@@ -338,9 +311,7 @@ def cmd_snapshot(opts: dict) -> int:
     """Lower-band occupation versus momentum at a fixed time."""
     if opts["time"] is None or opts["time"] < 0:
         raise ValueError("--time must be given and >= 0")
-    protocol = QuenchProtocol(
-        opts["gamma"], opts["delta0"], opts["delta1"], opts["n_dimers"]
-    )
+    protocol = QuenchProtocol(opts["gamma"], opts["delta0"], opts["delta1"], opts["n_dimers"])
     pairs = occupation_snapshot(protocol, opts["time"])
     params = {"model": "xy", **asdict(protocol), "time": opts["time"]}
     _emit(opts, "snapshot", "k,n2", pairs, {"params": params})

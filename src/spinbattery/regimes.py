@@ -8,7 +8,8 @@ initial dimerization (or transverse field), row after row; the worker
 budget only bounds the XY kernel's threads, so outputs do not depend on it.
 The per-model rules live here, not in the command line: ``_engine`` picks
 the engines and default window, ``_recurrence_window`` fills and checks a
-window, and an uncharged trace of either model fails with "no charging
+window, ``_trace_inputs`` holds the ``trace`` command's defaults, checks and
+trace, and an uncharged trace or recurrence window fails with "no charging
 occurred".
 """
 
@@ -29,6 +30,7 @@ from .quench import (
     EnergyTrace,
     QuenchProtocol,
     _WORKERS,
+    _build_trace,
     _uniform_times,
     asymptotic_energy,
     energy_at_times,
@@ -45,7 +47,6 @@ __all__ = [
     "default_recurrence_window",
     "ising_recurrence_window",
     "find_short_time_max",
-    "find_recurrence",
     "analyze_trace",
     "occupation_snapshot",
     "sweep_delta0",
@@ -76,7 +77,7 @@ class RecurrenceWindowWarning(UserWarning):
 
 @dataclass(frozen=True)
 class RegimeReport:
-    """The three charging regimes extracted for one protocol."""
+    """The three charging regimes extracted for one protocol, and the powers E/tau."""
 
     tau_s: float
     e_s: float
@@ -84,6 +85,8 @@ class RegimeReport:
     tau_r: float
     e_r: float
     window_r: tuple[float, float]
+    power_s: float
+    power_r: float
 
 
 @dataclass(frozen=True)
@@ -169,28 +172,46 @@ def find_short_time_max(trace: EnergyTrace) -> tuple[float, float]:
     )
 
 
-def find_recurrence(
-    trace: EnergyTrace, window: tuple[float, float]
-) -> tuple[float, float]:
-    """Windowed maximum of the trace, parabolically refined; warns if it sits on an edge."""
-    t_min, t_max = window
-    idx = np.nonzero((trace.times >= t_min) & (trace.times <= t_max))[0]
-    if idx.size == 0:
-        raise ValueError(f"window {window} contains no trace samples")
-    tau_r, e_r, on_edge = _windowed_argmax(trace.times, trace.values, idx[0], idx[-1] + 1)
-    _warn_edge_hits([""] if on_edge else [])
-    return tau_r, e_r
-
-
 def analyze_trace(
     trace: EnergyTrace, e_inf: float, window: tuple[float, float]
 ) -> RegimeReport:
-    """Assemble the three-regime report from a full trace."""
+    """The three-regime report of a full trace; the recurrence is the maximum inside
+    ``window`` (ValueError if it holds no sample), warned about on a window edge."""
     tau_s, e_s = find_short_time_max(trace)
-    tau_r, e_r = find_recurrence(trace, window)
-    return RegimeReport(
-        tau_s=tau_s, e_s=e_s, e_inf=e_inf, tau_r=tau_r, e_r=e_r, window_r=window
+    idx = np.nonzero((trace.times >= window[0]) & (trace.times <= window[1]))[0]
+    if idx.size == 0:
+        raise ValueError(f"window {window} contains no trace samples")
+    tau_r, e_r, on_edge = _windowed_argmax(
+        trace.times, trace.values, trace.protocol, idx[0], idx[-1] + 1
     )
+    _warn_edge_hits([""] if on_edge else [])
+    return RegimeReport(tau_s, e_s, e_inf, tau_r, e_r, window, e_s / tau_s, e_r / tau_r)
+
+
+def _trace_inputs(params, t_end, dt, window):
+    """(trace, e_inf, window, t_end, dt) of the ``trace`` command for ``params``.
+
+    None arguments default to the model's window sides, the window's end and
+    DT_SAFETY x the resolution bound.  ValueError before any engine call if
+    t_end ends before the window or the grid puts no sample in it.
+    """
+    energy, asymptote, resolution, _, default = _engine(params)
+    window = _recurrence_window(window, default)
+    t_end = window[1] if t_end is None else t_end
+    if t_end < window[0]:
+        raise ValueError(f"t-end {t_end} ends before window-min {window[0]}")
+    dt = DT_SAFETY * resolution(params) if dt is None else dt
+
+    def windowed_energy(protocol, times):
+        if not np.any((times >= window[0]) & (times <= window[1])):
+            raise ValueError(
+                f"window-min {window[0]} to window-max {window[1]} holds no sample of the "
+                f"grid 0, dt, 2 dt, ... with dt={dt}; widen the window or lower dt"
+            )
+        return energy(protocol, times)
+
+    trace = _build_trace(windowed_energy, resolution, params, t_end, dt)
+    return trace, asymptote(params), window, t_end, dt
 
 
 def occupation_snapshot(protocol: QuenchProtocol, t: float) -> list[tuple[float, float]]:
@@ -206,10 +227,12 @@ def occupation_snapshot(protocol: QuenchProtocol, t: float) -> list[tuple[float,
 # ----------------------------------------------------------------------
 
 def _windowed_argmax(
-    times: np.ndarray, values: np.ndarray, lo: int = 0, hi: int | None = None
+    times: np.ndarray, values: np.ndarray, protocol, lo: int = 0, hi: int | None = None
 ) -> tuple[float, float, bool]:
     """(tau, e, on_edge) of the maximum over samples lo..hi-1, refined with the
     neighbours outside them; on_edge if it is sample lo or hi-1.  Never warns.
+    RegimeDetectionError says "no charging occurred in the recurrence window"
+    when that maximum is not above the noise floor of ``protocol``.
 
     Flat charging bands (delta0 + delta1 = 1) make the trace exactly periodic,
     so np.argmax picks among maxima equal up to rounding by their last bits: at
@@ -218,6 +241,12 @@ def _windowed_argmax(
     """
     hi = len(values) if hi is None else hi
     j = lo + int(np.argmax(values[lo:hi]))
+    floor = _noise_floor(protocol)
+    if not values[j] > floor:
+        raise RegimeDetectionError(
+            f"no charging occurred in the recurrence window: its maximum {values[j]:.3g} "
+            f"is not above noise floor {floor:.3g}"
+        )
     return (*_refine_parabolic(times, values, j), j in (lo, hi - 1))
 
 
@@ -249,11 +278,10 @@ def _regime_point(params, window) -> tuple[float, float, float, float, float, bo
     energy, asymptote, resolution, _, _ = _engine(params)
     bound = resolution(params)
     dt = DT_SAFETY * bound
-    short_times = _uniform_times(DEFAULT_SHORT_SPAN, dt, bound)
-    short = EnergyTrace(times=short_times, values=energy(params, short_times), protocol=params)
+    short = _build_trace(energy, resolution, params, DEFAULT_SHORT_SPAN, dt)
     tau_s, e_s = find_short_time_max(short)
     win_times = window[0] + _uniform_times(window[1] - window[0], dt, bound)
-    tau_r, e_r, on_edge = _windowed_argmax(win_times, energy(params, win_times))
+    tau_r, e_r, on_edge = _windowed_argmax(win_times, energy(params, win_times), params)
     return tau_s, e_s, asymptote(params), tau_r, e_r, on_edge
 
 

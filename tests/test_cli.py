@@ -98,6 +98,20 @@ class TestTrace:
         assert out.exists()
         assert not (tmp_path / "trace.report.json").exists()
 
+    @pytest.mark.parametrize("args, out", [
+        (["--n-dimers", "20", "--window-max", "0.01"], "trace.csv"),
+        (["--model", "ising", "--n-sites", "20", "--window-max", "0.001"], "trace.csv"),
+        (["--n-dimers", "20", "--window-max", "0.01", "--format", "json"], "trace.json"),
+    ], ids=["xy", "ising", "json"])
+    def test_uncharged_recurrence_window_exits_3(self, tmp_path, monkeypatch, capsys, args, out):
+        # [0, window-max] holds only t = 0, where nothing is stored yet
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["trace", "--window-min", "0", "--t-end", "20", *args]) == 3
+        assert "no charging occurred in the recurrence window" in capsys.readouterr().err
+        # the trace is still written, with no report
+        assert "report" not in (tmp_path / out).read_text()
+        assert not (tmp_path / "trace.report.json").exists()
+
     def test_coarse_dt_exits_2_and_prints_bound(self, tmp_path, capsys):
         code = run_cli(
             ["trace", "--n-dimers", "30", "--dt", "5.0", "--out", str(tmp_path / "t.csv")]
@@ -280,6 +294,15 @@ class TestSweep:
         )
         assert code == 3
         assert "no charging occurred" in capsys.readouterr().err
+
+    def test_uncharged_recurrence_window_exits_3(self, tmp_path, capsys):
+        # [0, 0.001] holds only t = 0; the row used to read tau_r = 0, e_r_per = 5e-32
+        code = run_cli(
+            ["sweep", "--n-dimers", "5", "--param-min", "0.1", "--param-max", "0.1",
+             "--window-min", "0", "--window-max", "0.001", "--out", str(tmp_path / "s.csv")]
+        )
+        assert code == 3
+        assert "no charging occurred in the recurrence window" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -122,8 +122,12 @@ def _names(node):
 
 
 def test_cli_keeps_no_window_rule():
-    # the default recurrence windows are the library's per-model rule
-    banned = WINDOW_FUNCTIONS | {"XY_WINDOW_FACTORS", "ISING_WINDOW_FACTORS"}
+    # the default recurrence windows, the trace's defaults and checks and the
+    # trace itself are the library's per-model rules
+    banned = WINDOW_FUNCTIONS | {
+        "XY_WINDOW_FACTORS", "ISING_WINDOW_FACTORS", "DT_SAFETY", "_recurrence_window",
+        "EnergyTrace",
+    }
     assert sorted(set(_names(_tree("cli"))) & banned) == []
 
 

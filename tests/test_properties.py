@@ -6,21 +6,31 @@ every XY band occupation lies in [0, 1], each to 1e-10 per mode.  Critical
 protocols sit exactly on a gap-closing line: the parameters are dyadic
 (multiples of 1/16 or powers of two), so their sums land on the line with no
 rounding.  The Ising sizes include odd rings, whose mode set holds k = pi.
+The ``trace`` command, given any window, end time and step around its
+defaults, exits 0, 2 or 3 and never raises.
 """
 
+import os
+import tempfile
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinbattery import (
     IsingParams,
     QuenchProtocol,
     asymptotic_energy,
+    default_recurrence_window,
     energy_at_times,
     ising_asymptotic_energy,
     ising_energy_at_times,
+    ising_recurrence_window,
+    ising_resolution_bound,
     occupations_all,
+    resolution_bound,
 )
+from spinbattery.cli import main
 
 TIMES = np.array([0.0, 0.37, 1.9, 13.0, 271.5, 1e6])
 
@@ -121,3 +131,41 @@ def test_ising_generic(params):
 @given(ising_critical())
 def test_ising_critical(params):
     _check_ising(params)
+
+
+@st.composite
+def trace_args(draw):
+    """``trace`` arguments: a small chain at the defaults, and a window, t-end and dt
+    drawn around the default window and the resolution bound, or left out.  The
+    window's width is a few steps or a span of the window's size."""
+    if draw(st.booleans()):
+        n = draw(st.integers(4, 12))
+        args = ["--n-dimers", str(n)]
+        window = default_recurrence_window(n)
+        bound = resolution_bound(QuenchProtocol(1.25, 0.3, 0.6, n))
+    else:
+        n = draw(st.integers(4, 24))
+        args = ["--model", "ising", "--n-sites", str(n)]
+        window = ising_recurrence_window(n)
+        bound = ising_resolution_bound(IsingParams(0.8, 0.7, n))
+    times = st.floats(0.0, 1.5).map(lambda x: x * window[1])
+    steps = st.floats(0.05, 1.5).map(lambda x: x * bound)
+    widths = st.floats(0.0, 2.0).map(lambda x: x * bound) | times
+    lo, width = draw(st.none() | times), draw(st.none() | widths)
+    hi = None if width is None else (window[0] if lo is None else lo) + width
+    t_end, dt = draw(st.none() | times), draw(st.none() | steps)
+    flags = ["--window-min", "--window-max", "--t-end", "--dt"]
+    for flag, value in zip(flags, [lo, hi, t_end, dt]):
+        if value is not None:
+            args += [flag, repr(value)]
+    return args
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(trace_args())
+@example(["--n-dimers", "20", "--window-min", "0", "--window-max", "0.01", "--t-end", "20"])
+@example(["--model", "ising", "--n-sites", "20", "--window-min", "0", "--window-max", "0.001",
+          "--t-end", "20"])
+def test_trace_exits_with_a_verdict(args):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert main(["trace", *args, "--out", os.path.join(tmp, "t.csv")]) in (0, 2, 3)

@@ -13,7 +13,6 @@ from spinbattery import (
     asymptotic_energy,
     energy_at_times,
     energy_trace,
-    find_recurrence,
     find_short_time_max,
     ising_energy_trace,
     occupation_snapshot,
@@ -84,27 +83,6 @@ class TestFindShortTimeMax:
         assert peak == pytest.approx(5.0, abs=1e-9)
 
 
-class TestFindRecurrence:
-    def test_finds_windowed_peak(self):
-        times = np.arange(0.0, 100.0, 0.1)
-        values = np.exp(-((times - 70.0) ** 2) / 4.0)
-        trace = _synthetic_trace(times, values)
-        tau, peak = find_recurrence(trace, (60.0, 80.0))
-        assert tau == pytest.approx(70.0, abs=1e-6)
-        assert peak == pytest.approx(1.0, abs=1e-6)
-
-    def test_edge_maximum_warns(self):
-        times = np.arange(0.0, 50.0, 0.1)
-        trace = _synthetic_trace(times, np.zeros_like(times))
-        with pytest.warns(RecurrenceWindowWarning):
-            find_recurrence(trace, (10.0, 20.0))
-
-    def test_empty_window_rejected(self):
-        trace = _synthetic_trace(np.arange(0.0, 5.0, 0.1), np.zeros(50))
-        with pytest.raises(ValueError):
-            find_recurrence(trace, (10.0, 20.0))
-
-
 class TestWindows:
     def test_xy_window_calibration(self):
         assert default_recurrence_window(300) == (600.0, 800.0)
@@ -126,6 +104,45 @@ class TestAnalyzeTrace:
         assert report.e_s >= report.e_inf - 1e-9 * protocol.n_dimers
         assert report.e_r >= report.e_inf - 1e-9 * protocol.n_dimers
         assert report.window_r == window
+
+    def test_powers_are_the_energies_over_their_times(self):
+        protocol = QuenchProtocol(1.25, 0.3, 0.6, 40)
+        window = default_recurrence_window(40)
+        trace = energy_trace(protocol, window[1], DT_SAFETY * resolution_bound(protocol))
+        report = analyze_trace(trace, asymptotic_energy(protocol), window)
+        assert report.power_s == report.e_s / report.tau_s
+        assert report.power_r == report.e_r / report.tau_r
+
+    def test_finds_windowed_peak(self):
+        times = np.arange(0.0, 100.0, 0.1)
+        values = np.exp(-((times - 5.0) ** 2)) + np.exp(-((times - 70.0) ** 2) / 4.0)
+        report = analyze_trace(_synthetic_trace(times, values), 0.0, (60.0, 80.0))
+        assert report.tau_s == pytest.approx(5.0, abs=1e-3)
+        assert report.tau_r == pytest.approx(70.0, abs=1e-6)
+        assert report.e_r == pytest.approx(1.0, abs=1e-6)
+
+    def test_edge_maximum_warns(self):
+        # a short-time bump, then a ramp that peaks on the window's last sample
+        times = np.arange(0.0, 50.0, 0.1)
+        trace = _synthetic_trace(times, np.exp(-((times - 2.0) ** 2)) + 0.01 * times)
+        with pytest.warns(RecurrenceWindowWarning):
+            report = analyze_trace(trace, 0.0, (10.0, 20.0))
+        assert report.tau_r == trace.times[trace.times <= 20.0][-1]
+
+    def test_empty_window_rejected(self):
+        times = np.arange(0.0, 5.0, 0.1)
+        with pytest.raises(ValueError, match="contains no trace samples"):
+            analyze_trace(_synthetic_trace(times, np.sin(times)), 0.0, (10.0, 20.0))
+
+    @pytest.mark.parametrize("params, make_trace", [
+        (QuenchProtocol(1.25, 0.3, 0.6, 20), energy_trace),
+        (IsingParams(0.8, 0.7, 20), ising_energy_trace),
+    ], ids=["xy", "ising"])
+    def test_uncharged_window_says_no_charging(self, params, make_trace):
+        # [0, 0.005] holds only t = 0, where nothing is stored yet
+        trace = make_trace(params, 20.0, 0.01)
+        with pytest.raises(RegimeDetectionError, match="no charging occurred in the recurrence"):
+            analyze_trace(trace, 0.0, (0.0, 0.005))
 
 
 def _fold(k):
