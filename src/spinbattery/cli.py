@@ -321,7 +321,7 @@ def cmd_snapshot(opts: dict) -> int:
 def cmd_oracle_check(opts: dict) -> int:
     """Compare the momentum-space engine against spin-space ED, to tol x max(1, max|dE|)."""
     n_sites = opts["n_sites"]
-    times = _uniform_times(opts["t_end"], opts["dt"], np.inf)
+    times = _uniform_times(0.0, opts["t_end"], opts["dt"], np.inf)
     # The sites (build_hamiltonian) are checked before the engine's parameters.
     if opts["model"] == "xy":
         gamma, delta0, delta1 = opts["gamma"], opts["delta0"], opts["delta1"]

@@ -316,26 +316,26 @@ def _resolution_bound(fmax: float) -> float:
     return np.pi / (SAMPLES_PER_PERIOD_FACTOR * fmax)
 
 
-def _uniform_times(t_end: float, dt: float, bound: float) -> np.ndarray:
-    """The grid {0, dt, 2dt, ...} up to t_end; dt may not exceed the resolution bound."""
-    _check_finite(t_end=t_end, dt=dt)
-    if dt <= 0 or t_end <= 0:
+def _uniform_times(start: float, end: float, dt: float, bound: float) -> np.ndarray:
+    """The grid {start, start + dt, ...} up to end, dt <= bound; errors name [start, end]."""
+    _check_finite(t_end=end, dt=dt)
+    if dt <= 0 or end <= start:
         raise ValueError("dt and t_end must be positive")
     if dt > bound:
         raise ValueError(
             f"dt={dt} too coarse to resolve the fastest charging frequency; "
             f"need dt <= {bound:.6e}"
         )
-    if t_end / dt >= MAX_SAMPLES:
+    if (end - start) / dt >= MAX_SAMPLES:
         raise ValueError(
-            f"dt={dt} puts more than {MAX_SAMPLES} samples on [0, {t_end}]; raise dt"
+            f"dt={dt} puts more than {MAX_SAMPLES} samples on [{start}, {end}]; raise dt"
         )
-    return dt * np.arange(int(np.floor(t_end / dt)) + 1)
+    return start + dt * np.arange(int(np.floor((end - start) / dt)) + 1)
 
 
 def _build_trace(energy, bound, params, t_end: float, dt: float) -> EnergyTrace:
     """``energy(params, times)`` on {0, dt, 2dt, ...} up to t_end, dt <= bound(params)."""
-    times = _uniform_times(t_end, dt, bound(params))
+    times = _uniform_times(0.0, t_end, dt, bound(params))
     return EnergyTrace(times=times, values=energy(params, times), protocol=params)
 
 

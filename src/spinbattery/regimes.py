@@ -8,9 +8,9 @@ initial dimerization (or transverse field), row after row; the worker
 budget only bounds the XY kernel's threads, so outputs do not depend on it.
 The per-model rules live here, not in the command line: ``_engine`` picks
 the engines and default window, ``_recurrence_window`` fills and checks a
-window, ``_trace_inputs`` holds the ``trace`` command's defaults, checks and
-trace, and an uncharged trace or recurrence window fails with "no charging
-occurred".
+window, ``_window_span`` picks its samples on a grid, ``_trace_inputs``
+holds the ``trace`` command's defaults, checks and trace, and an uncharged
+trace or window fails with "no charging occurred".
 """
 
 from __future__ import annotations
@@ -159,31 +159,37 @@ def find_short_time_max(trace: EnergyTrace) -> tuple[float, float]:
 
     Maxima that do not rise above the trace's zero-level noise band do not
     count.  RegimeDetectionError says "no charging occurred" when no sample
-    rises above that band, else "no local maximum found".
+    rises above that band, else "no local maximum found"; both name the trace's span.
     """
     times, values, floor = trace.times, trace.values, _noise_floor(trace.protocol)
     for i in range(1, len(values) - 1):
         if values[i] > values[i - 1] and values[i] > values[i + 1] and values[i] > floor:
             return _refine_parabolic(times, values, i)
+    verdict = "no local maximum found: trace is monotone or flat"
     if not np.any(values > floor):
-        raise RegimeDetectionError(f"no charging occurred: no sample above noise floor {floor:.3g}")
-    raise RegimeDetectionError(
-        "no local maximum found: trace is monotone or flat over its span"
+        verdict = f"no charging occurred: no sample above noise floor {floor:.3g}"
+    span = f"[{times[0]}, {times[-1]}]" if len(times) else "[]"
+    raise RegimeDetectionError(f"{verdict} over its span {span}")
+
+
+def _window_span(times: np.ndarray, window: tuple[float, float]) -> tuple[int, int]:
+    """(lo, hi): samples lo..hi-1 of the ascending ``times`` are those in the closed
+    ``window``.  ValueError, naming the window and the grid, if it holds none."""
+    lo, hi = int(np.searchsorted(times, window[0])), int(np.searchsorted(times, window[1], "right"))
+    if lo < hi:
+        return lo, hi
+    raise ValueError(
+        f"window-min {window[0]} to window-max {window[1]} holds none of the {len(times)} grid "
+        f"samples, t = {times[0]} to {times[-1]}; widen the window or lower dt"
     )
 
 
-def analyze_trace(
-    trace: EnergyTrace, e_inf: float, window: tuple[float, float]
-) -> RegimeReport:
+def analyze_trace(trace: EnergyTrace, e_inf: float, window: tuple[float, float]) -> RegimeReport:
     """The three-regime report of a full trace; the recurrence is the maximum inside
-    ``window`` (ValueError if it holds no sample), warned about on a window edge."""
+    ``window`` (``_window_span`` rejects an empty one), warned about on a window edge."""
     tau_s, e_s = find_short_time_max(trace)
-    idx = np.nonzero((trace.times >= window[0]) & (trace.times <= window[1]))[0]
-    if idx.size == 0:
-        raise ValueError(f"window {window} contains no trace samples")
-    tau_r, e_r, on_edge = _windowed_argmax(
-        trace.times, trace.values, trace.protocol, idx[0], idx[-1] + 1
-    )
+    span = _window_span(trace.times, window)
+    tau_r, e_r, on_edge = _windowed_argmax(trace.times, trace.values, trace.protocol, *span)
     _warn_edge_hits([""] if on_edge else [])
     return RegimeReport(tau_s, e_s, e_inf, tau_r, e_r, window, e_s / tau_s, e_r / tau_r)
 
@@ -192,22 +198,16 @@ def _trace_inputs(params, t_end, dt, window):
     """(trace, e_inf, window, t_end, dt) of the ``trace`` command for ``params``.
 
     None arguments default to the model's window sides, the window's end and
-    DT_SAFETY x the resolution bound.  ValueError before any engine call if
-    t_end ends before the window or the grid puts no sample in it.
+    DT_SAFETY x the resolution bound; ``_window_span`` rejects a window the grid
+    misses (t_end before window-min included) before any engine call.
     """
     energy, asymptote, resolution, _, default = _engine(params)
     window = _recurrence_window(window, default)
     t_end = window[1] if t_end is None else t_end
-    if t_end < window[0]:
-        raise ValueError(f"t-end {t_end} ends before window-min {window[0]}")
     dt = DT_SAFETY * resolution(params) if dt is None else dt
 
     def windowed_energy(protocol, times):
-        if not np.any((times >= window[0]) & (times <= window[1])):
-            raise ValueError(
-                f"window-min {window[0]} to window-max {window[1]} holds no sample of the "
-                f"grid 0, dt, 2 dt, ... with dt={dt}; widen the window or lower dt"
-            )
+        _window_span(times, window)
         return energy(protocol, times)
 
     trace = _build_trace(windowed_energy, resolution, params, t_end, dt)
@@ -227,10 +227,10 @@ def occupation_snapshot(protocol: QuenchProtocol, t: float) -> list[tuple[float,
 # ----------------------------------------------------------------------
 
 def _windowed_argmax(
-    times: np.ndarray, values: np.ndarray, protocol, lo: int = 0, hi: int | None = None
+    times: np.ndarray, values: np.ndarray, protocol, lo: int, hi: int
 ) -> tuple[float, float, bool]:
-    """(tau, e, on_edge) of the maximum over samples lo..hi-1, refined with the
-    neighbours outside them; on_edge if it is sample lo or hi-1.  Never warns.
+    """(tau, e, on_edge) of the maximum over the window's span lo..hi-1 (``_window_span``),
+    refined with the neighbours outside it; on_edge if it is sample lo or hi-1.  Never warns.
     RegimeDetectionError says "no charging occurred in the recurrence window"
     when that maximum is not above the noise floor of ``protocol``.
 
@@ -239,7 +239,6 @@ def _windowed_argmax(
     delta0 = 0.2 on the Fig-3 line (n = 300), 13 samples lie within 5.7e-14 and
     the pick is tau_r = 714.712.  ROADMAP item 1's earliest-peak rule fixes it.
     """
-    hi = len(values) if hi is None else hi
     j = lo + int(np.argmax(values[lo:hi]))
     floor = _noise_floor(protocol)
     if not values[j] > floor:
@@ -280,8 +279,9 @@ def _regime_point(params, window) -> tuple[float, float, float, float, float, bo
     dt = DT_SAFETY * bound
     short = _build_trace(energy, resolution, params, DEFAULT_SHORT_SPAN, dt)
     tau_s, e_s = find_short_time_max(short)
-    win_times = window[0] + _uniform_times(window[1] - window[0], dt, bound)
-    tau_r, e_r, on_edge = _windowed_argmax(win_times, energy(params, win_times), params)
+    win_times = _uniform_times(*window, dt, bound)
+    span = _window_span(win_times, window)
+    tau_r, e_r, on_edge = _windowed_argmax(win_times, energy(params, win_times), params, *span)
     return tau_s, e_s, asymptote(params), tau_r, e_r, on_edge
 
 

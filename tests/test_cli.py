@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from spinbattery import cli, regimes
+from spinbattery import QuenchProtocol, cli, energy_trace, quench, regimes, resolution_bound
 from spinbattery.cli import deterministic_json, format_float, main
 from spinbattery.ed import (
     DegenerateGroundStateWarning,
@@ -18,6 +18,14 @@ from spinbattery.ed import (
 
 def run_cli(args):
     return main(list(args))
+
+
+def _trace_grid(n_dimers, t_end):
+    """The default ``trace`` protocol at ``n_dimers`` and its default grid up to ``t_end``."""
+    defaults = cli._COMMANDS["trace"][2]
+    protocol = QuenchProtocol(defaults["gamma"], defaults["delta0"], defaults["delta1"], n_dimers)
+    dt = regimes.DT_SAFETY * resolution_bound(protocol)
+    return protocol, quench._uniform_times(0.0, t_end, dt, np.inf)
 
 
 class TestFormatting:
@@ -182,10 +190,13 @@ class TestTrace:
         assert message in capsys.readouterr().err
 
     def test_t_end_before_the_window_exits_2_before_the_trace(self, monkeypatch, capsys):
-        # n_dimers = 10: the default recurrence window is [20, 26.67]
+        # n_dimers = 10: the default recurrence window is [20, 26.67], the grid ends near 5
         monkeypatch.setattr(regimes, "energy_at_times", lambda *args: pytest.fail("trace built"))
         assert run_cli(["trace", "--n-dimers", "10", "--t-end", "5"]) == 2
-        assert "t-end 5.0 ends before window-min 20.0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        high = regimes.default_recurrence_window(10)[1]
+        assert f"window-min 20.0 to window-max {high} holds none of the" in err
+        assert f"t = 0.0 to {_trace_grid(10, 5.0)[1][-1]};" in err
 
     def test_window_between_samples_exits_2_before_the_trace(self, monkeypatch, capsys):
         # the default step (~0.0315 at 10 dimers) puts no sample in [20, 20.001]
@@ -193,8 +204,33 @@ class TestTrace:
         args = ["trace", "--n-dimers", "10", "--window-min", "20", "--window-max", "20.001"]
         assert run_cli(args) == 2
         err = capsys.readouterr().err
-        assert "window-min 20.0 to window-max 20.001 holds no sample" in err
-        assert "dt=" in err
+        assert "window-min 20.0 to window-max 20.001 holds none of the" in err
+        assert f"t = 0.0 to {_trace_grid(10, 20.001)[1][-1]};" in err
+
+    def test_trace_and_analyze_trace_reject_an_empty_window_alike(self, capsys):
+        # one rule, regimes._window_span, decides for the command before the
+        # engine runs and for the library on a finished trace
+        args = ["trace", "--n-dimers", "10", "--window-min", "20", "--window-max", "20.001"]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        protocol, times = _trace_grid(10, 20.001)  # t-end defaults to window-max
+        trace = energy_trace(protocol, 20.001, times[1])
+        assert np.array_equal(trace.times, times)
+        with pytest.raises(ValueError) as info:
+            regimes.analyze_trace(trace, 0.0, (20.0, 20.001))
+        assert err == f"error: {info.value}\n"
+
+    @pytest.mark.parametrize("t_end, verdict", [
+        ("0.001", "no charging occurred: no sample above noise floor 4e-10"),
+        ("0.5", "no local maximum found: trace is monotone or flat"),
+    ], ids=["one-sample", "rising"])
+    def test_short_trace_verdict_names_its_span(self, tmp_path, capsys, t_end, verdict):
+        # the protocol charges, but the grid ({0} at t-end 0.001) ends before its first maximum
+        args = ["trace", "--n-dimers", "4", "--window-min", "0", "--window-max", "0.001",
+                "--t-end", t_end, "--out", str(tmp_path / "t.csv")]
+        assert run_cli(args) == 3
+        last = _trace_grid(4, float(t_end))[1][-1]
+        assert f"{verdict} over its span [0.0, {last}]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("window", [("20", "20.03"), ("19.99", "20")])
     def test_window_edge_on_a_grid_point_is_accepted(self, tmp_path, window):
@@ -294,6 +330,19 @@ class TestSweep:
         )
         assert code == 3
         assert "no charging occurred" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window, interval", [
+        (("--window-min", "1e300", "--window-max", "1e301"), "[1e+300, 1e+301]"),
+        (("--window-max", "1e9"), "[10.0, 1000000000.0]"),
+    ], ids=["huge", "default-min"])
+    def test_window_grid_error_names_the_window(self, tmp_path, capsys, window, interval):
+        # the row's window grid starts at window-min, so its error names the window
+        code = run_cli(
+            ["sweep", "--n-dimers", "5", "--param-min", "0.1", "--param-max", "0.1", *window,
+             "--out", str(tmp_path / "s.csv")]
+        )
+        assert code == 2
+        assert f"samples on {interval}; raise dt" in capsys.readouterr().err
 
     def test_uncharged_recurrence_window_exits_3(self, tmp_path, capsys):
         # [0, 0.001] holds only t = 0; the row used to read tau_r = 0, e_r_per = 5e-32

@@ -126,9 +126,44 @@ def test_cli_keeps_no_window_rule():
     # trace itself are the library's per-model rules
     banned = WINDOW_FUNCTIONS | {
         "XY_WINDOW_FACTORS", "ISING_WINDOW_FACTORS", "DT_SAFETY", "_recurrence_window",
-        "EnergyTrace",
+        "EnergyTrace", "_window_span",
     }
     assert sorted(set(_names(_tree("cli"))) & banned) == []
+
+
+def _is_window_item(node):
+    """True if ``node`` is ``window[...]``."""
+    return (
+        isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "window"
+    )
+
+
+def test_only_the_window_span_puts_times_against_the_window():
+    # regimes._window_span's searchsorted is the one rule for which samples
+    # lie in a window; no comparison of a times array with window[...] repeats it
+    compares = [
+        ast.unparse(node)
+        for node in ast.walk(_tree("regimes"))
+        if isinstance(node, ast.Compare)
+        and any(_is_window_item(op) for op in [node.left, *node.comparators])
+        and any(name.endswith("times") for name in _names(node))
+    ]
+    assert compares == []
+
+
+def test_no_grid_is_shifted_by_the_window():
+    # a window grid starts at window-min inside quench._uniform_times(start, end, ...)
+    shifted = [
+        f"{module}: {ast.unparse(node)}"
+        for module in MODULES
+        for node in ast.walk(_tree(module))
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Add)
+        and (_is_window_item(node.left) or _is_window_item(node.right))
+    ]
+    assert shifted == []
 
 
 def test_only_the_engine_dispatch_calls_the_window_functions():

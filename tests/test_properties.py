@@ -7,13 +7,15 @@ protocols sit exactly on a gap-closing line: the parameters are dyadic
 (multiples of 1/16 or powers of two), so their sums land on the line with no
 rounding.  The Ising sizes include odd rings, whose mode set holds k = pi.
 The ``trace`` command, given any window, end time and step around its
-defaults, exits 0, 2 or 3 and never raises.
+defaults, exits 0, 2 or 3 and never raises, and on any grid the window's
+samples are those of the mask (times >= min) & (times <= max).
 """
 
 import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +33,8 @@ from spinbattery import (
     resolution_bound,
 )
 from spinbattery.cli import main
+from spinbattery.quench import _uniform_times
+from spinbattery.regimes import _window_span
 
 TIMES = np.array([0.0, 0.37, 1.9, 13.0, 271.5, 1e6])
 
@@ -169,3 +173,37 @@ def trace_args(draw):
 def test_trace_exits_with_a_verdict(args):
     with tempfile.TemporaryDirectory() as tmp:
         assert main(["trace", *args, "--out", os.path.join(tmp, "t.csv")]) in (0, 2, 3)
+
+
+@st.composite
+def grid_and_window(draw):
+    """A grid dt k, or start + dt k, and a window whose edges each sit on a sample,
+    between two samples or past either end of the grid."""
+    dt = draw(st.floats(1e-3, 10.0))
+    start = draw(st.just(0.0) | st.floats(0.0, 1e3))
+    times = _uniform_times(start, start + dt * draw(st.floats(1e-3, 40.0)), dt, np.inf)
+    n = len(times)
+
+    def edge():
+        i = draw(st.integers(0, n - 1))
+        return draw(st.sampled_from([
+            times[i],
+            times[i] + dt * draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+            times[0] - dt * draw(st.floats(0.0, 5.0, exclude_min=True)),
+            times[-1] + dt * draw(st.floats(0.0, 5.0, exclude_min=True)),
+        ]))
+
+    return times, (edge(), edge())
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(grid_and_window())
+def test_window_span_is_the_window_mask(case):
+    times, window = case
+    index = np.nonzero((times >= window[0]) & (times <= window[1]))[0]
+    if index.size == 0:
+        with pytest.raises(ValueError, match="holds none of the"):
+            _window_span(times, window)
+    else:
+        assert _window_span(times, window) == (index[0], index[-1] + 1)
+        assert index.size == index[-1] + 1 - index[0]

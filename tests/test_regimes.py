@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import threading
 import warnings
 
@@ -69,8 +70,13 @@ class TestFindShortTimeMax:
 
     def test_monotone_trace_fails(self):
         times = np.arange(0.0, 5.0, 0.1)
-        with pytest.raises(RegimeDetectionError, match="no local maximum found"):
+        with pytest.raises(RegimeDetectionError, match="no local maximum found") as info:
             find_short_time_max(_synthetic_trace(times, times**2))
+        assert str(info.value).endswith(f"over its span [0.0, {times[-1]}]")
+
+    def test_empty_trace_fails_with_a_verdict(self):
+        with pytest.raises(RegimeDetectionError, match=re.escape("over its span []")):
+            find_short_time_max(_synthetic_trace([], []))
 
     def test_refinement_beats_grid(self):
         # vertex between samples: parabolic refinement must land closer to
@@ -131,7 +137,11 @@ class TestAnalyzeTrace:
 
     def test_empty_window_rejected(self):
         times = np.arange(0.0, 5.0, 0.1)
-        with pytest.raises(ValueError, match="contains no trace samples"):
+        message = (
+            f"window-min 10.0 to window-max 20.0 holds none of the 50 grid samples, "
+            f"t = 0.0 to {times[-1]}; widen the window or lower dt"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
             analyze_trace(_synthetic_trace(times, np.sin(times)), 0.0, (10.0, 20.0))
 
     @pytest.mark.parametrize("params, make_trace", [
