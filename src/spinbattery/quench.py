@@ -24,12 +24,14 @@ every frequency column whose weight sum_q (|e_cos| + |e_sin|) is at most
 eps sum_q |e_const|, which cannot move a result by more than one rounding
 unit: on a gapped chain the two cross-band columns, so only 2 w1' and 2 w2'
 run.  Where ``eigh`` mixes nearly degenerate charging bands
-(gamma (delta0 + delta1) ~ 0) up to all four columns are kept.  Each sample
-depends only on its own time, so the kernel splits every grid into
-contiguous shares over min(cores, a sweep's ``workers``, samples) threads,
-which together hold one serial block's memory (numpy releases the GIL in the
-trig, the einsum and the reduction); the result does not depend on the
-thread count.
+(gamma (delta0 + delta1) ~ 0) up to all four columns are kept.  It runs
+ascending mode tiles inside time blocks, adding each tile's rows into a
+compensated pair per block, so its memory does not grow with the modes.
+Each sample depends only on its own time, so the kernel splits every grid
+into contiguous shares over min(cores, a sweep's ``workers``, samples)
+threads, each with its own tiles (numpy releases the GIL in the trig, the
+einsum and the reduction); the result depends neither on the thread count
+nor on the tile size.
 
 Engines keep nothing between calls.  The helpers under "scaffolding shared
 with the Ising closed form" (time checks, the phase-block kernel and the
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sums import compensated_sum, compensated_sum_axis0
+from .sums import add_rows, compensated_sum
 from .xy import (
     ChainParams,
     _check_finite,
@@ -85,14 +87,14 @@ MAX_MODE_SAMPLES = 10**9
 # w t stays finite.
 MAX_TIME = 1e100
 
-# An XY kernel block holds at most _TIME_BLOCK times and _BLOCK_ELEMENTS floats
-# per temporary (modes x kept columns x times).  With all 4 frequency columns
-# kept (a gapped chain keeps 2), full blocks of 4096 times fit up to 600 XY
-# modes (2400 floats per time).  When k threads split a grid, each runs its
-# share in blocks 1/k as long, so the memory in flight stays one block's
-# worth.  The phase-block kernel's temporaries hold _BLOCK_ELEMENTS together.
-# _WORKERS bounds the threads: a sweep's or scaling run's ``workers``, else None (no bound).
+# An XY kernel block holds at most _TIME_BLOCK times, its modes run in tiles
+# of at least one mode whose (modes x kept columns x times) tables hold at most
+# _TILE_ELEMENTS floats each (512 KB, a core's cache).  When k threads split a
+# grid, each runs its share in blocks 1/k as long, in tiles of its own.  The
+# phase-block kernel's temporaries hold _BLOCK_ELEMENTS together.  _WORKERS
+# bounds the threads: a sweep's or scaling run's ``workers``, else None (no bound).
 _TIME_BLOCK = 4096
+_TILE_ELEMENTS = 2**16
 _BLOCK_ELEMENTS = 10**7
 _WORKERS = contextvars.ContextVar("workers", default=None)
 
@@ -429,10 +431,11 @@ def energy_at_times(
 
     The XY time kernel, on the F weighted frequency columns of the module
     docstring (2 on a gapped chain, up to 4).  Times run in blocks of at most
-    _TIME_BLOCK, sized so that each (N, F, T) temporary holds at most
-    _BLOCK_ELEMENTS floats, split over threads by :func:`_fill_blocks`.  Modes
-    are reduced in ascending-q order with compensated accumulation, so the
-    result is independent of the block length and the thread count.
+    _TIME_BLOCK, split over threads by :func:`_fill_blocks`; inside a block
+    the modes run in ascending tiles of at most _TILE_ELEMENTS floats per
+    (tile, F, T) table, whose rows are added in ascending-q order into the
+    block's compensated pair.  Each sample sees the same operations in the
+    same order, whatever the block length, the tile size or the thread count.
     """
     if evaluator not in ("full", "simplified"):
         raise ValueError(f"evaluator must be 'full' or 'simplified', got {evaluator!r}")
@@ -441,23 +444,26 @@ def energy_at_times(
     weight = np.sum(np.abs(e_cos) + np.abs(e_sin), axis=0)
     keep = weight > np.finfo(float).eps * np.sum(np.abs(e_const))
     freqs, e_cos, e_sin = freqs[:, keep], e_cos[:, keep], e_sin[:, keep]
-    block = max(1, min(_TIME_BLOCK, _BLOCK_ELEMENTS // max(1, freqs.size)))
+    n, f = freqs.shape
     out = np.empty(times.size, dtype=float)
-    reducing = threading.Lock()
 
     def fill(lo: int, hi: int) -> None:
-        ph = freqs[:, :, None] * times[None, None, lo:hi]  # (N, F, T)
-        # the sum order (const + cos part) + sin part fixes the bits; sines overwrite the phases
-        e = np.einsum("nf,nft->nt", e_cos, np.cos(ph))
-        e += e_const[:, None]
-        e += np.einsum("nf,nft->nt", e_sin, np.sin(ph, out=ph))
-        # one thread reduces at a time: each of the reduction's short numpy
-        # calls releases the GIL, and two threads reducing together would pass
-        # it back and forth between cores
-        with reducing:
-            out[lo:hi] = compensated_sum_axis0(e)
+        t = times[lo:hi]
+        rows = min(n, max(1, _TILE_ELEMENTS // max(1, f * t.size)))
+        phase, trig = np.empty((2, rows, f, t.size))
+        e, sin_part = np.empty((2, rows, t.size))
+        total, comp = np.zeros((2, t.size))
+        for a in range(0, n, rows):
+            q, k = slice(a, a + rows), min(rows, n - a)
+            ph = np.multiply.outer(freqs[q], t, out=phase[:k])
+            # the sum order (const + cos part) + sin part fixes the bits
+            np.einsum("nf,nft->nt", e_cos[q], np.cos(ph, out=trig[:k]), out=e[:k])
+            e[:k] += e_const[q, None]
+            e[:k] += np.einsum("nf,nft->nt", e_sin[q], np.sin(ph, out=trig[:k]), out=sin_part[:k])
+            add_rows(e[:k], total, comp)
+        out[lo:hi] = total + comp
 
-    _fill_blocks(fill, times.size, block)
+    _fill_blocks(fill, times.size, _TIME_BLOCK)
     return out
 
 

@@ -174,13 +174,15 @@ def find_short_time_max(trace: EnergyTrace) -> tuple[float, float]:
 
 def _window_span(times: np.ndarray, window: tuple[float, float]) -> tuple[int, int]:
     """(lo, hi): samples lo..hi-1 of the ascending ``times`` are those in the closed
-    ``window``.  ValueError, naming the window and the grid, if it holds none."""
+    ``window``.  ValueError, naming the window, the grid and what helps, if it holds none."""
     lo, hi = int(np.searchsorted(times, window[0])), int(np.searchsorted(times, window[1], "right"))
     if lo < hi:
         return lo, hi
+    narrow = window[1] - window[0] < np.ptp(times[-2:])  # narrower than the grid step
+    fix = "widen the window or lower dt" if narrow else "raise --t-end into the window"
     raise ValueError(
         f"window-min {window[0]} to window-max {window[1]} holds none of the {len(times)} grid "
-        f"samples, t = {times[0]} to {times[-1]}; widen the window or lower dt"
+        f"samples, t = {times[0]} to {times[-1]}; {fix}"
     )
 
 

@@ -197,6 +197,7 @@ class TestTrace:
         high = regimes.default_recurrence_window(10)[1]
         assert f"window-min 20.0 to window-max {high} holds none of the" in err
         assert f"t = 0.0 to {_trace_grid(10, 5.0)[1][-1]};" in err
+        assert err.endswith("; raise --t-end into the window\n")  # a finer dt cannot help
 
     def test_window_between_samples_exits_2_before_the_trace(self, monkeypatch, capsys):
         # the default step (~0.0315 at 10 dimers) puts no sample in [20, 20.001]
@@ -206,6 +207,7 @@ class TestTrace:
         err = capsys.readouterr().err
         assert "window-min 20.0 to window-max 20.001 holds none of the" in err
         assert f"t = 0.0 to {_trace_grid(10, 20.001)[1][-1]};" in err
+        assert err.endswith("; widen the window or lower dt\n")  # narrower than dt
 
     def test_trace_and_analyze_trace_reject_an_empty_window_alike(self, capsys):
         # one rule, regimes._window_span, decides for the command before the

@@ -327,11 +327,12 @@ class TestEnergyTrace:
         "budget, samples", [(600, 40), (600 * 7, 1500), (600 * 333, 1500), (600 * 777, 1500)]
     )
     def test_block_budget_keeps_the_bits(self, monkeypatch, budget, samples):
-        # 300 dimers x 2 kept columns make 600 temporaries per sample: blocks
-        # of 1, 7, 333 and 777
+        # one thread, 2 kept columns x 40 or 1500 times per mode: tiles of 7,
+        # 1, 66 and 155 of the 300 modes
+        monkeypatch.setattr(quench, "_cores", lambda: 1)
         times = 0.05 * np.arange(samples)
         default = energy_at_times(FIG2, times)
-        monkeypatch.setattr(quench, "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(quench, "_TILE_ELEMENTS", budget)
         assert np.array_equal(energy_at_times(FIG2, times), default)
 
     @pytest.mark.parametrize(
@@ -385,8 +386,9 @@ class TestEnergyTrace:
         with pytest.raises(ValueError, match="times must"):
             energy(params, times)
 
-    def test_default_budget_keeps_full_blocks_up_to_600_modes(self):
-        assert quench._BLOCK_ELEMENTS // (600 * 4) >= quench._TIME_BLOCK
+    def test_one_four_column_mode_fits_a_full_time_block_tile(self):
+        # so the one-mode floor of a tile never lifts it over its budget
+        assert quench._TILE_ELEMENTS >= 4 * quench._TIME_BLOCK
 
     def test_grid_and_initial_value(self):
         p = QuenchProtocol(1.25, 0.3, 0.6, 40)
@@ -617,6 +619,64 @@ class TestStatelessEngines:
         assert retained <= 10**6
 
 
+def _whole_table_kernel(protocol: QuenchProtocol, times) -> np.ndarray:
+    """The XY time kernel without blocks or tiles: (N, F, T) tables over the whole
+    grid, then one ``compensated_sum_axis0`` over the modes: the reference."""
+    freqs, e_const, e_cos, e_sin = quench._energy_tables(protocol)
+    weight = np.sum(np.abs(e_cos) + np.abs(e_sin), axis=0)
+    keep = weight > np.finfo(float).eps * np.sum(np.abs(e_const))
+    freqs, e_cos, e_sin = freqs[:, keep], e_cos[:, keep], e_sin[:, keep]
+    ph = freqs[:, :, None] * np.asarray(times, dtype=float)[None, None, :]
+    e = np.einsum("nf,nft->nt", e_cos, np.cos(ph))
+    e += e_const[:, None]
+    e += np.einsum("nf,nft->nt", e_sin, np.sin(ph))
+    return sums.compensated_sum_axis0(e)
+
+
+def _fig3_window_grid():
+    """The sweep row's recurrence-window grid of the tied Fig-3 point delta0 = 0.2."""
+    bound = resolution_bound(FIG3)
+    window = regimes.default_recurrence_window(FIG3.n_dimers)
+    return quench._uniform_times(*window, regimes.DT_SAFETY * bound, bound)
+
+
+class TestTiledKernel:
+    # energy_at_times runs mode tiles inside time blocks; every tile budget and
+    # thread count must give the bits of the whole-table kernel
+    @pytest.mark.parametrize(
+        "protocol, times",
+        [
+            (FIG3, _fig3_window_grid()),  # 5,603 samples, 2 kept columns
+            (QuenchProtocol(1e-12, 0.3, 0.6, 7), 0.05 * np.arange(5000)),  # 3 columns
+            (QuenchProtocol(0.5, 0.3, 0.0, 3), 0.05 * np.arange(5000)),  # delta1 = 0: 4 columns
+            (QuenchProtocol(0.8, 0.3, 0.5, 7), 0.3 + 0.05 * np.arange(9000)),  # odd n
+            (QuenchProtocol(0.8, 0.3, 0.5, 2), 0.05 * np.arange(3)),
+        ],
+        ids=["fig3_window", "gamma_1e-12", "delta1_0", "n7", "n2"],
+    )
+    def test_tiles_and_threads_keep_the_whole_table_bits(self, monkeypatch, protocol, times):
+        reference = _whole_table_kernel(protocol, times)
+        for budget, cores in itertools.product([1, 7, quench._TILE_ELEMENTS, 2**22], [1, 2, 3]):
+            monkeypatch.setattr(quench, "_TILE_ELEMENTS", budget)
+            monkeypatch.setattr(quench, "_cores", lambda cores=cores: cores)
+            assert np.array_equal(energy_at_times(protocol, times), reference), (budget, cores)
+
+    def test_memory_does_not_grow_with_the_modes(self):
+        # 3,000 dimers x 8,192 times: the whole (N, F, T) tables of one block
+        # peak near 191 MB, while the tiles hold a few MB whatever N
+        protocol, times = QuenchProtocol(1.25, 0.3, 0.6, 3000), 0.05 * np.arange(8192)
+        tracemalloc.start()
+        try:
+            quench._energy_tables(protocol)
+            tables = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            energy_at_times(protocol, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= tables + 16 * 10**6
+
+
 def _grid(protocol, t0, t1):
     """The CLI's trace grid of ``protocol`` (half its resolution bound) on [t0, t1]."""
     dt = 0.5 * resolution_bound(protocol)
@@ -732,12 +792,12 @@ class TestKernelThreads:
         cpus = sorted(os.sched_getaffinity(0))
         seen = set()
 
-        def spy(values):
+        def spy(rows, total, comp):
             seen.add(frozenset(os.sched_getaffinity(0)))
-            return sums.compensated_sum_axis0(values)
+            sums.add_rows(rows, total, comp)
 
         monkeypatch.setattr(quench, "_cores", lambda: 2)
-        monkeypatch.setattr(quench, "compensated_sum_axis0", spy)
+        monkeypatch.setattr(quench, "add_rows", spy)
         energy_at_times(self.SMALL, 0.3 * np.arange(2 * self.BLOCK))
         assert seen == {frozenset(cpus[j::2] or cpus) for j in (0, 1)}
         assert sorted(os.sched_getaffinity(0)) == cpus  # the caller's mask is untouched
@@ -746,22 +806,24 @@ class TestKernelThreads:
     def test_an_error_in_any_block_raises(self, monkeypatch, cores):
         calls = itertools.count()
 
-        def failing(values):
+        def failing(rows, total, comp):
             if next(calls) == 2:
                 raise FloatingPointError("block failed")
-            return sums.compensated_sum_axis0(values)
+            sums.add_rows(rows, total, comp)
 
         monkeypatch.setattr(quench, "_cores", lambda: cores)
-        monkeypatch.setattr(quench, "compensated_sum_axis0", failing)
+        monkeypatch.setattr(quench, "add_rows", failing)
         with pytest.raises(FloatingPointError, match="block failed"):
             energy_at_times(self.SMALL, 0.3 * np.arange(3 * self.BLOCK))
 
     def test_every_block_runs_under_the_callers_errstate(self, monkeypatch):
-        def overflowing(values):
-            return sums.compensated_sum_axis0(values) * 1e308 * 1e308
+        def overflowing(rows, total, comp):
+            sums.add_rows(rows, total, comp)
+            total *= 1e308
+            total *= 1e308
 
         monkeypatch.setattr(quench, "_cores", lambda: 3)
-        monkeypatch.setattr(quench, "compensated_sum_axis0", overflowing)
+        monkeypatch.setattr(quench, "add_rows", overflowing)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
             energy_at_times(self.SMALL, 0.3 + 0.3 * np.arange(3 * self.BLOCK))
 

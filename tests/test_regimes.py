@@ -136,10 +136,11 @@ class TestAnalyzeTrace:
         assert report.tau_r == trace.times[trace.times <= 20.0][-1]
 
     def test_empty_window_rejected(self):
+        # the trace ends before the window: only a later end can reach it
         times = np.arange(0.0, 5.0, 0.1)
         message = (
             f"window-min 10.0 to window-max 20.0 holds none of the 50 grid samples, "
-            f"t = 0.0 to {times[-1]}; widen the window or lower dt"
+            f"t = 0.0 to {times[-1]}; raise --t-end into the window"
         )
         with pytest.raises(ValueError, match=re.escape(message)):
             analyze_trace(_synthetic_trace(times, np.sin(times)), 0.0, (10.0, 20.0))

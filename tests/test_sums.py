@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinbattery.sums import compensated_sum_axis0
+from spinbattery.sums import add_rows, compensated_sum_axis0
 
 
 def _neumaier(values):
@@ -62,3 +62,13 @@ def test_rows_in_order_of_the_kernel():
     # the shape the XY kernel reduces: 300 modes x one thread's block
     values = _mixed(np.random.default_rng(99), 300, 2048) * 1e-12
     assert _same_bits(compensated_sum_axis0(values), _neumaier(values))
+
+
+@pytest.mark.parametrize("tile", [1, 7, 64, 300])
+def test_rows_added_tile_by_tile_keep_the_bits(tile):
+    # the XY kernel adds each mode tile's rows into one running pair per block
+    values = _mixed(np.random.default_rng(5), 300, 64)
+    total, comp = np.zeros((2, 64))
+    for lo in range(0, 300, tile):
+        add_rows(values[lo : lo + tile], total, comp)
+    assert _same_bits(total + comp, _neumaier(values))
