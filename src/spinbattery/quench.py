@@ -12,26 +12,23 @@ the angle between d and d', the band occupation and stored energy are
 which ``occupations_all`` and ``asymptotic_energy`` evaluate as written; a
 zero-energy battery mode (|d| = 0) has occupation 0.
 
-``energy_at_times``, the XY time kernel, builds its tables instead from the
-matching matrix M_q = V_q^dag U_q between the battery's and the charger's 4x4
-Bloch eigenbases (``_bloch_eigensystems``, the one eigensolve here): with
-D(t) = diag(e^{-i w1' t}, e^{-i w2' t}, e^{+i w1' t}, e^{+i w2' t}) and
-T = M_q^dag D M_q, n_s = |T_{s,3}|^2 + |T_{s,4}|^2 expands into a constant
-plus oscillations at w1'-w2', 2 w1', w1'+w2', 2 w2': the paper's quadruple
-sum (both cosine families, overall factor 2).  Both evaluator names,
-``"full"`` and ``"simplified"``, run this sum.  Before its time loop it drops
-every frequency column whose weight sum_q (|e_cos| + |e_sin|) is at most
-eps sum_q |e_const|, which cannot move a result by more than one rounding
-unit: on a gapped chain the two cross-band columns, so only 2 w1' and 2 w2'
-run.  Where ``eigh`` mixes nearly degenerate charging bands
-(gamma (delta0 + delta1) ~ 0) up to all four columns are kept.  It runs
-ascending mode tiles inside time blocks, adding each tile's rows into a
-compensated pair per block, so its memory does not grow with the modes.
-Each sample depends only on its own time, so the kernel splits every grid
-into contiguous shares over min(cores, a sweep's ``workers``, samples)
-threads, each with its own tiles (numpy releases the GIL in the trig, the
-einsum and the reduction); the result depends neither on the thread count
-nor on the tile size.
+``energy_at_times``, the XY time kernel, evaluates the same sum as
+
+    dE(t) = sum_{s,q} |d| sin^2 dphi [1 - cos(2 w_s' t)]
+
+with one cosine column per chain, so dE(0) = 0 exactly, as is every dE(t)
+of a null quench (delta1 = 0).  Both evaluator names, ``"full"`` and
+``"simplified"``, run this sum.  Its frequencies 2 w_s' are the charger's 4x4
+Bloch bands (``_bloch_bands``, the one eigensolve here), not the closed form
+4 |d'|, which differs from them in the last bits: on flat charging bands
+(delta0 + delta1 = 1) several window samples tie for the maximum, and which
+one comes first depends on those bits.  The kernel runs ascending mode tiles
+inside time blocks, adding each tile's rows into a compensated pair per
+block, so its memory does not grow with the modes.  Each sample depends only
+on its own time, so the kernel splits every grid into contiguous shares over
+min(cores, a sweep's ``workers``, samples) threads, each with its own tiles
+(numpy releases the GIL in the trig, the einsum and the reduction); the
+result depends neither on the thread count nor on the tile size.
 
 Engines keep nothing between calls.  The helpers under "scaffolding shared
 with the Ising closed form" (time checks, the phase-block kernel and the
@@ -88,7 +85,7 @@ MAX_MODE_SAMPLES = 10**9
 MAX_TIME = 1e100
 
 # An XY kernel block holds at most _TIME_BLOCK times, its modes run in tiles
-# of at least one mode whose (modes x kept columns x times) tables hold at most
+# of at least one mode whose (modes x 2 chains x times) tables hold at most
 # _TILE_ELEMENTS floats each (512 KB, a core's cache).  When k threads split a
 # grid, each runs its share in blocks 1/k as long, in tiles of its own.  The
 # phase-block kernel's temporaries hold _BLOCK_ELEMENTS together.  _WORKERS
@@ -147,21 +144,6 @@ class EnergyTrace:
             raise ValueError("times must be strictly ascending")
         self.times.setflags(write=False)
         self.values.setflags(write=False)
-
-
-# Pair -> frequency bookkeeping of the energy kernel's expansion of |T|^2.
-# Heisenberg phases are phi = (-w1', -w2', +w1', +w2'); pair (a, b) oscillates
-# at phi_a - phi_b.
-# Columns of the frequency table: [w1'-w2', 2 w1', w1'+w2', 2 w2'].
-# Each entry: (a, b, column, sign of the sin coefficient).
-_PAIR_TABLE = (
-    (0, 1, 0, +1.0),
-    (2, 3, 0, -1.0),
-    (0, 2, 1, +1.0),
-    (0, 3, 2, +1.0),
-    (1, 2, 2, +1.0),
-    (1, 3, 3, +1.0),
-)
 
 
 # ----------------------------------------------------------------------
@@ -361,19 +343,16 @@ def occupations_all(protocol: QuenchProtocol, t: float) -> np.ndarray:
     return sin2_dphi * np.sin(2.0 * norm_p * t) ** 2
 
 
-def _bloch_eigensystems(gamma: float, delta: float, n_dimers: int):
-    """``(omegas, vecs)``: bands (n, 2) and eigenvectors (n, 4, 4) of every mode's H_q.
+def _bloch_bands(gamma: float, delta: float, n_dimers: int) -> np.ndarray:
+    """Bands (n_dimers, 2), w1 >= w2 >= 0, of every mode's 4x4 Bloch matrix H_q.
 
     With Z = -((1 + d) + (1 - d) e^{-ik}), W = -g ((1 + d) - (1 - d) e^{-ik}) at
     k = 2 pi q / n_dimers, and rows particle-A, particle-B, hole-A, hole-B,
 
         H_q = [[0, Z, 0, -W], [Z*, 0, W*, 0], [0, W, 0, -Z], [-W*, 0, -Z*, 0]]
 
-    and the chain is (J/2) sum_q Psi_q^dag H_q Psi_q, so the eigenvalues are the
-    bands, w1 >= w2 >= 0.  Columns are ordered (+w1, +w2, -w1, -w2), each phase
-    fixed so its largest-modulus entry (the lowest row on a tie) is exactly real
-    positive: FMA products can leave a one-ulp imaginary residue there, so that
-    entry is overwritten with its modulus.
+    and the chain is (J/2) sum_q Psi_q^dag H_q Psi_q, so the eigenvalues are
+    +-w1, +-w2.  They are ``eigh``'s, whose bits ``eigvalsh`` does not keep.
     """
     phase = np.exp(-1j * (2.0 * np.pi * (np.arange(n_dimers) + 0.5) / n_dimers))
     z = -((1.0 + delta) + (1.0 - delta) * phase)
@@ -381,47 +360,8 @@ def _bloch_eigensystems(gamma: float, delta: float, n_dimers: int):
     h = np.zeros((n_dimers, 4, 4), dtype=complex)
     h[:, 0, 1], h[:, 1, 0], h[:, 2, 3], h[:, 3, 2] = z, np.conj(z), -z, -np.conj(z)
     h[:, 2, 1], h[:, 1, 2], h[:, 0, 3], h[:, 3, 0] = w, np.conj(w), -w, -np.conj(w)
-    vals, vecs = np.linalg.eigh(h)
-    order = [3, 2, 0, 1]  # eigh's ascending (-w1, -w2, +w2, +w1) -> (+w1, +w2, -w1, -w2)
-    vecs = vecs[:, :, order]
-    idx = np.argmax(np.abs(vecs), axis=1)[:, None, :]
-    lead = np.take_along_axis(vecs, idx, axis=1)
-    vecs = vecs * np.conj(lead) / np.abs(lead)
-    rotated = np.take_along_axis(vecs, idx, axis=1)
-    np.put_along_axis(vecs, idx, np.abs(rotated).astype(complex), axis=1)
-    return np.maximum(vals[:, order[:2]], 0.0), vecs
-
-
-def _energy_tables(protocol: QuenchProtocol):
-    """``(freqs, e_const, e_cos, e_sin)``: the stored energy's Fourier tables.
-
-    Each occupation |T_{s,j}|^2 expands over ``_PAIR_TABLE`` into a constant
-    and cos/sin coefficients at [w1'-w2', 2 w1', w1'+w2', 2 w2']; the battery
-    bands weight them.  Shapes (N, 4), (N,), (N, 4), (N, 4).
-    """
-    (omega, u), (omega_p, v) = (
-        _bloch_eigensystems(protocol.gamma, delta, protocol.n_dimers)
-        for delta in (protocol.delta0, protocol.delta0 + protocol.delta1)
-    )
-    m = np.conj(np.transpose(v, (0, 2, 1))) @ u  # matching matrices M_q = V_q^dag U_q
-    n = m.shape[0]
-    w1p, w2p = omega_p[:, 0], omega_p[:, 1]
-    freqs = np.column_stack([w1p - w2p, 2.0 * w1p, w1p + w2p, 2.0 * w2p])
-    const = np.zeros((n, 2))
-    cos_a = np.zeros((n, 2, 4))
-    sin_b = np.zeros((n, 2, 4))
-    for s in (0, 1):
-        for j in (2, 3):
-            g = np.conj(m[:, :, s]) * m[:, :, j]  # (N, 4) over the mode index
-            const[:, s] += np.sum(np.abs(g) ** 2, axis=1)
-            for a, b, col, sgn in _PAIR_TABLE:
-                z = g[:, a] * np.conj(g[:, b])
-                cos_a[:, s, col] += 2.0 * z.real
-                sin_b[:, s, col] += sgn * 2.0 * z.imag
-    e_const = np.sum(omega * const, axis=1)
-    e_cos = np.einsum("ns,nsf->nf", omega, cos_a)
-    e_sin = np.einsum("ns,nsf->nf", omega, sin_b)
-    return freqs, e_const, e_cos, e_sin
+    vals = np.linalg.eigh(h)[0]  # ascending (-w1, -w2, +w2, +w1)
+    return np.maximum(vals[:, [3, 2]], 0.0)
 
 
 def energy_at_times(
@@ -429,37 +369,36 @@ def energy_at_times(
 ) -> np.ndarray:
     """Stored energy on an arbitrary grid of times >= 0.
 
-    The XY time kernel, on the F weighted frequency columns of the module
-    docstring (2 on a gapped chain, up to 4).  Times run in blocks of at most
-    _TIME_BLOCK, split over threads by :func:`_fill_blocks`; inside a block
-    the modes run in ascending tiles of at most _TILE_ELEMENTS floats per
-    (tile, F, T) table, whose rows are added in ascending-q order into the
-    block's compensated pair.  Each sample sees the same operations in the
-    same order, whatever the block length, the tile size or the thread count.
+    The XY time kernel of the module docstring, one cosine column per chain.
+    Times run in blocks of at most _TIME_BLOCK, split over threads by
+    :func:`_fill_blocks`; inside a block the modes run in ascending tiles of
+    at most _TILE_ELEMENTS floats per (tile, 2, T) table, whose rows are added
+    in ascending-q order into the block's compensated pair.  Each sample sees
+    the same operations in the same order, whatever the block length, the
+    tile size or the thread count.
     """
     if evaluator not in ("full", "simplified"):
         raise ValueError(f"evaluator must be 'full' or 'simplified', got {evaluator!r}")
     times = _engine_times("n_dimers", protocol.n_dimers, protocol.n_dimers, times)
-    freqs, e_const, e_cos, e_sin = _energy_tables(protocol)
-    weight = np.sum(np.abs(e_cos) + np.abs(e_sin), axis=0)
-    keep = weight > np.finfo(float).eps * np.sum(np.abs(e_const))
-    freqs, e_cos, e_sin = freqs[:, keep], e_cos[:, keep], e_sin[:, keep]
-    n, f = freqs.shape
+    g, d, n = protocol.gamma, protocol.delta0, protocol.n_dimers
+    norm, _, sin2_dphi = _xy_chains(g, d, protocol.delta1, n)
+    e_cos = -(norm * sin2_dphi)
+    e_const = -(e_cos[:, 0] + e_cos[:, 1])
+    freqs = 2.0 * _bloch_bands(g, d + protocol.delta1, n)
+    f = freqs.shape[1]
     out = np.empty(times.size, dtype=float)
 
     def fill(lo: int, hi: int) -> None:
         t = times[lo:hi]
         rows = min(n, max(1, _TILE_ELEMENTS // max(1, f * t.size)))
-        phase, trig = np.empty((2, rows, f, t.size))
-        e, sin_part = np.empty((2, rows, t.size))
+        phase = np.empty((rows, f, t.size))
+        e = np.empty((rows, t.size))
         total, comp = np.zeros((2, t.size))
         for a in range(0, n, rows):
             q, k = slice(a, a + rows), min(rows, n - a)
             ph = np.multiply.outer(freqs[q], t, out=phase[:k])
-            # the sum order (const + cos part) + sin part fixes the bits
-            np.einsum("nf,nft->nt", e_cos[q], np.cos(ph, out=trig[:k]), out=e[:k])
+            np.einsum("nf,nft->nt", e_cos[q], np.cos(ph, out=ph), out=e[:k])
             e[:k] += e_const[q, None]
-            e[:k] += np.einsum("nf,nft->nt", e_sin[q], np.sin(ph, out=trig[:k]), out=sin_part[:k])
             add_rows(e[:k], total, comp)
         out[lo:hi] = total + comp
 

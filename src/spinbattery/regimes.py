@@ -178,8 +178,9 @@ def _window_span(times: np.ndarray, window: tuple[float, float]) -> tuple[int, i
     lo, hi = int(np.searchsorted(times, window[0])), int(np.searchsorted(times, window[1], "right"))
     if lo < hi:
         return lo, hi
-    narrow = window[1] - window[0] < np.ptp(times[-2:])  # narrower than the grid step
-    fix = "widen the window or lower dt" if narrow else "raise --t-end into the window"
+    following = times[-1] + np.ptp(times[-2:])  # the sample a later end would add next
+    late = following < window[0]  # only a later end can reach the window
+    fix = "raise --t-end into the window" if late else "widen the window or lower dt"
     raise ValueError(
         f"window-min {window[0]} to window-max {window[1]} holds none of the {len(times)} grid "
         f"samples, t = {times[0]} to {times[-1]}; {fix}"

@@ -1,9 +1,10 @@
 """Order-fixed, reproducible reductions of per-mode terms.
 
 Scalar mode sums are exactly rounded, and the XY time kernel
-(``quench.energy_at_times``) adds its mode rows in ascending-q order into a
-running compensated pair, so results are bitwise stable across runs and
-across any splitting of times or of mode tiles that feeds the rows in order.
+(``quench.energy_at_times``) adds its mode rows, each a mode's two chains, in
+ascending-q order into a running compensated pair, so results are bitwise
+stable across runs and across any splitting of times or of mode tiles that
+feeds the rows in order.
 (The Ising time kernel reduces by matrix-vector products; see
 ``quench._phase_block_sum``.)
 """

@@ -9,10 +9,10 @@ at x = pi q / Nd, whose norms are the two quasiparticle bands:
 
     w_{1/2}(q) = 2 |d| = 2 sqrt((1 +- g d)^2 cos^2 x + (d +- g)^2 sin^2 x)
 
-in units of J = 1 (hbar = 1).  ``_chain_modes`` gives every per-mode quantity
-but the XY time kernel's tables, which ``quench`` builds from the 4x4 Bloch
-eigensystems.  Everything here is a pure function of its inputs; all
-containers are immutable.
+in units of J = 1 (hbar = 1).  ``_chain_modes`` gives every per-mode quantity,
+the XY time kernel's amplitudes included; only that kernel's frequencies come
+from elsewhere, the charger's 4x4 Bloch bands in ``quench``.  Everything here
+is a pure function of its inputs; all containers are immutable.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ __all__ = [
 # Tolerance band for the critical-line classifiers; inputs are exact reals.
 CRITICAL_TOL = 1e-12
 
-# Largest chain size (n_dimers or n_sites); XY tables alone cost ~1.6 KB per mode.
+# Largest chain size (n_dimers or n_sites); building the XY time kernel's tables
+# peaks near 0.7 KB per mode, most of it the charger's Bloch eigensolve.
 MAX_SIZE = 10**6
 
 # Largest magnitude of a model parameter (gamma, delta, h), far above any

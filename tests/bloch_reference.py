@@ -1,10 +1,13 @@
 """The 4x4 Bloch eigensystems of the dimerized XY chain, as the tests' judge.
 
-Operation for operation these are the private ``quench._bloch_eigensystems``,
-split into their steps: that function is checked bit for bit against them,
-and the matching-matrix, gauge and quadruple-sum tests build their
-eigensystems here.  Row i of every batched array is the mode q = i + 1/2, at
-momentum k = 2 pi q / n_dimers.
+``eigensystem_stack(bloch_stack(...))`` yields, operation for operation, the
+bands of the private ``quench._bloch_bands``, which are checked bit for bit
+against them: they fix the XY time kernel's frequencies.  The matching-matrix,
+gauge and quadruple-sum tests build their eigensystems here, and
+``four_column_tables`` expands the stored energy over the matching matrices
+into the four frequency columns of the paper's quadruple sum, the judge of
+the kernel's two-chain tables.  Row i of every batched array is the mode
+q = i + 1/2, at momentum k = 2 pi q / n_dimers.
 """
 
 import numpy as np
@@ -92,3 +95,51 @@ def eigensystem_stack(bloch: np.ndarray):
     omegas = np.maximum(vals[:, :2], 0.0)
     return omegas, vecs
 
+
+# Pair -> frequency bookkeeping of the expansion of |T|^2.  Heisenberg phases
+# are phi = (-w1', -w2', +w1', +w2'); pair (a, b) oscillates at phi_a - phi_b.
+# Columns of the frequency table: [w1'-w2', 2 w1', w1'+w2', 2 w2'].
+# Each entry: (a, b, column, sign of the sin coefficient).
+_PAIR_TABLE = (
+    (0, 1, 0, +1.0),
+    (2, 3, 0, -1.0),
+    (0, 2, 1, +1.0),
+    (0, 3, 2, +1.0),
+    (1, 2, 2, +1.0),
+    (1, 3, 3, +1.0),
+)
+
+
+def four_column_tables(protocol):
+    """``(freqs, e_const, e_cos, e_sin)``: the stored energy's Fourier tables.
+
+    With M_q = V_q^dag U_q the matching matrix between the battery's and the
+    charger's eigenbases, D(t) = diag(e^{-i w1' t}, e^{-i w2' t}, e^{+i w1' t},
+    e^{+i w2' t}) and T = M_q^dag D M_q, each occupation
+    n_s = |T_{s,3}|^2 + |T_{s,4}|^2 expands over ``_PAIR_TABLE`` into a constant
+    and cos/sin coefficients at [w1'-w2', 2 w1', w1'+w2', 2 w2']; the battery
+    bands weight them.  Shapes (N, 4), (N,), (N, 4), (N, 4).
+    """
+    (omega, u), (omega_p, v) = (
+        eigensystem_stack(bloch_stack(protocol.gamma, delta, protocol.n_dimers))
+        for delta in (protocol.delta0, protocol.delta0 + protocol.delta1)
+    )
+    m = np.conj(np.transpose(v, (0, 2, 1))) @ u
+    n = m.shape[0]
+    w1p, w2p = omega_p[:, 0], omega_p[:, 1]
+    freqs = np.column_stack([w1p - w2p, 2.0 * w1p, w1p + w2p, 2.0 * w2p])
+    const = np.zeros((n, 2))
+    cos_a = np.zeros((n, 2, 4))
+    sin_b = np.zeros((n, 2, 4))
+    for s in (0, 1):
+        for j in (2, 3):
+            g = np.conj(m[:, :, s]) * m[:, :, j]  # (N, 4) over the mode index
+            const[:, s] += np.sum(np.abs(g) ** 2, axis=1)
+            for a, b, col, sgn in _PAIR_TABLE:
+                z = g[:, a] * np.conj(g[:, b])
+                cos_a[:, s, col] += 2.0 * z.real
+                sin_b[:, s, col] += sgn * 2.0 * z.imag
+    e_const = np.sum(omega * const, axis=1)
+    e_cos = np.einsum("ns,nsf->nf", omega, cos_a)
+    e_sin = np.einsum("ns,nsf->nf", omega, sin_b)
+    return freqs, e_const, e_cos, e_sin

@@ -199,6 +199,18 @@ class TestTrace:
         assert f"t = 0.0 to {_trace_grid(10, 5.0)[1][-1]};" in err
         assert err.endswith("; raise --t-end into the window\n")  # a finer dt cannot help
 
+    def test_t_end_before_a_window_narrower_than_dt_names_t_end(self, monkeypatch, capsys):
+        # the window is narrower than dt, but the grid ends near 5: only a later
+        # end can reach it
+        monkeypatch.setattr(regimes, "energy_at_times", lambda *args: pytest.fail("trace built"))
+        args = ["trace", "--n-dimers", "10", "--t-end", "5",
+                "--window-min", "20", "--window-max", "20.00001"]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert "window-min 20.0 to window-max 20.00001 holds none of the" in err
+        assert f"t = 0.0 to {_trace_grid(10, 5.0)[1][-1]};" in err
+        assert err.endswith("; raise --t-end into the window\n")
+
     def test_window_between_samples_exits_2_before_the_trace(self, monkeypatch, capsys):
         # the default step (~0.0315 at 10 dimers) puts no sample in [20, 20.001]
         monkeypatch.setattr(regimes, "energy_at_times", lambda *args: pytest.fail("trace built"))

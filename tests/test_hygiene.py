@@ -185,14 +185,14 @@ EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
 
 def test_only_the_bloch_helper_and_the_oracle_call_eigensolvers():
     # the chain picture needs no eigensolver: besides the ED oracle, only the
-    # XY time kernel's Bloch eigensystems call one
+    # XY time kernel's charger bands call one
     callers = set()
     for module in MODULES:
         for node in _tree(module).body:
             for call in ast.walk(node):
                 if isinstance(call, ast.Call) and set(_names(call.func)) & EIGENSOLVERS:
                     callers.add(f"{module}.{getattr(node, 'name', '<module>')}")
-    assert {c for c in callers if not c.startswith("ed.")} == {"quench._bloch_eigensystems"}
+    assert {c for c in callers if not c.startswith("ed.")} == {"quench._bloch_bands"}
     assert any(c.startswith("ed.") for c in callers)
 
 

@@ -19,12 +19,12 @@ from spinbattery import (
     occupations_all,
     resolution_bound,
 )
-from spinbattery import cli, ising, quench, regimes, sums
+from spinbattery import cli, ising, quench, regimes, sums, xy
 from spinbattery.ed import DimerizedXY, build_hamiltonian, oracle_energy_trace
 from spinbattery.ising import IsingParams, ising_asymptotic_energy, ising_energy_at_times
 from spinbattery.quench import EQUAL_FREQ_TOL
 
-from bloch_reference import bloch_stack, eigensystem_stack
+from bloch_reference import bloch_stack, eigensystem_stack, four_column_tables
 
 FIG2 = QuenchProtocol(1.25, 0.3, 0.6, 300)
 FIG3 = QuenchProtocol(1.1, 0.2, 0.8, 300)
@@ -262,6 +262,21 @@ class TestEnergyStored:
     def test_zero_at_t0(self):
         assert abs(energy_at_times(FIG2, np.array([0.0]))[0]) <= 1e-10 * FIG2.n_dimers
 
+    @pytest.mark.parametrize(
+        "protocol",
+        [FIG2, FIG3, QuenchProtocol(0.8, 0.3, 0.5, 7), QuenchProtocol(1e-12, 0.3, 0.6, 50)],
+        ids=["fig2", "fig3", "odd", "gamma_1e-12"],
+    )
+    def test_exactly_zero_at_t0(self, protocol):
+        # each mode's constant is minus its cosine weights, so cos(0) = 1 cancels it exactly
+        assert energy_at_times(protocol, [0.0])[0] == 0.0
+
+    @pytest.mark.parametrize("n_dimers", [6, 7, 300])
+    def test_null_quench_is_exactly_zero_at_every_time(self, n_dimers):
+        # delta1 = 0: sin^2 dphi = 0 at every mode, so every table entry is 0
+        p = QuenchProtocol(1.4, 0.6, 0.0, n_dimers)
+        assert np.all(energy_at_times(p, 0.37 * np.arange(200)) == 0.0)
+
     def test_null_quench_trace_is_zero(self):
         p = QuenchProtocol(1.25, 0.3, 0.0, 6)
         trace = energy_trace(p, 10.0, 0.05)
@@ -327,7 +342,7 @@ class TestEnergyTrace:
         "budget, samples", [(600, 40), (600 * 7, 1500), (600 * 333, 1500), (600 * 777, 1500)]
     )
     def test_block_budget_keeps_the_bits(self, monkeypatch, budget, samples):
-        # one thread, 2 kept columns x 40 or 1500 times per mode: tiles of 7,
+        # one thread, 2 columns x 40 or 1500 times per mode: tiles of 7,
         # 1, 66 and 155 of the 300 modes
         monkeypatch.setattr(quench, "_cores", lambda: 1)
         times = 0.05 * np.arange(samples)
@@ -338,7 +353,7 @@ class TestEnergyTrace:
     @pytest.mark.parametrize(
         "energy, params, tables, size",
         [
-            (energy_at_times, QuenchProtocol(1.25, 0.3, 0.6, 1000), (quench, "_energy_tables"),
+            (energy_at_times, QuenchProtocol(1.25, 0.3, 0.6, 1000), (quench, "_bloch_bands"),
              "n_dimers=1000"),
             (ising_energy_at_times, IsingParams(0.8, 0.7, 2000), (ising, "_mode_arrays"),
              r"n_sites=2000 \(1000 modes\)"),
@@ -373,7 +388,7 @@ class TestEnergyTrace:
     @pytest.mark.parametrize(
         "energy, params, tables",
         [
-            (energy_at_times, QuenchProtocol(1.25, 0.3, 0.6, 50), (quench, "_energy_tables")),
+            (energy_at_times, QuenchProtocol(1.25, 0.3, 0.6, 50), (quench, "_bloch_bands")),
             (ising_energy_at_times, IsingParams(0.8, 0.7, 50), (ising, "_mode_arrays")),
         ],
         ids=["xy", "ising"],
@@ -386,9 +401,10 @@ class TestEnergyTrace:
         with pytest.raises(ValueError, match="times must"):
             energy(params, times)
 
-    def test_one_four_column_mode_fits_a_full_time_block_tile(self):
-        # so the one-mode floor of a tile never lifts it over its budget
-        assert quench._TILE_ELEMENTS >= 4 * quench._TIME_BLOCK
+    def test_one_mode_fits_a_full_time_block_tile(self):
+        # a mode's two chain columns over a full block: so the one-mode floor
+        # of a tile never lifts it over its budget
+        assert quench._TILE_ELEMENTS >= 2 * quench._TIME_BLOCK
 
     def test_grid_and_initial_value(self):
         p = QuenchProtocol(1.25, 0.3, 0.6, 40)
@@ -419,8 +435,9 @@ class TestEnergyTrace:
 
 
 def _four_column_sum(protocol: QuenchProtocol, times) -> np.ndarray:
-    """Stored energy from every column of the tables, one ``math.fsum`` per time."""
-    freqs, e_const, e_cos, e_sin = quench._energy_tables(protocol)
+    """Stored energy from every column of the matching-matrix tables, one
+    ``math.fsum`` per time."""
+    freqs, e_const, e_cos, e_sin = four_column_tables(protocol)
 
     def at(t):
         ph = freqs * t
@@ -430,8 +447,9 @@ def _four_column_sum(protocol: QuenchProtocol, times) -> np.ndarray:
 
 
 class TestWeightlessColumns:
-    # energy_at_times skips the frequency columns that carry no weight; the
-    # sum over all four columns must agree to 1e-13 max(1, max|dE|)
+    # energy_at_times runs one cosine column per chain, at 2 w1' and 2 w2';
+    # the matching matrices' expansion over all four columns, with the
+    # cross-band ones, must agree to 1e-13 max(1, max|dE|)
     TIMES = np.concatenate([0.37 * np.arange(60), [679.14, 1e4]])
 
     @pytest.mark.parametrize(
@@ -458,23 +476,23 @@ class TestWeightlessColumns:
 
     @pytest.mark.parametrize(
         "protocol, columns",
-        [(FIG2, 2), (QuenchProtocol(1e-12, 0.3, 0.6, 50), 3)],
+        [(FIG2, 2), (QuenchProtocol(1e-12, 0.3, 0.6, 50), 2)],
         ids=["fig2", "gamma_1e-12"],
     )
     def test_evaluates_only_the_weighted_columns(self, monkeypatch, protocol, columns):
-        # Fig. 2 keeps 2 w1' and 2 w2'; near-degenerate charging bands that
-        # eigh mixes also keep w1' + w2'.  One core: one thread sees the grid.
+        # the two chains' cosines and no sines, also on near-degenerate
+        # charging bands.  One core: one thread sees the grid.
         monkeypatch.setattr(quench, "_cores", lambda: 1)
-        phases = []
-        for name in ("cos", "sin"):
-            def spy(x, *args, _trig=getattr(np, name), **kwargs):
+        phases = {"cos": [], "sin": []}
+        for name in phases:
+            def spy(x, *args, _name=name, _trig=getattr(np, name), **kwargs):
                 if np.ndim(x) == 3:
-                    phases.append(np.shape(x))
+                    phases[_name].append(np.shape(x))
                 return _trig(x, *args, **kwargs)
 
             monkeypatch.setattr(np, name, spy)
         energy_at_times(protocol, 0.05 * np.arange(10))
-        assert phases == [(protocol.n_dimers, columns, 10)] * 2
+        assert phases == {"cos": [(protocol.n_dimers, columns, 10)], "sin": []}
 
 
 class TestEvaluators:
@@ -578,29 +596,35 @@ class TestAsymptoticEnergy:
 
 
 class TestStatelessEngines:
-    # only the time kernel decomposes Bloch stacks, the battery's and the
-    # charger's once each; the asymptote and the occupations come from the
-    # closed-form chains and decompose none
+    # only the time kernel decomposes a Bloch stack, the charger's, once, in
+    # one eigh; the asymptote and the occupations come from the closed-form
+    # chains and decompose none
     @pytest.mark.parametrize(
         "call, stacks",
         [
-            (lambda p: energy_at_times(p, [0.0, 1.0]), 2),
+            (lambda p: energy_at_times(p, [0.0, 1.0]), 1),
             (asymptotic_energy, 0),
             (lambda p: occupations_all(p, 1.0), 0),
         ],
         ids=["energy_at_times", "asymptotic_energy", "occupations_all"],
     )
     def test_each_call_decomposes_each_bloch_stack_once(self, monkeypatch, call, stacks):
-        decomposed = []
-        original = quench._bloch_eigensystems
+        decomposed, solves = [], []
+        original, eigh = quench._bloch_bands, np.linalg.eigh
 
         def counted(*args):
             decomposed.append(args)
             return original(*args)
 
-        monkeypatch.setattr(quench, "_bloch_eigensystems", counted)
+        def counted_eigh(a, *args, **kwargs):
+            solves.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(quench, "_bloch_bands", counted)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         call(QuenchProtocol(1.25, 0.3, 0.6, 6))
-        assert decomposed == [(1.25, 0.3, 6), (1.25, 0.3 + 0.6, 6)][:stacks]
+        assert decomposed == [(1.25, 0.3 + 0.6, 6)][:stacks]
+        assert solves == [(6, 4, 4)][:stacks]
 
     def test_no_per_mode_table_outlives_its_call(self):
         # four fresh protocols per engine: tables kept per protocol would
@@ -619,17 +643,23 @@ class TestStatelessEngines:
         assert retained <= 10**6
 
 
+def _kernel_tables(protocol: QuenchProtocol):
+    """``(freqs, e_const, e_cos)`` of the XY time kernel, shapes (N, 2), (N,), (N, 2):
+    the two chains' closed-form amplitudes at the charger's Bloch bands."""
+    g, n = protocol.gamma, protocol.n_dimers
+    norm, _, sin2_dphi = xy._xy_chains(g, protocol.delta0, protocol.delta1, n)
+    e_cos = -(norm * sin2_dphi)
+    freqs = 2.0 * quench._bloch_bands(g, protocol.delta0 + protocol.delta1, n)
+    return freqs, -(e_cos[:, 0] + e_cos[:, 1]), e_cos
+
+
 def _whole_table_kernel(protocol: QuenchProtocol, times) -> np.ndarray:
-    """The XY time kernel without blocks or tiles: (N, F, T) tables over the whole
+    """The XY time kernel without blocks or tiles: (N, 2, T) tables over the whole
     grid, then one ``compensated_sum_axis0`` over the modes: the reference."""
-    freqs, e_const, e_cos, e_sin = quench._energy_tables(protocol)
-    weight = np.sum(np.abs(e_cos) + np.abs(e_sin), axis=0)
-    keep = weight > np.finfo(float).eps * np.sum(np.abs(e_const))
-    freqs, e_cos, e_sin = freqs[:, keep], e_cos[:, keep], e_sin[:, keep]
+    freqs, e_const, e_cos = _kernel_tables(protocol)
     ph = freqs[:, :, None] * np.asarray(times, dtype=float)[None, None, :]
     e = np.einsum("nf,nft->nt", e_cos, np.cos(ph))
     e += e_const[:, None]
-    e += np.einsum("nf,nft->nt", e_sin, np.sin(ph))
     return sums.compensated_sum_axis0(e)
 
 
@@ -640,15 +670,33 @@ def _fig3_window_grid():
     return quench._uniform_times(*window, regimes.DT_SAFETY * bound, bound)
 
 
+class TestTiedWindow:
+    # delta0 + delta1 = 1 makes the Fig-3 charging bands flat: five samples of
+    # the delta0 = 0.2 row's window grid hold the same float maximum, and the
+    # next lies 2.8e-14 below.  Which comes first depends only on the bits of
+    # the kernel's frequencies; a move of them changes the row's tau_r.
+    TIED = [714.704, 730.412, 746.12, 777.536, 793.244]
+
+    def test_five_samples_hold_the_exact_maximum(self):
+        times = _fig3_window_grid()
+        values = energy_at_times(FIG3, times)
+        tied = times[values == np.max(values)]
+        assert tied == pytest.approx(self.TIED, abs=1e-3)
+
+    def test_the_sweep_row_keeps_its_recurrence_time(self):
+        (row,) = regimes.sweep_delta0(1.1, 0.8, 300, [0.2])
+        assert row.tau_r == pytest.approx(714.7123089684378, rel=1e-9)
+
+
 class TestTiledKernel:
     # energy_at_times runs mode tiles inside time blocks; every tile budget and
     # thread count must give the bits of the whole-table kernel
     @pytest.mark.parametrize(
         "protocol, times",
         [
-            (FIG3, _fig3_window_grid()),  # 5,603 samples, 2 kept columns
-            (QuenchProtocol(1e-12, 0.3, 0.6, 7), 0.05 * np.arange(5000)),  # 3 columns
-            (QuenchProtocol(0.5, 0.3, 0.0, 3), 0.05 * np.arange(5000)),  # delta1 = 0: 4 columns
+            (FIG3, _fig3_window_grid()),  # 5,603 samples
+            (QuenchProtocol(1e-12, 0.3, 0.6, 7), 0.05 * np.arange(5000)),  # near-degenerate
+            (QuenchProtocol(0.5, 0.3, 0.0, 3), 0.05 * np.arange(5000)),  # delta1 = 0
             (QuenchProtocol(0.8, 0.3, 0.5, 7), 0.3 + 0.05 * np.arange(9000)),  # odd n
             (QuenchProtocol(0.8, 0.3, 0.5, 2), 0.05 * np.arange(3)),
         ],
@@ -662,12 +710,12 @@ class TestTiledKernel:
             assert np.array_equal(energy_at_times(protocol, times), reference), (budget, cores)
 
     def test_memory_does_not_grow_with_the_modes(self):
-        # 3,000 dimers x 8,192 times: the whole (N, F, T) tables of one block
-        # peak near 191 MB, while the tiles hold a few MB whatever N
+        # 3,000 dimers x 8,192 times: the whole (N, 2, T) phase table of one
+        # block alone holds 197 MB, while the tiles hold a few MB whatever N
         protocol, times = QuenchProtocol(1.25, 0.3, 0.6, 3000), 0.05 * np.arange(8192)
         tracemalloc.start()
         try:
-            quench._energy_tables(protocol)
+            _kernel_tables(protocol)
             tables = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             energy_at_times(protocol, times)
@@ -940,8 +988,10 @@ class TestBandBits:
 
 
 class TestBlochEigensystems:
-    # the time kernel's one eigensolve keeps every bit of the tests-side
-    # Bloch reference, for the battery's and the charger's dimerization
+    # the time kernel's frequencies: its one eigensolve keeps every bit of
+    # the tests-side Bloch reference's bands, at the battery's and the
+    # charger's dimerization.  The tied Fig-3 window maximum (TestTiedWindow)
+    # rests on these bits.
     @pytest.mark.parametrize(
         "protocol",
         [*_pinned_protocols(), QuenchProtocol(1.0, 1.0, 0.0, 2), QuenchProtocol(0.8, 0.0, 0.0, 6)],
@@ -949,10 +999,9 @@ class TestBlochEigensystems:
     def test_matches_the_reference_bitwise(self, protocol):
         for delta in (protocol.delta0, protocol.delta0 + protocol.delta1):
             args = (protocol.gamma, delta, protocol.n_dimers)
-            ref = eigensystem_stack(bloch_stack(*args))
-            got = quench._bloch_eigensystems(*args)
-            for r, g in zip(ref, got):
-                assert (g.dtype, g.shape, g.tobytes()) == (r.dtype, r.shape, r.tobytes())
+            ref = eigensystem_stack(bloch_stack(*args))[0]
+            got = quench._bloch_bands(*args)
+            assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
 
 
 # E^inf frozen from a 40-digit mpmath sum of |d| sin^2 dphi over the modes,

@@ -145,6 +145,16 @@ class TestAnalyzeTrace:
         with pytest.raises(ValueError, match=re.escape(message)):
             analyze_trace(_synthetic_trace(times, np.sin(times)), 0.0, (10.0, 20.0))
 
+    def test_empty_window_narrower_than_dt_after_the_grid_names_t_end(self):
+        # narrower than the step, but after the trace's end: a finer dt cannot help
+        times = np.arange(0.0, 5.0, 0.1)
+        message = (
+            f"window-min 10.0 to window-max 10.01 holds none of the 50 grid samples, "
+            f"t = 0.0 to {times[-1]}; raise --t-end into the window"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            analyze_trace(_synthetic_trace(times, np.sin(times)), 0.0, (10.0, 10.01))
+
     @pytest.mark.parametrize("params, make_trace", [
         (QuenchProtocol(1.25, 0.3, 0.6, 20), energy_trace),
         (IsingParams(0.8, 0.7, 20), ising_energy_trace),
