@@ -23,12 +23,12 @@ Bloch bands (``_bloch_bands``, the one eigensolve here), not the closed form
 4 |d'|, which differs from them in the last bits: on flat charging bands
 (delta0 + delta1 = 1) several window samples tie for the maximum, and which
 one comes first depends on those bits.  The kernel runs ascending mode tiles
-inside time blocks, adding each tile's rows into a compensated pair per
-block, so its memory does not grow with the modes.  Each sample depends only
-on its own time, so the kernel splits every grid into contiguous shares over
-min(cores, a sweep's ``workers``, samples) threads, each with its own tiles
-(numpy releases the GIL in the trig, the einsum and the reduction); the
-result depends neither on the thread count nor on the tile size.
+in chunks of times, adding each tile's rows into a compensated pair per
+chunk, so its memory grows neither with the modes nor with the times.  Each
+sample depends only on its own time, so every grid splits into contiguous
+shares over min(cores, a sweep's ``workers``, samples) threads (numpy
+releases the GIL in the trig, the einsum and the reduction); the result
+depends neither on the thread count nor on the tile size.
 
 Engines keep nothing between calls.  The helpers under "scaffolding shared
 with the Ising closed form" (time checks, the phase-block kernel and the
@@ -84,13 +84,12 @@ MAX_MODE_SAMPLES = 10**9
 # w t stays finite.
 MAX_TIME = 1e100
 
-# An XY kernel block holds at most _TIME_BLOCK times, its modes run in tiles
-# of at least one mode whose (modes x 2 chains x times) tables hold at most
-# _TILE_ELEMENTS floats each (512 KB, a core's cache).  When k threads split a
-# grid, each runs its share in blocks 1/k as long, in tiles of its own.  The
-# phase-block kernel's temporaries hold _BLOCK_ELEMENTS together.  _WORKERS
-# bounds the threads: a sweep's or scaling run's ``workers``, else None (no bound).
-_TIME_BLOCK = 4096
+# The XY kernel's (modes x 2 chains x times) tables hold at most
+# _TILE_ELEMENTS floats each (512 KB, a core's cache): every thread runs its
+# share in chunks of one mode's tile, _TILE_ELEMENTS // 2 times, and a shorter
+# chunk in tiles of as many modes as fit.  The phase-block kernel's
+# temporaries hold _BLOCK_ELEMENTS together.  _WORKERS bounds the threads: a
+# sweep's or scaling run's ``workers``, else None (no bound).
 _TILE_ELEMENTS = 2**16
 _BLOCK_ELEMENTS = 10**7
 _WORKERS = contextvars.ContextVar("workers", default=None)
@@ -243,26 +242,25 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _fill_blocks(fill, size: int, block: int) -> None:
-    """``fill(lo, hi)`` over consecutive blocks of at most ``block`` that cover range(size).
+def _fill_blocks(fill, size: int, width: int) -> None:
+    """``fill(lo, hi)`` over consecutive chunks of at most ``width`` that cover range(size).
 
-    k = min(cores, :data:`_WORKERS`, size) threads run k contiguous shares,
-    of lengths within one, in blocks of block // k (at k = 1, the caller runs
-    it all).  Thread j is pinned to every k-th CPU of the affinity mask from
-    the j-th on: a scheduler that does not balance load keeps a thread on the
-    core that started it.  Threads run in copies of the caller's context, so
-    ``np.errstate`` holds in them.  The first exception of any thread is
-    raised once all have stopped; an interrupt while waiting is raised at
-    once, and the threads stop after their current block.
+    The grid splits into k = min(cores, :data:`_WORKERS`, size) contiguous
+    shares, of lengths within one, each run in chunks of ``width`` (its last
+    one shorter).  At k = 1 the caller runs the one share, unpinned.
+    Otherwise share j runs on a thread pinned to every k-th CPU of the
+    affinity mask from the j-th on: a scheduler that does not balance load
+    keeps a thread on the core that started it.  Threads run in copies of
+    the caller's context, so ``np.errstate`` holds in them.  The first
+    exception of any share is raised once all have stopped.  An interrupt
+    while waiting is raised at once, and each thread stops after its current
+    chunk; in the XY kernel that is up to _TILE_ELEMENTS // 2 times x all
+    modes, the price of one budget for a chunk's memory and its length.
     """
     budget = _WORKERS.get()
-    threads = min(_cores(), size if budget is None else budget, size)
-    if threads <= 1:
-        for lo in range(0, size, block):
-            fill(lo, lo + block)
-        return
-    width = max(1, block // threads)
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    threads = max(1, min(_cores(), size if budget is None else budget, size))
+    pin = threads > 1 and hasattr(os, "sched_setaffinity")
+    cpus = sorted(os.sched_getaffinity(0)) if pin else []
     errors = []
 
     def share(j: int) -> None:
@@ -277,26 +275,27 @@ def _fill_blocks(fill, size: int, block: int) -> None:
         except BaseException as exc:
             errors.append(exc)
 
-    workers = [
-        threading.Thread(target=contextvars.copy_context().run, args=(share, j))
-        for j in range(threads)
-    ]
-    for worker in workers:
-        worker.start()
-    try:
+    if threads == 1:
+        share(0)
+    else:
+        workers = [
+            threading.Thread(target=contextvars.copy_context().run, args=(share, j))
+            for j in range(threads)
+        ]
         for worker in workers:
-            worker.join()
-    except BaseException as exc:
-        errors.append(exc)
-        raise
+            worker.start()
+        try:
+            for worker in workers:
+                worker.join()
+        except BaseException as exc:
+            errors.append(exc)
+            raise
     if errors:
         raise errors[0]
 
 
 def _resolution_bound(fmax: float) -> float:
-    """Largest step with twenty samples per period of the frequency fmax."""
-    if fmax == 0.0:
-        return np.inf
+    """Largest step with twenty samples per period of the frequency fmax > 0."""
     return np.pi / (SAMPLES_PER_PERIOD_FACTOR * fmax)
 
 
@@ -370,12 +369,12 @@ def energy_at_times(
     """Stored energy on an arbitrary grid of times >= 0.
 
     The XY time kernel of the module docstring, one cosine column per chain.
-    Times run in blocks of at most _TIME_BLOCK, split over threads by
-    :func:`_fill_blocks`; inside a block the modes run in ascending tiles of
-    at most _TILE_ELEMENTS floats per (tile, 2, T) table, whose rows are added
-    in ascending-q order into the block's compensated pair.  Each sample sees
-    the same operations in the same order, whatever the block length, the
-    tile size or the thread count.
+    :func:`_fill_blocks` splits the times over threads in chunks of
+    _TILE_ELEMENTS // 2; inside a chunk of T times the modes run in ascending
+    tiles of at most _TILE_ELEMENTS floats per (tile, 2, T) table, at least
+    one mode, whose rows are added in ascending-q order into the chunk's
+    compensated pair.  Each sample sees the same operations in the same
+    order, whatever the chunk length, the tile size or the thread count.
     """
     if evaluator not in ("full", "simplified"):
         raise ValueError(f"evaluator must be 'full' or 'simplified', got {evaluator!r}")
@@ -390,7 +389,7 @@ def energy_at_times(
 
     def fill(lo: int, hi: int) -> None:
         t = times[lo:hi]
-        rows = min(n, max(1, _TILE_ELEMENTS // max(1, f * t.size)))
+        rows = min(n, max(1, _TILE_ELEMENTS // (f * t.size)))
         phase = np.empty((rows, f, t.size))
         e = np.empty((rows, t.size))
         total, comp = np.zeros((2, t.size))
@@ -402,7 +401,7 @@ def energy_at_times(
             add_rows(e[:k], total, comp)
         out[lo:hi] = total + comp
 
-    _fill_blocks(fill, times.size, _TIME_BLOCK)
+    _fill_blocks(fill, times.size, max(1, _TILE_ELEMENTS // f))
     return out
 
 

@@ -183,6 +183,11 @@ class TestTrace:
             (["trace", "--n-dimers", "10", "--window-min", "30", "--window-max", "20"],
              "0 <= window-min < window-max"),
             (["oracle-check", "--tol", "-1"], "tol must be >= 0, got -1.0"),
+            (["trace", "--format", "xml"], "format must be one of ['csv', 'json'], got 'xml'"),
+            (["trace", "--model", "foo"], "model must be one of ['ising', 'xy'], got 'foo'"),
+            (["sweep", "--workers", "0"], "workers must be >= 1"),
+            (["sweep", "--param-min", "0.1", "--param-max", "0.2", "--param-step", "0"],
+             "param-step must be positive, got 0.0"),
         ],
     )
     def test_bad_number_exits_2_and_names_it(self, capsys, args, message):

@@ -339,11 +339,24 @@ class TestEnergyTrace:
         assert np.array_equal(trace.values, pointwise)
 
     @pytest.mark.parametrize(
+        "times, values, message",
+        [
+            ([0.0, 1.0], [0.0], "times and values must have matching shapes"),
+            ([0.0, 1.0, 1.0], [0.0, 0.1, 0.1], "times must be strictly ascending"),
+            ([1.0, 0.0], [0.1, 0.0], "times must be strictly ascending"),
+        ],
+        ids=["shapes", "repeated", "descending"],
+    )
+    def test_rejects_a_malformed_trace(self, times, values, message):
+        with pytest.raises(ValueError, match=message):
+            quench.EnergyTrace(np.array(times), np.array(values), FIG2)
+
+    @pytest.mark.parametrize(
         "budget, samples", [(600, 40), (600 * 7, 1500), (600 * 333, 1500), (600 * 777, 1500)]
     )
     def test_block_budget_keeps_the_bits(self, monkeypatch, budget, samples):
-        # one thread, 2 columns x 40 or 1500 times per mode: tiles of 7,
-        # 1, 66 and 155 of the 300 modes
+        # one thread, one chunk (budget // 2 times cover the grid), 2 columns
+        # x 40 or 1500 times per mode: tiles of 7, 1, 66 and 155 of the 300 modes
         monkeypatch.setattr(quench, "_cores", lambda: 1)
         times = 0.05 * np.arange(samples)
         default = energy_at_times(FIG2, times)
@@ -400,11 +413,6 @@ class TestEnergyTrace:
         _forbid(monkeypatch, *tables)
         with pytest.raises(ValueError, match="times must"):
             energy(params, times)
-
-    def test_one_mode_fits_a_full_time_block_tile(self):
-        # a mode's two chain columns over a full block: so the one-mode floor
-        # of a tile never lifts it over its budget
-        assert quench._TILE_ELEMENTS >= 2 * quench._TIME_BLOCK
 
     def test_grid_and_initial_value(self):
         p = QuenchProtocol(1.25, 0.3, 0.6, 40)
@@ -654,7 +662,7 @@ def _kernel_tables(protocol: QuenchProtocol):
 
 
 def _whole_table_kernel(protocol: QuenchProtocol, times) -> np.ndarray:
-    """The XY time kernel without blocks or tiles: (N, 2, T) tables over the whole
+    """The XY time kernel without chunks or tiles: (N, 2, T) tables over the whole
     grid, then one ``compensated_sum_axis0`` over the modes: the reference."""
     freqs, e_const, e_cos = _kernel_tables(protocol)
     ph = freqs[:, :, None] * np.asarray(times, dtype=float)[None, None, :]
@@ -689,8 +697,11 @@ class TestTiedWindow:
 
 
 class TestTiledKernel:
-    # energy_at_times runs mode tiles inside time blocks; every tile budget and
-    # thread count must give the bits of the whole-table kernel
+    # energy_at_times runs mode tiles inside chunks of _TILE_ELEMENTS // 2
+    # times; every tile budget and thread count must give the bits of the
+    # whole-table kernel.  Budgets of 1200 and 4802 floats cut the grids into
+    # chunks of at most 600 and 2401 times, with one-mode tiles in full chunks
+    # and uneven multi-mode tiles in short ones; 2^22 takes all modes at once
     @pytest.mark.parametrize(
         "protocol, times",
         [
@@ -704,25 +715,29 @@ class TestTiledKernel:
     )
     def test_tiles_and_threads_keep_the_whole_table_bits(self, monkeypatch, protocol, times):
         reference = _whole_table_kernel(protocol, times)
-        for budget, cores in itertools.product([1, 7, quench._TILE_ELEMENTS, 2**22], [1, 2, 3]):
+        budgets = [1200, 4802, quench._TILE_ELEMENTS, 2**22]
+        for budget, cores in itertools.product(budgets, [1, 2, 3]):
             monkeypatch.setattr(quench, "_TILE_ELEMENTS", budget)
             monkeypatch.setattr(quench, "_cores", lambda cores=cores: cores)
             assert np.array_equal(energy_at_times(protocol, times), reference), (budget, cores)
 
     def test_memory_does_not_grow_with_the_modes(self):
-        # 3,000 dimers x 8,192 times: the whole (N, 2, T) phase table of one
-        # block alone holds 197 MB, while the tiles hold a few MB whatever N
-        protocol, times = QuenchProtocol(1.25, 0.3, 0.6, 3000), 0.05 * np.arange(8192)
-        tracemalloc.start()
-        try:
-            _kernel_tables(protocol)
-            tables = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            energy_at_times(protocol, times)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= tables + 16 * 10**6
+        # the whole (N, 2, T) phase table holds 393 MB at 3,000 dimers x 8,192
+        # times and 160 MB at 50 dimers x 200,000 times, whose chunks of
+        # _TILE_ELEMENTS // 2 times hit the one-mode floor of a tile; the tiles
+        # hold a few MB whatever N and T
+        for n_dimers, samples in [(3000, 8192), (50, 200_000)]:
+            protocol, times = QuenchProtocol(1.25, 0.3, 0.6, n_dimers), 0.05 * np.arange(samples)
+            tracemalloc.start()
+            try:
+                _kernel_tables(protocol)
+                tables = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                energy_at_times(protocol, times)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= tables + 16 * 10**6, (n_dimers, samples)
 
 
 def _grid(protocol, t0, t1):
@@ -733,31 +748,31 @@ def _grid(protocol, t0, t1):
 
 class TestKernelThreads:
     # energy_at_times splits its grid over min(cores, workers, samples)
-    # threads; any thread count must give the bits of one thread.  At 20
-    # dimers a gapped chain keeps full blocks of _TIME_BLOCK times.
+    # threads; any thread count must give the bits of one thread.  Each share
+    # runs in chunks of BLOCK times, one mode's tile of _TILE_ELEMENTS floats.
     SMALL = QuenchProtocol(1.25, 0.3, 0.6, 20)
-    BLOCK = quench._TIME_BLOCK
+    BLOCK = quench._TILE_ELEMENTS // 2
 
     @staticmethod
     def _blocks(monkeypatch):
-        """(thread, CPUs, lo, hi) of every block the kernel fills, as it fills them."""
+        """(thread, CPUs, lo, hi) of every chunk the kernel fills, as it fills them."""
         blocks = []
         fill_blocks = quench._fill_blocks
 
-        def spy(fill, size, block):
+        def spy(fill, size, width):
             def recorded(lo, hi):
                 cpus = frozenset(getattr(os, "sched_getaffinity", lambda _: ())(0))
                 blocks.append((threading.current_thread(), cpus, lo, min(hi, size)))
                 fill(lo, hi)
 
-            fill_blocks(recorded, size, block)
+            fill_blocks(recorded, size, width)
 
         monkeypatch.setattr(quench, "_fill_blocks", spy)
         return blocks
 
     @staticmethod
     def _shares(blocks):
-        """Each thread's blocks as a list of (lo, hi), the lists in grid order."""
+        """Each thread's chunks as a list of (lo, hi), the lists in grid order."""
         by_thread = {}
         for thread, _, lo, hi in blocks:
             by_thread.setdefault(thread, []).append((lo, hi))
@@ -784,7 +799,9 @@ class TestKernelThreads:
         one, two, three = self._by_cores(monkeypatch, protocol, times)
         assert np.array_equal(one, two) and np.array_equal(one, three)
 
-    @pytest.mark.parametrize("samples", [0, 1, BLOCK, BLOCK + 1, 2 * BLOCK + 777])
+    @pytest.mark.parametrize(
+        "samples", [0, 1, 4096, 4097, 8969, BLOCK, BLOCK + 1, 2 * BLOCK + 777, 6 * BLOCK + 5]
+    )
     def test_grid_lengths_keep_the_bits(self, monkeypatch, samples):
         one, two, three = self._by_cores(monkeypatch, self.SMALL, 0.3 * np.arange(samples))
         assert one.shape == (samples,)
@@ -792,11 +809,15 @@ class TestKernelThreads:
 
     @pytest.mark.parametrize(
         "samples, cores",
-        [(1, 1), (BLOCK, 1), (BLOCK + 1, 2), (2 * BLOCK + 777, 3), (BLOCK, 3), (2, 3)],
+        [
+            (1, 1), (4096, 1), (4097, 2), (8969, 3), (4096, 3), (2, 3),  # one chunk a share
+            (BLOCK, 1), (2 * BLOCK + 777, 1), (4 * BLOCK + 1, 2), (7 * BLOCK + 5, 3),
+        ],
     )
     def test_threads_share_one_blocks_memory(self, monkeypatch, samples, cores):
         # k = min(cores, samples) threads, each on one of k contiguous shares
-        # of the grid, near-equal and in order, in blocks of _TIME_BLOCK // k
+        # of the grid, near-equal and in order, in chunks of BLOCK times (the
+        # last of a share shorter), whatever k
         monkeypatch.setattr(quench, "_cores", lambda: cores)
         blocks = self._blocks(monkeypatch)
         energy_at_times(self.SMALL, 0.3 * np.arange(samples))
@@ -805,7 +826,8 @@ class TestKernelThreads:
         assert len(shares) == k
         for share in shares:
             assert all(a[1] == b[0] for a, b in zip(share, share[1:]))
-            assert max(hi - lo for lo, hi in share) <= self.BLOCK // k
+            assert all(hi - lo == self.BLOCK for lo, hi in share[:-1])
+            assert share[-1][1] - share[-1][0] <= self.BLOCK
         ends = [(share[0][0], share[-1][1]) for share in shares]
         assert [lo for lo, _ in ends] == [0] + [hi for _, hi in ends[:-1]]
         assert ends[-1][1] == samples
@@ -813,7 +835,7 @@ class TestKernelThreads:
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
     def test_one_block_grid_splits_over_the_cpus(self, monkeypatch):
-        # a sweep's short span (1,401 samples, one serial block) runs on two
+        # a sweep's short span (1,401 samples, one chunk) runs on two
         # pinned threads at two CPUs, and on the calling thread at workers = 1
         times = _grid(FIG3, 0.0, regimes.DEFAULT_SHORT_SPAN)
         assert times.size == 1401
@@ -875,10 +897,46 @@ class TestKernelThreads:
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
             energy_at_times(self.SMALL, 0.3 + 0.3 * np.arange(3 * self.BLOCK))
 
+    def test_an_interrupt_while_joining_raises_at_once(self, monkeypatch):
+        # the caller's wait is interrupted while every thread is inside its
+        # first chunk: the interrupt propagates before any thread finishes
+        # it, and each thread fills at most one more chunk
+        threads, Thread = 3, threading.Thread
+        entered, release, started, calls = threading.Semaphore(0), threading.Event(), [], []
+
+        def fill(lo, hi):
+            calls.append(threading.current_thread())
+            entered.release()
+            release.wait(timeout=60)
+
+        class Interrupted(Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+            def join(self, timeout=None):
+                for _ in range(threads):
+                    assert entered.acquire(timeout=60)
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(quench, "_cores", lambda: threads)
+        monkeypatch.setattr(threading, "Thread", Interrupted)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                quench._fill_blocks(fill, 4 * threads, 1)
+            assert len(started) == threads
+            assert all(worker.is_alive() for worker in started)
+        finally:
+            release.set()
+            for worker in started:
+                Thread.join(worker, timeout=60)
+        assert not any(worker.is_alive() for worker in started)
+        assert all(1 <= calls.count(worker) <= 2 for worker in started)
+
     def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
-        # 8 threads of 512 times each, switching every microsecond: a lost
-        # or misplaced block write would change the bits
-        times = 0.3 * np.arange(5 * self.BLOCK + 123)
+        # 8 threads of three chunks each, switching every microsecond: a lost
+        # or misplaced chunk write would change the bits
+        times = 0.3 * np.arange(17 * self.BLOCK + 123)
         monkeypatch.setattr(quench, "_cores", lambda: 1)
         one = energy_at_times(self.SMALL, times)
         monkeypatch.setattr(quench, "_cores", lambda: 8)

@@ -287,14 +287,14 @@ class TestSweeps:
         seen = []
         fill_blocks = quench._fill_blocks
 
-        def spy(fill, size, block):
+        def spy(fill, size, width):
             used = set()
 
             def recorded(lo, hi):
                 used.add(threading.current_thread())
                 fill(lo, hi)
 
-            fill_blocks(recorded, size, block)
+            fill_blocks(recorded, size, width)
             seen.append(len(used))
 
         monkeypatch.setattr(quench, "_fill_blocks", spy)

@@ -66,7 +66,7 @@ def test_rows_in_order_of_the_kernel():
 
 @pytest.mark.parametrize("tile", [1, 7, 64, 300])
 def test_rows_added_tile_by_tile_keep_the_bits(tile):
-    # the XY kernel adds each mode tile's rows into one running pair per block
+    # the XY kernel adds each mode tile's rows into one running pair per chunk of times
     values = _mixed(np.random.default_rng(5), 300, 64)
     total, comp = np.zeros((2, 64))
     for lo in range(0, 300, tile):
