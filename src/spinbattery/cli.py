@@ -336,7 +336,7 @@ def cmd_oracle_check(opts: dict) -> int:
         battery, charger = (build_hamiltonian(kind, n_sites) for kind in kinds)
         params = IsingParams(h0, h1, n_sites)
     oracle = oracle_energy_trace(battery, charger, times).values
-    engine = _engine(params)[0](params, times)
+    engine = _engine(params).energy(params, times)
     deviation = float(np.max(np.abs(engine - oracle)))
     print(f"max deviation = {format_float(deviation)} (tolerance {format_float(opts['tol'])})")
     scale = max(1.0, float(np.max(np.abs(oracle))))

@@ -71,11 +71,17 @@ def _mode_arrays(params: IsingParams):
     return 2.0 * norm_p, 2.0 * norm * sin2_dphi
 
 
-def ising_energy_at_times(params: IsingParams, times: np.ndarray) -> np.ndarray:
-    """Stored energy on an arbitrary grid of times >= 0."""
+def _ising_tables(params: IsingParams, times):
+    """(times, amp, freq) of ``ising_energy_at_times``: ``times`` checked
+    (``_engine_times``), then the half zone's amplitudes and frequencies 2 w_q."""
     times = _engine_times("n_sites", params.n_sites, params.n_sites // 2, times)
     omega, amp = _mode_arrays(params)
-    return _phase_block_sum(times, amp, 2.0 * omega)
+    return times, amp, 2.0 * omega
+
+
+def ising_energy_at_times(params: IsingParams, times: np.ndarray) -> np.ndarray:
+    """Stored energy on an arbitrary grid of times >= 0."""
+    return _phase_block_sum(*_ising_tables(params, times))
 
 
 def ising_asymptotic_energy(params: IsingParams) -> float:

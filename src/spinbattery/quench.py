@@ -28,7 +28,9 @@ chunk, so its memory grows neither with the modes nor with the times.  Each
 sample depends only on its own time, so every grid splits into contiguous
 shares over min(cores, a sweep's ``workers``, samples) threads (numpy
 releases the GIL in the trig, the einsum and the reduction); the result
-depends neither on the thread count nor on the tile size.
+depends neither on the thread count nor on the tile size, and a sample's
+bits not on the grid it is part of.  ``_xy_tables`` builds the tables and
+``_xy_kernel`` runs them, so a sweep row builds them once for all its calls.
 
 Engines keep nothing between calls.  The helpers under "scaffolding shared
 with the Ising closed form" (time checks, the phase-block kernel and the
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sums import add_rows, compensated_sum
+from .sums import ROW_BY_ROW, add_rows, compensated_sum
 from .xy import (
     ChainParams,
     _check_finite,
@@ -84,12 +86,15 @@ MAX_MODE_SAMPLES = 10**9
 # w t stays finite.
 MAX_TIME = 1e100
 
-# The XY kernel's (modes x 2 chains x times) tables hold at most
-# _TILE_ELEMENTS floats each (512 KB, a core's cache): every thread runs its
-# share in chunks of one mode's tile, _TILE_ELEMENTS // 2 times, and a shorter
-# chunk in tiles of as many modes as fit.  The phase-block kernel's
-# temporaries hold _BLOCK_ELEMENTS together.  _WORKERS bounds the threads: a
-# sweep's or scaling run's ``workers``, else None (no bound).
+# _TILE_ELEMENTS floats is 512 KB, a core's cache.  Every thread of the XY
+# kernel runs its share in chunks of _TILE_ELEMENTS // 2 times, one mode's
+# (2 chains x times) phase table, and each chunk in tiles of as many modes as
+# fit their phases in _TILE_ELEMENTS (at least one mode); a tile taller than
+# sums.ROW_BY_ROW fits its phases, energies and reduction buffers, 6 floats
+# per mode and time, instead.  The phase-block kernel's
+# temporaries hold _BLOCK_ELEMENTS together, those of a sweep row's window
+# screen _TILE_ELEMENTS.  _WORKERS bounds the threads: a sweep's or scaling
+# run's ``workers``, else None (no bound).
 _TILE_ELEMENTS = 2**16
 _BLOCK_ELEMENTS = 10**7
 _WORKERS = contextvars.ContextVar("workers", default=None)
@@ -193,7 +198,9 @@ def _phase_block(times: np.ndarray) -> tuple[int, float]:
     return math.isqrt(n - 1) + 1, float(step)
 
 
-def _phase_block_sum(times: np.ndarray, amp: np.ndarray, freq: np.ndarray) -> np.ndarray:
+def _phase_block_sum(
+    times: np.ndarray, amp: np.ndarray, freq: np.ndarray, budget: int | None = None
+) -> np.ndarray:
     """sum_q amp_q [1 - cos(freq_q t)] at every time t of ``times``, by phase blocks.
 
     The grid is cut into blocks of B times t_b + j step (j < B, see
@@ -206,15 +213,16 @@ def _phase_block_sum(times: np.ndarray, amp: np.ndarray, freq: np.ndarray) -> np
     each block column j of the trace is two matrix-vector products,
     (blocks x M) @ (M,), with no trigonometric call per sample.  Each term is
     small where dE is, so dE(0) = 0 exactly.  Modes are taken in tiles whose
-    temporaries hold at most _BLOCK_ELEMENTS floats together, and the tiles
-    are summed in ascending order.  A matrix-vector product gives every
-    output element to one BLAS thread, so a result depends only on the grid,
-    the modes and the budget, not on the BLAS thread count.
+    temporaries hold at most ``budget`` (None: _BLOCK_ELEMENTS) floats
+    together, and the tiles are summed in ascending order.  A matrix-vector
+    product gives every output element to one BLAS thread, so a result
+    depends only on the grid, the modes and the budget, not on the BLAS
+    thread count.
     """
     block, step = _phase_block(times)
     starts = times[::block]
     offsets = step * np.arange(block)
-    tile = max(1, _BLOCK_ELEMENTS // (3 * starts.size + 2 * block))
+    tile = max(1, (budget or _BLOCK_ELEMENTS) // (3 * starts.size + 2 * block))
     out = np.zeros((starts.size, block))
     for lo in range(0, amp.size, tile):
         out += _phase_tile(starts, offsets, amp[lo : lo + tile], freq[lo : lo + tile])
@@ -363,46 +371,67 @@ def _bloch_bands(gamma: float, delta: float, n_dimers: int) -> np.ndarray:
     return np.maximum(vals[:, [3, 2]], 0.0)
 
 
-def energy_at_times(
-    protocol: QuenchProtocol, times: np.ndarray, evaluator: str = "full"
-) -> np.ndarray:
-    """Stored energy on an arbitrary grid of times >= 0.
+def _xy_tables(protocol: QuenchProtocol, times):
+    """(times, amp, freq) of the XY time kernel: ``times`` checked (``_engine_times``),
+    then both chains' tables, shape (n_dimers, 2), built once.
 
-    The XY time kernel of the module docstring, one cosine column per chain.
-    :func:`_fill_blocks` splits the times over threads in chunks of
-    _TILE_ELEMENTS // 2; inside a chunk of T times the modes run in ascending
-    tiles of at most _TILE_ELEMENTS floats per (tile, 2, T) table, at least
-    one mode, whose rows are added in ascending-q order into the chunk's
-    compensated pair.  Each sample sees the same operations in the same
-    order, whatever the chunk length, the tile size or the thread count.
+    dE(t) = sum_{q,s} amp [1 - cos(freq t)], with amp = |d| sin^2 dphi from the
+    closed form and freq = 2 w_s' from the charger's Bloch bands, one eigh.
     """
-    if evaluator not in ("full", "simplified"):
-        raise ValueError(f"evaluator must be 'full' or 'simplified', got {evaluator!r}")
     times = _engine_times("n_dimers", protocol.n_dimers, protocol.n_dimers, times)
     g, d, n = protocol.gamma, protocol.delta0, protocol.n_dimers
     norm, _, sin2_dphi = _xy_chains(g, d, protocol.delta1, n)
-    e_cos = -(norm * sin2_dphi)
-    e_const = -(e_cos[:, 0] + e_cos[:, 1])
-    freqs = 2.0 * _bloch_bands(g, d + protocol.delta1, n)
-    f = freqs.shape[1]
+    return times, norm * sin2_dphi, 2.0 * _bloch_bands(g, d + protocol.delta1, n)
+
+
+def _xy_kernel(times: np.ndarray, amp: np.ndarray, freq: np.ndarray) -> np.ndarray:
+    """The XY time kernel of the module docstring over the tables of :func:`_xy_tables`.
+
+    :func:`_fill_blocks` splits the times over threads in chunks of
+    _TILE_ELEMENTS // 2; inside a chunk of T times the modes run in ascending
+    tiles, at least one mode, whose rows are added in ascending-q order into
+    the chunk's compensated pair (one ``add_rows`` call per tile).  A tile's
+    (tile, 2, T) phases hold at most _TILE_ELEMENTS floats, and so do its
+    phases, (tile, T) energies and add_rows' (tile + 1, T) buffers together
+    once it has more than ``sums.ROW_BY_ROW`` rows.  Each sample sees the
+    same operations in the same order, whatever the grid it is part of, the
+    chunk length, the tile size or the thread count.
+    """
+    e_cos = -amp
+    e_const = amp[:, 0] + amp[:, 1]
+    n, f = freq.shape
     out = np.empty(times.size, dtype=float)
 
     def fill(lo: int, hi: int) -> None:
         t = times[lo:hi]
-        rows = min(n, max(1, _TILE_ELEMENTS // (f * t.size)))
+        rows = max(1, _TILE_ELEMENTS // (f * t.size))
+        if rows > ROW_BY_ROW:  # a taller tile also fills add_rows' three (rows + 1, T) buffers
+            rows = max(1, _TILE_ELEMENTS // ((f + 4) * t.size))
+        rows = min(n, rows)
         phase = np.empty((rows, f, t.size))
         e = np.empty((rows, t.size))
+        work = np.empty((3, rows + 1, t.size))
         total, comp = np.zeros((2, t.size))
         for a in range(0, n, rows):
             q, k = slice(a, a + rows), min(rows, n - a)
-            ph = np.multiply.outer(freqs[q], t, out=phase[:k])
+            ph = np.multiply.outer(freq[q], t, out=phase[:k])
             np.einsum("nf,nft->nt", e_cos[q], np.cos(ph, out=ph), out=e[:k])
             e[:k] += e_const[q, None]
-            add_rows(e[:k], total, comp)
+            add_rows(e[:k], total, comp, work)
         out[lo:hi] = total + comp
 
     _fill_blocks(fill, times.size, max(1, _TILE_ELEMENTS // f))
     return out
+
+
+def energy_at_times(
+    protocol: QuenchProtocol, times: np.ndarray, evaluator: str = "full"
+) -> np.ndarray:
+    """Stored energy on an arbitrary grid of times >= 0: :func:`_xy_kernel` over
+    :func:`_xy_tables`, one cosine column per chain."""
+    if evaluator not in ("full", "simplified"):
+        raise ValueError(f"evaluator must be 'full' or 'simplified', got {evaluator!r}")
+    return _xy_kernel(*_xy_tables(protocol, times))
 
 
 def resolution_bound(protocol: QuenchProtocol) -> float:

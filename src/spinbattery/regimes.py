@@ -6,22 +6,30 @@ recurrence maximum (tau_r, E^r) searched inside a window that scales
 linearly with system size.  Sweeps evaluate these per grid point of the
 initial dimerization (or transverse field), row after row; the worker
 budget only bounds the XY kernel's threads, so outputs do not depend on it.
+A sweep or scaling row builds its per-mode tables once and runs the engine
+only on the samples that decide it: the short span in growing segments up
+to the sample after the first maximum, and, of the recurrence window, the
+samples that a phase-block screen of the whole window puts near its
+maximum, with their neighbours (``_regime_point``).
 The per-model rules live here, not in the command line: ``_engine`` picks
-the engines and default window, ``_recurrence_window`` fills and checks a
-window, ``_window_span`` picks its samples on a grid, ``_trace_inputs``
-holds the ``trace`` command's defaults, checks and trace, and an uncharged
-trace or window fails with "no charging occurred".
+the engines, table builds and kernels and the default window,
+``_recurrence_window`` fills and checks a window, ``_window_span`` picks its
+samples on a grid, ``_trace_inputs`` holds the ``trace`` command's defaults,
+checks and trace, and an uncharged trace or window fails with "no charging
+occurred".
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .ising import (
     IsingParams,
+    _ising_tables,
     ising_asymptotic_energy,
     ising_energy_at_times,
     ising_resolution_bound,
@@ -29,9 +37,13 @@ from .ising import (
 from .quench import (
     EnergyTrace,
     QuenchProtocol,
+    _TILE_ELEMENTS,
     _WORKERS,
     _build_trace,
+    _phase_block_sum,
     _uniform_times,
+    _xy_kernel,
+    _xy_tables,
     asymptotic_energy,
     energy_at_times,
     occupations_all,
@@ -204,17 +216,17 @@ def _trace_inputs(params, t_end, dt, window):
     DT_SAFETY x the resolution bound; ``_window_span`` rejects a window the grid
     misses (t_end before window-min included) before any engine call.
     """
-    energy, asymptote, resolution, _, default = _engine(params)
-    window = _recurrence_window(window, default)
+    model = _engine(params)
+    window = _recurrence_window(window, model.window)
     t_end = window[1] if t_end is None else t_end
-    dt = DT_SAFETY * resolution(params) if dt is None else dt
+    dt = DT_SAFETY * model.resolution(params) if dt is None else dt
 
     def windowed_energy(protocol, times):
         _window_span(times, window)
-        return energy(protocol, times)
+        return model.energy(protocol, times)
 
-    trace = _build_trace(windowed_energy, resolution, params, t_end, dt)
-    return trace, asymptote(params), window, t_end, dt
+    trace = _build_trace(windowed_energy, model.resolution, params, t_end, dt)
+    return trace, model.asymptote(params), window, t_end, dt
 
 
 def occupation_snapshot(protocol: QuenchProtocol, t: float) -> list[tuple[float, float]]:
@@ -237,10 +249,14 @@ def _windowed_argmax(
     RegimeDetectionError says "no charging occurred in the recurrence window"
     when that maximum is not above the noise floor of ``protocol``.
 
-    Flat charging bands (delta0 + delta1 = 1) make the trace exactly periodic,
-    so np.argmax picks among maxima equal up to rounding by their last bits: at
-    delta0 = 0.2 on the Fig-3 line (n = 300), 13 samples lie within 5.7e-14 and
-    the pick is tau_r = 714.712.  ROADMAP item 1's earliest-peak rule fixes it.
+    ``values`` need only hold the samples that can be the maximum and their
+    neighbours; a sweep row passes -inf at every other sample
+    (``_screened_values``), which leaves the pick and its refinement as on
+    the whole grid.  Flat charging bands (delta0 + delta1 = 1) make the trace
+    exactly periodic, so np.argmax picks among maxima equal up to rounding by
+    their last bits: at delta0 = 0.2 on the Fig-3 line (n = 300), 13 samples
+    lie within 5.7e-14 and the pick is tau_r = 714.712.  ROADMAP item 1's
+    earliest-peak rule fixes it.
     """
     j = lo + int(np.argmax(values[lo:hi]))
     floor = _noise_floor(protocol)
@@ -261,31 +277,123 @@ def _warn_edge_hits(rows) -> None:
         )
 
 
-def _engine(params):
-    """The engine functions, size and default recurrence window of ``params``.
+class _Model(NamedTuple):
+    """What ``_engine`` gives for one parameter set: its engines, its size and default
+    recurrence window, and its time kernel split into a table build and a kernel,
+    ``energy(params, times) == kernel(*tables(params, times))``."""
 
-    Returns (energy_at_times, asymptotic_energy, resolution_bound, size,
-    window), the size being n_dimers (XY) or n_sites (Ising).  The only
-    place that tells the models apart; names resolve per call.
+    energy: Callable
+    asymptote: Callable
+    resolution: Callable
+    size: int
+    window: tuple[float, float]
+    tables: Callable
+    kernel: Callable
+
+
+def _engine(params) -> _Model:
+    """The engine functions, size, default recurrence window, table build and
+    kernel of ``params`` (a :class:`_Model`).
+
+    The size is n_dimers (XY) or n_sites (Ising).  The only place that tells
+    the models apart; names resolve per call.
     """
     if isinstance(params, IsingParams):
-        return (ising_energy_at_times, ising_asymptotic_energy, ising_resolution_bound,
-                params.n_sites, ising_recurrence_window(params.n_sites))
-    return (energy_at_times, asymptotic_energy, resolution_bound,
-            params.n_dimers, default_recurrence_window(params.n_dimers))
+        return _Model(ising_energy_at_times, ising_asymptotic_energy, ising_resolution_bound,
+                      params.n_sites, ising_recurrence_window(params.n_sites),
+                      _ising_tables, _phase_block_sum)
+    return _Model(energy_at_times, asymptotic_energy, resolution_bound,
+                  params.n_dimers, default_recurrence_window(params.n_dimers),
+                  _xy_tables, _xy_kernel)
+
+
+# The short span is evaluated in segments of this many samples, then doubling.
+_FIRST_SEGMENT = 64
+
+
+def _short_time_max(engine, times: np.ndarray, params) -> tuple[float, float]:
+    """``find_short_time_max`` of the trace ``engine(times)``, evaluated in growing
+    segments only until it holds the sample after the first maximum.
+
+    A grid that holds it gives the same answer as any longer one, so the
+    whole grid is evaluated only when no maximum is found, and then fails as
+    the whole trace does.
+    """
+    values = np.empty(times.size)
+    hi = 0
+    while True:
+        lo, hi = hi, min(times.size, max(2 * hi, _FIRST_SEGMENT))
+        values[lo:hi] = engine(times[lo:hi])
+        try:
+            return find_short_time_max(EnergyTrace(times[:hi], values[:hi], params))
+        except RegimeDetectionError:
+            if hi == times.size:
+                raise
+
+
+def _screen_slack(t_max: float, amp: np.ndarray, freq: np.ndarray) -> float:
+    """beta, a bound on |phase-block screen - engine| at times up to ``t_max`` for the
+    chain-mode tables (amp, freq): 64 eps (t_max sum|amp freq| + M sum|amp|), M modes.
+
+    The first term covers the phases' rounding, the second the sums'.
+    """
+    scale = t_max * np.sum(np.abs(amp * freq)) + amp.size * np.sum(np.abs(amp))
+    return 64.0 * np.finfo(float).eps * float(scale)
+
+
+def _screened_values(engine, times, amp, freq, lo: int, hi: int) -> np.ndarray:
+    """``engine`` at the window samples that may hold its maximum over lo..hi-1 and at
+    their neighbours; -inf at every other sample of ``times``.
+
+    The window is screened with ``_phase_block_sum`` over the same tables, and
+    the samples within 2 beta (:func:`_screen_slack`) of the screen's maximum
+    over the span are kept: a sample off by at most beta either way cannot
+    beat or tie the engine's maximum from outside that set.
+    """
+    screen = _phase_block_sum(times, amp.ravel(), freq.ravel(), _TILE_ELEMENTS)
+    near = np.zeros(times.size, dtype=bool)
+    top = np.max(screen[lo:hi]) - 2.0 * _screen_slack(times[-1], amp, freq)
+    near[lo:hi] = screen[lo:hi] >= top
+    near[1:] |= near[:-1]  # numpy reads overlapping operands as if copied first
+    near[:-1] |= near[1:]
+    keep = np.flatnonzero(near)
+    values = np.full(times.size, -np.inf)
+    values[keep] = engine(times[keep])
+    return values
 
 
 def _regime_point(params, window) -> tuple[float, float, float, float, float, bool]:
-    """(tau_s, e_s, e_inf, tau_r, e_r, on_edge) of one XY or Ising parameter set; never warns."""
-    energy, asymptote, resolution, _, _ = _engine(params)
-    bound = resolution(params)
+    """(tau_s, e_s, e_inf, tau_r, e_r, on_edge) of one XY or Ising parameter set; never warns.
+
+    The row builds the model's tables once and runs its engine only on the
+    samples that decide the result.  The short span runs in growing segments
+    (:func:`_short_time_max`).  The recurrence window is screened with the
+    phase-block kernel, and only the samples near the screen's maximum, with
+    their neighbours, are evaluated (:func:`_screened_values`).  An XY
+    sample's bits do not depend on the grid it is computed on, so every XY
+    row equals the row of the whole grids bit for bit; an Ising row (its
+    engine is the phase-block kernel) equals it to rounding.  The window's
+    check-and-evaluate step is temporary: once the XY kernel runs on
+    ``_phase_block_sum`` itself (ROADMAP items 2-3) it would only evaluate
+    again what the screen computed, and it should go then.  The segmented
+    short span stays.
+    """
+    model = _engine(params)
+    bound = model.resolution(params)
     dt = DT_SAFETY * bound
-    short = _build_trace(energy, resolution, params, DEFAULT_SHORT_SPAN, dt)
-    tau_s, e_s = find_short_time_max(short)
+    short = _uniform_times(0.0, DEFAULT_SHORT_SPAN, dt, bound)
     win_times = _uniform_times(*window, dt, bound)
     span = _window_span(win_times, window)
-    tau_r, e_r, on_edge = _windowed_argmax(win_times, energy(params, win_times), params, *span)
-    return tau_s, e_s, asymptote(params), tau_r, e_r, on_edge
+    # the work budget grows with the grid, so checking the longer grid checks both
+    _, amp, freq = model.tables(params, max(short, win_times, key=len))
+
+    def engine(times):
+        return model.kernel(times, amp, freq)
+
+    tau_s, e_s = _short_time_max(engine, short, params)
+    values = _screened_values(engine, win_times, amp, freq, *span)
+    tau_r, e_r, on_edge = _windowed_argmax(win_times, values, params, *span)
+    return tau_s, e_s, model.asymptote(params), tau_r, e_r, on_edge
 
 
 def _sweep_rows(name, grid, params, workers, window=None):
@@ -294,8 +402,8 @@ def _sweep_rows(name, grid, params, workers, window=None):
     Each row's recurrence is searched in ``window``, its None sides from the
     row's default; ``workers`` (None: every CPU) bounds the kernel's threads.
     """
-    sized = [_engine(p)[3:] for p in params]  # (size, default window)
-    windows = [_recurrence_window(window, default) for _, default in sized]
+    models = [_engine(p) for p in params]
+    windows = [_recurrence_window(window, model.window) for model in models]
     token = _WORKERS.set(workers)
     try:
         points = [_regime_point(p, w) for p, w in zip(params, windows)]
@@ -305,8 +413,8 @@ def _sweep_rows(name, grid, params, workers, window=None):
         f" of row {i} ({name} = {x})" for i, (x, point) in enumerate(zip(grid, points)) if point[-1]
     )
     return [
-        SweepRow(x, e_s / size, e_r / size, e_inf / size, tau_s, tau_r)
-        for x, (size, _), (tau_s, e_s, e_inf, tau_r, e_r, _) in zip(grid, sized, points)
+        SweepRow(x, e_s / m.size, e_r / m.size, e_inf / m.size, tau_s, tau_r)
+        for x, m, (tau_s, e_s, e_inf, tau_r, e_r, _) in zip(grid, models, points)
     ]
 
 

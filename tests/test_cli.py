@@ -326,7 +326,8 @@ class TestSweep:
         assert rows("--window-max", "56") != rows()
 
     def test_one_ising_window_flag_keeps_the_other_default_side(self, tmp_path):
-        # n_sites = 60: the default recurrence window is [28, 35]
+        # n_sites = 60: the default recurrence window is [28, 35], whose maxima
+        # lie at t = 31.3 and 30.8, so a window ending at 30 must move both rows
         low, high = (repr(edge) for edge in regimes.ising_recurrence_window(60))
 
         def rows(*window):
@@ -339,8 +340,8 @@ class TestSweep:
 
         assert rows("--window-min", "25") == rows("--window-min", "25", "--window-max", high)
         assert rows("--window-min", "25") != rows()
-        assert rows("--window-max", "33") == rows("--window-min", low, "--window-max", "33")
-        assert rows("--window-max", "33") != rows()
+        assert rows("--window-max", "30") == rows("--window-min", low, "--window-max", "30")
+        assert rows("--window-max", "30") != rows()
 
     def test_null_quench_exits_3_and_says_no_charging(self, tmp_path, capsys):
         code = run_cli(

@@ -696,6 +696,35 @@ class TestTiedWindow:
         assert row.tau_r == pytest.approx(714.7123089684378, rel=1e-9)
 
 
+class TestSubsetBits:
+    # a sweep row runs the XY kernel only on the samples that decide it, so a
+    # sample must keep its bits on any grid it is part of:
+    # energy_at_times(p, times[idx]) == energy_at_times(p, times)[idx], for
+    # scattered and evenly spaced subsets of 1 to 17 samples (SIMD tails)
+    CASES = {
+        "fig3_window": (FIG3, _fig3_window_grid),
+        "odd_n": (QuenchProtocol(0.8, 0.3, 0.5, 7), lambda: 0.3 + 0.05 * np.arange(9000)),
+        "delta1_0": (QuenchProtocol(0.5, 0.3, 0.0, 3), lambda: 0.05 * np.arange(5000)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_a_sample_keeps_its_bits_on_any_subset(self, case):
+        protocol, grid = self.CASES[case]
+        times = grid()
+        whole = energy_at_times(protocol, times).view(np.int64)
+        rng = np.random.default_rng(sorted(self.CASES).index(case))
+        for size in range(1, 18):
+            step = int(rng.integers(1, times.size // size))
+            start = int(rng.integers(0, times.size - step * (size - 1)))
+            subsets = [
+                np.sort(rng.choice(times.size, size, replace=False)),
+                start + step * np.arange(size),
+            ]
+            for idx in subsets:
+                part = energy_at_times(protocol, times[idx]).view(np.int64)
+                assert np.array_equal(part, whole[idx]), (size, idx)
+
+
 class TestTiledKernel:
     # energy_at_times runs mode tiles inside chunks of _TILE_ELEMENTS // 2
     # times; every tile budget and thread count must give the bits of the
@@ -862,9 +891,9 @@ class TestKernelThreads:
         cpus = sorted(os.sched_getaffinity(0))
         seen = set()
 
-        def spy(rows, total, comp):
+        def spy(rows, total, comp, *work):
             seen.add(frozenset(os.sched_getaffinity(0)))
-            sums.add_rows(rows, total, comp)
+            sums.add_rows(rows, total, comp, *work)
 
         monkeypatch.setattr(quench, "_cores", lambda: 2)
         monkeypatch.setattr(quench, "add_rows", spy)
@@ -876,10 +905,10 @@ class TestKernelThreads:
     def test_an_error_in_any_block_raises(self, monkeypatch, cores):
         calls = itertools.count()
 
-        def failing(rows, total, comp):
+        def failing(rows, total, comp, *work):
             if next(calls) == 2:
                 raise FloatingPointError("block failed")
-            sums.add_rows(rows, total, comp)
+            sums.add_rows(rows, total, comp, *work)
 
         monkeypatch.setattr(quench, "_cores", lambda: cores)
         monkeypatch.setattr(quench, "add_rows", failing)
@@ -887,8 +916,8 @@ class TestKernelThreads:
             energy_at_times(self.SMALL, 0.3 * np.arange(3 * self.BLOCK))
 
     def test_every_block_runs_under_the_callers_errstate(self, monkeypatch):
-        def overflowing(rows, total, comp):
-            sums.add_rows(rows, total, comp)
+        def overflowing(rows, total, comp, *work):
+            sums.add_rows(rows, total, comp, *work)
             total *= 1e308
             total *= 1e308
 

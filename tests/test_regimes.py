@@ -281,8 +281,9 @@ class TestSweeps:
 
     @pytest.mark.parametrize("workers, threads", [(1, 1), (2, 2), (None, 3)])
     def test_workers_bound_the_kernel_threads(self, monkeypatch, workers, threads):
-        # at 3 cores: the short span and the window grid each run on
-        # min(3, workers) threads, and the bound ends with the sweep
+        # at 3 cores: every engine call of the row (the short span's segments
+        # and the window samples it evaluates) runs on min(3, workers, samples)
+        # threads, and the bound ends with the sweep
         monkeypatch.setattr(quench, "_cores", lambda: 3)
         seen = []
         fill_blocks = quench._fill_blocks
@@ -295,11 +296,12 @@ class TestSweeps:
                 fill(lo, hi)
 
             fill_blocks(recorded, size, width)
-            seen.append(len(used))
+            seen.append((size, len(used)))
 
         monkeypatch.setattr(quench, "_fill_blocks", spy)
         sweep_delta0(1.1, 0.8, 20, [0.2], workers=workers)
-        assert seen == [threads, threads]
+        assert len(seen) >= 2 and any(size >= 3 for size, _ in seen)
+        assert [used for _, used in seen] == [min(threads, size) for size, _ in seen]
         assert quench._WORKERS.get() is None
 
     def test_rows_do_not_depend_on_workers_or_cores(self, monkeypatch):
@@ -393,3 +395,153 @@ class TestPlateauRobustness:
         spread_s = (max(e_s) - min(e_s)) / np.mean(e_s)
         assert spread_inf < 0.10
         assert spread_s > spread_inf
+
+
+def _full_grid_point(params, window):
+    """The row of the whole grids, as ``_regime_point`` computed it before it
+    screened the window: the engine on every sample of the short span and of
+    the window.  The judge of the screened rows."""
+    model = regimes._engine(params)
+    bound = model.resolution(params)
+    dt = DT_SAFETY * bound
+    short = quench._build_trace(
+        model.energy, model.resolution, params, regimes.DEFAULT_SHORT_SPAN, dt
+    )
+    tau_s, e_s = find_short_time_max(short)
+    win_times = quench._uniform_times(*window, dt, bound)
+    span = regimes._window_span(win_times, window)
+    values = model.energy(params, win_times)
+    tau_r, e_r, on_edge = regimes._windowed_argmax(win_times, values, params, *span)
+    return tau_s, e_s, model.asymptote(params), tau_r, e_r, on_edge
+
+
+def _row(point, params):
+    """``point``'s row of ``params`` in its default window, or its RegimeDetectionError's text."""
+    window = regimes._recurrence_window(None, regimes._engine(params).window)
+    try:
+        return point(params, window)
+    except RegimeDetectionError as exc:
+        return str(exc)
+
+
+def _random_xy(seed):
+    rng = np.random.default_rng(seed)
+    return QuenchProtocol(
+        float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.01, 1.0)),
+        float(rng.uniform(0.05, 1.0)), int(rng.integers(5, 61)),
+    )
+
+
+def _random_ising(seed):
+    rng = np.random.default_rng(seed)
+    return IsingParams(
+        float(rng.uniform(-1.5, 1.5)), float(rng.uniform(-1.0, 1.0)), int(rng.integers(4, 121))
+    )
+
+
+# the seed-0 sweep-xy rows of the benchmark: the Fig-3 line at 300 dimers,
+# delta0 = 0.05 (its maximum on the window edge) to 0.4, with the tied
+# flat-band row delta0 = 0.2
+SWEEP_XY_ROWS = [QuenchProtocol(1.1, 0.05 + i * 0.05, 0.8, 300) for i in range(8)]
+SCALING_ROWS = [QuenchProtocol(1.25, 0.3, 0.6, n) for n in (50, 100, 200, 300)]
+
+# XY: gamma (delta0 + delta1) = 1, delta0 + delta1 = gamma, delta1 = 0, n = 2
+# and odd n; Ising: h0 + h1 = 1 and -1, h1 = 0, N = 2 and odd N.  Dyadic
+# parameters land exactly on the critical lines.
+SCREEN_CASES = [
+    QuenchProtocol(2.0, 0.25, 0.25, 40),
+    QuenchProtocol(0.75, 0.25, 0.5, 40),
+    QuenchProtocol(1.25, 0.3, 0.0, 20),
+    QuenchProtocol(1.25, 0.3, 0.6, 2),
+    QuenchProtocol(1.1, 0.2, 0.8, 33),
+    IsingParams(0.25, 0.75, 60),
+    IsingParams(-0.5, -0.5, 60),
+    IsingParams(0.8, 0.0, 30),
+    IsingParams(0.8, 0.7, 2),
+    IsingParams(0.3, 0.4, 45),
+] + [_random_xy(seed) for seed in range(30)] + [_random_ising(seed) for seed in range(30)]
+
+
+class TestScreenedRows:
+    @pytest.mark.parametrize("params", SCREEN_CASES, ids=repr)
+    @pytest.mark.parametrize("start", [0.0, 600.0, 3e4, 1e6])
+    def test_screen_is_within_an_eighth_of_its_slack(self, params, start):
+        # the window screen of _screened_values against the model's engine on
+        # a window-like grid of the row's step, over the same tables
+        model = regimes._engine(params)
+        bound = model.resolution(params)
+        times, amp, freq = model.tables(params, start + DT_SAFETY * bound * np.arange(1500))
+        screen = quench._phase_block_sum(times, amp.ravel(), freq.ravel(), quench._TILE_ELEMENTS)
+        engine = model.kernel(times, amp, freq)
+        slack = regimes._screen_slack(times[-1], amp, freq)
+        assert np.max(np.abs(screen - engine)) <= slack / 8
+
+    @pytest.mark.parametrize(
+        "params",
+        SWEEP_XY_ROWS + SCALING_ROWS + [_random_xy(seed) for seed in range(100, 112)]
+        + [QuenchProtocol(1.1, 0.2, 0.0, 10)],
+        ids=repr,
+    )
+    def test_xy_rows_keep_the_bits_of_the_whole_grids(self, params):
+        # the null quench (last) fails with the same text
+        got, expected = _row(regimes._regime_point, params), _row(_full_grid_point, params)
+        assert repr(got) == repr(expected)
+
+    def test_the_null_quench_fails_as_before(self):
+        params = QuenchProtocol(1.1, 0.2, 0.0, 10)
+        assert _row(regimes._regime_point, params).startswith("no charging occurred")
+
+    @pytest.mark.parametrize(
+        "params",
+        [IsingParams(h0, 0.25, 600) for h0 in (0.4, 0.6, 0.75, 0.9)]
+        + [_random_ising(seed) for seed in range(100, 112)],
+        ids=repr,
+    )
+    def test_ising_rows_match_the_whole_grids_to_rounding(self, params):
+        got, expected = _row(regimes._regime_point, params), _row(_full_grid_point, params)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert got[-1] == expected[-1]
+            assert got[:-1] == pytest.approx(expected[:-1], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("wide", [1e6, math.inf])
+    def test_a_wider_candidate_set_keeps_the_rows(self, monkeypatch, wide):
+        # beta raised (inf: every window sample is a candidate) changes only
+        # how many samples the engine evaluates: XY rows keep their bits, and
+        # Ising rows, whose phase blocks follow the evaluated grid, their
+        # values to rounding
+        xy = [SWEEP_XY_ROWS[0], SWEEP_XY_ROWS[3], SWEEP_XY_ROWS[5],
+              QuenchProtocol(1.25, 0.3, 0.6, 41)]
+        ising = [IsingParams(0.6, 0.25, 600), IsingParams(0.3, 0.4, 45)]
+        narrow = [_row(regimes._regime_point, p) for p in xy + ising]
+        slack = regimes._screen_slack
+        monkeypatch.setattr(regimes, "_screen_slack", lambda *args: wide * slack(*args))
+        wide_rows = [_row(regimes._regime_point, p) for p in xy + ising]
+        assert repr(wide_rows[: len(xy)]) == repr(narrow[: len(xy)])
+        for got, expected in zip(wide_rows[len(xy) :], narrow[len(xy) :]):
+            assert got[-1] == expected[-1]
+            assert got[:-1] == pytest.approx(expected[:-1], rel=1e-12, abs=0.0)
+
+    def test_each_row_decomposes_its_charger_once(self, monkeypatch):
+        # one table build feeds the screen and every engine call of the row
+        calls = []
+        bands = quench._bloch_bands
+        monkeypatch.setattr(quench, "_bloch_bands", lambda *args: calls.append(args) or bands(*args))
+        sweep_delta0(1.1, 0.8, 40, [0.1, 0.2, 0.3])
+        assert calls == [(1.1, d0 + 0.8, 40) for d0 in (0.1, 0.2, 0.3)]
+
+    def test_the_engine_sees_few_window_samples(self, monkeypatch):
+        # the tied row's window holds 5,603 samples; the engine evaluates the
+        # short span's segments and a few dozen window samples
+        sizes = []
+        model = regimes._engine(SWEEP_XY_ROWS[3])
+        kernel = model.kernel
+
+        def counted(times, amp, freq):
+            sizes.append(times.size)
+            return kernel(times, amp, freq)
+
+        monkeypatch.setattr(regimes, "_xy_kernel", counted)
+        sweep_delta0(1.1, 0.8, 300, [0.2])
+        assert sum(sizes) < 400

@@ -72,3 +72,35 @@ def test_rows_added_tile_by_tile_keep_the_bits(tile):
     for lo in range(0, 300, tile):
         add_rows(values[lo : lo + tile], total, comp)
     assert _same_bits(total + comp, _neumaier(values))
+
+
+def _row_by_row(rows, total, comp):
+    """The per-row form of :func:`add_rows`: one TwoSum per row, the reference."""
+    t, bb, err = np.empty((3, total.size))
+    for row in rows:
+        np.add(total, row, out=t)
+        np.subtract(t, total, out=bb)
+        np.subtract(total, np.subtract(t, bb, out=err), out=err)  # total - (t - bb)
+        err += np.subtract(row, bb, out=bb)  # + (row - bb)
+        comp += err
+        np.copyto(total, t)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 11, 46, 300])
+@pytest.mark.parametrize("cols", [1, 2, 3, 100, 2802, 12732])
+def test_a_tile_keeps_the_row_by_row_bits(k, cols):
+    # row scales from 1e-8 to 1e8, and a running pair that already holds
+    # sums: up to ROW_BY_ROW rows go one by one, a taller tile's prefix sums,
+    # errors and one axis-0 reduction must give the pair of adding row after
+    # row (so numpy reduces axis 0 in row order, and one column is accumulated)
+    rng = np.random.default_rng(k * 100_003 + cols)
+    rows = rng.standard_normal((k, cols)) * 10.0 ** rng.uniform(-8, 8, (k, 1))
+    start = rng.standard_normal((2, cols)) * [[1e4], [1e-12]]
+    expected, got = start.copy(), start.copy()
+    _row_by_row(rows, *expected)
+    add_rows(rows, *got)
+    assert _same_bits(got, expected)
+    reused = start.copy()
+    work = np.full((3, k + 4, cols), np.nan)  # a chunk's buffers, larger than the tile
+    add_rows(rows, *reused, work)
+    assert _same_bits(reused, expected)
