@@ -136,7 +136,7 @@ _OPTIONS = {
     "model": (str, "xy or ising"),
     "out": (str, "output file"),
     "format": (str, "csv (curve + JSON report) or json (single file)"),
-    "workers": (int, "most time-kernel threads (default: every CPU the process may use)"),
+    "workers": (int, "accepted (>= 1) for compatibility; changes nothing, rows run one by one"),
     "gamma": (float, "anisotropy"),
     "delta0": (float, "battery dimerization"),
     "delta1": (float, "dimerization step applied while charging"),

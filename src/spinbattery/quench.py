@@ -16,21 +16,18 @@ zero-energy battery mode (|d| = 0) has occupation 0.
 
     dE(t) = sum_{s,q} |d| sin^2 dphi [1 - cos(2 w_s' t)]
 
-with one cosine column per chain, so dE(0) = 0 exactly, as is every dE(t)
-of a null quench (delta1 = 0).  Both evaluator names, ``"full"`` and
-``"simplified"``, run this sum.  Its frequencies 2 w_s' are the charger's 4x4
-Bloch bands (``_bloch_bands``, the one eigensolve here), not the closed form
-4 |d'|, which differs from them in the last bits: on flat charging bands
-(delta0 + delta1 = 1) several window samples tie for the maximum, and which
-one comes first depends on those bits.  The kernel runs ascending mode tiles
-in chunks of times, adding each tile's rows into a compensated pair per
-chunk, so its memory grows neither with the modes nor with the times.  Each
-sample depends only on its own time, so every grid splits into contiguous
-shares over min(cores, a sweep's ``workers``, samples) threads (numpy
-releases the GIL in the trig, the einsum and the reduction); the result
-depends neither on the thread count nor on the tile size, and a sample's
-bits not on the grid it is part of.  ``_xy_tables`` builds the tables and
-``_xy_kernel`` runs them, so a sweep row builds them once for all its calls.
+with one cosine column per chain, on the phase-block kernel that the Ising
+closed form runs too (``_phase_block_sum``), so dE(0) = 0 exactly, as is
+every dE(t) of a null quench (delta1 = 0).  Both evaluator names,
+``"full"`` and ``"simplified"``, run this sum.  Its frequencies 2 w_s' are
+the charger's 4x4 Bloch bands (``_bloch_bands``, the one eigensolve here),
+not the closed form 4 |d'|, which differs from them in the last bits: on
+flat charging bands (delta0 + delta1 = 1) several window samples tie for
+the maximum, and which one comes first depends on those bits.  A sweep row
+therefore runs the same sum on ``_xy_kernel``, whose samples each keep
+their bits on any grid they are part of (mode tiles in chunks of times,
+added into a compensated pair per chunk).  ``_xy_tables`` builds the tables
+both kernels run, so a sweep row builds them once for all its calls.
 
 Engines keep nothing between calls.  The helpers under "scaffolding shared
 with the Ising closed form" (time checks, the phase-block kernel and the
@@ -39,15 +36,12 @@ trace grid) serve both models.
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sums import ROW_BY_ROW, add_rows, compensated_sum
+from .sums import add_rows, compensated_sum
 from .xy import (
     ChainParams,
     _check_finite,
@@ -86,18 +80,14 @@ MAX_MODE_SAMPLES = 10**9
 # w t stays finite.
 MAX_TIME = 1e100
 
-# _TILE_ELEMENTS floats is 512 KB, a core's cache.  Every thread of the XY
-# kernel runs its share in chunks of _TILE_ELEMENTS // 2 times, one mode's
-# (2 chains x times) phase table, and each chunk in tiles of as many modes as
-# fit their phases in _TILE_ELEMENTS (at least one mode); a tile taller than
-# sums.ROW_BY_ROW fits its phases, energies and reduction buffers, 6 floats
-# per mode and time, instead.  The phase-block kernel's
-# temporaries hold _BLOCK_ELEMENTS together, those of a sweep row's window
-# screen _TILE_ELEMENTS.  _WORKERS bounds the threads: a sweep's or scaling
-# run's ``workers``, else None (no bound).
+# _TILE_ELEMENTS floats is 512 KB, a core's cache.  The phase-block kernel's
+# temporaries hold _TILE_ELEMENTS together on an XY grid (``energy_at_times``
+# and a sweep row's window screen) and _BLOCK_ELEMENTS on an Ising one.  The
+# exact XY kernel (``_xy_kernel``) runs chunks of _TILE_ELEMENTS // 6 times,
+# each in tiles of as many modes as fit their phases, energies and reduction
+# buffers, 6 floats per mode and time, in _TILE_ELEMENTS (at least one mode).
 _TILE_ELEMENTS = 2**16
 _BLOCK_ELEMENTS = 10**7
-_WORKERS = contextvars.ContextVar("workers", default=None)
 
 # A grid is uniform for the phase-block kernel when it departs from an exact
 # arithmetic progression by at most this many ulp of its largest time.
@@ -243,65 +233,6 @@ def _phase_tile(starts, offsets, a, f) -> np.ndarray:
     return out
 
 
-def _cores() -> int:
-    """CPUs this process may run on: its affinity mask, not the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _fill_blocks(fill, size: int, width: int) -> None:
-    """``fill(lo, hi)`` over consecutive chunks of at most ``width`` that cover range(size).
-
-    The grid splits into k = min(cores, :data:`_WORKERS`, size) contiguous
-    shares, of lengths within one, each run in chunks of ``width`` (its last
-    one shorter).  At k = 1 the caller runs the one share, unpinned.
-    Otherwise share j runs on a thread pinned to every k-th CPU of the
-    affinity mask from the j-th on: a scheduler that does not balance load
-    keeps a thread on the core that started it.  Threads run in copies of
-    the caller's context, so ``np.errstate`` holds in them.  The first
-    exception of any share is raised once all have stopped.  An interrupt
-    while waiting is raised at once, and each thread stops after its current
-    chunk; in the XY kernel that is up to _TILE_ELEMENTS // 2 times x all
-    modes, the price of one budget for a chunk's memory and its length.
-    """
-    budget = _WORKERS.get()
-    threads = max(1, min(_cores(), size if budget is None else budget, size))
-    pin = threads > 1 and hasattr(os, "sched_setaffinity")
-    cpus = sorted(os.sched_getaffinity(0)) if pin else []
-    errors = []
-
-    def share(j: int) -> None:
-        try:
-            if cpus:
-                os.sched_setaffinity(0, cpus[j::threads] or cpus)
-            end = (j + 1) * size // threads
-            for lo in range(j * size // threads, end, width):
-                if errors:
-                    return
-                fill(lo, min(lo + width, end))
-        except BaseException as exc:
-            errors.append(exc)
-
-    if threads == 1:
-        share(0)
-    else:
-        workers = [
-            threading.Thread(target=contextvars.copy_context().run, args=(share, j))
-            for j in range(threads)
-        ]
-        for worker in workers:
-            worker.start()
-        try:
-            for worker in workers:
-                worker.join()
-        except BaseException as exc:
-            errors.append(exc)
-            raise
-    if errors:
-        raise errors[0]
-
-
 def _resolution_bound(fmax: float) -> float:
     """Largest step with twenty samples per period of the frequency fmax > 0."""
     return np.pi / (SAMPLES_PER_PERIOD_FACTOR * fmax)
@@ -385,29 +316,28 @@ def _xy_tables(protocol: QuenchProtocol, times):
 
 
 def _xy_kernel(times: np.ndarray, amp: np.ndarray, freq: np.ndarray) -> np.ndarray:
-    """The XY time kernel of the module docstring over the tables of :func:`_xy_tables`.
+    """The exact XY time kernel over the tables of :func:`_xy_tables`: a sweep row's engine.
 
-    :func:`_fill_blocks` splits the times over threads in chunks of
-    _TILE_ELEMENTS // 2; inside a chunk of T times the modes run in ascending
-    tiles, at least one mode, whose rows are added in ascending-q order into
-    the chunk's compensated pair (one ``add_rows`` call per tile).  A tile's
-    (tile, 2, T) phases hold at most _TILE_ELEMENTS floats, and so do its
-    phases, (tile, T) energies and add_rows' (tile + 1, T) buffers together
-    once it has more than ``sums.ROW_BY_ROW`` rows.  Each sample sees the
-    same operations in the same order, whatever the grid it is part of, the
-    chunk length, the tile size or the thread count.
+    The times run in chunks of _TILE_ELEMENTS // (F + 4), F = 2 chains;
+    inside a chunk of T times the modes run in ascending tiles, at least one
+    mode, whose (tile, F, T) phases, (tile, T) energies and ``add_rows``'
+    (tile + 1, T) buffers hold at most _TILE_ELEMENTS floats together, and
+    each tile's rows are added in ascending-q order into the chunk's
+    compensated pair.  Each sample sees the same operations in the same
+    order, whatever the grid it is part of, the chunk length or the tile
+    size, so a row evaluated on a few samples keeps the bits of its whole
+    grids, and with them the pick among the tied maxima of flat charging
+    bands (module docstring).  :func:`energy_at_times` runs the phase-block
+    kernel instead, which agrees with this one to rounding.
     """
     e_cos = -amp
     e_const = amp[:, 0] + amp[:, 1]
     n, f = freq.shape
     out = np.empty(times.size, dtype=float)
-
-    def fill(lo: int, hi: int) -> None:
-        t = times[lo:hi]
-        rows = max(1, _TILE_ELEMENTS // (f * t.size))
-        if rows > ROW_BY_ROW:  # a taller tile also fills add_rows' three (rows + 1, T) buffers
-            rows = max(1, _TILE_ELEMENTS // ((f + 4) * t.size))
-        rows = min(n, rows)
+    width = max(1, _TILE_ELEMENTS // (f + 4))
+    for lo in range(0, times.size, width):
+        t = times[lo : lo + width]
+        rows = min(n, max(1, _TILE_ELEMENTS // ((f + 4) * t.size)))
         phase = np.empty((rows, f, t.size))
         e = np.empty((rows, t.size))
         work = np.empty((3, rows + 1, t.size))
@@ -418,20 +348,20 @@ def _xy_kernel(times: np.ndarray, amp: np.ndarray, freq: np.ndarray) -> np.ndarr
             np.einsum("nf,nft->nt", e_cos[q], np.cos(ph, out=ph), out=e[:k])
             e[:k] += e_const[q, None]
             add_rows(e[:k], total, comp, work)
-        out[lo:hi] = total + comp
-
-    _fill_blocks(fill, times.size, max(1, _TILE_ELEMENTS // f))
+        out[lo : lo + width] = total + comp
     return out
 
 
 def energy_at_times(
     protocol: QuenchProtocol, times: np.ndarray, evaluator: str = "full"
 ) -> np.ndarray:
-    """Stored energy on an arbitrary grid of times >= 0: :func:`_xy_kernel` over
-    :func:`_xy_tables`, one cosine column per chain."""
+    """Stored energy on an arbitrary grid of times >= 0: the phase-block kernel
+    (:func:`_phase_block_sum`, temporaries of _TILE_ELEMENTS floats) over the
+    chain-mode tables of :func:`_xy_tables`."""
     if evaluator not in ("full", "simplified"):
         raise ValueError(f"evaluator must be 'full' or 'simplified', got {evaluator!r}")
-    return _xy_kernel(*_xy_tables(protocol, times))
+    times, amp, freq = _xy_tables(protocol, times)
+    return _phase_block_sum(times, amp.ravel(), freq.ravel(), _TILE_ELEMENTS)
 
 
 def resolution_bound(protocol: QuenchProtocol) -> float:

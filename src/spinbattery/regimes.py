@@ -4,8 +4,8 @@ Three regimes are read off a stored-energy trace: the first local maximum
 (tau_s, E^s), the time-independent plateau E^inf, and the finite-size
 recurrence maximum (tau_r, E^r) searched inside a window that scales
 linearly with system size.  Sweeps evaluate these per grid point of the
-initial dimerization (or transverse field), row after row; the worker
-budget only bounds the XY kernel's threads, so outputs do not depend on it.
+initial dimerization (or transverse field), row after row in the calling
+thread; the ``workers`` argument is accepted and changes nothing.
 A sweep or scaling row builds its per-mode tables once and runs the engine
 only on the samples that decide it: the short span in growing segments up
 to the sample after the first maximum, and, of the recurrence window, the
@@ -38,7 +38,6 @@ from .quench import (
     EnergyTrace,
     QuenchProtocol,
     _TILE_ELEMENTS,
-    _WORKERS,
     _build_trace,
     _phase_block_sum,
     _uniform_times,
@@ -279,8 +278,14 @@ def _warn_edge_hits(rows) -> None:
 
 class _Model(NamedTuple):
     """What ``_engine`` gives for one parameter set: its engines, its size and default
-    recurrence window, and its time kernel split into a table build and a kernel,
-    ``energy(params, times) == kernel(*tables(params, times))``."""
+    recurrence window, and a sweep row's engine split into a table build and a kernel.
+
+    For Ising, ``energy(params, times) == kernel(*tables(params, times))``.
+    For XY, ``energy`` runs the phase-block kernel and ``kernel`` the exact one
+    (``_xy_kernel``), so they agree only to rounding: the exact kernel's
+    samples keep their bits on any grid, and with them the pick among the tied
+    window maxima of flat charging bands (``_windowed_argmax``).
+    """
 
     energy: Callable
     asymptote: Callable
@@ -369,14 +374,16 @@ def _regime_point(params, window) -> tuple[float, float, float, float, float, bo
     samples that decide the result.  The short span runs in growing segments
     (:func:`_short_time_max`).  The recurrence window is screened with the
     phase-block kernel, and only the samples near the screen's maximum, with
-    their neighbours, are evaluated (:func:`_screened_values`).  An XY
-    sample's bits do not depend on the grid it is computed on, so every XY
-    row equals the row of the whole grids bit for bit; an Ising row (its
-    engine is the phase-block kernel) equals it to rounding.  The window's
-    check-and-evaluate step is temporary: once the XY kernel runs on
-    ``_phase_block_sum`` itself (ROADMAP items 2-3) it would only evaluate
-    again what the screen computed, and it should go then.  The segmented
-    short span stays.
+    their neighbours, are evaluated (:func:`_screened_values`).  The XY
+    engine is the exact ``_xy_kernel``, not the phase-block kernel that
+    ``energy_at_times`` (and so ``trace``) runs: its samples' bits do not
+    depend on the grid they are computed on, so every XY row equals the row
+    of the whole grids bit for bit, tied window maxima included.  An Ising
+    row (its engine is the phase-block kernel) equals it to rounding.  The
+    window's check-and-evaluate step is temporary: once an earliest-peak rule
+    settles the tied maxima (ROADMAP item 1), XY rows can run on
+    ``_phase_block_sum`` too, the step would only evaluate again what the
+    screen computed, and it should go then.  The segmented short span stays.
     """
     model = _engine(params)
     bound = model.resolution(params)
@@ -396,19 +403,15 @@ def _regime_point(params, window) -> tuple[float, float, float, float, float, bo
     return tau_s, e_s, model.asymptote(params), tau_r, e_r, on_edge
 
 
-def _sweep_rows(name, grid, params, workers, window=None):
+def _sweep_rows(name, grid, params, window=None):
     """One SweepRow per grid value of ``name``, energies divided by the system size.
 
     Each row's recurrence is searched in ``window``, its None sides from the
-    row's default; ``workers`` (None: every CPU) bounds the kernel's threads.
+    row's default.
     """
     models = [_engine(p) for p in params]
     windows = [_recurrence_window(window, model.window) for model in models]
-    token = _WORKERS.set(workers)
-    try:
-        points = [_regime_point(p, w) for p, w in zip(params, windows)]
-    finally:
-        _WORKERS.reset(token)
+    points = [_regime_point(p, w) for p, w in zip(params, windows)]
     _warn_edge_hits(
         f" of row {i} ({name} = {x})" for i, (x, point) in enumerate(zip(grid, points)) if point[-1]
     )
@@ -433,12 +436,14 @@ def sweep_delta0(
     (delta0 + delta1 = 1); E^r additionally spikes where the charging chain
     is critical (gamma (delta0 + delta1) = 1 or delta0 + delta1 = gamma).
     A None side of the recurrence ``window`` (min, max) keeps its default side.
+    ``workers`` is accepted for compatibility and changes nothing: rows run
+    one after the other in the calling thread.
     """
     grid = [float(d) for d in delta0_grid]
     if any(d <= 0 or d + delta1 <= 0 for d in grid):
         raise ValueError("delta0 and delta0 + delta1 must stay positive on the grid")
     protocols = [QuenchProtocol(gamma, d0, delta1, n_dimers) for d0 in grid]
-    return _sweep_rows("delta0", grid, protocols, workers, window)
+    return _sweep_rows("delta0", grid, protocols, window)
 
 
 def sweep_field(
@@ -449,10 +454,11 @@ def sweep_field(
     workers: int | None = None,
     window: tuple[float | None, float | None] | None = None,
 ) -> list[SweepRow]:
-    """Ising analogue of :func:`sweep_delta0`, normalized per site."""
+    """Ising analogue of :func:`sweep_delta0`, normalized per site; ``workers``
+    changes nothing."""
     grid = [float(h0) for h0 in h0_grid]
     params = [IsingParams(h0, h1, n_sites) for h0 in grid]
-    return _sweep_rows("h0", grid, params, workers, window)
+    return _sweep_rows("h0", grid, params, window)
 
 
 def scaling_study(
@@ -463,12 +469,13 @@ def scaling_study(
     *,
     workers: int | None = None,
 ) -> list[ScalingRow]:
-    """Per-dimer regime energies and recurrence time across system sizes."""
+    """Per-dimer regime energies and recurrence time across system sizes, one
+    :func:`sweep_delta0` row per size; ``workers`` changes nothing."""
     sizes = [int(n) for n in n_list]
     if any(n < 5 for n in sizes):
         raise ValueError("scaling sizes below n_dimers = 5 show no regime structure")
     protocols = [QuenchProtocol(gamma, delta0, delta1, n) for n in sizes]
-    rows = _sweep_rows("n_dimers", sizes, protocols, workers)
+    rows = _sweep_rows("n_dimers", sizes, protocols)
     return [ScalingRow(n, r.e_s_per, r.e_r_per, r.e_inf_per, r.tau_r) for n, r in zip(sizes, rows)]
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -377,8 +378,8 @@ class TestSweep:
 @pytest.mark.parametrize(
     "model, size, param, value, rel",
     [
-        (("--gamma", "1.1", "--delta1", "0.8"), ("--n-dimers", "60"), "--delta0", "0.1", 0.0),
-        (("--gamma", "1.1", "--delta1", "0.8"), ("--n-dimers", "60"), "--delta0", "0.3", 0.0),
+        (("--gamma", "1.1", "--delta1", "0.8"), ("--n-dimers", "60"), "--delta0", "0.1", 1e-12),
+        (("--gamma", "1.1", "--delta1", "0.8"), ("--n-dimers", "60"), "--delta0", "0.3", 1e-12),
         (("--model", "ising", "--h1", "0.25"), ("--n-sites", "120"), "--h0", "0.5", 1e-12),
         (("--model", "ising", "--h1", "0.25"), ("--n-sites", "120"), "--h0", "0.76", 1e-12),
     ],
@@ -386,10 +387,10 @@ class TestSweep:
 )
 def test_trace_and_a_one_point_sweep_report_the_same_row(tmp_path, model, size, param, value, rel):
     # both sample the short span on {0, dt, 2 dt, ...} with the same dt and
-    # take E^inf from the same asymptote.  Each XY sample depends only on its
-    # time, so XY agrees bit for bit; the Ising phase blocks depend on the
-    # grid's length, so Ising agrees to its last bits.  (tau_r, e_r) are
-    # sampled on different grids and are not compared.
+    # take E^inf from the same asymptote.  A trace runs in phase blocks that
+    # depend on the grid's length, and an XY sweep row runs the exact kernel,
+    # so both models agree to their last bits.  (tau_r, e_r) are sampled on
+    # different grids and are not compared.
     assert run_cli(["trace", *model, *size, param, value, "--out", str(tmp_path / "t.csv")]) == 0
     report = json.loads((tmp_path / "t.report.json").read_text())["report"]
     out = tmp_path / "s.csv"
@@ -480,10 +481,13 @@ class TestOracleCheck:
         assert run_cli(["oracle-check", "--t-end", "5", "--tol", "1e-18"]) == 4
 
     def test_tolerance_is_relative_to_the_trace_scale(self, capsys):
-        # energies near 1e3 carry a float64 rounding deviation of ~3e-8, which
-        # passes tol x max|dE|; a zero tolerance still fails
+        # energies near 1e3 carry a float64 rounding deviation of a few 1e-8,
+        # above the absolute tol, which passes tol x max|dE|; a zero
+        # tolerance still fails
         assert run_cli(["oracle-check", "--gamma", "1000"]) == 0
-        assert "max deviation = 2.86" in capsys.readouterr().out
+        printed = re.search(r"max deviation = (\S+) \(tolerance (\S+)\)", capsys.readouterr().out)
+        deviation, tol = map(float, printed.groups())
+        assert tol == 1e-8 < deviation
         assert run_cli(["oracle-check", "--gamma", "1000", "--tol", "0"]) == 4
 
     def test_odd_sites_xy_exits_2(self):
@@ -658,14 +662,16 @@ class TestDeterminism:
 
 
 def test_ising_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # the default Ising trace and a 31-point field sweep at 600 sites, each
-    # run with one and with two BLAS threads, must write the same bytes
+    # the default Ising trace, a 31-point field sweep at 600 sites and the
+    # default XY trace (phase blocks too), each run with one and with two
+    # BLAS threads, must write the same bytes
     path = os.pathsep.join(os.path.abspath(p) for p in sys.path if p)
     script = (
         "from spinbattery.cli import main\n"
         "assert main(['trace', '--model', 'ising', '--out', 'trace.csv']) == 0\n"
         "assert main(['sweep', '--model', 'ising', '--h1', '0.25', '--param-min', '0.4',\n"
         "             '--param-max', '1.0', '--param-step', '0.02', '--out', 'sweep.csv']) == 0\n"
+        "assert main(['trace', '--out', 'xy.csv']) == 0\n"
     )
     outputs = {}
     for threads in ("1", "2"):
@@ -675,8 +681,10 @@ def test_ising_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         env.update({v: threads for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")})
         proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env)
         assert proc.returncode == 0
-        outputs[threads] = [(cwd / name).read_bytes() for name in ("trace.csv", "sweep.csv")]
+        names = ("trace.csv", "sweep.csv", "xy.csv", "xy.report.json")
+        outputs[threads] = [(cwd / name).read_bytes() for name in names]
     assert len(outputs["1"][1].splitlines()) == 32
+    assert len(outputs["1"][2].splitlines()) == 25466
     assert outputs["1"] == outputs["2"]
 
 

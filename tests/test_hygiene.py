@@ -4,7 +4,7 @@ No linter is a dependency, so the stale imports and ``__all__`` entries that
 removals tend to leave behind are caught here, and so are names the
 benchmark harness in ``bench/`` reaches that no longer exist (those files
 are only read), README examples that no longer run, command-line options
-that no subcommand reads, and process machinery a sweep no longer needs.
+that no subcommand reads, and thread or process machinery no engine needs.
 """
 
 import ast
@@ -101,6 +101,39 @@ def test_a_sweep_loads_no_process_machinery(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
     assert (tmp_path / "sweep.csv").read_text().count("\n") == 4
+
+
+CONCURRENCY_MODULES = {"threading", "contextvars", "concurrent", "multiprocessing"}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_imports_thread_or_process_machinery(module):
+    # every engine runs in the calling thread, so none needs threads, context
+    # copies for them, or pools
+    imported = set()
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    assert imported & CONCURRENCY_MODULES == set()
+
+
+def test_a_trace_and_a_sweep_start_no_thread(tmp_path, monkeypatch):
+    # the default trace and a two-point sweep with two workers run in the
+    # calling thread
+    import threading
+
+    from spinbattery.cli import main
+
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+    monkeypatch.chdir(tmp_path)
+    assert main(["trace", "--out", "trace.csv"]) == 0
+    assert main(["sweep", "--n-dimers", "20", "--param-min", "0.15", "--param-max", "0.2",
+                 "--param-step", "0.05", "--workers", "2", "--out", "sweep.csv"]) == 0
+    assert started == []
+    assert (tmp_path / "sweep.csv").read_text().count("\n") == 3
 
 
 # ----------------------------------------------------------------------

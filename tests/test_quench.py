@@ -1,9 +1,5 @@
 import gc
-import itertools
 import math
-import os
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -331,12 +327,20 @@ class TestEnergyStored:
             energy_at_times(FIG2, np.array([1.0]), evaluator="fast")
 
 
+def _exact_kernel(protocol: QuenchProtocol, times) -> np.ndarray:
+    """The exact XY kernel of a sweep row over the tables ``energy_at_times`` runs."""
+    return quench._xy_kernel(*quench._xy_tables(protocol, times))
+
+
 class TestEnergyTrace:
     def test_matches_pointwise_calls(self):
+        # a trace runs in phase blocks, a single time in a block of one, so
+        # they agree to rounding, not bit for bit
         p = QuenchProtocol(1.25, 0.3, 0.6, 2)
         trace = energy_trace(p, 10.0, 0.05)
         pointwise = np.array([energy_at_times(p, np.array([t]))[0] for t in trace.times])
-        assert np.array_equal(trace.values, pointwise)
+        tol = 1e-12 * max(1.0, asymptotic_energy(p))
+        assert np.max(np.abs(trace.values - pointwise)) <= tol
 
     @pytest.mark.parametrize(
         "times, values, message",
@@ -355,13 +359,13 @@ class TestEnergyTrace:
         "budget, samples", [(600, 40), (600 * 7, 1500), (600 * 333, 1500), (600 * 777, 1500)]
     )
     def test_block_budget_keeps_the_bits(self, monkeypatch, budget, samples):
-        # one thread, one chunk (budget // 2 times cover the grid), 2 columns
-        # x 40 or 1500 times per mode: tiles of 7, 1, 66 and 155 of the 300 modes
-        monkeypatch.setattr(quench, "_cores", lambda: 1)
+        # the exact kernel: chunks of budget // 6 times, 6 floats per mode and
+        # time: tiles of 2, then 1 (chunks of 700 times; 7 in the last, of 100),
+        # 22 and 51 of the 300 modes
         times = 0.05 * np.arange(samples)
-        default = energy_at_times(FIG2, times)
+        default = _exact_kernel(FIG2, times)
         monkeypatch.setattr(quench, "_TILE_ELEMENTS", budget)
-        assert np.array_equal(energy_at_times(FIG2, times), default)
+        assert np.array_equal(_exact_kernel(FIG2, times), default)
 
     @pytest.mark.parametrize(
         "energy, params, tables, size",
@@ -488,9 +492,8 @@ class TestWeightlessColumns:
         ids=["fig2", "gamma_1e-12"],
     )
     def test_evaluates_only_the_weighted_columns(self, monkeypatch, protocol, columns):
-        # the two chains' cosines and no sines, also on near-degenerate
-        # charging bands.  One core: one thread sees the grid.
-        monkeypatch.setattr(quench, "_cores", lambda: 1)
+        # the exact kernel takes the two chains' cosines and no sines, also on
+        # near-degenerate charging bands
         phases = {"cos": [], "sin": []}
         for name in phases:
             def spy(x, *args, _name=name, _trig=getattr(np, name), **kwargs):
@@ -499,7 +502,7 @@ class TestWeightlessColumns:
                 return _trig(x, *args, **kwargs)
 
             monkeypatch.setattr(np, name, spy)
-        energy_at_times(protocol, 0.05 * np.arange(10))
+        _exact_kernel(protocol, 0.05 * np.arange(10))
         assert phases == {"cos": [(protocol.n_dimers, columns, 10)], "sin": []}
 
 
@@ -680,14 +683,15 @@ def _fig3_window_grid():
 
 class TestTiedWindow:
     # delta0 + delta1 = 1 makes the Fig-3 charging bands flat: five samples of
-    # the delta0 = 0.2 row's window grid hold the same float maximum, and the
-    # next lies 2.8e-14 below.  Which comes first depends only on the bits of
-    # the kernel's frequencies; a move of them changes the row's tau_r.
+    # the delta0 = 0.2 row's window grid hold the same float maximum of the
+    # row's exact kernel, and the next lies 2.8e-14 below.  Which comes first
+    # depends only on the bits of the kernel's frequencies; a move of them
+    # changes the row's tau_r.
     TIED = [714.704, 730.412, 746.12, 777.536, 793.244]
 
     def test_five_samples_hold_the_exact_maximum(self):
         times = _fig3_window_grid()
-        values = energy_at_times(FIG3, times)
+        values = _exact_kernel(FIG3, times)
         tied = times[values == np.max(values)]
         assert tied == pytest.approx(self.TIED, abs=1e-3)
 
@@ -697,10 +701,10 @@ class TestTiedWindow:
 
 
 class TestSubsetBits:
-    # a sweep row runs the XY kernel only on the samples that decide it, so a
-    # sample must keep its bits on any grid it is part of:
-    # energy_at_times(p, times[idx]) == energy_at_times(p, times)[idx], for
-    # scattered and evenly spaced subsets of 1 to 17 samples (SIMD tails)
+    # a sweep row runs the exact XY kernel only on the samples that decide
+    # it, so a sample must keep its bits on any grid it is part of:
+    # kernel(times[idx]) == kernel(times)[idx], for scattered and evenly
+    # spaced subsets of 1 to 17 samples (SIMD tails)
     CASES = {
         "fig3_window": (FIG3, _fig3_window_grid),
         "odd_n": (QuenchProtocol(0.8, 0.3, 0.5, 7), lambda: 0.3 + 0.05 * np.arange(9000)),
@@ -711,7 +715,7 @@ class TestSubsetBits:
     def test_a_sample_keeps_its_bits_on_any_subset(self, case):
         protocol, grid = self.CASES[case]
         times = grid()
-        whole = energy_at_times(protocol, times).view(np.int64)
+        whole = _exact_kernel(protocol, times).view(np.int64)
         rng = np.random.default_rng(sorted(self.CASES).index(case))
         for size in range(1, 18):
             step = int(rng.integers(1, times.size // size))
@@ -721,16 +725,16 @@ class TestSubsetBits:
                 start + step * np.arange(size),
             ]
             for idx in subsets:
-                part = energy_at_times(protocol, times[idx]).view(np.int64)
+                part = _exact_kernel(protocol, times[idx]).view(np.int64)
                 assert np.array_equal(part, whole[idx]), (size, idx)
 
 
 class TestTiledKernel:
-    # energy_at_times runs mode tiles inside chunks of _TILE_ELEMENTS // 2
-    # times; every tile budget and thread count must give the bits of the
-    # whole-table kernel.  Budgets of 1200 and 4802 floats cut the grids into
-    # chunks of at most 600 and 2401 times, with one-mode tiles in full chunks
-    # and uneven multi-mode tiles in short ones; 2^22 takes all modes at once
+    # the exact kernel runs mode tiles inside chunks of _TILE_ELEMENTS // 6
+    # times; every tile budget must give the bits of the whole-table kernel.
+    # Budgets of 1200 and 4802 floats cut the grids into chunks of at most 200
+    # and 800 times, with one-mode tiles in full chunks and uneven multi-mode
+    # tiles in short ones; 2^22 takes all modes at once
     @pytest.mark.parametrize(
         "protocol, times",
         [
@@ -742,19 +746,19 @@ class TestTiledKernel:
         ],
         ids=["fig3_window", "gamma_1e-12", "delta1_0", "n7", "n2"],
     )
-    def test_tiles_and_threads_keep_the_whole_table_bits(self, monkeypatch, protocol, times):
+    def test_tiles_keep_the_whole_table_bits(self, monkeypatch, protocol, times):
         reference = _whole_table_kernel(protocol, times)
-        budgets = [1200, 4802, quench._TILE_ELEMENTS, 2**22]
-        for budget, cores in itertools.product(budgets, [1, 2, 3]):
+        for budget in [1200, 4802, quench._TILE_ELEMENTS, 2**22]:
             monkeypatch.setattr(quench, "_TILE_ELEMENTS", budget)
-            monkeypatch.setattr(quench, "_cores", lambda cores=cores: cores)
-            assert np.array_equal(energy_at_times(protocol, times), reference), (budget, cores)
+            assert np.array_equal(_exact_kernel(protocol, times), reference), budget
 
-    def test_memory_does_not_grow_with_the_modes(self):
+    @pytest.mark.parametrize("kernel", [energy_at_times, _exact_kernel], ids=["energy", "exact"])
+    def test_memory_does_not_grow_with_the_modes(self, kernel):
         # the whole (N, 2, T) phase table holds 393 MB at 3,000 dimers x 8,192
         # times and 160 MB at 50 dimers x 200,000 times, whose chunks of
-        # _TILE_ELEMENTS // 2 times hit the one-mode floor of a tile; the tiles
-        # hold a few MB whatever N and T
+        # _TILE_ELEMENTS // 6 times hit the one-mode floor of a tile in the
+        # exact kernel; the phase blocks' temporaries and the exact kernel's
+        # tiles hold a few MB whatever N and T
         for n_dimers, samples in [(3000, 8192), (50, 200_000)]:
             protocol, times = QuenchProtocol(1.25, 0.3, 0.6, n_dimers), 0.05 * np.arange(samples)
             tracemalloc.start()
@@ -762,226 +766,11 @@ class TestTiledKernel:
                 _kernel_tables(protocol)
                 tables = tracemalloc.get_traced_memory()[1]
                 tracemalloc.reset_peak()
-                energy_at_times(protocol, times)
+                kernel(protocol, times)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak <= tables + 16 * 10**6, (n_dimers, samples)
-
-
-def _grid(protocol, t0, t1):
-    """The CLI's trace grid of ``protocol`` (half its resolution bound) on [t0, t1]."""
-    dt = 0.5 * resolution_bound(protocol)
-    return t0 + dt * np.arange(int((t1 - t0) / dt) + 1)
-
-
-class TestKernelThreads:
-    # energy_at_times splits its grid over min(cores, workers, samples)
-    # threads; any thread count must give the bits of one thread.  Each share
-    # runs in chunks of BLOCK times, one mode's tile of _TILE_ELEMENTS floats.
-    SMALL = QuenchProtocol(1.25, 0.3, 0.6, 20)
-    BLOCK = quench._TILE_ELEMENTS // 2
-
-    @staticmethod
-    def _blocks(monkeypatch):
-        """(thread, CPUs, lo, hi) of every chunk the kernel fills, as it fills them."""
-        blocks = []
-        fill_blocks = quench._fill_blocks
-
-        def spy(fill, size, width):
-            def recorded(lo, hi):
-                cpus = frozenset(getattr(os, "sched_getaffinity", lambda _: ())(0))
-                blocks.append((threading.current_thread(), cpus, lo, min(hi, size)))
-                fill(lo, hi)
-
-            fill_blocks(recorded, size, width)
-
-        monkeypatch.setattr(quench, "_fill_blocks", spy)
-        return blocks
-
-    @staticmethod
-    def _shares(blocks):
-        """Each thread's chunks as a list of (lo, hi), the lists in grid order."""
-        by_thread = {}
-        for thread, _, lo, hi in blocks:
-            by_thread.setdefault(thread, []).append((lo, hi))
-        return sorted(sorted(share) for share in by_thread.values())
-
-    @staticmethod
-    def _by_cores(monkeypatch, protocol, times):
-        out = []
-        for cores in (1, 2, 3):
-            monkeypatch.setattr(quench, "_cores", lambda cores=cores: cores)
-            out.append(energy_at_times(protocol, times))
-        return out
-
-    @pytest.mark.parametrize(
-        "protocol, times",
-        [
-            (FIG2, _grid(FIG2, 0.0, 800.0)),  # the reference trace, 25,465 samples
-            (FIG3, _grid(FIG3, 600.0, 800.0)),
-            (QuenchProtocol(0.8, 0.3, 0.5, 7), 0.05 * np.arange(9000)),  # odd n
-        ],
-        ids=["reference", "fig3_600_800", "odd_n"],
-    )
-    def test_thread_count_keeps_the_bits(self, monkeypatch, protocol, times):
-        one, two, three = self._by_cores(monkeypatch, protocol, times)
-        assert np.array_equal(one, two) and np.array_equal(one, three)
-
-    @pytest.mark.parametrize(
-        "samples", [0, 1, 4096, 4097, 8969, BLOCK, BLOCK + 1, 2 * BLOCK + 777, 6 * BLOCK + 5]
-    )
-    def test_grid_lengths_keep_the_bits(self, monkeypatch, samples):
-        one, two, three = self._by_cores(monkeypatch, self.SMALL, 0.3 * np.arange(samples))
-        assert one.shape == (samples,)
-        assert np.array_equal(one, two) and np.array_equal(one, three)
-
-    @pytest.mark.parametrize(
-        "samples, cores",
-        [
-            (1, 1), (4096, 1), (4097, 2), (8969, 3), (4096, 3), (2, 3),  # one chunk a share
-            (BLOCK, 1), (2 * BLOCK + 777, 1), (4 * BLOCK + 1, 2), (7 * BLOCK + 5, 3),
-        ],
-    )
-    def test_threads_share_one_blocks_memory(self, monkeypatch, samples, cores):
-        # k = min(cores, samples) threads, each on one of k contiguous shares
-        # of the grid, near-equal and in order, in chunks of BLOCK times (the
-        # last of a share shorter), whatever k
-        monkeypatch.setattr(quench, "_cores", lambda: cores)
-        blocks = self._blocks(monkeypatch)
-        energy_at_times(self.SMALL, 0.3 * np.arange(samples))
-        shares = self._shares(blocks)
-        k = min(cores, samples)
-        assert len(shares) == k
-        for share in shares:
-            assert all(a[1] == b[0] for a, b in zip(share, share[1:]))
-            assert all(hi - lo == self.BLOCK for lo, hi in share[:-1])
-            assert share[-1][1] - share[-1][0] <= self.BLOCK
-        ends = [(share[0][0], share[-1][1]) for share in shares]
-        assert [lo for lo, _ in ends] == [0] + [hi for _, hi in ends[:-1]]
-        assert ends[-1][1] == samples
-        assert max(hi - lo for lo, hi in ends) - min(hi - lo for lo, hi in ends) <= 1
-
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
-    def test_one_block_grid_splits_over_the_cpus(self, monkeypatch):
-        # a sweep's short span (1,401 samples, one chunk) runs on two
-        # pinned threads at two CPUs, and on the calling thread at workers = 1
-        times = _grid(FIG3, 0.0, regimes.DEFAULT_SHORT_SPAN)
-        assert times.size == 1401
-        cpus = sorted(os.sched_getaffinity(0))
-        monkeypatch.setattr(quench, "_cores", lambda: 2)
-        blocks = self._blocks(monkeypatch)
-        two = energy_at_times(FIG3, times)
-        assert len(self._shares(blocks)) == 2
-        assert {mask for _, mask, _, _ in blocks} == {
-            frozenset(cpus[j::2] or cpus) for j in (0, 1)
-        }
-        blocks.clear()
-        token = quench._WORKERS.set(1)
-        try:
-            one = energy_at_times(FIG3, times)
-        finally:
-            quench._WORKERS.reset(token)
-        assert {thread for thread, _, _, _ in blocks} == {threading.current_thread()}
-        assert [(lo, hi) for _, _, lo, hi in blocks] == [(0, 1401)]
-        assert np.array_equal(one, two)
-
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
-    def test_each_thread_runs_on_its_own_cpus(self, monkeypatch):
-        cpus = sorted(os.sched_getaffinity(0))
-        seen = set()
-
-        def spy(rows, total, comp, *work):
-            seen.add(frozenset(os.sched_getaffinity(0)))
-            sums.add_rows(rows, total, comp, *work)
-
-        monkeypatch.setattr(quench, "_cores", lambda: 2)
-        monkeypatch.setattr(quench, "add_rows", spy)
-        energy_at_times(self.SMALL, 0.3 * np.arange(2 * self.BLOCK))
-        assert seen == {frozenset(cpus[j::2] or cpus) for j in (0, 1)}
-        assert sorted(os.sched_getaffinity(0)) == cpus  # the caller's mask is untouched
-
-    @pytest.mark.parametrize("cores", [1, 2, 3])
-    def test_an_error_in_any_block_raises(self, monkeypatch, cores):
-        calls = itertools.count()
-
-        def failing(rows, total, comp, *work):
-            if next(calls) == 2:
-                raise FloatingPointError("block failed")
-            sums.add_rows(rows, total, comp, *work)
-
-        monkeypatch.setattr(quench, "_cores", lambda: cores)
-        monkeypatch.setattr(quench, "add_rows", failing)
-        with pytest.raises(FloatingPointError, match="block failed"):
-            energy_at_times(self.SMALL, 0.3 * np.arange(3 * self.BLOCK))
-
-    def test_every_block_runs_under_the_callers_errstate(self, monkeypatch):
-        def overflowing(rows, total, comp, *work):
-            sums.add_rows(rows, total, comp, *work)
-            total *= 1e308
-            total *= 1e308
-
-        monkeypatch.setattr(quench, "_cores", lambda: 3)
-        monkeypatch.setattr(quench, "add_rows", overflowing)
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            energy_at_times(self.SMALL, 0.3 + 0.3 * np.arange(3 * self.BLOCK))
-
-    def test_an_interrupt_while_joining_raises_at_once(self, monkeypatch):
-        # the caller's wait is interrupted while every thread is inside its
-        # first chunk: the interrupt propagates before any thread finishes
-        # it, and each thread fills at most one more chunk
-        threads, Thread = 3, threading.Thread
-        entered, release, started, calls = threading.Semaphore(0), threading.Event(), [], []
-
-        def fill(lo, hi):
-            calls.append(threading.current_thread())
-            entered.release()
-            release.wait(timeout=60)
-
-        class Interrupted(Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-            def join(self, timeout=None):
-                for _ in range(threads):
-                    assert entered.acquire(timeout=60)
-                raise KeyboardInterrupt
-
-        monkeypatch.setattr(quench, "_cores", lambda: threads)
-        monkeypatch.setattr(threading, "Thread", Interrupted)
-        try:
-            with pytest.raises(KeyboardInterrupt):
-                quench._fill_blocks(fill, 4 * threads, 1)
-            assert len(started) == threads
-            assert all(worker.is_alive() for worker in started)
-        finally:
-            release.set()
-            for worker in started:
-                Thread.join(worker, timeout=60)
-        assert not any(worker.is_alive() for worker in started)
-        assert all(1 <= calls.count(worker) <= 2 for worker in started)
-
-    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
-        # 8 threads of three chunks each, switching every microsecond: a lost
-        # or misplaced chunk write would change the bits
-        times = 0.3 * np.arange(17 * self.BLOCK + 123)
-        monkeypatch.setattr(quench, "_cores", lambda: 1)
-        one = energy_at_times(self.SMALL, times)
-        monkeypatch.setattr(quench, "_cores", lambda: 8)
-        result = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            caller = threading.Thread(
-                target=lambda: result.append(energy_at_times(self.SMALL, times))
-            )
-            caller.start()
-            caller.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not caller.is_alive()
-        assert np.array_equal(result[0], one)
 
 
 def _two_chain_modes(p: QuenchProtocol):

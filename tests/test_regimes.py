@@ -1,7 +1,5 @@
-import itertools
 import math
 import re
-import threading
 import warnings
 
 import numpy as np
@@ -279,40 +277,31 @@ class TestSweeps:
         assert seen[0] == seen[1]
         assert [category for category, _ in seen[0][1]] == [RecurrenceWindowWarning] * 2
 
-    @pytest.mark.parametrize("workers, threads", [(1, 1), (2, 2), (None, 3)])
-    def test_workers_bound_the_kernel_threads(self, monkeypatch, workers, threads):
-        # at 3 cores: every engine call of the row (the short span's segments
-        # and the window samples it evaluates) runs on min(3, workers, samples)
-        # threads, and the bound ends with the sweep
-        monkeypatch.setattr(quench, "_cores", lambda: 3)
-        seen = []
-        fill_blocks = quench._fill_blocks
+    def test_workers_change_no_engine_call(self, monkeypatch):
+        # every engine call of the row (the short span's segments and the
+        # window samples it evaluates) sees the same times and returns the
+        # same bits under any worker budget
+        kernel = regimes._xy_kernel
+        calls = {}
+        for workers in (None, 1, 2):
+            seen = calls[workers] = []
 
-        def spy(fill, size, width):
-            used = set()
+            def recorded(times, amp, freq, _seen=seen):
+                values = kernel(times, amp, freq)
+                _seen.append((times.tobytes(), values.tobytes()))
+                return values
 
-            def recorded(lo, hi):
-                used.add(threading.current_thread())
-                fill(lo, hi)
+            monkeypatch.setattr(regimes, "_xy_kernel", recorded)
+            sweep_delta0(1.1, 0.8, 20, [0.2], workers=workers)
+        assert len(calls[None]) >= 2
+        assert calls[None] == calls[1] == calls[2]
 
-            fill_blocks(recorded, size, width)
-            seen.append((size, len(used)))
-
-        monkeypatch.setattr(quench, "_fill_blocks", spy)
-        sweep_delta0(1.1, 0.8, 20, [0.2], workers=workers)
-        assert len(seen) >= 2 and any(size >= 3 for size, _ in seen)
-        assert [used for _, used in seen] == [min(threads, size) for size, _ in seen]
-        assert quench._WORKERS.get() is None
-
-    def test_rows_do_not_depend_on_workers_or_cores(self, monkeypatch):
+    def test_rows_do_not_depend_on_workers(self):
         # delta0 = 0.2 is the flat-band point delta0 + delta1 = 1 of the Fig-3
         # line, whose window holds maxima equal up to their last bits
-        rows = []
-        for cores, workers in itertools.product((1, 2, 3), (1, 2, 3)):
-            monkeypatch.setattr(quench, "_cores", lambda cores=cores: cores)
-            rows.append(sweep_delta0(1.1, 0.8, 300, [0.15, 0.2], workers=workers))
+        rows = [repr(sweep_delta0(1.1, 0.8, 300, [0.15, 0.2], workers=w)) for w in (None, 1, 2)]
         assert 0.2 + 0.8 == 1.0
-        assert all(r == rows[0] for r in rows)
+        assert rows[0] == rows[1] == rows[2]
 
 
 class TestScalingStudy:
@@ -329,9 +318,8 @@ class TestScalingStudy:
         # short-time and asymptotic densities are already size converged
         assert rows[0].e_inf_per == pytest.approx(rows[1].e_inf_per, rel=1e-3)
 
-    def test_rows_do_not_depend_on_workers(self, monkeypatch):
-        monkeypatch.setattr(quench, "_cores", lambda: 3)
-        rows = [scaling_study(1.25, 0.3, 0.6, [20, 30], workers=w) for w in (1, 2, 3)]
+    def test_rows_do_not_depend_on_workers(self):
+        rows = [repr(scaling_study(1.25, 0.3, 0.6, [20, 30], workers=w)) for w in (None, 1, 2)]
         assert rows[0] == rows[1] == rows[2]
 
     def test_rows_are_sweep_rows(self):
@@ -399,18 +387,20 @@ class TestPlateauRobustness:
 
 def _full_grid_point(params, window):
     """The row of the whole grids, as ``_regime_point`` computed it before it
-    screened the window: the engine on every sample of the short span and of
-    the window.  The judge of the screened rows."""
+    screened the window: the row's engine (``kernel`` over ``tables``) on every
+    sample of the short span and of the window.  The judge of the screened rows."""
     model = regimes._engine(params)
     bound = model.resolution(params)
     dt = DT_SAFETY * bound
-    short = quench._build_trace(
-        model.energy, model.resolution, params, regimes.DEFAULT_SHORT_SPAN, dt
-    )
+
+    def engine(params, times):
+        return model.kernel(*model.tables(params, times))
+
+    short = quench._build_trace(engine, model.resolution, params, regimes.DEFAULT_SHORT_SPAN, dt)
     tau_s, e_s = find_short_time_max(short)
     win_times = quench._uniform_times(*window, dt, bound)
     span = regimes._window_span(win_times, window)
-    values = model.energy(params, win_times)
+    values = engine(params, win_times)
     tau_r, e_r, on_edge = regimes._windowed_argmax(win_times, values, params, *span)
     return tau_s, e_s, model.asymptote(params), tau_r, e_r, on_edge
 

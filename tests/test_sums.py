@@ -59,14 +59,14 @@ def test_subnormals():
 
 
 def test_rows_in_order_of_the_kernel():
-    # the shape the XY kernel reduces: 300 modes x one thread's block
+    # 300 mode rows in one tile, as the exact XY kernel adds a short grid's modes
     values = _mixed(np.random.default_rng(99), 300, 2048) * 1e-12
     assert _same_bits(compensated_sum_axis0(values), _neumaier(values))
 
 
 @pytest.mark.parametrize("tile", [1, 7, 64, 300])
 def test_rows_added_tile_by_tile_keep_the_bits(tile):
-    # the XY kernel adds each mode tile's rows into one running pair per chunk of times
+    # the exact XY kernel adds each mode tile's rows into one running pair per chunk of times
     values = _mixed(np.random.default_rng(5), 300, 64)
     total, comp = np.zeros((2, 64))
     for lo in range(0, 300, tile):
@@ -90,9 +90,9 @@ def _row_by_row(rows, total, comp):
 @pytest.mark.parametrize("cols", [1, 2, 3, 100, 2802, 12732])
 def test_a_tile_keeps_the_row_by_row_bits(k, cols):
     # row scales from 1e-8 to 1e8, and a running pair that already holds
-    # sums: up to ROW_BY_ROW rows go one by one, a taller tile's prefix sums,
-    # errors and one axis-0 reduction must give the pair of adding row after
-    # row (so numpy reduces axis 0 in row order, and one column is accumulated)
+    # sums: a tile's prefix sums, errors and one axis-0 reduction must give
+    # the pair of adding row after row, from one row up (so numpy reduces
+    # axis 0 in row order, and one column is accumulated)
     rng = np.random.default_rng(k * 100_003 + cols)
     rows = rng.standard_normal((k, cols)) * 10.0 ** rng.uniform(-8, 8, (k, 1))
     start = rng.standard_normal((2, cols)) * [[1e4], [1e-12]]
