@@ -773,6 +773,96 @@ class TestTiledKernel:
             assert peak <= tables + 16 * 10**6, (n_dimers, samples)
 
 
+def _grid(protocol, t0, t1):
+    """The CLI's trace grid of ``protocol`` (half its resolution bound) on [t0, t1]."""
+    dt = 0.5 * resolution_bound(protocol)
+    return t0 + dt * np.arange(int((t1 - t0) / dt) + 1)
+
+
+class TestKernelChunks:
+    # the exact kernel runs the grid in chunks of WIDTH times, in grid order
+    # (the last shorter), and each chunk in ascending mode tiles of the most
+    # modes whose 6 floats per mode and time fit _TILE_ELEMENTS (at least one)
+    SMALL = QuenchProtocol(1.25, 0.3, 0.6, 20)
+    WIDTH = quench._TILE_ELEMENTS // 6
+
+    @pytest.mark.parametrize(
+        "samples", [0, 1, 4096, 4097, 8969, WIDTH, WIDTH + 1, 2 * WIDTH + 777, 6 * WIDTH + 5]
+    )
+    def test_grid_lengths_keep_the_bits(self, samples):
+        times = 0.3 * np.arange(samples)
+        values = _exact_kernel(self.SMALL, times)
+        assert values.shape == (samples,)
+        assert np.array_equal(values, _whole_table_kernel(self.SMALL, times))
+
+    @pytest.mark.parametrize(
+        "samples, n_dimers",
+        [
+            (1, 20), (2, 300), (4096, 20), (4097, 300), (8969, 7),  # one chunk
+            (WIDTH, 2), (WIDTH + 1, 20), (2 * WIDTH + 777, 7), (4 * WIDTH + 1, 2),
+            (7 * WIDTH + 5, 3),
+        ],
+    )
+    def test_chunks_and_tiles_hold_the_budget(self, monkeypatch, samples, n_dimers):
+        tiles = []
+
+        def spy(rows, total, comp, work):
+            tiles.append(rows.shape)
+            sums.add_rows(rows, total, comp, work)
+
+        monkeypatch.setattr(quench, "add_rows", spy)
+        _exact_kernel(QuenchProtocol(0.8, 0.3, 0.5, n_dimers), 0.3 * np.arange(samples))
+        chunks, modes = [], 0
+        for k, width in tiles:
+            if modes == 0:
+                chunks.append((width, []))
+            assert width == chunks[-1][0]
+            chunks[-1][1].append(k)
+            modes = (modes + k) % n_dimers
+        assert modes == 0
+        widths = [width for width, _ in chunks]
+        assert sum(widths) == samples
+        assert all(width == self.WIDTH for width in widths[:-1])
+        assert 0 < widths[-1] <= self.WIDTH
+        for width, ks in chunks:
+            assert sum(ks) == n_dimers
+            assert all(k == ks[0] for k in ks[:-1]) and ks[-1] <= ks[0]
+            fits = max(1, quench._TILE_ELEMENTS // (6 * width))
+            assert ks[0] == min(n_dimers, fits), (width, ks)
+            assert ks[0] == 1 or 6 * ks[0] * width <= quench._TILE_ELEMENTS
+
+
+class TestTraceKernel:
+    # energy_at_times runs the phase-block kernel, the exact kernel's sums to
+    # rounding: within 1e-13 of the trace maximum on the CLI's trace grids,
+    # with dE(0) = 0 exactly, and on every block shape of short grids
+    SMALL = TestKernelChunks.SMALL
+
+    @pytest.mark.parametrize(
+        "protocol, times",
+        [
+            (FIG2, _grid(FIG2, 0.0, 800.0)),  # the reference trace, 25,465 samples
+            (FIG3, _grid(FIG3, 600.0, 800.0)),
+            (QuenchProtocol(0.8, 0.3, 0.5, 7), 0.05 * np.arange(9000)),  # odd n
+        ],
+        ids=["reference", "fig3_600_800", "odd_n"],
+    )
+    def test_trace_grids_match_the_exact_kernel(self, protocol, times):
+        values, exact = energy_at_times(protocol, times), _exact_kernel(protocol, times)
+        assert np.max(np.abs(values - exact)) <= 1e-13 * np.max(np.abs(exact))
+        assert times[0] > 0.0 or values[0] == 0.0
+
+    @pytest.mark.parametrize("samples", [0, 1, 2, 3, 5, 16, 17, 4096, 4097])
+    def test_grid_lengths_match_the_exact_kernel(self, samples):
+        # blocks of ceil(sqrt(T)) times: 1, 2, 2, 3, 4, 5, 64 and 65
+        times = 0.5 * resolution_bound(self.SMALL) * np.arange(samples)
+        values, exact = energy_at_times(self.SMALL, times), _exact_kernel(self.SMALL, times)
+        assert values.shape == (samples,)
+        tol = 1e-12 * max(1.0, asymptotic_energy(self.SMALL))
+        assert np.max(np.abs(values - exact), initial=0.0) <= tol
+        assert samples == 0 or values[0] == 0.0
+
+
 def _two_chain_modes(p: QuenchProtocol):
     """(amp, freq, |d|) per mode and chain, shapes (n_dimers, 2): a reference
     that shares no code with the engine.
