@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: trace, sweep, scaling, phase, snapshot, oracle-check.  They parse
-options and format output; the per-model rules (engines, default recurrence
-windows and their one-sided flags, the no-charge verdict) live in ``regimes``.
+options and format output; the engines live in ``quench`` and the window
+rules (default windows and their one-sided flags, the no-charge verdict) in ``regimes``.
 Curves are written as CSV, reports as JSON (or everything as one JSON file
 with ``--format json``).  All numeric output uses 17 significant digits in
 scientific notation with '.' decimal separator and LF line endings, and a
@@ -35,10 +35,9 @@ from .ed import (
     oracle_energy_trace,
 )
 from .ising import IsingParams
-from .quench import QuenchProtocol, _uniform_times
+from .quench import QuenchProtocol, _energy, _uniform_times
 from .regimes import (
     RegimeDetectionError,
-    _engine,
     _trace_inputs,
     analyze_trace,
     linear_fit,
@@ -336,7 +335,7 @@ def cmd_oracle_check(opts: dict) -> int:
         battery, charger = (build_hamiltonian(kind, n_sites) for kind in kinds)
         params = IsingParams(h0, h1, n_sites)
     oracle = oracle_energy_trace(battery, charger, times).values
-    engine = _engine(params).energy(params, times)
+    engine = _energy(params, times)
     deviation = float(np.max(np.abs(engine - oracle)))
     print(f"max deviation = {format_float(deviation)} (tolerance {format_float(opts['tol'])})")
     scale = max(1.0, float(np.max(np.abs(oracle))))

@@ -14,14 +14,16 @@ store the same energy, so each mirror pair enters once, at twice the
 per-mode amplitude; the k = pi mode of an odd ring is its own mirror, is not
 coupled by the field quench and never enters.
 
-``ising_energy_at_times`` evaluates the sum with the phase-block kernel of
-``quench`` (``_phase_block_sum``).  It matches the mode-by-mode sum, exactly
-rounded over modes, to within 1e-12 max(1, E^inf) up to t = 10^3, a bound
-that grows in proportion to t past it with the rounding of the phases
-2 w_q t, so a trace and pointwise calls at its times agree to that
-tolerance, not bit for bit.  A result depends only on the parameters and the
-time grid, not on the worker or BLAS thread count.  Each call builds the
-per-mode arrays it needs and keeps nothing once it returns.
+:class:`IsingParams` is the Ising model supplier of ``quench`` (see there),
+so the shared engines run the sum on the phase-block kernel
+(``quench._phase_block_sum``), a sweep row too; the ``ising_*`` names are
+one-line entries to them.  It matches the mode-by-mode sum, exactly rounded
+over modes, to within 1e-12 max(1, E^inf) up to t = 10^3, a bound that
+grows in proportion to t past it with the rounding of the phases 2 w_q t, so
+a trace and pointwise calls at its times agree to that tolerance, not bit
+for bit.  A result depends only on the parameters and the time grid, not on
+the worker or BLAS thread count.  Each call builds the per-mode arrays it
+needs and keeps nothing once it returns.
 """
 
 from __future__ import annotations
@@ -32,12 +34,13 @@ import numpy as np
 
 from .quench import (
     EnergyTrace,
-    _build_trace,
+    _energy,
     _engine_times,
     _phase_block_sum,
-    _resolution_bound,
+    asymptotic_energy,
+    energy_trace,
+    resolution_bound,
 )
-from .sums import compensated_sum
 from .xy import _chain_modes, _check_parameters, _check_size
 
 __all__ = [
@@ -51,15 +54,42 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IsingParams:
-    """Initial transverse field h0, quench amplitude h1, chain length N."""
+    """Initial transverse field h0, quench amplitude h1, chain length N; the
+    Ising model supplier (module docstring)."""
 
     h0: float
     h1: float
     n_sites: int
 
+    size_name = "n_sites"
+    # Recurrence search window as multiples of the size: 600 sites give [280, 350].
+    window_factors = (7.0 / 15.0, 7.0 / 12.0)
+
     def __post_init__(self):
         _check_parameters(h0=self.h0, h1=self.h1)
         _check_size("n_sites", self.n_sites)
+
+    @property
+    def size(self) -> int:
+        return self.n_sites
+
+    def chain_modes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(amp, freq) over the half zone: amp_q and 2 w_q = 4 |d'|."""
+        omega, amp = _mode_arrays(self)
+        return amp, 2.0 * omega
+
+    def kernel_tables(self, times):
+        """(times, amp, freq) of the time kernel: ``times`` checked for the half zone's
+        n_sites // 2 modes (``quench._engine_times``), then :meth:`chain_modes`."""
+        return (_engine_times(self, self.n_sites // 2, times), *self.chain_modes())
+
+    def fastest_frequency(self) -> float:
+        """2 max_q w_q over the half zone, the frequency of the Ising resolution rule."""
+        return 2.0 * float(np.max(_mode_arrays(self)[0]))
+
+    def row_kernel(self, times, amp, freq) -> np.ndarray:
+        """A sweep row's kernel over the kernel tables: the phase-block kernel."""
+        return _phase_block_sum(times, amp, freq)
 
 
 def _mode_arrays(params: IsingParams):
@@ -71,31 +101,21 @@ def _mode_arrays(params: IsingParams):
     return 2.0 * norm_p, 2.0 * norm * sin2_dphi
 
 
-def _ising_tables(params: IsingParams, times):
-    """(times, amp, freq) of ``ising_energy_at_times``: ``times`` checked
-    (``_engine_times``), then the half zone's amplitudes and frequencies 2 w_q."""
-    times = _engine_times("n_sites", params.n_sites, params.n_sites // 2, times)
-    omega, amp = _mode_arrays(params)
-    return times, amp, 2.0 * omega
-
-
 def ising_energy_at_times(params: IsingParams, times: np.ndarray) -> np.ndarray:
-    """Stored energy on an arbitrary grid of times >= 0."""
-    return _phase_block_sum(*_ising_tables(params, times))
+    """Stored energy on an arbitrary grid of times >= 0 (``quench._energy``)."""
+    return _energy(params, times)
 
 
 def ising_asymptotic_energy(params: IsingParams) -> float:
-    """Infinite-time average: the [1 - cos] bracket averages to 1."""
-    _, amp = _mode_arrays(params)
-    return compensated_sum(amp)
+    """Infinite-time average (``quench.asymptotic_energy``)."""
+    return asymptotic_energy(params)
 
 
 def ising_resolution_bound(params: IsingParams) -> float:
-    """Trace-step bound: twenty samples per period of 2 max_q w_q over the half zone."""
-    omega, _ = _mode_arrays(params)
-    return _resolution_bound(2.0 * float(np.max(omega)))
+    """Trace-step bound (``quench.resolution_bound``)."""
+    return resolution_bound(params)
 
 
 def ising_energy_trace(params: IsingParams, t_end: float, dt: float) -> EnergyTrace:
-    """Stored energy on the uniform grid {0, dt, 2dt, ...} up to t_end."""
-    return _build_trace(ising_energy_at_times, ising_resolution_bound, params, t_end, dt)
+    """Stored energy on the uniform grid {0, dt, 2dt, ...} up to t_end (``quench.energy_trace``)."""
+    return energy_trace(params, t_end, dt)

@@ -29,9 +29,11 @@ their bits on any grid they are part of (mode tiles in chunks of times,
 added into a compensated pair per chunk).  ``_xy_tables`` builds the tables
 both kernels run, so a sweep row builds them once for all its calls.
 
-Engines keep nothing between calls.  The helpers under "scaffolding shared
-with the Ising closed form" (time checks, the phase-block kernel and the
-trace grid) serve both models.
+Each parameter class, :class:`QuenchProtocol` or ``ising.IsingParams``, is
+a model supplier: its size and the size's name, closed-form chain-mode
+tables (amp, freq = 4 |d'|), kernel tables, resolution frequency, default
+window factors and a sweep row's kernel.  The engines read only those, so
+each takes either class.  Engines keep nothing between calls.
 """
 
 from __future__ import annotations
@@ -80,14 +82,12 @@ MAX_MODE_SAMPLES = 10**9
 # w t stays finite.
 MAX_TIME = 1e100
 
-# _TILE_ELEMENTS floats is 512 KB, a core's cache.  The phase-block kernel's
-# temporaries hold _TILE_ELEMENTS together on an XY grid (``energy_at_times``
-# and a sweep row's window screen) and _BLOCK_ELEMENTS on an Ising one.  The
-# exact XY kernel (``_xy_kernel``) runs chunks of _TILE_ELEMENTS // 6 times,
-# each in tiles of as many modes as fit their phases, energies and reduction
-# buffers, 6 floats per mode and time, in _TILE_ELEMENTS (at least one mode).
-_TILE_ELEMENTS = 2**16
-_BLOCK_ELEMENTS = 10**7
+# _TILE_ELEMENTS floats is 2 MB.  The phase-block kernel's temporaries hold at
+# most _TILE_ELEMENTS floats together, on either model's grid.  The exact XY
+# kernel (``_xy_kernel``) runs chunks of _TILE_ELEMENTS // 6 times, each in
+# tiles of as many modes as fit their phases, energies and reduction buffers,
+# 6 floats per mode and time, in _TILE_ELEMENTS (at least one mode).
+_TILE_ELEMENTS = 2**18
 
 # A grid is uniform for the phase-block kernel when it departs from an exact
 # arithmetic progression by at most this many ulp of its largest time.
@@ -99,13 +99,18 @@ class QuenchProtocol:
     """Double quench of the dimerization at fixed anisotropy.
 
     The battery Hamiltonian uses delta0, the charging Hamiltonian
-    delta0 + delta1.  delta1 = 0 is legal and stores no energy.
+    delta0 + delta1.  delta1 = 0 is legal and stores no energy.  The XY
+    model supplier (module docstring).
     """
 
     gamma: float
     delta0: float
     delta1: float
     n_dimers: int
+
+    size_name = "n_dimers"
+    # Recurrence search window as multiples of the size: 300 dimers give [600, 800].
+    window_factors = (2.0, 8.0 / 3.0)
 
     def __post_init__(self):
         # ChainParams re-validates gamma/n_dimers; the dimerizations it is
@@ -117,14 +122,36 @@ class QuenchProtocol:
         _check_parameters(**{"delta0 + delta1": self.delta0 + self.delta1})
         ChainParams(self.gamma, self.delta0, self.n_dimers)
 
+    @property
+    def size(self) -> int:
+        return self.n_dimers
+
+    def chain_modes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(amp, freq), shape (n_dimers, 2): |d| sin^2 dphi and 4 |d'| of both chains."""
+        norm, norm_p, sin2_dphi = _xy_chains(self.gamma, self.delta0, self.delta1, self.n_dimers)
+        return norm * sin2_dphi, 4.0 * norm_p
+
+    def kernel_tables(self, times):
+        """(times, amp, freq) of the time kernels: :func:`_xy_tables`."""
+        return _xy_tables(self, times)
+
+    def fastest_frequency(self) -> float:
+        """max_q(w1' + w2') over the charger's bands, the frequency of the XY resolution rule."""
+        charging = dispersion_curves(self.gamma, self.delta0 + self.delta1, self.n_dimers)
+        return float(np.max(charging[:, 0] + charging[:, 1]))
+
+    def row_kernel(self, times, amp, freq) -> np.ndarray:
+        """A sweep row's kernel over the kernel tables: the exact :func:`_xy_kernel`."""
+        return _xy_kernel(times, amp, freq)
+
 
 @dataclass(frozen=True)
 class EnergyTrace:
     """Stored energy sampled on an ascending time grid (units of 1/J).
 
-    ``protocol`` is whatever parameter object generated the trace (a
-    :class:`QuenchProtocol` here, the transverse-field parameters for the
-    Ising closed form).
+    ``protocol`` is the model supplier that generated the trace, or None.
+    ValueError, naming the field, unless times and values are finite 1-D
+    arrays of one shape and the times strictly ascend.
     """
 
     times: np.ndarray
@@ -132,16 +159,19 @@ class EnergyTrace:
     protocol: object
 
     def __post_init__(self):
+        for name, array in (("times", self.times), ("values", self.values)):
+            if array.ndim != 1 or not np.isfinite(array).all():
+                raise ValueError(f"{name} must be a finite 1-D array, got shape {array.shape}")
         if self.times.shape != self.values.shape:
             raise ValueError("times and values must have matching shapes")
-        if len(self.times) and np.any(np.diff(self.times) <= 0):
+        if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly ascending")
         self.times.setflags(write=False)
         self.values.setflags(write=False)
 
 
 # ----------------------------------------------------------------------
-# scaffolding shared with the Ising closed form
+# scaffolding shared by both models
 # ----------------------------------------------------------------------
 
 def _as_times(times) -> np.ndarray:
@@ -154,8 +184,8 @@ def _as_times(times) -> np.ndarray:
     return times
 
 
-def _engine_times(size_name: str, size: int, modes: int, times) -> np.ndarray:
-    """``times`` as a float array, checked before any per-mode table is built.
+def _engine_times(params, modes: int, times) -> np.ndarray:
+    """``times`` as a float array, checked before any per-mode table of ``params`` is built.
 
     ValueError unless it is 1-D, finite and >= 0 and modes x len(times) fits
     MAX_MODE_SAMPLES; the message names the size and, if it differs, the modes.
@@ -164,10 +194,11 @@ def _engine_times(size_name: str, size: int, modes: int, times) -> np.ndarray:
     if times.size and float(np.min(times)) < 0:
         raise ValueError("times must be >= 0")
     if modes * times.size > MAX_MODE_SAMPLES:
+        name, size = params.size_name, params.size
         counted = "" if modes == size else f" ({modes} modes)"
         raise ValueError(
-            f"{size_name}={size}{counted} x {times.size} samples exceeds the engine's work budget "
-            f"of {MAX_MODE_SAMPLES:.0e} mode-samples; raise dt or lower {size_name}"
+            f"{name}={size}{counted} x {times.size} samples exceeds the engine's work budget "
+            f"of {MAX_MODE_SAMPLES:.0e} mode-samples; raise dt or lower {name}"
         )
     return times
 
@@ -188,9 +219,7 @@ def _phase_block(times: np.ndarray) -> tuple[int, float]:
     return math.isqrt(n - 1) + 1, float(step)
 
 
-def _phase_block_sum(
-    times: np.ndarray, amp: np.ndarray, freq: np.ndarray, budget: int | None = None
-) -> np.ndarray:
+def _phase_block_sum(times: np.ndarray, amp: np.ndarray, freq: np.ndarray) -> np.ndarray:
     """sum_q amp_q [1 - cos(freq_q t)] at every time t of ``times``, by phase blocks.
 
     The grid is cut into blocks of B times t_b + j step (j < B, see
@@ -203,16 +232,15 @@ def _phase_block_sum(
     each block column j of the trace is two matrix-vector products,
     (blocks x M) @ (M,), with no trigonometric call per sample.  Each term is
     small where dE is, so dE(0) = 0 exactly.  Modes are taken in tiles whose
-    temporaries hold at most ``budget`` (None: _BLOCK_ELEMENTS) floats
-    together, and the tiles are summed in ascending order.  A matrix-vector
-    product gives every output element to one BLAS thread, so a result
-    depends only on the grid, the modes and the budget, not on the BLAS
-    thread count.
+    temporaries hold at most _TILE_ELEMENTS floats together, and the tiles
+    are summed in ascending order.  A matrix-vector product gives every
+    output element to one BLAS thread, so a result depends only on the grid
+    and the modes, not on the BLAS thread count.
     """
     block, step = _phase_block(times)
     starts = times[::block]
     offsets = step * np.arange(block)
-    tile = max(1, (budget or _BLOCK_ELEMENTS) // (3 * starts.size + 2 * block))
+    tile = max(1, _TILE_ELEMENTS // (3 * starts.size + 2 * block))
     out = np.zeros((starts.size, block))
     for lo in range(0, amp.size, tile):
         out += _phase_tile(starts, offsets, amp[lo : lo + tile], freq[lo : lo + tile])
@@ -233,11 +261,6 @@ def _phase_tile(starts, offsets, a, f) -> np.ndarray:
     return out
 
 
-def _resolution_bound(fmax: float) -> float:
-    """Largest step with twenty samples per period of the frequency fmax > 0."""
-    return np.pi / (SAMPLES_PER_PERIOD_FACTOR * fmax)
-
-
 def _uniform_times(start: float, end: float, dt: float, bound: float) -> np.ndarray:
     """The grid {start, start + dt, ...} up to end, dt <= bound; errors name [start, end]."""
     _check_finite(t_end=end, dt=dt)
@@ -255,9 +278,9 @@ def _uniform_times(start: float, end: float, dt: float, bound: float) -> np.ndar
     return start + dt * np.arange(int(np.floor((end - start) / dt)) + 1)
 
 
-def _build_trace(energy, bound, params, t_end: float, dt: float) -> EnergyTrace:
-    """``energy(params, times)`` on {0, dt, 2dt, ...} up to t_end, dt <= bound(params)."""
-    times = _uniform_times(0.0, t_end, dt, bound(params))
+def _build_trace(energy, params, t_end: float, dt: float) -> EnergyTrace:
+    """``energy(params, times)`` on {0, dt, ...} up to t_end, dt <= resolution_bound(params)."""
+    times = _uniform_times(0.0, t_end, dt, resolution_bound(params))
     return EnergyTrace(times=times, values=energy(params, times), protocol=params)
 
 
@@ -309,10 +332,9 @@ def _xy_tables(protocol: QuenchProtocol, times):
     dE(t) = sum_{q,s} amp [1 - cos(freq t)], with amp = |d| sin^2 dphi from the
     closed form and freq = 2 w_s' from the charger's Bloch bands, one eigh.
     """
-    times = _engine_times("n_dimers", protocol.n_dimers, protocol.n_dimers, times)
-    g, d, n = protocol.gamma, protocol.delta0, protocol.n_dimers
-    norm, _, sin2_dphi = _xy_chains(g, d, protocol.delta1, n)
-    return times, norm * sin2_dphi, 2.0 * _bloch_bands(g, d + protocol.delta1, n)
+    times = _engine_times(protocol, protocol.n_dimers, times)
+    bands = _bloch_bands(protocol.gamma, protocol.delta0 + protocol.delta1, protocol.n_dimers)
+    return times, protocol.chain_modes()[0], 2.0 * bands
 
 
 def _xy_kernel(times: np.ndarray, amp: np.ndarray, freq: np.ndarray) -> np.ndarray:
@@ -352,32 +374,36 @@ def _xy_kernel(times: np.ndarray, amp: np.ndarray, freq: np.ndarray) -> np.ndarr
     return out
 
 
-def energy_at_times(
-    protocol: QuenchProtocol, times: np.ndarray, evaluator: str = "full"
-) -> np.ndarray:
-    """Stored energy on an arbitrary grid of times >= 0: the phase-block kernel
-    (:func:`_phase_block_sum`, temporaries of _TILE_ELEMENTS floats) over the
-    chain-mode tables of :func:`_xy_tables`."""
+def _energy(params, times) -> np.ndarray:
+    """Stored energy of either model on times >= 0: :func:`_phase_block_sum` over its kernel tables.
+
+    The body of ``energy_at_times`` and ``ising.ising_energy_at_times``, which
+    never call each other: ``bench/traced.py`` hooks both names and reads
+    n_dimers off every ``energy_at_times`` call, so other engines call this.
+    """
+    times, amp, freq = params.kernel_tables(times)
+    return _phase_block_sum(times, amp.ravel(), freq.ravel())
+
+
+def energy_at_times(params, times: np.ndarray, evaluator: str = "full") -> np.ndarray:
+    """Stored energy of either model on an arbitrary grid of times >= 0 (:func:`_energy`)."""
     if evaluator not in ("full", "simplified"):
         raise ValueError(f"evaluator must be 'full' or 'simplified', got {evaluator!r}")
-    times, amp, freq = _xy_tables(protocol, times)
-    return _phase_block_sum(times, amp.ravel(), freq.ravel(), _TILE_ELEMENTS)
+    return _energy(params, times)
 
 
-def resolution_bound(protocol: QuenchProtocol) -> float:
-    """Largest trace step that still resolves the fastest oscillation.
+def resolution_bound(params) -> float:
+    """Largest trace step that resolves the fastest oscillation: pi / (10 f),
+    f the supplier's ``fastest_frequency``.
 
-    The bound is dt <= pi / (10 max_q(w1' + w2')).  The fastest column of
-    the table is 2 max_q w1', and max_q w1' <= max_q(w1' + w2') <= 2 max_q w1',
-    so this gives 10 to 20 samples per period of it.
+    XY's f = max_q(w1' + w2') lies between 2 max_q w1' and half of it, so
+    10 to 20 samples per period of the fastest column; Ising's f = 2 max_q w_q
+    gives 20 per period of the fastest chain.
     """
-    charging = dispersion_curves(
-        protocol.gamma, protocol.delta0 + protocol.delta1, protocol.n_dimers
-    )
-    return _resolution_bound(float(np.max(charging[:, 0] + charging[:, 1])))
+    return np.pi / (SAMPLES_PER_PERIOD_FACTOR * params.fastest_frequency())
 
 
-def energy_trace(protocol: QuenchProtocol, t_end: float, dt: float) -> EnergyTrace:
+def energy_trace(params, t_end: float, dt: float) -> EnergyTrace:
     """Stored energy on the uniform grid {0, dt, 2dt, ...} up to t_end.
 
     t_end plays the role of the charging duration tau: once the quench is
@@ -387,17 +413,15 @@ def energy_trace(protocol: QuenchProtocol, t_end: float, dt: float) -> EnergyTra
     Rejects steps coarser than :func:`resolution_bound`; an aliased grid
     would silently corrupt downstream regime detection.
     """
-    return _build_trace(energy_at_times, resolution_bound, protocol, t_end, dt)
+    return _build_trace(_energy, params, t_end, dt)
 
 
-def asymptotic_energy(protocol: QuenchProtocol) -> float:
+def asymptotic_energy(params) -> float:
     """Time-independent part of the stored energy (infinite-time average).
 
-    The exactly rounded sum of |d| sin^2 dphi over the modes of both chains
-    whose frequency 4 |d'| exceeds ``EQUAL_FREQ_TOL``; a mode of a flat
-    charging band (a gap closing) does not oscillate and stores nothing.
+    The exactly rounded sum of the supplier's chain-mode amplitudes whose
+    frequency 4 |d'| exceeds ``EQUAL_FREQ_TOL``; a mode of a flat charging
+    band (a gap closing, never an Ising mode) does not oscillate and stores nothing.
     """
-    norm, norm_p, sin2_dphi = _xy_chains(
-        protocol.gamma, protocol.delta0, protocol.delta1, protocol.n_dimers
-    )
-    return compensated_sum((norm * sin2_dphi)[4.0 * norm_p > EQUAL_FREQ_TOL])
+    amp, freq = params.chain_modes()
+    return compensated_sum(amp[freq > EQUAL_FREQ_TOL])

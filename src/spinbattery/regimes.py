@@ -11,40 +11,31 @@ only on the samples that decide it: the short span in growing segments up
 to the sample after the first maximum, and, of the recurrence window, the
 samples that a phase-block screen of the whole window puts near its
 maximum, with their neighbours (``_regime_point``).
-The per-model rules live here, not in the command line: ``_engine`` picks
-the engines, table builds and kernels and the default window,
-``_recurrence_window`` fills and checks a window, ``_window_span`` picks its
-samples on a grid, ``_trace_inputs`` holds the ``trace`` command's defaults,
-checks and trace, and an uncharged trace or window fails with "no charging
-occurred".
+Both models run the same code here: each parameter class is a model
+supplier (``quench``) that gives its size, window factors, tables and row
+kernel.  The window rules live here, not in the command line:
+``_default_window`` forms a default window, ``_recurrence_window`` fills and
+checks a window, ``_window_span`` picks its samples on a grid,
+``_trace_inputs`` holds the ``trace`` command's defaults, checks and trace,
+and an uncharged trace or window fails with "no charging occurred".
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .ising import (
-    IsingParams,
-    _ising_tables,
-    ising_asymptotic_energy,
-    ising_energy_at_times,
-    ising_resolution_bound,
-)
+from .ising import IsingParams
 from .quench import (
     EnergyTrace,
     QuenchProtocol,
-    _TILE_ELEMENTS,
     _build_trace,
+    _energy,
     _phase_block_sum,
     _uniform_times,
-    _xy_kernel,
-    _xy_tables,
     asymptotic_energy,
-    energy_at_times,
     occupations_all,
     resolution_bound,
 )
@@ -65,12 +56,6 @@ __all__ = [
     "scaling_study",
     "linear_fit",
 ]
-
-# Recurrence search window as multiples of the size parameter.  The XY pair
-# is calibrated so n_dimers = 300 gives [600, 800]; the Ising pair so
-# N = 600 gives [280, 350].
-XY_WINDOW_FACTORS = (2.0, 8.0 / 3.0)
-ISING_WINDOW_FACTORS = (7.0 / 15.0, 7.0 / 12.0)
 
 # Default trace step: half the anti-aliasing bound.
 DT_SAFETY = 0.5
@@ -124,18 +109,26 @@ class ScalingRow:
 
 
 def default_recurrence_window(n_dimers: int) -> tuple[float, float]:
-    return (XY_WINDOW_FACTORS[0] * n_dimers, XY_WINDOW_FACTORS[1] * n_dimers)
+    return _default_window(QuenchProtocol, n_dimers)
 
 
 def ising_recurrence_window(n_sites: int) -> tuple[float, float]:
-    return (ISING_WINDOW_FACTORS[0] * n_sites, ISING_WINDOW_FACTORS[1] * n_sites)
+    return _default_window(IsingParams, n_sites)
+
+
+def _default_window(model, size: int) -> tuple[float, float]:
+    """The default recurrence window of a model supplier (class or instance) at ``size``."""
+    low, high = model.window_factors
+    return (low * size, high * size)
 
 
 def _recurrence_window(
-    window: tuple[float | None, float | None] | None, default: tuple[float, float]
+    window: tuple[float | None, float | None] | None, params
 ) -> tuple[float, float]:
-    """(min, max) of ``window``, None sides from ``default``; ValueError unless 0 <= min < max."""
+    """(min, max) of ``window``, None sides from the default window of ``params``;
+    ValueError unless 0 <= min < max."""
     lo, hi = window or (None, None)
+    default = _default_window(params, params.size)
     window = (default[0] if lo is None else lo, default[1] if hi is None else hi)
     if not 0 <= window[0] < window[1]:
         raise ValueError(f"recurrence window needs 0 <= window-min < window-max, got {window}")
@@ -158,11 +151,11 @@ def _refine_parabolic(times: np.ndarray, values: np.ndarray, i: int) -> tuple[fl
 def _noise_floor(protocol) -> float:
     """Smallest stored energy distinguishable from zero for this system.
 
-    Traces are only guaranteed to vanish to 1e-10 per dimer (or site), so
-    maxima below that band are numerical noise, not charging features.
-    Traces of other sources (no size attribute) get a floor of 0.
+    Traces are only guaranteed to vanish to 1e-10 per unit of the supplier's
+    size (a dimer or a site), so maxima below that band are numerical noise,
+    not charging features.  Traces of other sources (no size) get a floor of 0.
     """
-    return 1e-10 * getattr(protocol, "n_dimers", getattr(protocol, "n_sites", 0))
+    return 1e-10 * getattr(protocol, "size", 0)
 
 
 def find_short_time_max(trace: EnergyTrace) -> tuple[float, float]:
@@ -215,17 +208,16 @@ def _trace_inputs(params, t_end, dt, window):
     DT_SAFETY x the resolution bound; ``_window_span`` rejects a window the grid
     misses (t_end before window-min included) before any engine call.
     """
-    model = _engine(params)
-    window = _recurrence_window(window, model.window)
+    window = _recurrence_window(window, params)
     t_end = window[1] if t_end is None else t_end
-    dt = DT_SAFETY * model.resolution(params) if dt is None else dt
+    dt = DT_SAFETY * resolution_bound(params) if dt is None else dt
 
     def windowed_energy(protocol, times):
         _window_span(times, window)
-        return model.energy(protocol, times)
+        return _energy(protocol, times)
 
-    trace = _build_trace(windowed_energy, model.resolution, params, t_end, dt)
-    return trace, model.asymptote(params), window, t_end, dt
+    trace = _build_trace(windowed_energy, params, t_end, dt)
+    return trace, asymptotic_energy(params), window, t_end, dt
 
 
 def occupation_snapshot(protocol: QuenchProtocol, t: float) -> list[tuple[float, float]]:
@@ -276,42 +268,6 @@ def _warn_edge_hits(rows) -> None:
         )
 
 
-class _Model(NamedTuple):
-    """What ``_engine`` gives for one parameter set: its engines, its size and default
-    recurrence window, and a sweep row's engine split into a table build and a kernel.
-
-    For Ising, ``energy(params, times) == kernel(*tables(params, times))``.
-    For XY, ``energy`` runs the phase-block kernel and ``kernel`` the exact one
-    (``_xy_kernel``), so they agree only to rounding: the exact kernel's
-    samples keep their bits on any grid, and with them the pick among the tied
-    window maxima of flat charging bands (``_windowed_argmax``).
-    """
-
-    energy: Callable
-    asymptote: Callable
-    resolution: Callable
-    size: int
-    window: tuple[float, float]
-    tables: Callable
-    kernel: Callable
-
-
-def _engine(params) -> _Model:
-    """The engine functions, size, default recurrence window, table build and
-    kernel of ``params`` (a :class:`_Model`).
-
-    The size is n_dimers (XY) or n_sites (Ising).  The only place that tells
-    the models apart; names resolve per call.
-    """
-    if isinstance(params, IsingParams):
-        return _Model(ising_energy_at_times, ising_asymptotic_energy, ising_resolution_bound,
-                      params.n_sites, ising_recurrence_window(params.n_sites),
-                      _ising_tables, _phase_block_sum)
-    return _Model(energy_at_times, asymptotic_energy, resolution_bound,
-                  params.n_dimers, default_recurrence_window(params.n_dimers),
-                  _xy_tables, _xy_kernel)
-
-
 # The short span is evaluated in segments of this many samples, then doubling.
 _FIRST_SEGMENT = 64
 
@@ -355,7 +311,7 @@ def _screened_values(engine, times, amp, freq, lo: int, hi: int) -> np.ndarray:
     over the span are kept: a sample off by at most beta either way cannot
     beat or tie the engine's maximum from outside that set.
     """
-    screen = _phase_block_sum(times, amp.ravel(), freq.ravel(), _TILE_ELEMENTS)
+    screen = _phase_block_sum(times, amp.ravel(), freq.ravel())
     near = np.zeros(times.size, dtype=bool)
     top = np.max(screen[lo:hi]) - 2.0 * _screen_slack(times[-1], amp, freq)
     near[lo:hi] = screen[lo:hi] >= top
@@ -370,12 +326,13 @@ def _screened_values(engine, times, amp, freq, lo: int, hi: int) -> np.ndarray:
 def _regime_point(params, window) -> tuple[float, float, float, float, float, bool]:
     """(tau_s, e_s, e_inf, tau_r, e_r, on_edge) of one XY or Ising parameter set; never warns.
 
-    The row builds the model's tables once and runs its engine only on the
-    samples that decide the result.  The short span runs in growing segments
-    (:func:`_short_time_max`).  The recurrence window is screened with the
-    phase-block kernel, and only the samples near the screen's maximum, with
-    their neighbours, are evaluated (:func:`_screened_values`).  The XY
-    engine is the exact ``_xy_kernel``, not the phase-block kernel that
+    The row builds the supplier's kernel tables once and runs its
+    ``row_kernel`` only on the samples that decide the result.  The short
+    span runs in growing segments (:func:`_short_time_max`).  The recurrence
+    window is screened with the phase-block kernel, and only the samples near
+    the screen's maximum, with their neighbours, are evaluated
+    (:func:`_screened_values`).  The XY row kernel is the exact
+    ``quench._xy_kernel``, not the phase-block kernel that
     ``energy_at_times`` (and so ``trace``) runs: its samples' bits do not
     depend on the grid they are computed on, so every XY row equals the row
     of the whole grids bit for bit, tied window maxima included.  An Ising
@@ -385,22 +342,21 @@ def _regime_point(params, window) -> tuple[float, float, float, float, float, bo
     ``_phase_block_sum`` too, the step would only evaluate again what the
     screen computed, and it should go then.  The segmented short span stays.
     """
-    model = _engine(params)
-    bound = model.resolution(params)
+    bound = resolution_bound(params)
     dt = DT_SAFETY * bound
     short = _uniform_times(0.0, DEFAULT_SHORT_SPAN, dt, bound)
     win_times = _uniform_times(*window, dt, bound)
     span = _window_span(win_times, window)
     # the work budget grows with the grid, so checking the longer grid checks both
-    _, amp, freq = model.tables(params, max(short, win_times, key=len))
+    _, amp, freq = params.kernel_tables(max(short, win_times, key=len))
 
     def engine(times):
-        return model.kernel(times, amp, freq)
+        return params.row_kernel(times, amp, freq)
 
     tau_s, e_s = _short_time_max(engine, short, params)
     values = _screened_values(engine, win_times, amp, freq, *span)
     tau_r, e_r, on_edge = _windowed_argmax(win_times, values, params, *span)
-    return tau_s, e_s, model.asymptote(params), tau_r, e_r, on_edge
+    return tau_s, e_s, asymptotic_energy(params), tau_r, e_r, on_edge
 
 
 def _sweep_rows(name, grid, params, window=None):
@@ -409,15 +365,13 @@ def _sweep_rows(name, grid, params, window=None):
     Each row's recurrence is searched in ``window``, its None sides from the
     row's default.
     """
-    models = [_engine(p) for p in params]
-    windows = [_recurrence_window(window, model.window) for model in models]
-    points = [_regime_point(p, w) for p, w in zip(params, windows)]
+    points = [_regime_point(p, _recurrence_window(window, p)) for p in params]
     _warn_edge_hits(
         f" of row {i} ({name} = {x})" for i, (x, point) in enumerate(zip(grid, points)) if point[-1]
     )
     return [
-        SweepRow(x, e_s / m.size, e_r / m.size, e_inf / m.size, tau_s, tau_r)
-        for x, m, (tau_s, e_s, e_inf, tau_r, e_r, _) in zip(grid, models, points)
+        SweepRow(x, e_s / p.size, e_r / p.size, e_inf / p.size, tau_s, tau_r)
+        for x, p, (tau_s, e_s, e_inf, tau_r, e_r, _) in zip(grid, params, points)
     ]
 
 

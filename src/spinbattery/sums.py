@@ -5,7 +5,7 @@ sweep row (``quench._xy_kernel``) adds its mode rows, each a mode's two
 chains, in ascending-q order into a running compensated pair, so results are
 bitwise stable across runs and across any splitting of times or of mode
 tiles that feeds the rows in order.
-(The phase-block kernel, which ``energy_at_times`` and the Ising engine run,
+(The phase-block kernel, which every engine and an Ising sweep row run,
 reduces by matrix-vector products; see ``quench._phase_block_sum``.)
 """
 
@@ -23,7 +23,9 @@ def compensated_sum(values: np.ndarray) -> float:
 
 
 def compensated_sum_axis0(values: np.ndarray) -> np.ndarray:
-    """Compensated sum of a (n, m) array along axis 0, in row order (:func:`add_rows`)."""
+    """Compensated sum of a (n, m) array along axis 0, in row order (:func:`add_rows`).
+
+    No engine calls it; it stays as a key of ``bench/traced.py``'s ``HOOKS``."""
     arr = np.asarray(values, dtype=float)
     total, comp = np.zeros((2, arr.shape[1]))
     add_rows(arr, total, comp)

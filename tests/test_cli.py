@@ -197,7 +197,7 @@ class TestTrace:
 
     def test_t_end_before_the_window_exits_2_before_the_trace(self, monkeypatch, capsys):
         # n_dimers = 10: the default recurrence window is [20, 26.67], the grid ends near 5
-        monkeypatch.setattr(regimes, "energy_at_times", lambda *args: pytest.fail("trace built"))
+        monkeypatch.setattr(regimes, "_energy", lambda *args: pytest.fail("trace built"))
         assert run_cli(["trace", "--n-dimers", "10", "--t-end", "5"]) == 2
         err = capsys.readouterr().err
         high = regimes.default_recurrence_window(10)[1]
@@ -208,7 +208,7 @@ class TestTrace:
     def test_t_end_before_a_window_narrower_than_dt_names_t_end(self, monkeypatch, capsys):
         # the window is narrower than dt, but the grid ends near 5: only a later
         # end can reach it
-        monkeypatch.setattr(regimes, "energy_at_times", lambda *args: pytest.fail("trace built"))
+        monkeypatch.setattr(regimes, "_energy", lambda *args: pytest.fail("trace built"))
         args = ["trace", "--n-dimers", "10", "--t-end", "5",
                 "--window-min", "20", "--window-max", "20.00001"]
         assert run_cli(args) == 2
@@ -219,7 +219,7 @@ class TestTrace:
 
     def test_window_between_samples_exits_2_before_the_trace(self, monkeypatch, capsys):
         # the default step (~0.0315 at 10 dimers) puts no sample in [20, 20.001]
-        monkeypatch.setattr(regimes, "energy_at_times", lambda *args: pytest.fail("trace built"))
+        monkeypatch.setattr(regimes, "_energy", lambda *args: pytest.fail("trace built"))
         args = ["trace", "--n-dimers", "10", "--window-min", "20", "--window-max", "20.001"]
         assert run_cli(args) == 2
         err = capsys.readouterr().err

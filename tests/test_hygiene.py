@@ -158,8 +158,8 @@ def test_cli_keeps_no_window_rule():
     # the default recurrence windows, the trace's defaults and checks and the
     # trace itself are the library's per-model rules
     banned = WINDOW_FUNCTIONS | {
-        "XY_WINDOW_FACTORS", "ISING_WINDOW_FACTORS", "DT_SAFETY", "_recurrence_window",
-        "EnergyTrace", "_window_span",
+        "XY_WINDOW_FACTORS", "ISING_WINDOW_FACTORS", "window_factors", "_default_window",
+        "DT_SAFETY", "_recurrence_window", "EnergyTrace", "_window_span",
     }
     assert sorted(set(_names(_tree("cli"))) & banned) == []
 
@@ -199,8 +199,11 @@ def test_no_grid_is_shifted_by_the_window():
     assert shifted == []
 
 
-def test_only_the_engine_dispatch_calls_the_window_functions():
-    callers = set()
+def test_only_the_default_window_forms_a_default_window():
+    # the suppliers' window factors become a window in regimes._default_window
+    # alone; the public window functions serve callers outside the package,
+    # so no library function calls them
+    readers, callers = set(), set()
     for module in MODULES:
         for func in ast.walk(_tree(module)):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -210,7 +213,28 @@ def test_only_the_engine_dispatch_calls_the_window_functions():
                 }
                 if called & WINDOW_FUNCTIONS:
                     callers.add(f"{module}.{func.name}")
-    assert callers == {"regimes._engine"}
+                if "window_factors" in set(_names(func)):
+                    readers.add(f"{module}.{func.name}")
+    assert readers == {"regimes._default_window"}
+    assert callers == set()
+
+
+PARAMETER_CLASSES = {"QuenchProtocol", "IsingParams"}
+
+
+def test_no_isinstance_on_a_parameter_class():
+    # each parameter class supplies what the engines need, so no code tells
+    # the models apart by their class
+    checks = [
+        f"{module}: {ast.unparse(node)}"
+        for module in MODULES
+        for node in ast.walk(_tree(module))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("isinstance", "issubclass")
+        and set(_names(node.args[1])) & PARAMETER_CLASSES
+    ]
+    assert checks == []
 
 
 EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}

@@ -6,9 +6,13 @@ import pytest
 
 from spinbattery import (
     IsingParams,
+    asymptotic_energy,
+    energy_at_times,
+    energy_trace,
     ising_asymptotic_energy,
     ising_energy_at_times,
     ising_energy_trace,
+    resolution_bound,
 )
 from spinbattery import quench
 from spinbattery.ed import TransverseIsing, build_hamiltonian, oracle_energy_trace
@@ -270,11 +274,12 @@ class TestTrace:
     @pytest.mark.parametrize("budget", [142, 142 * 7, 142 * 333, 142 * 1000])
     def test_mode_tiles_agree(self, monkeypatch, budget):
         # 5000 uniform times make 71 blocks of 71, so the temporaries take
-        # 5 x 71 floats per mode: tiles of 1, 2, 133 and 400 of the 600 modes
+        # 5 x 71 floats per mode: tiles of 1, 2 and 133 of the 300 modes, and
+        # all of them at 142000 floats (the default takes them all too)
         params = IsingParams(0.8, 0.7, 600)
         times = 0.05 * np.arange(5000)
         default = ising_energy_at_times(params, times)
-        monkeypatch.setattr(quench, "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(quench, "_TILE_ELEMENTS", budget)
         tiled = ising_energy_at_times(params, times)
         tol = 1e-12 * max(1.0, ising_asymptotic_energy(params))
         assert np.max(np.abs(tiled - default)) <= tol
@@ -301,6 +306,34 @@ class TestTrace:
         mask = (trace.times >= 50.0) & (trace.times <= 250.0)
         plateau = trace.values[mask]
         assert float(np.std(plateau) / np.mean(plateau)) < 0.02
+
+
+class TestSharedOperations:
+    # the four engine operations take either parameter class, and the ising_*
+    # names are the same operations, bit for bit
+    @pytest.mark.parametrize(
+        "params",
+        [IsingParams(0.8, 0.7, 600), IsingParams(-0.5, -0.5, 61), IsingParams(0.3, 0.0, 20),
+         IsingParams(0.25, 0.75, 7)],
+        ids=repr,
+    )
+    def test_they_equal_the_ising_names(self, params):
+        times = np.concatenate([0.05 * np.arange(2000), [123.456, 7.0]])
+        assert energy_at_times(params, times).tobytes() == ising_energy_at_times(
+            params, times
+        ).tobytes()
+        assert asymptotic_energy(params).hex() == ising_asymptotic_energy(params).hex()
+        assert resolution_bound(params).hex() == ising_resolution_bound(params).hex()
+        dt = 0.5 * resolution_bound(params)
+        shared, named = energy_trace(params, 30.0, dt), ising_energy_trace(params, 30.0, dt)
+        assert shared.protocol == named.protocol == params
+        assert shared.times.tobytes() == named.times.tobytes()
+        assert shared.values.tobytes() == named.values.tobytes()
+
+    def test_both_evaluator_names_take_ising_parameters(self):
+        params, times = IsingParams(0.8, 0.7, 40), 0.1 * np.arange(300)
+        full = energy_at_times(params, times, evaluator="full")
+        assert energy_at_times(params, times, "simplified").tobytes() == full.tobytes()
 
 
 def _direct(params, times):
@@ -353,9 +386,8 @@ class TestPhaseBlockKernel:
 
     def test_memory_stays_at_the_block_budget(self):
         # 200,000 modes (400,000 sites) x 1000 times: the kernel's
-        # temporaries hold at most _BLOCK_ELEMENTS floats together (80 MB),
-        # under the 161.7 MB that a direct cosine per mode-sample in blocks of
-        # that budget peaks at
+        # temporaries hold at most _TILE_ELEMENTS floats together (2 MB), far
+        # under the 1.6 GB of a direct cosine per mode-sample
         omega, amp = _mode_arrays(IsingParams(0.8, 0.7, 400_000))
         freq = 2.0 * omega
         times = 0.05 * np.arange(1000)
@@ -365,7 +397,7 @@ class TestPhaseBlockKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * quench._BLOCK_ELEMENTS + 4 * 10**6
+        assert peak <= 8 * quench._TILE_ELEMENTS + 4 * 10**6
 
 
 def _full_zone(params):

@@ -348,8 +348,16 @@ class TestEnergyTrace:
             ([0.0, 1.0], [0.0], "times and values must have matching shapes"),
             ([0.0, 1.0, 1.0], [0.0, 0.1, 0.1], "times must be strictly ascending"),
             ([1.0, 0.0], [0.1, 0.0], "times must be strictly ascending"),
+            ([0.0, np.nan, 2.0], [0.0, 0.1, 0.2], "times must be a finite 1-D array"),
+            ([0.0, 1.0, np.inf], [0.0, 0.1, 0.2], "times must be a finite 1-D array"),
+            ([0.0, 1.0, 2.0], [0.0, np.nan, 0.2], "values must be a finite 1-D array"),
+            ([0.0, 1.0, 2.0], [0.0, -np.inf, 0.2], "values must be a finite 1-D array"),
+            ([[0.0, 1.0], [2.0, 3.0]], [[0.0, 0.1], [0.2, 0.3]], "times must be a finite 1-D"),
+            ([0.0, 1.0], [[0.0, 0.1]], "values must be a finite 1-D array"),
+            (1.0, 0.5, "times must be a finite 1-D array"),
         ],
-        ids=["shapes", "repeated", "descending"],
+        ids=["shapes", "repeated", "descending", "nan_time", "inf_time", "nan_value",
+             "minus_inf_value", "2d", "2d_values", "scalar"],
     )
     def test_rejects_a_malformed_trace(self, times, values, message):
         with pytest.raises(ValueError, match=message):

@@ -281,7 +281,7 @@ class TestSweeps:
         # every engine call of the row (the short span's segments and the
         # window samples it evaluates) sees the same times and returns the
         # same bits under any worker budget
-        kernel = regimes._xy_kernel
+        kernel = quench._xy_kernel
         calls = {}
         for workers in (None, 1, 2):
             seen = calls[workers] = []
@@ -291,7 +291,7 @@ class TestSweeps:
                 _seen.append((times.tobytes(), values.tobytes()))
                 return values
 
-            monkeypatch.setattr(regimes, "_xy_kernel", recorded)
+            monkeypatch.setattr(quench, "_xy_kernel", recorded)
             sweep_delta0(1.1, 0.8, 20, [0.2], workers=workers)
         assert len(calls[None]) >= 2
         assert calls[None] == calls[1] == calls[2]
@@ -387,27 +387,27 @@ class TestPlateauRobustness:
 
 def _full_grid_point(params, window):
     """The row of the whole grids, as ``_regime_point`` computed it before it
-    screened the window: the row's engine (``kernel`` over ``tables``) on every
-    sample of the short span and of the window.  The judge of the screened rows."""
-    model = regimes._engine(params)
-    bound = model.resolution(params)
+    screened the window: the row's engine (the supplier's ``row_kernel`` over
+    its ``kernel_tables``) on every sample of the short span and of the
+    window.  The judge of the screened rows."""
+    bound = resolution_bound(params)
     dt = DT_SAFETY * bound
 
     def engine(params, times):
-        return model.kernel(*model.tables(params, times))
+        return params.row_kernel(*params.kernel_tables(times))
 
-    short = quench._build_trace(engine, model.resolution, params, regimes.DEFAULT_SHORT_SPAN, dt)
+    short = quench._build_trace(engine, params, regimes.DEFAULT_SHORT_SPAN, dt)
     tau_s, e_s = find_short_time_max(short)
     win_times = quench._uniform_times(*window, dt, bound)
     span = regimes._window_span(win_times, window)
     values = engine(params, win_times)
     tau_r, e_r, on_edge = regimes._windowed_argmax(win_times, values, params, *span)
-    return tau_s, e_s, model.asymptote(params), tau_r, e_r, on_edge
+    return tau_s, e_s, asymptotic_energy(params), tau_r, e_r, on_edge
 
 
 def _row(point, params):
     """``point``'s row of ``params`` in its default window, or its RegimeDetectionError's text."""
-    window = regimes._recurrence_window(None, regimes._engine(params).window)
+    window = regimes._recurrence_window(None, params)
     try:
         return point(params, window)
     except RegimeDetectionError as exc:
@@ -458,11 +458,10 @@ class TestScreenedRows:
     def test_screen_is_within_an_eighth_of_its_slack(self, params, start):
         # the window screen of _screened_values against the model's engine on
         # a window-like grid of the row's step, over the same tables
-        model = regimes._engine(params)
-        bound = model.resolution(params)
-        times, amp, freq = model.tables(params, start + DT_SAFETY * bound * np.arange(1500))
-        screen = quench._phase_block_sum(times, amp.ravel(), freq.ravel(), quench._TILE_ELEMENTS)
-        engine = model.kernel(times, amp, freq)
+        bound = resolution_bound(params)
+        times, amp, freq = params.kernel_tables(start + DT_SAFETY * bound * np.arange(1500))
+        screen = quench._phase_block_sum(times, amp.ravel(), freq.ravel())
+        engine = params.row_kernel(times, amp, freq)
         slack = regimes._screen_slack(times[-1], amp, freq)
         assert np.max(np.abs(screen - engine)) <= slack / 8
 
@@ -525,13 +524,12 @@ class TestScreenedRows:
         # the tied row's window holds 5,603 samples; the engine evaluates the
         # short span's segments and a few dozen window samples
         sizes = []
-        model = regimes._engine(SWEEP_XY_ROWS[3])
-        kernel = model.kernel
+        kernel = quench._xy_kernel
 
         def counted(times, amp, freq):
             sizes.append(times.size)
             return kernel(times, amp, freq)
 
-        monkeypatch.setattr(regimes, "_xy_kernel", counted)
+        monkeypatch.setattr(quench, "_xy_kernel", counted)
         sweep_delta0(1.1, 0.8, 300, [0.2])
         assert sum(sizes) < 400
