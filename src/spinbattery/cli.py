@@ -7,8 +7,12 @@ Curves are written as CSV, reports as JSON (or everything as one JSON file
 with ``--format json``).  All numeric output uses 17 significant digits in
 scientific notation with '.' decimal separator and LF line endings, and a
 given configuration always produces byte-identical files, whatever the
-worker budget or core count.  Exit codes: 0 success, 2 bad input, 3 analysis
-failure, 4 oracle mismatch.
+worker budget or core count.  ``_emit`` takes a table as its columns; the
+floats of a CSV table or a JSON list are written in one exact vectorized pass
+(``_float_cells``) whose bytes equal ``format(x, ".16e")`` for every value, and
+which hands ties, non-finite values and |x| outside [1e-290, 1e290] (zero
+included) to ``format`` one cell at a time.  Exit codes: 0 success, 2 bad
+input, 3 analysis failure, 4 oracle mismatch.
 
 Options may also come from a flat key-value config file (``--config``):
 one ``name = value`` pair per line, ``#`` comments allowed, names matching
@@ -66,14 +70,147 @@ def format_float(x: float) -> str:
     return format(float(x), ".16e")
 
 
+# 2**27 + 1: Veltkamp's splitter, cutting a double into halves whose products are exact.
+_SPLIT = 134217729.0
+
+# "00".."99", then "0000".."9999", as ASCII in uint32, first digit in the low byte.
+_PAIRS = np.frombuffer(b"".join(b"%02d" % k for k in range(100)), np.uint16).astype(np.uint32)
+_GROUPS = (_PAIRS[:, None] | _PAIRS << 16).ravel()
+# NUL, sign ('-' or NUL), leading digit, '.' as uint32, at leading digit + 10 * negative.
+_LEADS = np.array([int.from_bytes(b"\0" + sign + b"%d." % d, "little")
+                   for sign in (b"\0", b"-") for d in range(10)], np.uint32)
+
+# Rows formatted per pass, so that a pass's temporaries stay small and are reused.
+_ROWS = 4096
+
+
+def _pow10(k_lo: int, k_hi: int) -> np.ndarray:
+    """Rows (hi, head, tail, lo) for k = k_lo..k_hi: hi + lo = 10**k to ~2**-106 relative.
+
+    hi is 10**k correctly rounded and lo the remainder correctly rounded, both
+    from exact integer ratios (``int / int`` rounds correctly); head + tail = hi
+    is hi's Veltkamp split, taken at 2**-60 scale so that 10**308 does not overflow.
+    """
+    rows = []
+    for k in range(k_lo, k_hi + 1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        hi = num / den
+        hi_num, hi_den = hi.as_integer_ratio()
+        c = hi * 2.0**-60 * _SPLIT
+        head = (c - (c - hi * 2.0**-60)) * 2.0**60
+        rows.append((hi, head, hi - head, (num * hi_den - hi_num * den) / (den * hi_den)))
+    return np.array(rows)
+
+
+def _float_cells(values) -> np.ndarray:
+    """Each value's :func:`format_float` bytes, in a 32-byte row with NUL padding.
+
+    A row holds the sign (NUL when positive) at byte 1, the leading digit and
+    '.' at 2-3, 16 digits at 4-19 and the exponent at 24-28 ('e', its sign,
+    two or three digits); the other bytes are not set.  The 17 digits of |x|,
+    rounded to nearest, are those of y = |x| * 10**(16 - E), E = floor(log10|x|).
+    A cell is written by ``format`` instead where y's fraction is within
+    2**-36 of one half (a tie or near-tie), where floor(y) or the rounded y
+    leaves [10**16, 10**17) (an E off by one next to a power of ten, or a
+    carry into E + 1), and for zeros, non-finite values and |x| outside
+    [1e-290, 1e290]; its text up to 'e' then ends at byte 19 and the rest
+    starts at byte 24.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    ax = np.abs(x)
+    fast = (ax >= 1e-290) & (ax <= 1e290)
+    a = np.where(fast, ax, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    e_lo, e_hi = int(e.min()), int(e.max())
+    hi, head, tail, lo = _pow10(16 - e_hi, 16 - e_lo).take(e_hi - e, axis=0).T
+    # Dekker's two-product: p + frac is |x| * hi exactly, and adding |x| * lo
+    # puts p + frac within ~2**-46 of y, as y < 2**57
+    c = a * _SPLIT
+    a_head = c - (c - a)
+    a_tail = a - a_head
+    p = a * hi
+    frac = a_head * head - p
+    frac += a_head * tail
+    frac += a_tail * head
+    frac += a_tail * tail
+    frac += a * lo
+    whole = np.floor(frac)
+    frac -= whole
+    whole = p.astype(np.int64) + whole.astype(np.int64)
+    digits = whole + (frac > 0.5)
+    slow = ~fast | (np.abs(frac - 0.5) < 2.0**-36) | (whole < 10**16) | (digits >= 10**17)
+    exponents = np.array([int.from_bytes((b"e%+03d" % k).ljust(8, b"\0"), "little")
+                          for k in range(e_lo, e_hi + 1)], np.uint64)
+    lead = digits // 10**16
+    rest = digits - lead * 10**16
+    hi8 = rest // 10**8
+    lo8 = rest - hi8 * 10**8
+    hi4 = hi8 // 10**4
+    lo4 = lo8 // 10**4
+    lead += np.signbit(x) * 10
+    cells = np.empty((x.size, 8), np.uint32)
+    cells[:, 0] = _LEADS.take(lead, mode="clip")
+    cells[:, 1] = _GROUPS.take(hi4)
+    cells[:, 2] = _GROUPS.take(hi8 - hi4 * 10**4)
+    cells[:, 3] = _GROUPS.take(lo4)
+    cells[:, 4] = _GROUPS.take(lo8 - lo4 * 10**4)
+    cells.view(np.uint64)[:, 3] = exponents.take(e - e_lo)
+    cells = cells.view(np.uint8)
+    slow = np.flatnonzero(slow)
+    if slow.size:
+        parts = [format_float(v).partition("e") for v in x[slow].tolist()]
+        mantissas = np.array([m.rjust(19, "\0") for m, _, _ in parts], "S19")
+        cells[slow, 1:20] = mantissas.view(np.uint8).reshape(-1, 19)
+        exponents = np.array([e + k for _, e, k in parts], "S5")
+        cells[slow, 24:29] = exponents.view(np.uint8).reshape(-1, 5)
+    return cells
+
+
+def _rows_text(columns: list, end: str) -> str:
+    """Rows of ``columns``' cells, ',' between cells and ``end`` after each row.
+
+    Float columns are written by :func:`_float_cells`, all in one pass; other
+    columns with ``%d``.  A column's sign or hundreds-digit byte is skipped
+    where no row uses it, and the NUL bytes left are dropped.
+    """
+    n = len(columns[0])
+    floats = [c for c in columns if c.dtype.kind == "f"]
+    cells = iter(_float_cells(np.concatenate(floats)).reshape(len(floats), n, 32) if floats else ())
+    blocks = []
+    for c in columns:
+        if c.dtype.kind != "f":
+            blocks.append(np.array([b"%d" % v for v in c.tolist()]).view(np.uint8).reshape(n, -1))
+        else:
+            block = next(cells)
+            sign, hundreds = int(block[:, 1].any()), int(block[:, 28].any())
+            blocks += [block[:, 2 - sign:20], block[:, 24:28 + hundreds]]
+        blocks.append(np.full((n, 1), ord(","), np.uint8))
+    blocks[-1] = np.full((n, 1), ord(end), np.uint8)
+    return np.hstack(blocks).tobytes().replace(b"\0", b"").decode("ascii")
+
+
+def _table_text(columns: list, end: str, head: str = "") -> str:
+    """``head``, then the rows of ``columns`` (see :func:`_rows_text`), _ROWS at a time."""
+    columns = [np.asarray(c) for c in columns]
+    texts = [head]
+    for start in range(0, len(columns[0]), _ROWS):
+        texts.append(_rows_text([c[start:start + _ROWS] for c in columns], end))
+    return "".join(texts)
+
+
 def deterministic_json(obj) -> str:
-    """JSON with sorted keys and floats rendered via :func:`format_float`."""
+    """JSON with sorted keys and floats rendered via :func:`format_float`.
+
+    A list or tuple of floats is written in one pass of :func:`_float_cells`.
+    """
     if isinstance(obj, dict):
         items = ",".join(
             f"{json.dumps(str(k))}: {deterministic_json(v)}" for k, v in sorted(obj.items())
         )
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
+        if obj and all(isinstance(v, float) for v in obj):
+            return "[" + _table_text([obj], ",")[:-1] + "]"
         return "[" + ",".join(deterministic_json(v) for v in obj) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -92,21 +229,18 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _csv_text(header: str, columns: list) -> str:
-    """``header``, then rows of ``%d`` (int columns) or ``%.16e`` (as :func:`format_float`)."""
-    line = ",".join("%d" if isinstance(c[0], int) else "%.16e" for c in columns) + "\n"
-    cells = tuple(x for row in zip(*columns) for x in row)
-    return f"{header}\n" + line * len(columns[0]) % cells
+    """``header``, then one line per row of ``columns`` (see :func:`_table_text`)."""
+    return _table_text(columns, "\n", f"{header}\n")
 
 
-def _emit(opts: dict, stem: str, header: str, rows, meta: dict, by_column: bool = False) -> None:
-    """Write the table named by ``header`` to ``--out`` (default ``<stem>.<format>``).
+def _emit(opts: dict, stem: str, header: str, columns, meta: dict, by_column: bool = False) -> None:
+    """Write ``columns``, named by ``header``, to ``--out`` (default ``<stem>.<format>``).
 
     CSV also writes ``meta`` to a ``.report.json`` sidecar when it holds more
     than ``params``; JSON writes one document of ``meta`` plus the table, as
     records under ``rows`` or, ``by_column``, as one list per column under ``trace``.
     """
     out = opts["out"] or f"{stem}.{opts['format']}"
-    columns = list(zip(*rows))
     if opts["format"] == "csv":
         _write_text(out, _csv_text(header, columns))
         if meta.keys() - {"params"}:
@@ -114,6 +248,7 @@ def _emit(opts: dict, stem: str, header: str, rows, meta: dict, by_column: bool 
             _write_text(report, deterministic_json(meta) + "\n")
         return
     names = header.split(",")
+    columns = [np.asarray(c).tolist() for c in columns]
     if by_column:
         table = {"trace": dict(zip(names, columns))}
     else:
@@ -232,7 +367,7 @@ def cmd_trace(opts: dict) -> int:
     try:
         meta["report"] = asdict(analyze_trace(trace, e_inf, window))
     finally:
-        _emit(opts, "trace", "t,delta_e", zip(trace.times, trace.values), meta, by_column=True)
+        _emit(opts, "trace", "t,delta_e", (trace.times, trace.values), meta, by_column=True)
     return EXIT_OK
 
 
@@ -273,7 +408,7 @@ def cmd_sweep(opts: dict) -> int:
         params = {"model": "ising", "h1": opts["h1"], "n_sites": opts["n_sites"]}
 
     header = "param,e_s_per,e_r_per,e_inf_per,tau_s,tau_r"
-    _emit(opts, "sweep", header, map(astuple, rows), {"params": params})
+    _emit(opts, "sweep", header, list(zip(*map(astuple, rows))), {"params": params})
     return EXIT_OK
 
 
@@ -291,7 +426,7 @@ def cmd_scaling(opts: dict) -> int:
     slope, intercept, r2 = linear_fit([r.n_dimers for r in rows], [r.tau_r for r in rows])
     fit = {"tau_r_fit": {"slope": slope, "intercept": intercept, "r_squared": r2}}
     header = "n_dimers,e_s_per,e_r_per,e_inf_per,tau_r"
-    _emit(opts, "scaling", header, map(astuple, rows), fit)
+    _emit(opts, "scaling", header, list(zip(*map(astuple, rows))), fit)
     print(
         f"tau_r linear fit: slope={format_float(slope)} r_squared={format_float(r2)}"
     )
@@ -313,7 +448,7 @@ def cmd_snapshot(opts: dict) -> int:
     protocol = QuenchProtocol(opts["gamma"], opts["delta0"], opts["delta1"], opts["n_dimers"])
     pairs = occupation_snapshot(protocol, opts["time"])
     params = {"model": "xy", **asdict(protocol), "time": opts["time"]}
-    _emit(opts, "snapshot", "k,n2", pairs, {"params": params})
+    _emit(opts, "snapshot", "k,n2", list(zip(*pairs)), {"params": params})
     return EXIT_OK
 
 

@@ -46,6 +46,66 @@ class TestFormatting:
         assert cli._csv_text("a,b,c", columns) == expected
         assert "-0.0000000000000000e+00" in expected and "nan" in expected
 
+    # a tie, values next to a power of ten (9.9999999999999999e16 reads as
+    # 1e17, and log10 puts 9.999999999999999e22 one exponent high), powers of
+    # ten, the fast path's range ends and the values just past them, the
+    # extreme doubles, and the ties whose 10**k is inexact (j 2**-24 =
+    # 5**23 j / 2 * 10**-23, and j 2**-25)
+    EDGES = [
+        1234567890123456.75, 9.9999999999999999e16, 9.999999999999999e22, 1e16, 1e17,
+        1e-290, -1e-290, 1e290, -1e290, 5e-324, 1.7976931348623157e308,
+        np.nextafter(1e-290, 0.0), np.nextafter(1e290, np.inf), 2.2250738585072014e-308,
+        0.0, -0.0, 1.0, 0.1, 1e-5, 1e100, 1e-100, 123456789.0, 0.5, 2.0**53, 2.0**57,
+        *(j * 2.0**-24 for j in range(3, 17, 2)), 2.0**-25, 3 * 2.0**-25,
+    ]
+
+    @pytest.mark.parametrize("x", EDGES + [-x for x in EDGES], ids=repr)
+    def test_float_cells_write_format_bytes_at_the_edges(self, x):
+        assert cli._table_text([[x]], "\n") == format(x, ".16e") + "\n"
+
+    def test_float_cells_write_format_bytes_for_random_doubles(self):
+        # 2**20 fixed-seed doubles: any bit pattern, and patterns with exponents
+        # in 2**-70..2**70, where the trace's values sit; in chunks to bound memory
+        rng = np.random.default_rng(20240214)
+        for chunk in range(8):
+            bits = rng.integers(0, 2**64, 2**17, dtype=np.uint64)
+            if chunk % 2:
+                exponent = rng.integers(1023 - 70, 1023 + 70, bits.size, dtype=np.uint64)
+                bits = bits & np.uint64(0x800F_FFFF_FFFF_FFFF) | exponent << np.uint64(52)
+            values = bits.view(np.float64).tolist()
+            cells = cli._table_text([values], "\n").split("\n")[:-1]
+            wrong = [(x, cell) for x, cell in zip(values, cells) if cell != format(x, ".16e")]
+            assert len(cells) == len(values) and not wrong, wrong[:3]
+
+    def test_only_ties_and_values_off_the_fast_path_call_format(self, monkeypatch):
+        # the fast path's range is 1e-290 <= |x| <= 1e290, which leaves out
+        # zeros; log10 puts 9.999999999999999e22 at E = 23, one too high
+        calls = []
+        monkeypatch.setattr(cli, "format_float", lambda x: calls.append(x) or format(x, ".16e"))
+        ordinary = [1.0 / 3.0, -0.3, 314.15, 2.5e-17, 1e-290, -1e290, 1e16, 0.1]
+        cli._table_text([ordinary], "\n")
+        assert calls == []
+        special = [1234567890123456.75, np.nan, np.inf, -np.inf, 5e-324, -1e291, 0.0,
+                   9.999999999999999e22]
+        cli._table_text([ordinary + special], "\n")
+        assert calls[0] == special[0] and np.isnan(calls[1]) and calls[2:] == special[2:]
+
+    def test_ties_hold_under_an_error_inside_the_tie_margin(self, monkeypatch):
+        # ties within 2**-36 of one half go to format; a 10**k whose lo is off
+        # by 2**-45 relative moves y by ~2**-42, far above the scaling's own
+        # error, and the ties of an inexact 10**k (k = 23, 24) still come out exact
+        pow10 = cli._pow10
+        monkeypatch.setattr(cli, "_pow10", lambda lo, hi: pow10(lo, hi) * [1, 1, 1, 1 + 2**-45])
+        ties = [j * 2.0**-24 for j in range(3, 17, 2)] + [2.0**-25, 3 * 2.0**-25]
+        assert cli._table_text([ties], "\n") == "".join(format(x, ".16e") + "\n" for x in ties)
+
+    def test_json_float_lists_write_the_cells(self):
+        values = [0.1, -2.0, 5e-324, np.inf]
+        assert deterministic_json(values) == "[" + ",".join(map(format_float, values)) + "]"
+        assert deterministic_json((1.5,)) == "[1.5000000000000000e+00]"
+        assert deterministic_json([1, 0.5, True]) == "[1,5.0000000000000000e-01,true]"
+        assert deterministic_json([]) == "[]"
+
     def test_deterministic_json_sorted_and_typed(self):
         text = deterministic_json({"b": 1, "a": [0.5, None, True], "c": "x"})
         assert text == '{"a": [5.0000000000000000e-01,null,true],"b": 1,"c": "x"}'

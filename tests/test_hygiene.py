@@ -103,6 +103,27 @@ def test_a_sweep_loads_no_process_machinery(tmp_path):
     assert (tmp_path / "sweep.csv").read_text().count("\n") == 4
 
 
+def test_writing_a_trace_loads_no_fractions_or_decimal(tmp_path):
+    # the float cells build 10**k from integer ratios; either module would add
+    # its import to the start-up of every CLI run
+    path = os.pathsep.join(os.path.abspath(p) for p in sys.path if p)
+    script = (
+        "import sys\n"
+        "import spinbattery.cli\n"
+        "loaded = [m for m in ('fractions', 'decimal') if m in sys.modules]\n"
+        "assert spinbattery.cli.main(['trace']) == 0\n"
+        "assert spinbattery.cli.main(['trace', '--format', 'json']) == 0\n"
+        "print(loaded, [m for m in ('fractions', 'decimal') if m in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] []\n"
+    assert (tmp_path / "trace.csv").exists() and (tmp_path / "trace.json").exists()
+
+
 CONCURRENCY_MODULES = {"threading", "contextvars", "concurrent", "multiprocessing"}
 
 

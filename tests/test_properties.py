@@ -8,7 +8,9 @@ protocols sit exactly on a gap-closing line: the parameters are dyadic
 rounding.  The Ising sizes include odd rings, whose mode set holds k = pi.
 The ``trace`` command, given any window, end time and step around its
 defaults, exits 0, 2 or 3 and never raises, and on any grid the window's
-samples are those of the mask (times >= min) & (times <= max).
+samples are those of the mask (times >= min) & (times <= max).  The CLI's
+vectorized float cells are the bytes of ``format(x, ".16e")`` for any doubles,
+subnormals, signed zeros, NaN and infinities included.
 """
 
 import os
@@ -32,6 +34,7 @@ from spinbattery import (
     occupations_all,
     resolution_bound,
 )
+from spinbattery import cli
 from spinbattery.cli import main
 from spinbattery.quench import _uniform_times
 from spinbattery.regimes import _window_span
@@ -207,3 +210,10 @@ def test_window_span_is_the_window_mask(case):
     else:
         assert _window_span(times, window) == (index[0], index[-1] + 1)
         assert index.size == index[-1] + 1 - index[0]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.lists(st.floats(allow_subnormal=True) | st.sampled_from([0.0, -0.0]), min_size=1))
+def test_float_cells_are_format_bytes(values):
+    expected = "".join(format(x, ".16e") + "\n" for x in values)
+    assert cli._table_text([values], "\n") == expected

@@ -790,9 +790,16 @@ def _grid(protocol, t0, t1):
 class TestKernelChunks:
     # the exact kernel runs the grid in chunks of WIDTH times, in grid order
     # (the last shorter), and each chunk in ascending mode tiles of the most
-    # modes whose 6 floats per mode and time fit _TILE_ELEMENTS (at least one)
+    # modes whose 6 floats per mode and time fit _TILE_ELEMENTS (at least one).
+    # The cases run under a _TILE_ELEMENTS of TILE, which keeps 8,969 times in
+    # one chunk and the whole-table reference of 6 WIDTH + 5 times at ~20 MB
     SMALL = QuenchProtocol(1.25, 0.3, 0.6, 20)
-    WIDTH = quench._TILE_ELEMENTS // 6
+    TILE = 2**16
+    WIDTH = TILE // 6
+
+    @pytest.fixture(autouse=True)
+    def _small_tiles(self, monkeypatch):
+        monkeypatch.setattr(quench, "_TILE_ELEMENTS", self.TILE)
 
     @pytest.mark.parametrize(
         "samples", [0, 1, 4096, 4097, 8969, WIDTH, WIDTH + 1, 2 * WIDTH + 777, 6 * WIDTH + 5]
