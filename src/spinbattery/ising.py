@@ -16,8 +16,9 @@ coupled by the field quench and never enters.
 
 :class:`IsingParams` is the Ising model supplier of ``quench`` (see there),
 so the shared engines run the sum on the phase-block kernel
-(``quench._phase_block_sum``), a sweep row too; the ``ising_*`` names are
-one-line entries to them.  It matches the mode-by-mode sum, exactly rounded
+(``quench._phase_block_sum``), and a sweep row runs the same recipe as an
+XY row (``regimes._regime_point``); the ``ising_*`` names are one-line
+entries to the engines.  It matches the mode-by-mode sum, exactly rounded
 over modes, to within 1e-12 max(1, E^inf) up to t = 10^3, a bound that
 grows in proportion to t past it with the rounding of the phases 2 w_q t, so
 a trace and pointwise calls at its times agree to that tolerance, not bit
@@ -36,7 +37,6 @@ from .quench import (
     EnergyTrace,
     _energy,
     _engine_times,
-    _phase_block_sum,
     asymptotic_energy,
     energy_trace,
     resolution_bound,
@@ -86,10 +86,6 @@ class IsingParams:
     def fastest_frequency(self) -> float:
         """2 max_q w_q over the half zone, the frequency of the Ising resolution rule."""
         return 2.0 * float(np.max(_mode_arrays(self)[0]))
-
-    def row_kernel(self, times, amp, freq) -> np.ndarray:
-        """A sweep row's kernel over the kernel tables: the phase-block kernel."""
-        return _phase_block_sum(times, amp, freq)
 
 
 def _mode_arrays(params: IsingParams):

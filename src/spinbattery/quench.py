@@ -24,16 +24,16 @@ the charger's 4x4 Bloch bands (``_bloch_bands``, the one eigensolve here),
 not the closed form 4 |d'|, which differs from them in the last bits: on
 flat charging bands (delta0 + delta1 = 1) several window samples tie for
 the maximum, and which one comes first depends on those bits.  A sweep row
-therefore runs the same sum on ``_xy_kernel``, whose samples each keep
-their bits on any grid they are part of (mode tiles in chunks of times,
-added into a compensated pair per chunk).  ``_xy_tables`` builds the tables
-both kernels run, so a sweep row builds them once for all its calls.
+therefore settles its window candidates with ``_exact_energy``, which sums
+the modes exactly rounded, so each sample keeps its bits on any grid it is
+part of.  ``_xy_tables`` builds the tables both kernels run, so a sweep row
+builds them once for all its calls.
 
 Each parameter class, :class:`QuenchProtocol` or ``ising.IsingParams``, is
 a model supplier: its size and the size's name, closed-form chain-mode
-tables (amp, freq = 4 |d'|), kernel tables, resolution frequency, default
-window factors and a sweep row's kernel.  The engines read only those, so
-each takes either class.  Engines keep nothing between calls.
+tables (amp, freq = 4 |d'|), kernel tables, resolution frequency and
+default window factors.  The engines read only those, so each takes either
+class.  Engines keep nothing between calls.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sums import add_rows, compensated_sum
+from .sums import compensated_sum, compensated_sum_axis0
 from .xy import (
     ChainParams,
     _check_finite,
@@ -82,11 +82,9 @@ MAX_MODE_SAMPLES = 10**9
 # w t stays finite.
 MAX_TIME = 1e100
 
-# _TILE_ELEMENTS floats is 2 MB.  The phase-block kernel's temporaries hold at
-# most _TILE_ELEMENTS floats together, on either model's grid.  The exact XY
-# kernel (``_xy_kernel``) runs chunks of _TILE_ELEMENTS // 6 times, each in
-# tiles of as many modes as fit their phases, energies and reduction buffers,
-# 6 floats per mode and time, in _TILE_ELEMENTS (at least one mode).
+# _TILE_ELEMENTS floats is 2 MB.  The phase-block kernel's temporaries, and
+# the phases and energies of one chunk of times of ``_exact_energy``, hold at
+# most _TILE_ELEMENTS floats together, on either model's grid.
 _TILE_ELEMENTS = 2**18
 
 # A grid is uniform for the phase-block kernel when it departs from an exact
@@ -139,10 +137,6 @@ class QuenchProtocol:
         """max_q(w1' + w2') over the charger's bands, the frequency of the XY resolution rule."""
         charging = dispersion_curves(self.gamma, self.delta0 + self.delta1, self.n_dimers)
         return float(np.max(charging[:, 0] + charging[:, 1]))
-
-    def row_kernel(self, times, amp, freq) -> np.ndarray:
-        """A sweep row's kernel over the kernel tables: the exact :func:`_xy_kernel`."""
-        return _xy_kernel(times, amp, freq)
 
 
 @dataclass(frozen=True)
@@ -337,40 +331,28 @@ def _xy_tables(protocol: QuenchProtocol, times):
     return times, protocol.chain_modes()[0], 2.0 * bands
 
 
-def _xy_kernel(times: np.ndarray, amp: np.ndarray, freq: np.ndarray) -> np.ndarray:
-    """The exact XY time kernel over the tables of :func:`_xy_tables`: a sweep row's engine.
+def _exact_energy(times: np.ndarray, amp: np.ndarray, freq: np.ndarray) -> np.ndarray:
+    """sum_q amp_q [1 - cos(freq_q t)] at every time t of ``times``, exactly rounded over the modes.
 
-    The times run in chunks of _TILE_ELEMENTS // (F + 4), F = 2 chains;
-    inside a chunk of T times the modes run in ascending tiles, at least one
-    mode, whose (tile, F, T) phases, (tile, T) energies and ``add_rows``'
-    (tile + 1, T) buffers hold at most _TILE_ELEMENTS floats together, and
-    each tile's rows are added in ascending-q order into the chunk's
-    compensated pair.  Each sample sees the same operations in the same
-    order, whatever the grid it is part of, the chunk length or the tile
-    size, so a row evaluated on a few samples keeps the bits of its whole
-    grids, and with them the pick among the tied maxima of flat charging
-    bands (module docstring).  :func:`energy_at_times` runs the phase-block
-    kernel instead, which agrees with this one to rounding.
+    Either model's kernel tables, shape (M, F) with F chains per mode (XY's
+    two bands) or (M,).  Each mode's energy sum_s amp_s - sum_s amp_s
+    cos(freq_s t) is formed in the same operations at every sample, and the
+    modes are added by ``compensated_sum_axis0``, so a sample keeps its bits
+    on any grid it is part of: a sweep row evaluates only its window
+    candidates and still picks among tied maxima as the whole grid would
+    (module docstring).  The times run in chunks whose (M, F, T) phases and
+    (M, T) energies hold at most _TILE_ELEMENTS floats together (at least
+    one time).  It agrees with :func:`_phase_block_sum` to rounding.
     """
-    e_cos = -amp
-    e_const = amp[:, 0] + amp[:, 1]
-    n, f = freq.shape
-    out = np.empty(times.size, dtype=float)
-    width = max(1, _TILE_ELEMENTS // (f + 4))
+    amp, freq = amp.reshape(len(amp), -1), freq.reshape(len(freq), -1)
+    e_cos, e_const = -amp, amp.sum(axis=1)
+    width = max(1, _TILE_ELEMENTS // (freq.size + len(freq)))
+    out = np.empty(times.size)
     for lo in range(0, times.size, width):
-        t = times[lo : lo + width]
-        rows = min(n, max(1, _TILE_ELEMENTS // ((f + 4) * t.size)))
-        phase = np.empty((rows, f, t.size))
-        e = np.empty((rows, t.size))
-        work = np.empty((3, rows + 1, t.size))
-        total, comp = np.zeros((2, t.size))
-        for a in range(0, n, rows):
-            q, k = slice(a, a + rows), min(rows, n - a)
-            ph = np.multiply.outer(freq[q], t, out=phase[:k])
-            np.einsum("nf,nft->nt", e_cos[q], np.cos(ph, out=ph), out=e[:k])
-            e[:k] += e_const[q, None]
-            add_rows(e[:k], total, comp, work)
-        out[lo : lo + width] = total + comp
+        ph = np.multiply.outer(freq, times[lo : lo + width])
+        e = np.einsum("nf,nft->nt", e_cos, np.cos(ph, out=ph))
+        e += e_const[:, None]
+        out[lo : lo + width] = compensated_sum_axis0(e)
     return out
 
 

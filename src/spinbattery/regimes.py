@@ -6,18 +6,18 @@ recurrence maximum (tau_r, E^r) searched inside a window that scales
 linearly with system size.  Sweeps evaluate these per grid point of the
 initial dimerization (or transverse field), row after row in the calling
 thread; the ``workers`` argument is accepted and changes nothing.
-A sweep or scaling row builds its per-mode tables once and runs the engine
-only on the samples that decide it: the short span in growing segments up
-to the sample after the first maximum, and, of the recurrence window, the
-samples that a phase-block screen of the whole window puts near its
-maximum, with their neighbours (``_regime_point``).
-Both models run the same code here: each parameter class is a model
-supplier (``quench``) that gives its size, window factors, tables and row
-kernel.  The window rules live here, not in the command line:
-``_default_window`` forms a default window, ``_recurrence_window`` fills and
-checks a window, ``_window_span`` picks its samples on a grid,
-``_trace_inputs`` holds the ``trace`` command's defaults, checks and trace,
-and an uncharged trace or window fails with "no charging occurred".
+A sweep or scaling row builds its per-mode tables once and runs one recipe
+for both models (``_regime_point``): the short span on the phase-block
+kernel in growing segments up to the sample after the first maximum, the
+recurrence window screened with the same kernel, and the samples near the
+screen's maximum, with their neighbours, summed exactly.  Each parameter
+class is a model supplier (``quench``) that gives its size, window factors
+and tables; nothing here tells the models apart.  The window rules live
+here, not in the command line: ``_default_window`` forms a default window,
+``_recurrence_window`` fills and checks a window, ``_window_span`` picks its
+samples on a grid, ``_trace_inputs`` holds the ``trace`` command's
+defaults, checks and trace, and an uncharged trace or window fails with
+"no charging occurred".
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .quench import (
     QuenchProtocol,
     _build_trace,
     _energy,
+    _exact_energy,
     _phase_block_sum,
     _uniform_times,
     asymptotic_energy,
@@ -246,8 +247,9 @@ def _windowed_argmax(
     the whole grid.  Flat charging bands (delta0 + delta1 = 1) make the trace
     exactly periodic, so np.argmax picks among maxima equal up to rounding by
     their last bits: at delta0 = 0.2 on the Fig-3 line (n = 300), 13 samples
-    lie within 5.7e-14 and the pick is tau_r = 714.712.  ROADMAP item 1's
-    earliest-peak rule fixes it.
+    lie within 5.7e-14, five of them hold the same exactly rounded maximum
+    (``quench._exact_energy``), and the pick, the first of those, is
+    tau_r = 714.712.  ROADMAP item 1's earliest-peak rule fixes it.
     """
     j = lo + int(np.argmax(values[lo:hi]))
     floor = _noise_floor(protocol)
@@ -272,9 +274,10 @@ def _warn_edge_hits(rows) -> None:
 _FIRST_SEGMENT = 64
 
 
-def _short_time_max(engine, times: np.ndarray, params) -> tuple[float, float]:
-    """``find_short_time_max`` of the trace ``engine(times)``, evaluated in growing
-    segments only until it holds the sample after the first maximum.
+def _short_time_max(times: np.ndarray, amp, freq, params) -> tuple[float, float]:
+    """``find_short_time_max`` of the trace of the kernel tables (amp, freq) on ``times``,
+    each growing segment on ``_phase_block_sum``, only until it holds the sample
+    after the first maximum.
 
     A grid that holds it gives the same answer as any longer one, so the
     whole grid is evaluated only when no maximum is found, and then fails as
@@ -284,7 +287,7 @@ def _short_time_max(engine, times: np.ndarray, params) -> tuple[float, float]:
     hi = 0
     while True:
         lo, hi = hi, min(times.size, max(2 * hi, _FIRST_SEGMENT))
-        values[lo:hi] = engine(times[lo:hi])
+        values[lo:hi] = _phase_block_sum(times[lo:hi], amp.ravel(), freq.ravel())
         try:
             return find_short_time_max(EnergyTrace(times[:hi], values[:hi], params))
         except RegimeDetectionError:
@@ -293,7 +296,7 @@ def _short_time_max(engine, times: np.ndarray, params) -> tuple[float, float]:
 
 
 def _screen_slack(t_max: float, amp: np.ndarray, freq: np.ndarray) -> float:
-    """beta, a bound on |phase-block screen - engine| at times up to ``t_max`` for the
+    """beta, a bound on |phase-block screen - exact sum| at times up to ``t_max`` for the
     chain-mode tables (amp, freq): 64 eps (t_max sum|amp freq| + M sum|amp|), M modes.
 
     The first term covers the phases' rounding, the second the sums'.
@@ -302,14 +305,14 @@ def _screen_slack(t_max: float, amp: np.ndarray, freq: np.ndarray) -> float:
     return 64.0 * np.finfo(float).eps * float(scale)
 
 
-def _screened_values(engine, times, amp, freq, lo: int, hi: int) -> np.ndarray:
-    """``engine`` at the window samples that may hold its maximum over lo..hi-1 and at
-    their neighbours; -inf at every other sample of ``times``.
+def _screened_values(times, amp, freq, lo: int, hi: int) -> np.ndarray:
+    """``_exact_energy`` at the window samples that may hold its maximum over lo..hi-1
+    and at their neighbours; -inf at every other sample of ``times``.
 
     The window is screened with ``_phase_block_sum`` over the same tables, and
     the samples within 2 beta (:func:`_screen_slack`) of the screen's maximum
     over the span are kept: a sample off by at most beta either way cannot
-    beat or tie the engine's maximum from outside that set.
+    beat or tie the exact maximum from outside that set.
     """
     screen = _phase_block_sum(times, amp.ravel(), freq.ravel())
     near = np.zeros(times.size, dtype=bool)
@@ -319,28 +322,24 @@ def _screened_values(engine, times, amp, freq, lo: int, hi: int) -> np.ndarray:
     near[:-1] |= near[1:]
     keep = np.flatnonzero(near)
     values = np.full(times.size, -np.inf)
-    values[keep] = engine(times[keep])
+    values[keep] = _exact_energy(times[keep], amp, freq)
     return values
 
 
 def _regime_point(params, window) -> tuple[float, float, float, float, float, bool]:
     """(tau_s, e_s, e_inf, tau_r, e_r, on_edge) of one XY or Ising parameter set; never warns.
 
-    The row builds the supplier's kernel tables once and runs its
-    ``row_kernel`` only on the samples that decide the result.  The short
-    span runs in growing segments (:func:`_short_time_max`).  The recurrence
-    window is screened with the phase-block kernel, and only the samples near
-    the screen's maximum, with their neighbours, are evaluated
-    (:func:`_screened_values`).  The XY row kernel is the exact
-    ``quench._xy_kernel``, not the phase-block kernel that
-    ``energy_at_times`` (and so ``trace``) runs: its samples' bits do not
-    depend on the grid they are computed on, so every XY row equals the row
-    of the whole grids bit for bit, tied window maxima included.  An Ising
-    row (its engine is the phase-block kernel) equals it to rounding.  The
-    window's check-and-evaluate step is temporary: once an earliest-peak rule
-    settles the tied maxima (ROADMAP item 1), XY rows can run on
-    ``_phase_block_sum`` too, the step would only evaluate again what the
-    screen computed, and it should go then.  The segmented short span stays.
+    The row builds the supplier's kernel tables once and runs one recipe for
+    both models.  The short span runs on ``_phase_block_sum`` in growing
+    segments (:func:`_short_time_max`), so (tau_s, e_s) equal those of the
+    whole short grid to rounding.  The recurrence window is screened with the
+    same kernel, and only the samples near the screen's maximum, with their
+    neighbours, are summed again with ``quench._exact_energy``
+    (:func:`_screened_values`), whose bits do not depend on the grid: the
+    row's (tau_r, e_r, on_edge) equal those of the exact sum over the whole
+    window bit for bit, tied maxima of flat charging bands included.  The
+    re-evaluation is temporary: once an earliest-peak rule settles the tied
+    maxima (ROADMAP item 1), the screen alone can decide the window.
     """
     bound = resolution_bound(params)
     dt = DT_SAFETY * bound
@@ -349,12 +348,8 @@ def _regime_point(params, window) -> tuple[float, float, float, float, float, bo
     span = _window_span(win_times, window)
     # the work budget grows with the grid, so checking the longer grid checks both
     _, amp, freq = params.kernel_tables(max(short, win_times, key=len))
-
-    def engine(times):
-        return params.row_kernel(times, amp, freq)
-
-    tau_s, e_s = _short_time_max(engine, short, params)
-    values = _screened_values(engine, win_times, amp, freq, *span)
+    tau_s, e_s = _short_time_max(short, amp, freq, params)
+    values = _screened_values(win_times, amp, freq, *span)
     tau_r, e_r, on_edge = _windowed_argmax(win_times, values, params, *span)
     return tau_s, e_s, asymptotic_energy(params), tau_r, e_r, on_edge
 

@@ -447,10 +447,10 @@ class TestSweep:
 )
 def test_trace_and_a_one_point_sweep_report_the_same_row(tmp_path, model, size, param, value, rel):
     # both sample the short span on {0, dt, 2 dt, ...} with the same dt and
-    # take E^inf from the same asymptote.  A trace runs in phase blocks that
-    # depend on the grid's length, and an XY sweep row runs the exact kernel,
-    # so both models agree to their last bits.  (tau_r, e_r) are sampled on
-    # different grids and are not compared.
+    # take E^inf from the same asymptote.  A trace runs phase blocks over its
+    # whole grid and a sweep row over segments of the short span, so both
+    # models agree to rounding.  (tau_r, e_r) are sampled on different grids
+    # and are not compared.
     assert run_cli(["trace", *model, *size, param, value, "--out", str(tmp_path / "t.csv")]) == 0
     report = json.loads((tmp_path / "t.report.json").read_text())["report"]
     out = tmp_path / "s.csv"

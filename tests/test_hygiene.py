@@ -8,6 +8,7 @@ that no subcommand reads, and thread or process machinery no engine needs.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import json
@@ -256,6 +257,34 @@ def test_no_isinstance_on_a_parameter_class():
         and set(_names(node.args[1])) & PARAMETER_CLASSES
     ]
     assert checks == []
+
+
+# what the engines read off a model: a parameter class offers its dataclass
+# fields and these names, nothing else
+SUPPLIER_CONTRACT = {
+    "size", "size_name", "window_factors", "chain_modes", "kernel_tables", "fastest_frequency",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARAMETER_CLASSES))
+def test_each_parameter_class_is_exactly_the_supplier_contract(name):
+    import spinbattery
+
+    cls = getattr(spinbattery, name)
+    public = {attr for attr in dir(cls) if not attr.startswith("_")}
+    assert public - {field.name for field in dataclasses.fields(cls)} == SUPPLIER_CONTRACT
+
+
+def test_regimes_calls_no_model_specific_kernel():
+    # a sweep row of either model runs the shared kernels over its supplier's
+    # tables; no function of xy or ising, and no XY table or band builder
+    called = {
+        name for call in ast.walk(_tree("regimes")) if isinstance(call, ast.Call)
+        for name in _names(call.func)
+    }
+    model_specific = _functions("xy") | _functions("ising") | {"_xy_tables", "_bloch_bands"}
+    assert called & model_specific == set()
+    assert {"_phase_block_sum", "_exact_energy", "kernel_tables"} <= called
 
 
 EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}

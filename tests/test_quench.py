@@ -21,6 +21,7 @@ from spinbattery.ising import IsingParams, ising_asymptotic_energy, ising_energy
 from spinbattery.quench import EQUAL_FREQ_TOL
 
 from bloch_reference import bloch_stack, eigensystem_stack, four_column_tables
+from test_sums import _neumaier
 
 FIG2 = QuenchProtocol(1.25, 0.3, 0.6, 300)
 FIG3 = QuenchProtocol(1.1, 0.2, 0.8, 300)
@@ -328,8 +329,8 @@ class TestEnergyStored:
 
 
 def _exact_kernel(protocol: QuenchProtocol, times) -> np.ndarray:
-    """The exact XY kernel of a sweep row over the tables ``energy_at_times`` runs."""
-    return quench._xy_kernel(*quench._xy_tables(protocol, times))
+    """The exact sum of a sweep row's window candidates over the tables ``energy_at_times`` runs."""
+    return quench._exact_energy(*quench._xy_tables(protocol, times))
 
 
 class TestEnergyTrace:
@@ -362,18 +363,6 @@ class TestEnergyTrace:
     def test_rejects_a_malformed_trace(self, times, values, message):
         with pytest.raises(ValueError, match=message):
             quench.EnergyTrace(np.array(times), np.array(values), FIG2)
-
-    @pytest.mark.parametrize(
-        "budget, samples", [(600, 40), (600 * 7, 1500), (600 * 333, 1500), (600 * 777, 1500)]
-    )
-    def test_block_budget_keeps_the_bits(self, monkeypatch, budget, samples):
-        # the exact kernel: chunks of budget // 6 times, 6 floats per mode and
-        # time: tiles of 2, then 1 (chunks of 700 times; 7 in the last, of 100),
-        # 22 and 51 of the 300 modes
-        times = 0.05 * np.arange(samples)
-        default = _exact_kernel(FIG2, times)
-        monkeypatch.setattr(quench, "_TILE_ELEMENTS", budget)
-        assert np.array_equal(_exact_kernel(FIG2, times), default)
 
     @pytest.mark.parametrize(
         "energy, params, tables, size",
@@ -493,25 +482,6 @@ class TestWeightlessColumns:
         ref = _four_column_sum(protocol, self.TIMES)
         engine = energy_at_times(protocol, self.TIMES)
         assert np.max(np.abs(engine - ref)) <= 1e-13 * max(1.0, float(np.max(np.abs(ref))))
-
-    @pytest.mark.parametrize(
-        "protocol, columns",
-        [(FIG2, 2), (QuenchProtocol(1e-12, 0.3, 0.6, 50), 2)],
-        ids=["fig2", "gamma_1e-12"],
-    )
-    def test_evaluates_only_the_weighted_columns(self, monkeypatch, protocol, columns):
-        # the exact kernel takes the two chains' cosines and no sines, also on
-        # near-degenerate charging bands
-        phases = {"cos": [], "sin": []}
-        for name in phases:
-            def spy(x, *args, _name=name, _trig=getattr(np, name), **kwargs):
-                if np.ndim(x) == 3:
-                    phases[_name].append(np.shape(x))
-                return _trig(x, *args, **kwargs)
-
-            monkeypatch.setattr(np, name, spy)
-        _exact_kernel(protocol, 0.05 * np.arange(10))
-        assert phases == {"cos": [(protocol.n_dimers, columns, 10)], "sin": []}
 
 
 class TestEvaluators:
@@ -672,16 +642,6 @@ def _kernel_tables(protocol: QuenchProtocol):
     return freqs, -(e_cos[:, 0] + e_cos[:, 1]), e_cos
 
 
-def _whole_table_kernel(protocol: QuenchProtocol, times) -> np.ndarray:
-    """The XY time kernel without chunks or tiles: (N, 2, T) tables over the whole
-    grid, then one ``compensated_sum_axis0`` over the modes: the reference."""
-    freqs, e_const, e_cos = _kernel_tables(protocol)
-    ph = freqs[:, :, None] * np.asarray(times, dtype=float)[None, None, :]
-    e = np.einsum("nf,nft->nt", e_cos, np.cos(ph))
-    e += e_const[:, None]
-    return sums.compensated_sum_axis0(e)
-
-
 def _fig3_window_grid():
     """The sweep row's recurrence-window grid of the tied Fig-3 point delta0 = 0.2."""
     bound = resolution_bound(FIG3)
@@ -692,7 +652,7 @@ def _fig3_window_grid():
 class TestTiedWindow:
     # delta0 + delta1 = 1 makes the Fig-3 charging bands flat: five samples of
     # the delta0 = 0.2 row's window grid hold the same float maximum of the
-    # row's exact kernel, and the next lies 2.8e-14 below.  Which comes first
+    # row's exact sum, and the next lies 2.8e-14 below.  Which comes first
     # depends only on the bits of the kernel's frequencies; a move of them
     # changes the row's tau_r.
     TIED = [714.704, 730.412, 746.12, 777.536, 793.244]
@@ -709,7 +669,7 @@ class TestTiedWindow:
 
 
 class TestSubsetBits:
-    # a sweep row runs the exact XY kernel only on the samples that decide
+    # a sweep row runs the exact sum only on the window samples that decide
     # it, so a sample must keep its bits on any grid it is part of:
     # kernel(times[idx]) == kernel(times)[idx], for scattered and evenly
     # spaced subsets of 1 to 17 samples (SIMD tails)
@@ -738,35 +698,12 @@ class TestSubsetBits:
 
 
 class TestTiledKernel:
-    # the exact kernel runs mode tiles inside chunks of _TILE_ELEMENTS // 6
-    # times; every tile budget must give the bits of the whole-table kernel.
-    # Budgets of 1200 and 4802 floats cut the grids into chunks of at most 200
-    # and 800 times, with one-mode tiles in full chunks and uneven multi-mode
-    # tiles in short ones; 2^22 takes all modes at once
-    @pytest.mark.parametrize(
-        "protocol, times",
-        [
-            (FIG3, _fig3_window_grid()),  # 5,603 samples
-            (QuenchProtocol(1e-12, 0.3, 0.6, 7), 0.05 * np.arange(5000)),  # near-degenerate
-            (QuenchProtocol(0.5, 0.3, 0.0, 3), 0.05 * np.arange(5000)),  # delta1 = 0
-            (QuenchProtocol(0.8, 0.3, 0.5, 7), 0.3 + 0.05 * np.arange(9000)),  # odd n
-            (QuenchProtocol(0.8, 0.3, 0.5, 2), 0.05 * np.arange(3)),
-        ],
-        ids=["fig3_window", "gamma_1e-12", "delta1_0", "n7", "n2"],
-    )
-    def test_tiles_keep_the_whole_table_bits(self, monkeypatch, protocol, times):
-        reference = _whole_table_kernel(protocol, times)
-        for budget in [1200, 4802, quench._TILE_ELEMENTS, 2**22]:
-            monkeypatch.setattr(quench, "_TILE_ELEMENTS", budget)
-            assert np.array_equal(_exact_kernel(protocol, times), reference), budget
-
     @pytest.mark.parametrize("kernel", [energy_at_times, _exact_kernel], ids=["energy", "exact"])
     def test_memory_does_not_grow_with_the_modes(self, kernel):
         # the whole (N, 2, T) phase table holds 393 MB at 3,000 dimers x 8,192
-        # times and 160 MB at 50 dimers x 200,000 times, whose chunks of
-        # _TILE_ELEMENTS // 6 times hit the one-mode floor of a tile in the
-        # exact kernel; the phase blocks' temporaries and the exact kernel's
-        # tiles hold a few MB whatever N and T
+        # times and 160 MB at 50 dimers x 200,000 times; the phase blocks'
+        # temporaries and the exact sum's chunks of times, with the floats
+        # that math.fsum reads, hold a few MB whatever N and T
         for n_dimers, samples in [(3000, 8192), (50, 200_000)]:
             protocol, times = QuenchProtocol(1.25, 0.3, 0.6, n_dimers), 0.05 * np.arange(samples)
             tracemalloc.start()
@@ -781,77 +718,107 @@ class TestTiledKernel:
             assert peak <= tables + 16 * 10**6, (n_dimers, samples)
 
 
+def _mode_energies(times, amp, freq) -> np.ndarray:
+    """(M, T): each mode's sum_s amp_s - sum_s amp_s cos(freq_s t), formed at each time
+    t on its own, for kernel tables of shape (M, F) or (M,)."""
+    amp, freq = amp.reshape(len(amp), -1), freq.reshape(len(freq), -1)
+    const = amp[:, 0].copy()
+    for s in range(1, amp.shape[1]):
+        const += amp[:, s]
+    columns = []
+    for t in times:
+        e = -amp[:, 0] * np.cos(freq[:, 0] * t)
+        for s in range(1, amp.shape[1]):
+            e += -amp[:, s] * np.cos(freq[:, s] * t)
+        columns.append(e + const)
+    return np.array(columns).T.reshape(len(amp), len(times))
+
+
+def _fsum_energy(times, amp, freq) -> np.ndarray:
+    """One ``math.fsum`` over the modes per time: the reference of ``_exact_energy``."""
+    return np.array([math.fsum(column) for column in _mode_energies(times, amp, freq).T])
+
+
+class TestExactEnergy:
+    # quench._exact_energy, the sum that settles a sweep row's window
+    # candidates, is each time's exactly rounded sum over the modes, on
+    # either model's tables, whatever its chunks of times
+    TIMES = np.concatenate([0.37 * np.arange(40), [679.14, 1e4, 1e6]])
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            FIG2,
+            FIG3,  # flat charging bands
+            QuenchProtocol(0.8, 0.3, 0.5, 7),  # odd n
+            QuenchProtocol(0.5, 0.3, 0.0, 3),  # delta1 = 0
+            QuenchProtocol(1e-12, 0.3, 0.6, 7),  # near-degenerate charging bands
+            QuenchProtocol(0.8, 0.3, 0.5, 2),
+            IsingParams(0.3, 0.4, 45),  # odd ring
+            IsingParams(0.25, 0.75, 61),  # odd ring, charger on h = 1
+            IsingParams(0.8, 0.7, 2),
+            IsingParams(0.8, 0.7, 600),
+        ],
+        ids=["fig2", "fig3", "odd_n", "delta1_0", "gamma_1e-12", "n2",
+             "ising45", "ising61", "ising2", "ising600"],
+    )
+    def test_matches_one_fsum_per_time(self, params):
+        times, amp, freq = params.kernel_tables(self.TIMES)
+        assert amp.ndim == (2 if isinstance(params, QuenchProtocol) else 1)
+        got = quench._exact_energy(times, amp, freq)
+        assert np.array_equal(got.view(np.int64), _fsum_energy(times, amp, freq).view(np.int64))
+
+    @pytest.mark.parametrize(
+        "params", [QuenchProtocol(1.25, 0.3, 0.6, 20), IsingParams(0.3, 0.4, 45)],
+        ids=["xy", "ising"],
+    )
+    @pytest.mark.parametrize("budget", [7, 600, 2**18])
+    @pytest.mark.parametrize("samples", [0, 1, 9, 10, 11, 13, 14, 21, 40])
+    def test_chunks_keep_the_bits_and_the_budget(self, monkeypatch, params, budget, samples):
+        # a budget of 600 floats makes chunks of 10 times for 20 dimers
+        # (3 floats per mode and time) and of 13 for the 22 modes of 45 sites
+        # (2 per mode and time); 7 floats make chunks of one time
+        times, amp, freq = params.kernel_tables(0.3 * np.arange(samples))
+        chunks = []
+
+        def spy(values):
+            chunks.append(values.shape)
+            return sums.compensated_sum_axis0(values)
+
+        monkeypatch.setattr(quench, "_TILE_ELEMENTS", budget)
+        monkeypatch.setattr(quench, "compensated_sum_axis0", spy)
+        got = quench._exact_energy(times, amp, freq)
+        assert got.shape == (samples,)
+        assert np.array_equal(got.view(np.int64), _fsum_energy(times, amp, freq).view(np.int64))
+        per_time = amp.size + len(amp)
+        width = max(1, budget // per_time)
+        assert [m for m, _ in chunks] == [len(amp)] * len(chunks)
+        widths = [min(width, samples - lo) for lo in range(0, samples, width)]
+        assert [t for _, t in chunks] == widths
+        assert all(t == 1 or per_time * t <= budget for _, t in chunks)
+
+    def test_the_tied_window_matches_neumaier(self):
+        # Neumaier's sum is exactly rounded on every sample of the tied Fig-3
+        # window, so the exact sum keeps its bits there, and with them the
+        # five samples that share the float maximum (TestTiedWindow)
+        times, amp, freq = quench._xy_tables(FIG3, _fig3_window_grid())
+        got = quench._exact_energy(times, amp, freq)
+        judge = _neumaier(_mode_energies(times, amp, freq))
+        assert times.size == 5603
+        assert np.array_equal(got.view(np.int64), judge.view(np.int64))
+
+
 def _grid(protocol, t0, t1):
     """The CLI's trace grid of ``protocol`` (half its resolution bound) on [t0, t1]."""
     dt = 0.5 * resolution_bound(protocol)
     return t0 + dt * np.arange(int((t1 - t0) / dt) + 1)
 
 
-class TestKernelChunks:
-    # the exact kernel runs the grid in chunks of WIDTH times, in grid order
-    # (the last shorter), and each chunk in ascending mode tiles of the most
-    # modes whose 6 floats per mode and time fit _TILE_ELEMENTS (at least one).
-    # The cases run under a _TILE_ELEMENTS of TILE, which keeps 8,969 times in
-    # one chunk and the whole-table reference of 6 WIDTH + 5 times at ~20 MB
-    SMALL = QuenchProtocol(1.25, 0.3, 0.6, 20)
-    TILE = 2**16
-    WIDTH = TILE // 6
-
-    @pytest.fixture(autouse=True)
-    def _small_tiles(self, monkeypatch):
-        monkeypatch.setattr(quench, "_TILE_ELEMENTS", self.TILE)
-
-    @pytest.mark.parametrize(
-        "samples", [0, 1, 4096, 4097, 8969, WIDTH, WIDTH + 1, 2 * WIDTH + 777, 6 * WIDTH + 5]
-    )
-    def test_grid_lengths_keep_the_bits(self, samples):
-        times = 0.3 * np.arange(samples)
-        values = _exact_kernel(self.SMALL, times)
-        assert values.shape == (samples,)
-        assert np.array_equal(values, _whole_table_kernel(self.SMALL, times))
-
-    @pytest.mark.parametrize(
-        "samples, n_dimers",
-        [
-            (1, 20), (2, 300), (4096, 20), (4097, 300), (8969, 7),  # one chunk
-            (WIDTH, 2), (WIDTH + 1, 20), (2 * WIDTH + 777, 7), (4 * WIDTH + 1, 2),
-            (7 * WIDTH + 5, 3),
-        ],
-    )
-    def test_chunks_and_tiles_hold_the_budget(self, monkeypatch, samples, n_dimers):
-        tiles = []
-
-        def spy(rows, total, comp, work):
-            tiles.append(rows.shape)
-            sums.add_rows(rows, total, comp, work)
-
-        monkeypatch.setattr(quench, "add_rows", spy)
-        _exact_kernel(QuenchProtocol(0.8, 0.3, 0.5, n_dimers), 0.3 * np.arange(samples))
-        chunks, modes = [], 0
-        for k, width in tiles:
-            if modes == 0:
-                chunks.append((width, []))
-            assert width == chunks[-1][0]
-            chunks[-1][1].append(k)
-            modes = (modes + k) % n_dimers
-        assert modes == 0
-        widths = [width for width, _ in chunks]
-        assert sum(widths) == samples
-        assert all(width == self.WIDTH for width in widths[:-1])
-        assert 0 < widths[-1] <= self.WIDTH
-        for width, ks in chunks:
-            assert sum(ks) == n_dimers
-            assert all(k == ks[0] for k in ks[:-1]) and ks[-1] <= ks[0]
-            fits = max(1, quench._TILE_ELEMENTS // (6 * width))
-            assert ks[0] == min(n_dimers, fits), (width, ks)
-            assert ks[0] == 1 or 6 * ks[0] * width <= quench._TILE_ELEMENTS
-
-
 class TestTraceKernel:
-    # energy_at_times runs the phase-block kernel, the exact kernel's sums to
+    # energy_at_times runs the phase-block kernel, the exact sums to
     # rounding: within 1e-13 of the trace maximum on the CLI's trace grids,
     # with dE(0) = 0 exactly, and on every block shape of short grids
-    SMALL = TestKernelChunks.SMALL
+    SMALL = QuenchProtocol(1.25, 0.3, 0.6, 20)
 
     @pytest.mark.parametrize(
         "protocol, times",

@@ -278,10 +278,9 @@ class TestSweeps:
         assert [category for category, _ in seen[0][1]] == [RecurrenceWindowWarning] * 2
 
     def test_workers_change_no_engine_call(self, monkeypatch):
-        # every engine call of the row (the short span's segments and the
-        # window samples it evaluates) sees the same times and returns the
-        # same bits under any worker budget
-        kernel = quench._xy_kernel
+        # every exact-sum call of the row (the window samples it settles) sees
+        # the same times and returns the same bits under any worker budget
+        kernel = regimes._exact_energy
         calls = {}
         for workers in (None, 1, 2):
             seen = calls[workers] = []
@@ -291,9 +290,9 @@ class TestSweeps:
                 _seen.append((times.tobytes(), values.tobytes()))
                 return values
 
-            monkeypatch.setattr(quench, "_xy_kernel", recorded)
+            monkeypatch.setattr(regimes, "_exact_energy", recorded)
             sweep_delta0(1.1, 0.8, 20, [0.2], workers=workers)
-        assert len(calls[None]) >= 2
+        assert len(calls[None]) == 1
         assert calls[None] == calls[1] == calls[2]
 
     def test_rows_do_not_depend_on_workers(self):
@@ -386,15 +385,14 @@ class TestPlateauRobustness:
 
 
 def _full_grid_point(params, window):
-    """The row of the whole grids, as ``_regime_point`` computed it before it
-    screened the window: the row's engine (the supplier's ``row_kernel`` over
-    its ``kernel_tables``) on every sample of the short span and of the
-    window.  The judge of the screened rows."""
+    """The row of the whole grids: ``quench._exact_energy`` over the supplier's
+    ``kernel_tables`` on every sample of the short span and of the window.
+    The judge of the rows of both models."""
     bound = resolution_bound(params)
     dt = DT_SAFETY * bound
 
     def engine(params, times):
-        return params.row_kernel(*params.kernel_tables(times))
+        return quench._exact_energy(*params.kernel_tables(times))
 
     short = quench._build_trace(engine, params, regimes.DEFAULT_SHORT_SPAN, dt)
     tau_s, e_s = find_short_time_max(short)
@@ -456,61 +454,51 @@ class TestScreenedRows:
     @pytest.mark.parametrize("params", SCREEN_CASES, ids=repr)
     @pytest.mark.parametrize("start", [0.0, 600.0, 3e4, 1e6])
     def test_screen_is_within_an_eighth_of_its_slack(self, params, start):
-        # the window screen of _screened_values against the model's engine on
-        # a window-like grid of the row's step, over the same tables
+        # the window screen of _screened_values against the exact sum on a
+        # window-like grid of the row's step, over the same tables
         bound = resolution_bound(params)
         times, amp, freq = params.kernel_tables(start + DT_SAFETY * bound * np.arange(1500))
         screen = quench._phase_block_sum(times, amp.ravel(), freq.ravel())
-        engine = params.row_kernel(times, amp, freq)
+        engine = quench._exact_energy(times, amp, freq)
         slack = regimes._screen_slack(times[-1], amp, freq)
         assert np.max(np.abs(screen - engine)) <= slack / 8
 
     @pytest.mark.parametrize(
         "params",
         SWEEP_XY_ROWS + SCALING_ROWS + [_random_xy(seed) for seed in range(100, 112)]
-        + [QuenchProtocol(1.1, 0.2, 0.0, 10)],
+        + [QuenchProtocol(1.1, 0.2, 0.0, 10)]
+        + [IsingParams(h0, 0.25, 600) for h0 in (0.4, 0.6, 0.75, 0.9)]
+        + [_random_ising(seed) for seed in range(100, 112)],
         ids=repr,
     )
-    def test_xy_rows_keep_the_bits_of_the_whole_grids(self, params):
-        # the null quench (last) fails with the same text
+    def test_rows_match_the_whole_grids(self, params):
+        # one judge for both models: the window's (tau_r, e_r, on_edge) keep
+        # the bits of the exact sum over the whole window, and the short span,
+        # run on the phase-block kernel, its (tau_s, e_s) to rounding; a row
+        # that fails (the XY null quench) fails with the same text
         got, expected = _row(regimes._regime_point, params), _row(_full_grid_point, params)
-        assert repr(got) == repr(expected)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert repr(got[3:]) == repr(expected[3:])
+            assert got[:3] == pytest.approx(expected[:3], rel=1e-12, abs=0.0)
 
     def test_the_null_quench_fails_as_before(self):
         params = QuenchProtocol(1.1, 0.2, 0.0, 10)
         assert _row(regimes._regime_point, params).startswith("no charging occurred")
 
-    @pytest.mark.parametrize(
-        "params",
-        [IsingParams(h0, 0.25, 600) for h0 in (0.4, 0.6, 0.75, 0.9)]
-        + [_random_ising(seed) for seed in range(100, 112)],
-        ids=repr,
-    )
-    def test_ising_rows_match_the_whole_grids_to_rounding(self, params):
-        got, expected = _row(regimes._regime_point, params), _row(_full_grid_point, params)
-        if isinstance(expected, str):
-            assert got == expected
-        else:
-            assert got[-1] == expected[-1]
-            assert got[:-1] == pytest.approx(expected[:-1], rel=1e-12, abs=0.0)
-
     @pytest.mark.parametrize("wide", [1e6, math.inf])
     def test_a_wider_candidate_set_keeps_the_rows(self, monkeypatch, wide):
         # beta raised (inf: every window sample is a candidate) changes only
-        # how many samples the engine evaluates: XY rows keep their bits, and
-        # Ising rows, whose phase blocks follow the evaluated grid, their
-        # values to rounding
-        xy = [SWEEP_XY_ROWS[0], SWEEP_XY_ROWS[3], SWEEP_XY_ROWS[5],
-              QuenchProtocol(1.25, 0.3, 0.6, 41)]
-        ising = [IsingParams(0.6, 0.25, 600), IsingParams(0.3, 0.4, 45)]
-        narrow = [_row(regimes._regime_point, p) for p in xy + ising]
+        # how many samples the exact sum evaluates: rows of both models keep
+        # their bits
+        rows = [SWEEP_XY_ROWS[0], SWEEP_XY_ROWS[3], SWEEP_XY_ROWS[5],
+                QuenchProtocol(1.25, 0.3, 0.6, 41), IsingParams(0.6, 0.25, 600),
+                IsingParams(0.3, 0.4, 45)]
+        narrow = [_row(regimes._regime_point, p) for p in rows]
         slack = regimes._screen_slack
         monkeypatch.setattr(regimes, "_screen_slack", lambda *args: wide * slack(*args))
-        wide_rows = [_row(regimes._regime_point, p) for p in xy + ising]
-        assert repr(wide_rows[: len(xy)]) == repr(narrow[: len(xy)])
-        for got, expected in zip(wide_rows[len(xy) :], narrow[len(xy) :]):
-            assert got[-1] == expected[-1]
-            assert got[:-1] == pytest.approx(expected[:-1], rel=1e-12, abs=0.0)
+        assert repr([_row(regimes._regime_point, p) for p in rows]) == repr(narrow)
 
     def test_each_row_decomposes_its_charger_once(self, monkeypatch):
         # one table build feeds the screen and every engine call of the row
@@ -521,15 +509,15 @@ class TestScreenedRows:
         assert calls == [(1.1, d0 + 0.8, 40) for d0 in (0.1, 0.2, 0.3)]
 
     def test_the_engine_sees_few_window_samples(self, monkeypatch):
-        # the tied row's window holds 5,603 samples; the engine evaluates the
-        # short span's segments and a few dozen window samples
+        # the tied row's window holds 5,603 samples; the exact sum settles a
+        # few dozen of them, in one call
         sizes = []
-        kernel = quench._xy_kernel
+        kernel = regimes._exact_energy
 
         def counted(times, amp, freq):
             sizes.append(times.size)
             return kernel(times, amp, freq)
 
-        monkeypatch.setattr(quench, "_xy_kernel", counted)
+        monkeypatch.setattr(regimes, "_exact_energy", counted)
         sweep_delta0(1.1, 0.8, 300, [0.2])
-        assert sum(sizes) < 400
+        assert len(sizes) == 1 and sizes[0] < 64
