@@ -15,9 +15,10 @@ per-mode amplitude; the k = pi mode of an odd ring is its own mirror, is not
 coupled by the field quench and never enters.
 
 :class:`IsingParams` is the Ising model supplier of ``quench`` (see there),
-so the shared engines run the sum on the phase-block kernel
-(``quench._phase_block_sum``), and a sweep row runs the same recipe as an
-XY row (``regimes._regime_point``); the ``ising_*`` names are one-line
+one chain per mode, so the shared engines run the sum on the phase-block
+kernel (``quench._phase_block_sum``), the one resolution rule reads its
+frequencies 2 w_q, and a sweep row runs the same recipe as an XY row
+(``regimes._regime_point``); the ``ising_*`` names are one-line
 entries to the engines.  It matches the mode-by-mode sum, exactly rounded
 over modes, to within 1e-12 max(1, E^inf) up to t = 10^3, a bound that
 grows in proportion to t past it with the rounding of the phases 2 w_q t, so
@@ -82,10 +83,6 @@ class IsingParams:
         """(times, amp, freq) of the time kernel: ``times`` checked for the half zone's
         n_sites // 2 modes (``quench._engine_times``), then :meth:`chain_modes`."""
         return (_engine_times(self, self.n_sites // 2, times), *self.chain_modes())
-
-    def fastest_frequency(self) -> float:
-        """2 max_q w_q over the half zone, the frequency of the Ising resolution rule."""
-        return 2.0 * float(np.max(_mode_arrays(self)[0]))
 
 
 def _mode_arrays(params: IsingParams):

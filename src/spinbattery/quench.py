@@ -26,14 +26,15 @@ flat charging bands (delta0 + delta1 = 1) several window samples tie for
 the maximum, and which one comes first depends on those bits.  A sweep row
 therefore settles its window candidates with ``_exact_energy``, which sums
 the modes exactly rounded, so each sample keeps its bits on any grid it is
-part of.  ``_xy_tables`` builds the tables both kernels run, so a sweep row
-builds them once for all its calls.
+part of.  ``QuenchProtocol.kernel_tables`` builds the tables both kernels
+run, so a sweep row builds them once for all its calls.
 
 Each parameter class, :class:`QuenchProtocol` or ``ising.IsingParams``, is
 a model supplier: its size and the size's name, closed-form chain-mode
-tables (amp, freq = 4 |d'|), kernel tables, resolution frequency and
-default window factors.  The engines read only those, so each takes either
-class.  Engines keep nothing between calls.
+tables (amp, freq = 4 |d'|), kernel tables and default window factors.
+The engines read only those, so each takes either class; one resolution
+rule (``resolution_bound``) reads the chain-mode frequencies of both.
+Engines keep nothing between calls.
 """
 
 from __future__ import annotations
@@ -44,13 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sums import compensated_sum, compensated_sum_axis0
-from .xy import (
-    ChainParams,
-    _check_finite,
-    _check_parameters,
-    _xy_chains,
-    dispersion_curves,
-)
+from .xy import ChainParams, _check_finite, _check_parameters, _xy_chains
 
 __all__ = [
     "QuenchProtocol",
@@ -130,13 +125,15 @@ class QuenchProtocol:
         return norm * sin2_dphi, 4.0 * norm_p
 
     def kernel_tables(self, times):
-        """(times, amp, freq) of the time kernels: :func:`_xy_tables`."""
-        return _xy_tables(self, times)
+        """(times, amp, freq) of the time kernels: ``times`` checked (``_engine_times``),
+        then both chains' tables, shape (n_dimers, 2), built once.
 
-    def fastest_frequency(self) -> float:
-        """max_q(w1' + w2') over the charger's bands, the frequency of the XY resolution rule."""
-        charging = dispersion_curves(self.gamma, self.delta0 + self.delta1, self.n_dimers)
-        return float(np.max(charging[:, 0] + charging[:, 1]))
+        dE(t) = sum_{q,s} amp [1 - cos(freq t)], with amp = |d| sin^2 dphi from the
+        closed form and freq = 2 w_s' from the charger's Bloch bands, one eigh.
+        """
+        times = _engine_times(self, self.n_dimers, times)
+        bands = _bloch_bands(self.gamma, self.delta0 + self.delta1, self.n_dimers)
+        return times, self.chain_modes()[0], 2.0 * bands
 
 
 @dataclass(frozen=True)
@@ -272,12 +269,6 @@ def _uniform_times(start: float, end: float, dt: float, bound: float) -> np.ndar
     return start + dt * np.arange(int(np.floor((end - start) / dt)) + 1)
 
 
-def _build_trace(energy, params, t_end: float, dt: float) -> EnergyTrace:
-    """``energy(params, times)`` on {0, dt, ...} up to t_end, dt <= resolution_bound(params)."""
-    times = _uniform_times(0.0, t_end, dt, resolution_bound(params))
-    return EnergyTrace(times=times, values=energy(params, times), protocol=params)
-
-
 # ----------------------------------------------------------------------
 # public operations
 # ----------------------------------------------------------------------
@@ -317,18 +308,6 @@ def _bloch_bands(gamma: float, delta: float, n_dimers: int) -> np.ndarray:
     h[:, 2, 1], h[:, 1, 2], h[:, 0, 3], h[:, 3, 0] = w, np.conj(w), -w, -np.conj(w)
     vals = np.linalg.eigh(h)[0]  # ascending (-w1, -w2, +w2, +w1)
     return np.maximum(vals[:, [3, 2]], 0.0)
-
-
-def _xy_tables(protocol: QuenchProtocol, times):
-    """(times, amp, freq) of the XY time kernel: ``times`` checked (``_engine_times``),
-    then both chains' tables, shape (n_dimers, 2), built once.
-
-    dE(t) = sum_{q,s} amp [1 - cos(freq t)], with amp = |d| sin^2 dphi from the
-    closed form and freq = 2 w_s' from the charger's Bloch bands, one eigh.
-    """
-    times = _engine_times(protocol, protocol.n_dimers, times)
-    bands = _bloch_bands(protocol.gamma, protocol.delta0 + protocol.delta1, protocol.n_dimers)
-    return times, protocol.chain_modes()[0], 2.0 * bands
 
 
 def _exact_energy(times: np.ndarray, amp: np.ndarray, freq: np.ndarray) -> np.ndarray:
@@ -375,14 +354,17 @@ def energy_at_times(params, times: np.ndarray, evaluator: str = "full") -> np.nd
 
 
 def resolution_bound(params) -> float:
-    """Largest trace step that resolves the fastest oscillation: pi / (10 f),
-    f the supplier's ``fastest_frequency``.
+    """Largest trace step that resolves the fastest oscillation: pi / (10 f), f the
+    largest per-mode mean of the supplier's chain-mode frequencies 4 |d'|.
 
-    XY's f = max_q(w1' + w2') lies between 2 max_q w1' and half of it, so
-    10 to 20 samples per period of the fastest column; Ising's f = 2 max_q w_q
-    gives 20 per period of the fastest chain.
+    An XY mode's two chains give f = 2 |d1'| + 2 |d2'| = w1' + w2' exactly,
+    which lies between 2 max_q w1' and half of it, so 10 to 20 samples per
+    period of the fastest column; Ising's one chain gives f = 2 w_q, 20 per
+    period of the fastest chain.
     """
-    return np.pi / (SAMPLES_PER_PERIOD_FACTOR * params.fastest_frequency())
+    freq = params.chain_modes()[1]
+    fastest = float(np.max(freq.reshape(len(freq), -1).mean(axis=1)))
+    return np.pi / (SAMPLES_PER_PERIOD_FACTOR * fastest)
 
 
 def energy_trace(params, t_end: float, dt: float) -> EnergyTrace:
@@ -395,7 +377,8 @@ def energy_trace(params, t_end: float, dt: float) -> EnergyTrace:
     Rejects steps coarser than :func:`resolution_bound`; an aliased grid
     would silently corrupt downstream regime detection.
     """
-    return _build_trace(_energy, params, t_end, dt)
+    times = _uniform_times(0.0, t_end, dt, resolution_bound(params))
+    return EnergyTrace(times=times, values=_energy(params, times), protocol=params)
 
 
 def asymptotic_energy(params) -> float:

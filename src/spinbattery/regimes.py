@@ -31,7 +31,6 @@ from .ising import IsingParams
 from .quench import (
     EnergyTrace,
     QuenchProtocol,
-    _build_trace,
     _energy,
     _exact_energy,
     _phase_block_sum,
@@ -211,13 +210,11 @@ def _trace_inputs(params, t_end, dt, window):
     """
     window = _recurrence_window(window, params)
     t_end = window[1] if t_end is None else t_end
-    dt = DT_SAFETY * resolution_bound(params) if dt is None else dt
-
-    def windowed_energy(protocol, times):
-        _window_span(times, window)
-        return _energy(protocol, times)
-
-    trace = _build_trace(windowed_energy, params, t_end, dt)
+    bound = resolution_bound(params)
+    dt = DT_SAFETY * bound if dt is None else dt
+    times = _uniform_times(0.0, t_end, dt, bound)
+    _window_span(times, window)
+    trace = EnergyTrace(times=times, values=_energy(params, times), protocol=params)
     return trace, asymptotic_energy(params), window, t_end, dt
 
 

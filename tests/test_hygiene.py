@@ -261,9 +261,7 @@ def test_no_isinstance_on_a_parameter_class():
 
 # what the engines read off a model: a parameter class offers its dataclass
 # fields and these names, nothing else
-SUPPLIER_CONTRACT = {
-    "size", "size_name", "window_factors", "chain_modes", "kernel_tables", "fastest_frequency",
-}
+SUPPLIER_CONTRACT = {"size", "size_name", "window_factors", "chain_modes", "kernel_tables"}
 
 
 @pytest.mark.parametrize("name", sorted(PARAMETER_CLASSES))
@@ -282,7 +280,7 @@ def test_regimes_calls_no_model_specific_kernel():
         name for call in ast.walk(_tree("regimes")) if isinstance(call, ast.Call)
         for name in _names(call.func)
     }
-    model_specific = _functions("xy") | _functions("ising") | {"_xy_tables", "_bloch_bands"}
+    model_specific = _functions("xy") | _functions("ising") | {"_bloch_bands"}
     assert called & model_specific == set()
     assert {"_phase_block_sum", "_exact_energy", "kernel_tables"} <= called
 

@@ -6,6 +6,8 @@ every XY band occupation lies in [0, 1], each to 1e-10 per mode.  Critical
 protocols sit exactly on a gap-closing line: the parameters are dyadic
 (multiples of 1/16 or powers of two), so their sums land on the line with no
 rounding.  The Ising sizes include odd rings, whose mode set holds k = pi.
+On either model the one resolution bound equals the model's own former
+rule bit for bit.
 The ``trace`` command, given any window, end time and step around its
 defaults, exits 0, 2 or 3 and never raises, and on any grid the window's
 samples are those of the mask (times >= min) & (times <= max).  The CLI's
@@ -38,6 +40,8 @@ from spinbattery import cli
 from spinbattery.cli import main
 from spinbattery.quench import _uniform_times
 from spinbattery.regimes import _window_span
+
+from test_quench import _two_rule_bound
 
 TIMES = np.array([0.0, 0.37, 1.9, 13.0, 271.5, 1e6])
 
@@ -138,6 +142,35 @@ def test_ising_generic(params):
 @given(ising_critical())
 def test_ising_critical(params):
     _check_ising(params)
+
+
+# Either model at any size up to 400 dimers or 800 sites, vanishing
+# anisotropies and null quenches included.
+RULE_PARAMS = (
+    XY_GENERIC
+    | xy_critical()
+    | ISING_GENERIC
+    | ising_critical()
+    | st.builds(
+        QuenchProtocol,
+        gamma=st.floats(1e-12, 3.0),
+        delta0=st.floats(0.0, 3.0),
+        delta1=st.just(0.0) | st.floats(0.0, 3.0),
+        n_dimers=st.integers(2, 400),
+    )
+    | st.builds(
+        IsingParams,
+        h0=st.floats(-3.0, 3.0),
+        h1=st.just(0.0) | st.floats(-3.0, 3.0),
+        n_sites=st.integers(2, 800),
+    )
+)
+
+
+@SETTINGS
+@given(RULE_PARAMS)
+def test_one_resolution_rule_equals_both_model_rules(params):
+    assert resolution_bound(params) == _two_rule_bound(params)
 
 
 @st.composite

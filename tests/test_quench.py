@@ -330,7 +330,7 @@ class TestEnergyStored:
 
 def _exact_kernel(protocol: QuenchProtocol, times) -> np.ndarray:
     """The exact sum of a sweep row's window candidates over the tables ``energy_at_times`` runs."""
-    return quench._exact_energy(*quench._xy_tables(protocol, times))
+    return quench._exact_energy(*protocol.kernel_tables(times))
 
 
 class TestEnergyTrace:
@@ -801,7 +801,7 @@ class TestExactEnergy:
         # Neumaier's sum is exactly rounded on every sample of the tied Fig-3
         # window, so the exact sum keeps its bits there, and with them the
         # five samples that share the float maximum (TestTiedWindow)
-        times, amp, freq = quench._xy_tables(FIG3, _fig3_window_grid())
+        times, amp, freq = FIG3.kernel_tables(_fig3_window_grid())
         got = quench._exact_energy(times, amp, freq)
         judge = _neumaier(_mode_energies(times, amp, freq))
         assert times.size == 5603
@@ -933,6 +933,56 @@ class TestBandBits:
         charging = _bands_formula(g, protocol.delta0 + protocol.delta1, n)
         fmax = float(np.max(charging[:, 0] + charging[:, 1]))
         assert resolution_bound(protocol) == np.pi / (10.0 * fmax)
+
+
+def _two_rule_bound(params):
+    """The resolution bound by the two per-model rules the one rule replaced:
+    pi / (10 max_q(w1' + w2')) over XY's charging bands, and pi / (10 * 2 max_q w_q)
+    over Ising's closed-form half-zone w_q."""
+    if isinstance(params, IsingParams):
+        fastest = 2.0 * float(np.max(ising._mode_arrays(params)[0]))
+    else:
+        charging = dispersion_curves(params.gamma, params.delta0 + params.delta1, params.n_dimers)
+        fastest = float(np.max(charging[:, 0] + charging[:, 1]))
+    return np.pi / (10.0 * fastest)
+
+
+def _rule_cases():
+    # the benchmark's seed-0 protocols: trace-xy, the sweep-xy and sweep-ising
+    # grids at the CLI's grid, and oracle-check at 10 sites
+    yield FIG2
+    for delta0 in cli._make_grid(0.05, 0.05 + 7 * 0.05, 0.05):
+        yield QuenchProtocol(1.1, delta0, 0.8, 300)
+    for h0 in cli._make_grid(0.4, 0.4 + 30 * 0.02, 0.02):
+        yield IsingParams(h0, 0.25, 600)
+    yield QuenchProtocol(1.25, 0.3, 0.6, 5)
+    yield IsingParams(0.8, 0.7, 10)
+    # the 71 Fig-3 points, as the CLI and the acceptance suite form them
+    for delta0 in cli._make_grid(0.05, 0.4, 0.005):
+        yield QuenchProtocol(1.1, delta0, 0.8, 300)
+    for i in range(71):
+        yield QuenchProtocol(1.1, round(0.05 + 0.005 * i, 3), 0.8, 300)
+    for n in (2, 3, 7):
+        yield QuenchProtocol(1.25, 0.3, 0.6, n)
+        yield IsingParams(0.8, 0.7, n)
+    # odd rings, the last with a critical charger
+    for n in (3, 5, 9, 101):
+        yield IsingParams(0.8, 0.7, n)
+    yield IsingParams(0.6, 0.4, 601)
+    # null quenches, a vanishing anisotropy and flat charging bands
+    yield QuenchProtocol(1.25, 0.3, 0.0, 300)
+    yield IsingParams(0.8, 0.0, 600)
+    yield QuenchProtocol(1e-12, 0.3, 0.6, 300)
+    for delta0 in (0.0, 0.2, 0.25, 0.5, 0.75):
+        yield QuenchProtocol(1.1, delta0, 1.0 - delta0, 300)
+
+
+class TestOneResolutionRule:
+    # the largest per-mode mean of the chain-mode frequencies 4 |d'| is
+    # w1' + w2' for an XY mode and 2 w_q for an Ising mode, bit for bit
+    @pytest.mark.parametrize("params", list(_rule_cases()))
+    def test_equals_both_model_rules(self, params):
+        assert resolution_bound(params) == _two_rule_bound(params)
 
 
 class TestBlochEigensystems:

@@ -394,7 +394,8 @@ def _full_grid_point(params, window):
     def engine(params, times):
         return quench._exact_energy(*params.kernel_tables(times))
 
-    short = quench._build_trace(engine, params, regimes.DEFAULT_SHORT_SPAN, dt)
+    short_times = quench._uniform_times(0.0, regimes.DEFAULT_SHORT_SPAN, dt, bound)
+    short = EnergyTrace(times=short_times, values=engine(params, short_times), protocol=params)
     tau_s, e_s = find_short_time_max(short)
     win_times = quench._uniform_times(*window, dt, bound)
     span = regimes._window_span(win_times, window)
