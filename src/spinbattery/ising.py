@@ -18,14 +18,15 @@ coupled by the field quench and never enters.
 one chain per mode, so the shared engines run the sum on the phase-block
 kernel (``quench._phase_block_sum``), the one resolution rule reads its
 frequencies 2 w_q, and a sweep row runs the same recipe as an XY row
-(``regimes._regime_point``); the ``ising_*`` names are one-line
-entries to the engines.  It matches the mode-by-mode sum, exactly rounded
-over modes, to within 1e-12 max(1, E^inf) up to t = 10^3, a bound that
-grows in proportion to t past it with the rounding of the phases 2 w_q t, so
-a trace and pointwise calls at its times agree to that tolerance, not bit
-for bit.  A result depends only on the parameters and the time grid, not on
-the worker or BLAS thread count.  Each call builds the per-mode arrays it
-needs and keeps nothing once it returns.
+(``regimes._regime_point``).  Callers pass it to the ``quench`` engines;
+the two ``ising_*`` names are one-line entries to them that the benchmark in
+``bench/`` calls.  The kernel matches the mode-by-mode sum, exactly rounded
+over modes, to within 1e-12 max(1, E^inf) up to t = 10^3, a bound that grows
+in proportion to t past it with the rounding of the phases 2 w_q t, so a
+trace and pointwise calls at its times agree to that tolerance, not bit for
+bit.  A result depends only on the parameters and the time grid, not on the
+worker or BLAS thread count.  Each call builds the per-mode arrays it needs
+and keeps nothing once it returns.
 """
 
 from __future__ import annotations
@@ -34,23 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quench import (
-    EnergyTrace,
-    _energy,
-    _engine_times,
-    asymptotic_energy,
-    energy_trace,
-    resolution_bound,
-)
+from .quench import _energy, _engine_times, resolution_bound
 from .xy import _chain_modes, _check_parameters, _check_size
 
-__all__ = [
-    "IsingParams",
-    "ising_energy_at_times",
-    "ising_energy_trace",
-    "ising_asymptotic_energy",
-    "ising_resolution_bound",
-]
+__all__ = ["IsingParams", "ising_energy_at_times", "ising_resolution_bound"]
 
 
 @dataclass(frozen=True)
@@ -75,9 +63,13 @@ class IsingParams:
         return self.n_sites
 
     def chain_modes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(amp, freq) over the half zone: amp_q and 2 w_q = 4 |d'|."""
-        omega, amp = _mode_arrays(self)
-        return amp, 2.0 * omega
+        """(amp, freq) over the half zone, dE(t) = sum_q amp_q [1 - cos(freq_q t)]:
+        amp_q = 2 |d| sin^2 dphi and freq_q = 2 w_q = 4 |d'|."""
+        n = self.n_sites
+        x = np.pi * (np.arange(n // 2) + 0.5) / n
+        battery, charger = (((1.0 - h) / 2, (1.0 + h) / 2) for h in (self.h0, self.h0 + self.h1))
+        norm, norm_p, sin2_dphi = _chain_modes(*battery, *charger, self.h1 / 2, x)
+        return 2.0 * norm * sin2_dphi, 4.0 * norm_p
 
     def kernel_tables(self, times):
         """(times, amp, freq) of the time kernel: ``times`` checked for the half zone's
@@ -85,30 +77,11 @@ class IsingParams:
         return (_engine_times(self, self.n_sites // 2, times), *self.chain_modes())
 
 
-def _mode_arrays(params: IsingParams):
-    """(omega, amplitude) over the half zone: dE(t) = sum_q amp_q [1 - cos(2 w_q t)]."""
-    n = params.n_sites
-    x = np.pi * (np.arange(n // 2) + 0.5) / n
-    battery, charger = (((1.0 - h) / 2, (1.0 + h) / 2) for h in (params.h0, params.h0 + params.h1))
-    norm, norm_p, sin2_dphi = _chain_modes(*battery, *charger, params.h1 / 2, x)
-    return 2.0 * norm_p, 2.0 * norm * sin2_dphi
-
-
 def ising_energy_at_times(params: IsingParams, times: np.ndarray) -> np.ndarray:
     """Stored energy on an arbitrary grid of times >= 0 (``quench._energy``)."""
     return _energy(params, times)
 
 
-def ising_asymptotic_energy(params: IsingParams) -> float:
-    """Infinite-time average (``quench.asymptotic_energy``)."""
-    return asymptotic_energy(params)
-
-
 def ising_resolution_bound(params: IsingParams) -> float:
     """Trace-step bound (``quench.resolution_bound``)."""
     return resolution_bound(params)
-
-
-def ising_energy_trace(params: IsingParams, t_end: float, dt: float) -> EnergyTrace:
-    """Stored energy on the uniform grid {0, dt, 2dt, ...} up to t_end (``quench.energy_trace``)."""
-    return energy_trace(params, t_end, dt)

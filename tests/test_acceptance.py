@@ -23,7 +23,6 @@ from spinbattery import (
     energy_at_times,
     energy_trace,
     ground_energy,
-    ising_asymptotic_energy,
     ising_energy_at_times,
     occupations_all,
     resolution_bound,
@@ -37,7 +36,6 @@ from spinbattery.ed import (
     even_sector_ground_state,
     oracle_energy_trace,
 )
-from spinbattery.ising import _mode_arrays
 from spinbattery.regimes import (
     DT_SAFETY,
     analyze_trace,
@@ -162,7 +160,7 @@ def test_criterion_5_dimerization_sweep(fig3_sweep):
 
 def test_criterion_6_field_sweep_argmax():
     grid = [round(0.4 + 0.005 * i, 3) for i in range(121)]
-    vals = [ising_asymptotic_energy(IsingParams(h0, 0.25, 600)) / 600 for h0 in grid]
+    vals = [asymptotic_energy(IsingParams(h0, 0.25, 600)) / 600 for h0 in grid]
     best = grid[int(np.argmax(vals))]
     assert abs(best - 0.750) <= 0.005
     _report("6", f"asymptotic density maximal at h0={best:.3f}")
@@ -278,7 +276,8 @@ class TestCriterion8Properties:
 
     def test_ising_beta_amplitude(self):
         params = IsingParams(ISING_H0, ISING_H1, 600)
-        omega, amp = _mode_arrays(params)
+        amp, freq = params.chain_modes()
+        omega = freq / 2
         worst = 0.0
         for j in range(0, 300, 13):
             # reference Bogoliubov pairs (sin 2theta, cos 2theta) = (sin k, h - cos k) / eps;

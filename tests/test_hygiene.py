@@ -76,6 +76,15 @@ def test_package_all_is_the_modules_all():
     assert ising_resolution_bound is spinbattery.ising.ising_resolution_bound
 
 
+def test_ising_publishes_only_its_supplier_and_two_benchmark_entries():
+    # the shared engines take IsingParams directly; ising_energy_at_times and
+    # ising_resolution_bound stay because bench/ calls them, and no other
+    # ising_* alias of an engine comes back
+    from spinbattery import ising
+
+    assert ising.__all__ == ["IsingParams", "ising_energy_at_times", "ising_resolution_bound"]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_star_import(module):
     target = "spinbattery" if module == "__init__" else f"spinbattery.{module}"

@@ -9,14 +9,13 @@ from spinbattery import (
     asymptotic_energy,
     energy_at_times,
     energy_trace,
-    ising_asymptotic_energy,
     ising_energy_at_times,
-    ising_energy_trace,
     resolution_bound,
 )
 from spinbattery import quench
 from spinbattery.ed import TransverseIsing, build_hamiltonian, oracle_energy_trace
-from spinbattery.ising import _mode_arrays, ising_resolution_bound
+from spinbattery.ising import ising_resolution_bound
+from spinbattery.xy import MAX_PARAMETER, _chain_modes
 
 # Frozen 50-digit evaluations of the closed-form dispersion and angle pair.
 FROZEN_EPS = 0.2000548234962534756  # h=0.8, N=600, q=1/2
@@ -87,7 +86,7 @@ class TestDispersion:
     @pytest.mark.parametrize("n_sites", [2, 3, 7, 600])
     def test_engine_runs_the_half_zone(self, n_sites):
         # the charging dispersion of the modes q = 1/2, ..., N/2 - 1/2, to 2 ulp
-        omega = _mode_arrays(IsingParams(0.8, 0.7, n_sites))[0]
+        omega = IsingParams(0.8, 0.7, n_sites).chain_modes()[1] / 2
         assert omega.size == n_sites // 2
         assert _ulps(omega, _dispersion(1.5, n_sites)[: n_sites // 2]) <= 2.0
 
@@ -100,7 +99,7 @@ class TestDispersion:
     def test_critical_charger_keeps_its_precision(self, h1, n_sites):
         # h0 + h1 at and just either side of 1, where the textbook form
         # 1 + h^2 - 2 h cos k cancels at small k
-        omega = _mode_arrays(IsingParams(0.6, h1, n_sites))[0]
+        omega = IsingParams(0.6, h1, n_sites).chain_modes()[1] / 2
         assert _ulps(omega, _dispersion(0.6 + h1, n_sites)[: n_sites // 2]) <= 2.0
 
 
@@ -120,7 +119,8 @@ class TestBogoliubovAngle:
         s, c = _bogoliubov_pair(0.75, 5, 2.5)
         assert s == pytest.approx(0.0, abs=1e-15)
         assert c == pytest.approx(1.0, abs=1e-15)
-        omega, amp = _mode_arrays(IsingParams(0.75, 0.5, 5))
+        amp, freq = IsingParams(0.75, 0.5, 5).chain_modes()
+        omega = freq / 2
         assert omega.size == amp.size == 2
         assert _ulps(omega, _dispersion(1.25, 5)[:2]) <= 2.0
 
@@ -168,7 +168,8 @@ class TestEnergyStored:
         # the weight 2 of a mirror pair, must reproduce each half-zone mode's
         # closed-form contribution
         params = IsingParams(0.8, 0.7, 10)
-        omega, amp = _mode_arrays(params)
+        amp, freq = params.chain_modes()
+        omega = freq / 2
         eps = _dispersion(params.h0, params.n_sites)
         for j in range(5):
             q = j + 0.5
@@ -200,7 +201,7 @@ class TestEnergyStored:
 
     def test_exact_upper_bound(self):
         params = IsingParams(0.8, 0.7, 30)
-        bound = 2.0 * ising_asymptotic_energy(params)
+        bound = 2.0 * asymptotic_energy(params)
         rng = np.random.default_rng(32)
         de = ising_energy_at_times(params, rng.uniform(0.0, 200.0, size=20))
         assert np.all((0.0 <= de) & (de <= bound + 1e-12))
@@ -234,27 +235,27 @@ class TestZoneEdgeMode:
         amp = h1**2 * np.sin(k) ** 2 / (2.0 * eps * omega**2)
         # a mirror pair q, N - q enters once, at twice the amplitude of q < N/2;
         # the engine rounds a b' - a' b = h1 / 2 and both norms, a few ulp
-        engine = _mode_arrays(IsingParams(h0, h1, n_sites))[1]
+        engine = IsingParams(h0, h1, n_sites).chain_modes()[0]
         assert engine.size == n_sites // 2
         assert _ulps(engine, 2.0 * amp[: n_sites // 2]) <= 8.0
 
 
 class TestAsymptotic:
     def test_null_quench(self):
-        assert ising_asymptotic_energy(IsingParams(0.8, 0.0, 20)) == 0.0
+        assert asymptotic_energy(IsingParams(0.8, 0.0, 20)) == 0.0
 
     def test_equals_windowed_time_average(self):
         params = IsingParams(0.8, 0.7, 600)
         dt = 0.5 * ising_resolution_bound(params)
         times = 50.0 + dt * np.arange(int(200.0 / dt) + 1)
         mean = float(np.mean(ising_energy_at_times(params, times)))
-        e_inf = ising_asymptotic_energy(params)
+        e_inf = asymptotic_energy(params)
         assert abs(e_inf - mean) <= 0.005 * abs(mean)
 
     def test_critical_enhancement(self):
         # E_inf/N is maximal where the charging chain is critical (h0+h1=1)
         grid = np.round(np.arange(0.5, 0.9001, 0.01), 10)
-        vals = {h0: ising_asymptotic_energy(IsingParams(float(h0), 0.25, 600)) for h0 in grid}
+        vals = {h0: asymptotic_energy(IsingParams(float(h0), 0.25, 600)) for h0 in grid}
         peak = vals[0.75]
         for h0, v in vals.items():
             if abs(h0 - 0.75) >= 0.05:
@@ -266,9 +267,9 @@ class TestTrace:
         # a trace runs in phase blocks, a single time in a block of one, so
         # they agree to rounding, not bit for bit
         params = IsingParams(0.8, 0.7, 8)
-        trace = ising_energy_trace(params, 12.0, 0.05)
+        trace = energy_trace(params, 12.0, 0.05)
         pointwise = np.array([ising_energy_at_times(params, [t])[0] for t in trace.times])
-        tol = 1e-12 * max(1.0, ising_asymptotic_energy(params))
+        tol = 1e-12 * max(1.0, asymptotic_energy(params))
         assert np.max(np.abs(trace.values - pointwise)) <= tol
 
     @pytest.mark.parametrize("budget", [142, 142 * 7, 142 * 333, 142 * 1000])
@@ -281,13 +282,13 @@ class TestTrace:
         default = ising_energy_at_times(params, times)
         monkeypatch.setattr(quench, "_TILE_ELEMENTS", budget)
         tiled = ising_energy_at_times(params, times)
-        tol = 1e-12 * max(1.0, ising_asymptotic_energy(params))
+        tol = 1e-12 * max(1.0, asymptotic_energy(params))
         assert np.max(np.abs(tiled - default)) <= tol
 
     def test_rejects_coarse_dt(self):
         params = IsingParams(0.8, 0.7, 8)
         with pytest.raises(ValueError, match="need dt <="):
-            ising_energy_trace(params, 10.0, 2.0 * ising_resolution_bound(params))
+            energy_trace(params, 10.0, 2.0 * ising_resolution_bound(params))
 
     def test_reference_trace_three_regimes(self):
         # N = 600 at h0=0.8, h1=0.7: early first maximum, flat plateau at the
@@ -297,8 +298,8 @@ class TestTrace:
         params = IsingParams(0.8, 0.7, 600)
         window = ising_recurrence_window(600)
         dt = DT_SAFETY * ising_resolution_bound(params)
-        trace = ising_energy_trace(params, window[1], dt)
-        e_inf = ising_asymptotic_energy(params)
+        trace = energy_trace(params, window[1], dt)
+        e_inf = asymptotic_energy(params)
         report = analyze_trace(trace, e_inf, window)
         assert 0.0 < report.tau_s <= 50.0
         assert 280.0 <= report.tau_r <= 350.0
@@ -308,9 +309,53 @@ class TestTrace:
         assert float(np.std(plateau) / np.mean(plateau)) < 0.02
 
 
+def _written_out_chain_modes(params):
+    """The half-zone tables written out: x = pi (q + 1/2) / N over the N // 2
+    modes, w = 2 |d'|, amp = 2 |d| sin^2 dphi and freq = 2 w."""
+    n = params.n_sites
+    x = np.pi * (np.arange(n // 2) + 0.5) / n
+    battery = ((1.0 - params.h0) / 2, (1.0 + params.h0) / 2)
+    hf = params.h0 + params.h1
+    charger = ((1.0 - hf) / 2, (1.0 + hf) / 2)
+    norm, norm_p, sin2_dphi = _chain_modes(*battery, *charger, params.h1 / 2, x)
+    omega = 2.0 * norm_p
+    return 2.0 * norm * sin2_dphi, 2.0 * omega
+
+
+class TestChainModes:
+    # the supplier's tables are the written-out formula bit for bit
+    @pytest.mark.parametrize("n_sites", [2, 3, 4, 5, 9, 101, 600, 601])
+    @pytest.mark.parametrize(
+        "h0, h1",
+        [
+            (0.8, 0.7),
+            (1.0, 0.5),
+            (-1.0, 0.4),
+            (0.6, 0.4),
+            (-1.5, 0.5),
+            (0.25, -1.25),
+            (0.8, 0.0),
+            (1.0, 0.0),
+            (MAX_PARAMETER, -MAX_PARAMETER),
+            (-MAX_PARAMETER, 0.25),
+            (0.25, MAX_PARAMETER),
+            (MAX_PARAMETER, MAX_PARAMETER),
+        ],
+        ids=["generic", "critical_battery", "critical_battery_minus", "critical_charger",
+             "critical_charger_minus", "critical_charger_crossing", "null_quench",
+             "critical_null_quench", "max_to_zero", "max_battery", "max_quench", "max_both"],
+    )
+    def test_equal_the_written_out_formula(self, h0, h1, n_sites):
+        params = IsingParams(h0, h1, n_sites)
+        amp, freq = params.chain_modes()
+        expected_amp, expected_freq = _written_out_chain_modes(params)
+        assert np.array_equal(amp, expected_amp)
+        assert np.array_equal(freq, expected_freq)
+
+
 class TestSharedOperations:
-    # the four engine operations take either parameter class, and the ising_*
-    # names are the same operations, bit for bit
+    # the four engine operations take either parameter class, and the two
+    # ising_* names are the same operations, bit for bit
     @pytest.mark.parametrize(
         "params",
         [IsingParams(0.8, 0.7, 600), IsingParams(-0.5, -0.5, 61), IsingParams(0.3, 0.0, 20),
@@ -322,13 +367,7 @@ class TestSharedOperations:
         assert energy_at_times(params, times).tobytes() == ising_energy_at_times(
             params, times
         ).tobytes()
-        assert asymptotic_energy(params).hex() == ising_asymptotic_energy(params).hex()
         assert resolution_bound(params).hex() == ising_resolution_bound(params).hex()
-        dt = 0.5 * resolution_bound(params)
-        shared, named = energy_trace(params, 30.0, dt), ising_energy_trace(params, 30.0, dt)
-        assert shared.protocol == named.protocol == params
-        assert shared.times.tobytes() == named.times.tobytes()
-        assert shared.values.tobytes() == named.values.tobytes()
 
     def test_both_evaluator_names_take_ising_parameters(self):
         params, times = IsingParams(0.8, 0.7, 40), 0.1 * np.arange(300)
@@ -338,7 +377,8 @@ class TestSharedOperations:
 
 def _direct(params, times):
     """The closed form mode by mode, exactly rounded over modes (math.fsum)."""
-    omega, amp = _mode_arrays(params)
+    amp, freq = params.chain_modes()
+    omega = freq / 2
     return np.array([math.fsum(amp * (1.0 - np.cos(2.0 * omega * t))) for t in times])
 
 
@@ -346,7 +386,7 @@ def _tolerance(params, times):
     # the kernel and the direct sum round the phases 2 w t differently, by
     # about eps 2 w t: 1e-12 relative up to t = 10^3, growing linearly past it
     t_max = float(np.max(times, initial=0.0))
-    return 1e-12 * max(1.0, ising_asymptotic_energy(params)) * max(1.0, t_max / 1e3)
+    return 1e-12 * max(1.0, asymptotic_energy(params)) * max(1.0, t_max / 1e3)
 
 
 class TestPhaseBlockKernel:
@@ -379,7 +419,7 @@ class TestPhaseBlockKernel:
         # N = 7 has the uncoupled mode k = pi, left out of the half zone; its
         # battery or charging dispersion vanishes at h0 = -1 or h0 + h1 = -1
         params = IsingParams(h0, 0.5, 7)
-        assert _mode_arrays(params)[1].size == 3
+        assert params.chain_modes()[0].size == 3
         times = 280.0 + 0.01 * np.arange(3000)
         values = ising_energy_at_times(params, times)
         assert np.max(np.abs(values - _direct(params, times))) <= _tolerance(params, times)
@@ -388,8 +428,7 @@ class TestPhaseBlockKernel:
         # 200,000 modes (400,000 sites) x 1000 times: the kernel's
         # temporaries hold at most _TILE_ELEMENTS floats together (2 MB), far
         # under the 1.6 GB of a direct cosine per mode-sample
-        omega, amp = _mode_arrays(IsingParams(0.8, 0.7, 400_000))
-        freq = 2.0 * omega
+        amp, freq = IsingParams(0.8, 0.7, 400_000).chain_modes()
         times = 0.05 * np.arange(1000)
         tracemalloc.start()
         try:
@@ -440,7 +479,7 @@ class TestHalfZone:
     def test_matches_the_full_zone_sum(self, h0, h1, n_sites):
         params = IsingParams(h0, h1, n_sites)
         omega, amp = _full_zone(params)
-        e_inf = ising_asymptotic_energy(params)
+        e_inf = asymptotic_energy(params)
         assert abs(e_inf - math.fsum(amp)) <= _tolerance(params, [0.0])
         for times in (0.05 * np.arange(400), 900.0 + 0.05 * np.arange(400)):
             full = [math.fsum(amp * (1.0 - np.cos(2.0 * omega * t))) for t in times]

@@ -7,7 +7,8 @@ protocols sit exactly on a gap-closing line: the parameters are dyadic
 (multiples of 1/16 or powers of two), so their sums land on the line with no
 rounding.  The Ising sizes include odd rings, whose mode set holds k = pi.
 On either model the one resolution bound equals the model's own former
-rule bit for bit.
+rule bit for bit, and the Ising supplier's half-zone tables equal their
+written-out formula bit for bit.
 The ``trace`` command, given any window, end time and step around its
 defaults, exits 0, 2 or 3 and never raises, and on any grid the window's
 samples are those of the mask (times >= min) & (times <= max).  The CLI's
@@ -29,7 +30,6 @@ from spinbattery import (
     asymptotic_energy,
     default_recurrence_window,
     energy_at_times,
-    ising_asymptotic_energy,
     ising_energy_at_times,
     ising_recurrence_window,
     ising_resolution_bound,
@@ -41,6 +41,7 @@ from spinbattery.cli import main
 from spinbattery.quench import _uniform_times
 from spinbattery.regimes import _window_span
 
+from test_ising import _written_out_chain_modes
 from test_quench import _two_rule_bound
 
 TIMES = np.array([0.0, 0.37, 1.9, 13.0, 271.5, 1e6])
@@ -117,7 +118,7 @@ def _check_xy(p):
 
 def _check_ising(params):
     values = ising_energy_at_times(params, TIMES)
-    _check_energy(values, ising_asymptotic_energy(params), params.n_sites)
+    _check_energy(values, asymptotic_energy(params), params.n_sites)
 
 
 @SETTINGS
@@ -142,6 +143,15 @@ def test_ising_generic(params):
 @given(ising_critical())
 def test_ising_critical(params):
     _check_ising(params)
+
+
+@SETTINGS
+@given(ISING_GENERIC | ising_critical())
+def test_ising_chain_modes_equal_the_written_out_formula(params):
+    amp, freq = params.chain_modes()
+    expected_amp, expected_freq = _written_out_chain_modes(params)
+    assert np.array_equal(amp, expected_amp)
+    assert np.array_equal(freq, expected_freq)
 
 
 # Either model at any size up to 400 dimers or 800 sites, vanishing

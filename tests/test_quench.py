@@ -17,7 +17,7 @@ from spinbattery import (
 )
 from spinbattery import cli, ising, quench, regimes, sums, xy
 from spinbattery.ed import DimerizedXY, build_hamiltonian, oracle_energy_trace
-from spinbattery.ising import IsingParams, ising_asymptotic_energy, ising_energy_at_times
+from spinbattery.ising import IsingParams, ising_energy_at_times
 from spinbattery.quench import EQUAL_FREQ_TOL
 
 from bloch_reference import bloch_stack, eigensystem_stack, four_column_tables
@@ -369,7 +369,7 @@ class TestEnergyTrace:
         [
             (energy_at_times, QuenchProtocol(1.25, 0.3, 0.6, 1000), (quench, "_bloch_bands"),
              "n_dimers=1000"),
-            (ising_energy_at_times, IsingParams(0.8, 0.7, 2000), (ising, "_mode_arrays"),
+            (ising_energy_at_times, IsingParams(0.8, 0.7, 2000), (ising, "_chain_modes"),
              r"n_sites=2000 \(1000 modes\)"),
         ],
         ids=["xy", "ising"],
@@ -390,10 +390,10 @@ class TestEnergyTrace:
         class Reached(Exception):
             pass
 
-        def build(params):
+        def build(*args):
             raise Reached
 
-        monkeypatch.setattr(ising, "_mode_arrays", build)
+        monkeypatch.setattr(ising, "_chain_modes", build)
         with pytest.raises(Reached):
             ising_energy_at_times(
                 IsingParams(0.8, 0.7, 1000), np.zeros(quench.MAX_MODE_SAMPLES // 1000 + 1)
@@ -403,7 +403,7 @@ class TestEnergyTrace:
         "energy, params, tables",
         [
             (energy_at_times, QuenchProtocol(1.25, 0.3, 0.6, 50), (quench, "_bloch_bands")),
-            (ising_energy_at_times, IsingParams(0.8, 0.7, 50), (ising, "_mode_arrays")),
+            (ising_energy_at_times, IsingParams(0.8, 0.7, 50), (ising, "_chain_modes")),
         ],
         ids=["xy", "ising"],
     )
@@ -624,7 +624,7 @@ class TestStatelessEngines:
             start = tracemalloc.get_traced_memory()[0]
             for x in (0.1, 0.2, 0.3, 0.4):
                 asymptotic_energy(QuenchProtocol(1.25, x, 0.6, 20_000))
-                ising_asymptotic_energy(IsingParams(x, 0.7, 200_000))
+                asymptotic_energy(IsingParams(x, 0.7, 200_000))
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0] - start
         finally:
@@ -940,7 +940,7 @@ def _two_rule_bound(params):
     pi / (10 max_q(w1' + w2')) over XY's charging bands, and pi / (10 * 2 max_q w_q)
     over Ising's closed-form half-zone w_q."""
     if isinstance(params, IsingParams):
-        fastest = 2.0 * float(np.max(ising._mode_arrays(params)[0]))
+        fastest = 2.0 * float(np.max(params.chain_modes()[1] / 2))
     else:
         charging = dispersion_curves(params.gamma, params.delta0 + params.delta1, params.n_dimers)
         fastest = float(np.max(charging[:, 0] + charging[:, 1]))
@@ -1022,7 +1022,7 @@ def test_small_quench_keeps_the_asymptote_precise(model, step):
     if model == "xy":
         e_inf = asymptotic_energy(QuenchProtocol(1.25, 0.3, step, 50))
     else:
-        e_inf = ising_asymptotic_energy(IsingParams(0.3, step, 600))
+        e_inf = asymptotic_energy(IsingParams(0.3, step, 600))
     frozen = SMALL_QUENCH_E_INF[model, step]
     assert abs(e_inf - frozen) <= 1e-14 * frozen
 

@@ -13,7 +13,6 @@ from spinbattery import (
     energy_at_times,
     energy_trace,
     find_short_time_max,
-    ising_energy_trace,
     occupation_snapshot,
     resolution_bound,
     scaling_study,
@@ -57,7 +56,7 @@ class TestFindShortTimeMax:
         params = IsingParams(0.8, 0.7, 2)
         omega = math.sqrt(1 + 1.5**2 - 2 * 1.5 * math.cos(math.pi / 2))
         dt = 0.5 * ising_resolution_bound(params)
-        trace = ising_energy_trace(params, 8.0, dt)
+        trace = energy_trace(params, 8.0, dt)
         tau, _ = find_short_time_max(trace)
         assert tau == pytest.approx(math.pi / (2 * omega), abs=1e-3)
 
@@ -153,13 +152,12 @@ class TestAnalyzeTrace:
         with pytest.raises(ValueError, match=re.escape(message)):
             analyze_trace(_synthetic_trace(times, np.sin(times)), 0.0, (10.0, 10.01))
 
-    @pytest.mark.parametrize("params, make_trace", [
-        (QuenchProtocol(1.25, 0.3, 0.6, 20), energy_trace),
-        (IsingParams(0.8, 0.7, 20), ising_energy_trace),
-    ], ids=["xy", "ising"])
-    def test_uncharged_window_says_no_charging(self, params, make_trace):
+    @pytest.mark.parametrize(
+        "params", [QuenchProtocol(1.25, 0.3, 0.6, 20), IsingParams(0.8, 0.7, 20)], ids=["xy", "ising"]
+    )
+    def test_uncharged_window_says_no_charging(self, params):
         # [0, 0.005] holds only t = 0, where nothing is stored yet
-        trace = make_trace(params, 20.0, 0.01)
+        trace = energy_trace(params, 20.0, 0.01)
         with pytest.raises(RegimeDetectionError, match="no charging occurred in the recurrence"):
             analyze_trace(trace, 0.0, (0.0, 0.005))
 
