@@ -27,10 +27,11 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import asdict, astuple
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
+from . import regimes
 from .ed import (
     DegenerateGroundStateError,
     DimerizedXY,
@@ -47,8 +48,6 @@ from .regimes import (
     linear_fit,
     occupation_snapshot,
     scaling_study,
-    sweep_delta0,
-    sweep_field,
 )
 from .xy import _check_finite, classify_phase
 
@@ -290,8 +289,19 @@ _OPTIONS = {
     "tol": (float, "acceptance tolerance on the max deviation"),
 }
 
+# --model -> (supplier, swept field, library sweep, ED (battery, charger) kinds of
+# opts).  Supplier fields are option names; the sweep takes the other fields, then
+# the grid, and is named so that a wrapper set on ``regimes`` sees the call.
+_MODELS = {
+    "xy": (QuenchProtocol, "delta0", "sweep_delta0", lambda opts: (
+        DimerizedXY(opts["gamma"], opts["delta0"]),
+        DimerizedXY(opts["gamma"], opts["delta0"] + opts["delta1"]))),
+    "ising": (IsingParams, "h0", "sweep_field", lambda opts: (
+        TransverseIsing(opts["h0"]), TransverseIsing(opts["h0"] + opts["h1"]))),
+}
+
 # Allowed values of the options that name a choice.
-_CHOICES = {"format": ("csv", "json"), "model": ("xy", "ising")}
+_CHOICES = {"format": ("csv", "json"), "model": tuple(_MODELS)}
 
 
 def _add_options(parser: argparse.ArgumentParser, defaults: dict) -> None:
@@ -354,12 +364,15 @@ def _resolve(ns: argparse.Namespace, defaults: dict) -> dict:
 # subcommands
 # ----------------------------------------------------------------------
 
+def _supplier_args(supplier, opts: dict, omit: str | None = None) -> dict:
+    """``opts``' values of ``supplier``'s fields, in field order, ``omit`` left out."""
+    return {f.name: opts[f.name] for f in fields(supplier) if f.name != omit}
+
+
 def cmd_trace(opts: dict) -> int:
     """Write the stored-energy trace and its three-regime report."""
-    if opts["model"] == "xy":
-        protocol = QuenchProtocol(opts["gamma"], opts["delta0"], opts["delta1"], opts["n_dimers"])
-    else:
-        protocol = IsingParams(opts["h0"], opts["h1"], opts["n_sites"])
+    supplier = _MODELS[opts["model"]][0]
+    protocol = supplier(**_supplier_args(supplier, opts))
     trace, e_inf, window, t_end, dt = _trace_inputs(
         protocol, opts["t_end"], opts["dt"], (opts["window_min"], opts["window_max"])
     )
@@ -390,24 +403,12 @@ def cmd_sweep(opts: dict) -> int:
     if opts["param_min"] is None or opts["param_max"] is None:
         raise ValueError("param-min and param-max are required")
     grid = _make_grid(opts["param_min"], opts["param_max"], opts["param_step"])
-
+    supplier, swept, sweep, _ = _MODELS[opts["model"]]
+    fixed = _supplier_args(supplier, opts, omit=swept)
     window = (opts["window_min"], opts["window_max"])
-    if opts["model"] == "xy":
-        rows = sweep_delta0(
-            opts["gamma"], opts["delta1"], opts["n_dimers"], grid,
-            workers=opts["workers"], window=window,
-        )
-        params = {
-            "model": "xy", "gamma": opts["gamma"], "delta1": opts["delta1"],
-            "n_dimers": opts["n_dimers"],
-        }
-    else:
-        rows = sweep_field(
-            opts["h1"], opts["n_sites"], grid, workers=opts["workers"], window=window
-        )
-        params = {"model": "ising", "h1": opts["h1"], "n_sites": opts["n_sites"]}
-
+    rows = getattr(regimes, sweep)(*fixed.values(), grid, workers=opts["workers"], window=window)
     header = "param,e_s_per,e_r_per,e_inf_per,tau_s,tau_r"
+    params = {"model": opts["model"], **fixed}
     _emit(opts, "sweep", header, list(zip(*map(astuple, rows))), {"params": params})
     return EXIT_OK
 
@@ -456,19 +457,13 @@ def cmd_oracle_check(opts: dict) -> int:
     """Compare the momentum-space engine against spin-space ED, to tol x max(1, max|dE|)."""
     n_sites = opts["n_sites"]
     times = _uniform_times(0.0, opts["t_end"], opts["dt"], np.inf)
+    supplier, _, _, kinds = _MODELS[opts["model"]]
     # The sites (build_hamiltonian) are checked before the engine's parameters.
-    if opts["model"] == "xy":
-        gamma, delta0, delta1 = opts["gamma"], opts["delta0"], opts["delta1"]
-        kinds = DimerizedXY(gamma, delta0), DimerizedXY(gamma, delta0 + delta1)
-        battery, charger = (build_hamiltonian(kind, n_sites) for kind in kinds)
-        if n_sites < 4:
-            raise ValueError(f"n-sites must be >= 4 for the XY engine's two dimers, got {n_sites}")
-        params = QuenchProtocol(gamma, delta0, delta1, n_sites // 2)
-    else:
-        h0, h1 = opts["h0"], opts["h1"]
-        kinds = TransverseIsing(h0), TransverseIsing(h0 + h1)
-        battery, charger = (build_hamiltonian(kind, n_sites) for kind in kinds)
-        params = IsingParams(h0, h1, n_sites)
+    battery, charger = (build_hamiltonian(kind, n_sites) for kind in kinds(opts))
+    if opts["model"] == "xy" and n_sites < 4:
+        raise ValueError(f"n-sites must be >= 4 for the XY engine's two dimers, got {n_sites}")
+    # the XY engine runs n_sites // 2 dimers; IsingParams has no n_dimers field
+    params = supplier(**_supplier_args(supplier, {**opts, "n_dimers": n_sites // 2}))
     oracle = oracle_energy_trace(battery, charger, times).values
     engine = _energy(params, times)
     deviation = float(np.max(np.abs(engine - oracle)))

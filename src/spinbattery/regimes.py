@@ -6,8 +6,10 @@ recurrence maximum (tau_r, E^r) searched inside a window that scales
 linearly with system size.  Sweeps evaluate these per grid point of the
 initial dimerization (or transverse field), row after row in the calling
 thread; the ``workers`` argument is accepted and changes nothing.
-A sweep or scaling row builds its per-mode tables once and runs one recipe
-for both models (``_regime_point``): the short span on the phase-block
+A sweep or scaling row takes its kernel tables once, but builds its chain
+tables three times: ``resolution_bound``, ``kernel_tables`` and
+``asymptotic_energy`` each call ``chain_modes()``.  It runs one recipe for
+both models (``_regime_point``): the short span on the phase-block
 kernel in growing segments up to the sample after the first maximum, the
 recurrence window screened with the same kernel, and the samples near the
 screen's maximum, with their neighbours, summed exactly.  Each parameter
@@ -326,8 +328,9 @@ def _screened_values(times, amp, freq, lo: int, hi: int) -> np.ndarray:
 def _regime_point(params, window) -> tuple[float, float, float, float, float, bool]:
     """(tau_s, e_s, e_inf, tau_r, e_r, on_edge) of one XY or Ising parameter set; never warns.
 
-    The row builds the supplier's kernel tables once and runs one recipe for
-    both models.  The short span runs on ``_phase_block_sum`` in growing
+    The row takes the supplier's kernel tables once (``resolution_bound`` and
+    ``asymptotic_energy`` build its chain tables again) and runs one recipe
+    for both models.  The short span runs on ``_phase_block_sum`` in growing
     segments (:func:`_short_time_max`), so (tau_s, e_s) equal those of the
     whole short grid to rounding.  The recurrence window is screened with the
     same kernel, and only the samples near the screen's maximum, with their
@@ -386,8 +389,6 @@ def sweep_delta0(
     one after the other in the calling thread.
     """
     grid = [float(d) for d in delta0_grid]
-    if any(d <= 0 or d + delta1 <= 0 for d in grid):
-        raise ValueError("delta0 and delta0 + delta1 must stay positive on the grid")
     protocols = [QuenchProtocol(gamma, d0, delta1, n_dimers) for d0 in grid]
     return _sweep_rows("delta0", grid, protocols, window)
 

@@ -231,6 +231,8 @@ class TestTrace:
             (["trace", "--n-dimers", "20000"],
              "n_dimers=20000 x 1697653 samples exceeds the engine's work budget"),
             (["trace", "--delta0", "-0.1", "--n-dimers", "10"], "delta0 must be >= 0"),
+            (["sweep", "--n-dimers", "10", "--param-min", "-0.1", "--param-max", "0"],
+             "delta0 must be >= 0, got -0.1"),
             (["trace", "--delta0", "6e5", "--delta1", "6e5", "--n-dimers", "10"],
              "delta0 + delta1 must be at most 1e+06 in magnitude"),
             (["oracle-check", "--n-sites", "2"], "n-sites must be >= 4 for the XY engine"),
@@ -361,6 +363,21 @@ class TestSweep:
         assert params == sorted(params)
         assert len(params) == 3
 
+    @pytest.mark.parametrize("args, params", [
+        (["--gamma", "1.2", "--delta1", "0.7", "--n-dimers", "20"],
+         {"model": "xy", "gamma": 1.2, "delta1": 0.7, "n_dimers": 20}),
+        (["--model", "ising", "--h1", "0.3", "--n-sites", "40"],
+         {"model": "ising", "h1": 0.3, "n_sites": 40}),
+    ], ids=["xy", "ising"])
+    def test_json_params_hold_the_fields_that_stay_fixed(self, tmp_path, args, params):
+        # the supplier's fields less the swept one, with the values given
+        out = tmp_path / "s.json"
+        assert run_cli(["sweep", *args, "--param-min", "0.5", "--param-max", "0.5",
+                        "--format", "json", "--out", str(out)]) == 0
+        written = json.loads(out.read_text())["params"]
+        assert written == params
+        assert {k: type(v) for k, v in written.items()} == {k: type(v) for k, v in params.items()}
+
     def test_empty_grid_exits_2(self, tmp_path, capsys):
         code = run_cli(
             ["sweep", "--n-dimers", "24", "--param-min", "0.5", "--param-max", "0.1",
@@ -438,12 +455,13 @@ class TestSweep:
 @pytest.mark.parametrize(
     "model, size, param, value, rel",
     [
+        (("--gamma", "1.1", "--delta1", "0.8"), ("--n-dimers", "60"), "--delta0", "0", 1e-12),
         (("--gamma", "1.1", "--delta1", "0.8"), ("--n-dimers", "60"), "--delta0", "0.1", 1e-12),
         (("--gamma", "1.1", "--delta1", "0.8"), ("--n-dimers", "60"), "--delta0", "0.3", 1e-12),
         (("--model", "ising", "--h1", "0.25"), ("--n-sites", "120"), "--h0", "0.5", 1e-12),
         (("--model", "ising", "--h1", "0.25"), ("--n-sites", "120"), "--h0", "0.76", 1e-12),
     ],
-    ids=["xy-0.1", "xy-0.3", "ising-0.5", "ising-0.76"],
+    ids=["xy-0", "xy-0.1", "xy-0.3", "ising-0.5", "ising-0.76"],
 )
 def test_trace_and_a_one_point_sweep_report_the_same_row(tmp_path, model, size, param, value, rel):
     # both sample the short span on {0, dt, 2 dt, ...} with the same dt and

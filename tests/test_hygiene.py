@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from spinbattery.cli import _COMMANDS
+from spinbattery.cli import _CHOICES, _COMMANDS, _MODELS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "spinbattery"
@@ -376,6 +376,30 @@ def test_readme_examples_run():
         exec(compile(block, "README.md", "exec"), {})
 
 
+@pytest.mark.filterwarnings("ignore::spinbattery.regimes.RecurrenceWindowWarning")
+def test_readme_command_lines_run(tmp_path, monkeypatch):
+    # each `spinbattery ...` line of the README's sh blocks exits 0 and writes
+    # its --out file, and the ini block is a config file that trace accepts
+    from spinbattery.cli import main
+
+    text = (ROOT / "README.md").read_text()
+    lines = [
+        line.split("#", 1)[0].split()[1:]
+        for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+        for line in block.splitlines() if line.startswith("spinbattery ")
+    ]
+    assert len(lines) >= 5
+    monkeypatch.chdir(tmp_path)
+    for args in lines:
+        assert main(args) == 0, args
+        if "--out" in args:
+            assert (tmp_path / args[args.index("--out") + 1]).is_file(), args
+    (config,) = re.findall(r"^```ini\n(.*?)^```", text, re.M | re.S)
+    (tmp_path / "run.cfg").write_text(config)
+    assert main(["trace", "--config", "run.cfg", "--n-dimers", "20", "--out", "cfg.csv"]) == 0
+    assert (tmp_path / "cfg.csv").is_file()
+
+
 def _bench_value(script, name):
     """The literal value of ``name = ...`` in ``bench/<script>``, read without importing it."""
     return ast.literal_eval(_assigned(ast.parse((BENCH / script).read_text()), name))
@@ -479,13 +503,57 @@ def _opts_keys(function):
     }
 
 
+def _passes_opts(node):
+    """Whether the call ``node`` has ``opts`` itself among its arguments."""
+    return any(isinstance(arg, ast.Name) and arg.id == "opts" for arg in node.args)
+
+
+def _model_reads(tree, function):
+    """The options ``function`` reads through ``cli._MODELS``.
+
+    These are the keys read by each table element that it unpacks from
+    ``_MODELS[...]`` and calls with ``opts``, and for each ``_supplier_args``
+    call on ``opts`` (or on ``{**opts, ...}``) the fields of every supplier in
+    the table, less the keys the call sets itself and, where it omits one,
+    each entry's swept field.
+    """
+    entries = _assigned(tree, "_MODELS").values
+    position = {}
+    for node in ast.walk(function):
+        if (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple)
+                and isinstance(node.value, ast.Subscript)
+                and getattr(node.value.value, "id", None) == "_MODELS"):
+            position |= {t.id: i for i, t in enumerate(node.targets[0].elts) if t.id != "_"}
+    read = set()
+    for call in ast.walk(function):
+        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)):
+            continue
+        if call.func.id in position and _passes_opts(call):
+            read |= set().union(*(_opts_keys(e.elts[position[call.func.id]]) for e in entries))
+        if call.func.id != "_supplier_args" or len(call.args) < 2:
+            continue
+        given, set_here = call.args[1], set()
+        if isinstance(given, ast.Dict) and None in given.keys:  # {**opts, key: ...}
+            set_here = {k.value for k in given.keys if k is not None}
+        elif not (isinstance(given, ast.Name) and given.id == "opts"):
+            continue
+        omits = len(call.args) > 2 or any(k.arg == "omit" for k in call.keywords)
+        read |= {
+            f.name
+            for supplier, swept, _, _ in _MODELS.values()
+            for f in dataclasses.fields(supplier)
+            if f.name not in set_here and not (omits and f.name == swept)
+        }
+    return read
+
+
 def test_every_cli_option_is_read():
     # An option a subcommand declares must be read by its cmd_* function or by
-    # a cli function it passes ``opts`` to (such as _emit); otherwise it
-    # changes nothing.  --config is read by the parser itself.
-    functions = {
-        node.name: node for node in _tree("cli").body if isinstance(node, ast.FunctionDef)
-    }
+    # a cli function it passes ``opts`` to (such as _emit), directly or
+    # through the model table (see _model_reads); otherwise it changes
+    # nothing.  --config is read by the parser itself.
+    tree = _tree("cli")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     unread = []
     for command, (func, _, defaults) in _COMMANDS.items():
         body = functions[func.__name__]
@@ -495,11 +563,41 @@ def test_every_cli_option_is_read():
             if isinstance(call, ast.Call)
             and isinstance(call.func, ast.Name)
             and call.func.id in functions
-            and any(isinstance(arg, ast.Name) and arg.id == "opts" for arg in call.args)
+            and _passes_opts(call)
         }
-        read = set().union(*(_opts_keys(functions[name]) for name in helpers | {func.__name__}))
+        read = set().union(*(
+            _opts_keys(functions[name]) | _model_reads(tree, functions[name])
+            for name in helpers | {func.__name__}
+        ))
         unread += [f"{command} --{name}" for name in defaults or () if name not in read]
     assert unread == []
+
+
+def test_the_model_table_is_the_only_model_dispatch():
+    # trace and sweep take everything model specific from cli._MODELS;
+    # oracle-check keeps one comparison, the XY engine's site floor
+    assert _CHOICES["model"] == tuple(_MODELS)
+    functions = {node.name: node for node in _tree("cli").body if isinstance(node, ast.FunctionDef)}
+    compares = {
+        name: sum(
+            isinstance(side, ast.Constant) and side.value in _MODELS
+            for node in ast.walk(functions[name]) if isinstance(node, ast.Compare)
+            for side in (node.left, *node.comparators)
+        )
+        for name in ("cmd_trace", "cmd_sweep", "cmd_oracle_check")
+    }
+    assert compares == {"cmd_trace": 0, "cmd_sweep": 0, "cmd_oracle_check": 1}
+
+
+def test_each_model_sweep_takes_its_suppliers_other_fields():
+    # cmd_sweep passes the supplier's fields, the swept one left out, in
+    # order and then the grid
+    from spinbattery import regimes
+
+    for supplier, swept, sweep, _ in _MODELS.values():
+        fixed = [f.name for f in dataclasses.fields(supplier) if f.name != swept]
+        names = list(inspect.signature(getattr(regimes, sweep)).parameters)
+        assert names[:len(fixed) + 1] == [*fixed, f"{swept}_grid"]
 
 
 def test_readme_option_table_lists_each_commands_options():

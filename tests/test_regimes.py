@@ -224,9 +224,11 @@ class TestSweeps:
         parallel = sweep_delta0(1.1, 0.8, 30, grid, workers=3)
         assert serial == parallel
 
-    def test_rejects_nonpositive_grid(self):
-        with pytest.raises(ValueError):
-            sweep_delta0(1.1, 0.8, 30, [0.0, 0.1])
+    def test_the_supplier_alone_checks_the_grid(self):
+        # QuenchProtocol's delta0 >= 0, as for a trace: zero is a grid value
+        with pytest.raises(ValueError, match="delta0 must be >= 0, got -0.1"):
+            sweep_delta0(1.1, 0.8, 30, [-0.1, 0.1])
+        assert sweep_delta0(1.1, 0.8, 30, [0.0])[0].param == 0.0
 
     def test_ising_sweep_rows(self):
         rows = sweep_field(0.25, 60, [0.7, 0.75, 0.8], workers=1)
