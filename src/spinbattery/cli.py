@@ -3,6 +3,8 @@
 Subcommands: trace, sweep, scaling, phase, snapshot, oracle-check.  They parse
 options and format output; the engines live in ``quench`` and the window
 rules (default windows and their one-sided flags, the no-charge verdict) in ``regimes``.
+``--model`` picks a ``_MODELS`` row (supplier, swept field, library sweep); the rest
+of a model, oracle-check's ED spin chains (``ed_kinds``) too, comes from the supplier.
 Curves are written as CSV, reports as JSON (or everything as one JSON file
 with ``--format json``).  All numeric output uses 17 significant digits in
 scientific notation with '.' decimal separator and LF line endings, and a
@@ -32,13 +34,7 @@ from dataclasses import asdict, astuple, fields
 import numpy as np
 
 from . import regimes
-from .ed import (
-    DegenerateGroundStateError,
-    DimerizedXY,
-    TransverseIsing,
-    build_hamiltonian,
-    oracle_energy_trace,
-)
+from .ed import DegenerateGroundStateError, build_hamiltonian, oracle_energy_trace
 from .ising import IsingParams
 from .quench import QuenchProtocol, _energy, _uniform_times
 from .regimes import (
@@ -289,15 +285,11 @@ _OPTIONS = {
     "tol": (float, "acceptance tolerance on the max deviation"),
 }
 
-# --model -> (supplier, swept field, library sweep, ED (battery, charger) kinds of
-# opts).  Supplier fields are option names; the sweep takes the other fields, then
-# the grid, and is named so that a wrapper set on ``regimes`` sees the call.
+# --model -> (supplier, swept field, library sweep).  Supplier fields are option names;
+# a sweep takes the other fields, then the grid, and is named so a ``regimes`` wrapper sees it.
 _MODELS = {
-    "xy": (QuenchProtocol, "delta0", "sweep_delta0", lambda opts: (
-        DimerizedXY(opts["gamma"], opts["delta0"]),
-        DimerizedXY(opts["gamma"], opts["delta0"] + opts["delta1"]))),
-    "ising": (IsingParams, "h0", "sweep_field", lambda opts: (
-        TransverseIsing(opts["h0"]), TransverseIsing(opts["h0"] + opts["h1"]))),
+    "xy": (QuenchProtocol, "delta0", "sweep_delta0"),
+    "ising": (IsingParams, "h0", "sweep_field"),
 }
 
 # Allowed values of the options that name a choice.
@@ -403,7 +395,7 @@ def cmd_sweep(opts: dict) -> int:
     if opts["param_min"] is None or opts["param_max"] is None:
         raise ValueError("param-min and param-max are required")
     grid = _make_grid(opts["param_min"], opts["param_max"], opts["param_step"])
-    supplier, swept, sweep, _ = _MODELS[opts["model"]]
+    supplier, swept, sweep = _MODELS[opts["model"]]
     fixed = _supplier_args(supplier, opts, omit=swept)
     window = (opts["window_min"], opts["window_max"])
     rows = getattr(regimes, sweep)(*fixed.values(), grid, workers=opts["workers"], window=window)
@@ -455,15 +447,11 @@ def cmd_snapshot(opts: dict) -> int:
 
 def cmd_oracle_check(opts: dict) -> int:
     """Compare the momentum-space engine against spin-space ED, to tol x max(1, max|dE|)."""
-    n_sites = opts["n_sites"]
     times = _uniform_times(0.0, opts["t_end"], opts["dt"], np.inf)
-    supplier, _, _, kinds = _MODELS[opts["model"]]
-    # The sites (build_hamiltonian) are checked before the engine's parameters.
-    battery, charger = (build_hamiltonian(kind, n_sites) for kind in kinds(opts))
-    if opts["model"] == "xy" and n_sites < 4:
-        raise ValueError(f"n-sites must be >= 4 for the XY engine's two dimers, got {n_sites}")
+    supplier = _MODELS[opts["model"]][0]
     # the XY engine runs n_sites // 2 dimers; IsingParams has no n_dimers field
-    params = supplier(**_supplier_args(supplier, {**opts, "n_dimers": n_sites // 2}))
+    params = supplier(**_supplier_args(supplier, {**opts, "n_dimers": opts["n_sites"] // 2}))
+    battery, charger = (build_hamiltonian(kind, opts["n_sites"]) for kind in params.ed_kinds())
     oracle = oracle_energy_trace(battery, charger, times).values
     engine = _energy(params, times)
     deviation = float(np.max(np.abs(engine - oracle)))

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quench import EnergyTrace, _as_times
+from .ising import TransverseIsing
+from .quench import DimerizedXY, EnergyTrace, _as_times
 
 __all__ = [
     "DimerizedXY",
@@ -43,21 +44,6 @@ MAX_EVOLUTION_WORK = 10**10
 
 # Times per GEMM in oracle_energy_trace; bounds the block's temporaries.
 _TIME_BLOCK = 64
-
-
-@dataclass(frozen=True)
-class DimerizedXY:
-    """Battery chain: bonds 1 - (-1)^j delta with anisotropy gamma."""
-
-    gamma: float
-    delta: float
-
-
-@dataclass(frozen=True)
-class TransverseIsing:
-    """H = (1/2) sum_j [sx_j sx_{j+1} + h sz_j]."""
-
-    h: float
 
 
 @dataclass(frozen=True)
@@ -94,7 +80,7 @@ def _step(kind: DimerizedXY | TransverseIsing, n_sites: int) -> int:
     """Sites per translation that leaves ``kind`` on n_sites spins invariant."""
     if isinstance(kind, DimerizedXY):
         if n_sites % 2 != 0:
-            raise ValueError("the dimerized XY chain needs an even number of sites")
+            raise ValueError(f"the dimerized XY chain needs an even number of sites, got {n_sites}")
         return 2
     if isinstance(kind, TransverseIsing):
         return 1

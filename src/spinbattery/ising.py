@@ -42,6 +42,13 @@ __all__ = ["IsingParams", "ising_energy_at_times", "ising_resolution_bound"]
 
 
 @dataclass(frozen=True)
+class TransverseIsing:
+    """H = (1/2) sum_j [sx_j sx_{j+1} + h sz_j]."""
+
+    h: float
+
+
+@dataclass(frozen=True)
 class IsingParams:
     """Initial transverse field h0, quench amplitude h1, chain length N; the
     Ising model supplier (module docstring)."""
@@ -75,6 +82,10 @@ class IsingParams:
         """(times, amp, freq) of the time kernel: ``times`` checked for the half zone's
         n_sites // 2 modes (``quench._engine_times``), then :meth:`chain_modes`."""
         return (_engine_times(self, self.n_sites // 2, times), *self.chain_modes())
+
+    def ed_kinds(self) -> tuple[TransverseIsing, TransverseIsing]:
+        """(battery, charger) spin chains of the ED oracle: h0, then h0 + h1."""
+        return TransverseIsing(self.h0), TransverseIsing(self.h0 + self.h1)
 
 
 def ising_energy_at_times(params: IsingParams, times: np.ndarray) -> np.ndarray:

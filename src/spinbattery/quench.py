@@ -31,7 +31,9 @@ run, so a sweep row builds them once for all its calls.
 
 Each parameter class, :class:`QuenchProtocol` or ``ising.IsingParams``, is
 a model supplier: its size and the size's name, closed-form chain-mode
-tables (amp, freq = 4 |d'|), kernel tables and default window factors.
+tables (amp, freq = 4 |d'|), kernel tables, default window factors and the
+ED oracle's (battery, charger) spin chains (``ed_kinds``), whose kinds
+:class:`DimerizedXY` and ``ising.TransverseIsing`` ``ed`` re-exports.
 The engines read only those, so each takes either class; one resolution
 rule (``resolution_bound``) reads the chain-mode frequencies of both.
 Engines keep nothing between calls.
@@ -88,6 +90,14 @@ _UNIFORM_ULPS = 4
 
 
 @dataclass(frozen=True)
+class DimerizedXY:
+    """Battery chain: bonds 1 - (-1)^j delta with anisotropy gamma."""
+
+    gamma: float
+    delta: float
+
+
+@dataclass(frozen=True)
 class QuenchProtocol:
     """Double quench of the dimerization at fixed anisotropy.
 
@@ -134,6 +144,11 @@ class QuenchProtocol:
         times = _engine_times(self, self.n_dimers, times)
         bands = _bloch_bands(self.gamma, self.delta0 + self.delta1, self.n_dimers)
         return times, self.chain_modes()[0], 2.0 * bands
+
+    def ed_kinds(self) -> tuple[DimerizedXY, DimerizedXY]:
+        """(battery, charger) spin chains of the ED oracle: delta0, then delta0 + delta1."""
+        return (DimerizedXY(self.gamma, self.delta0),
+                DimerizedXY(self.gamma, self.delta0 + self.delta1))
 
 
 @dataclass(frozen=True)

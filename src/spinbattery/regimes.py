@@ -418,7 +418,8 @@ def scaling_study(
 ) -> list[ScalingRow]:
     """Per-dimer regime energies and recurrence time across system sizes, one
     :func:`sweep_delta0` row per size; ``workers`` changes nothing."""
-    sizes = [int(n) for n in n_list]
+    # each size passes the supplier's own check before int(), which would truncate 5.7
+    sizes = [int(QuenchProtocol(gamma, delta0, delta1, n).n_dimers) for n in n_list]
     if any(n < 5 for n in sizes):
         raise ValueError("scaling sizes below n_dimers = 5 show no regime structure")
     protocols = [QuenchProtocol(gamma, delta0, delta1, n) for n in sizes]
@@ -427,9 +428,19 @@ def scaling_study(
 
 
 def linear_fit(x, y) -> tuple[float, float, float]:
-    """Least-squares line y = a x + b through at least two distinct x; returns (a, b, R^2)."""
+    """Least-squares line y = a x + b through at least two distinct x; returns (a, b, R^2).
+
+    ValueError, naming the input, unless x and y are finite 1-D arrays of one length.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    for name, values in (("x", x), ("y", y)):
+        if values.ndim != 1:
+            raise ValueError(f"{name} must be a 1-D array, got shape {values.shape}")
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite, got {values[~np.isfinite(values)][0]}")
+    if x.size != y.size:
+        raise ValueError(f"x and y must have equal lengths, got {x.size} and {y.size}")
     if np.unique(x).size < 2:
         raise ValueError("a line fit needs at least two distinct x values")
     a, b = np.polyfit(x, y, 1)

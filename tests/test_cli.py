@@ -235,7 +235,15 @@ class TestTrace:
              "delta0 must be >= 0, got -0.1"),
             (["trace", "--delta0", "6e5", "--delta1", "6e5", "--n-dimers", "10"],
              "delta0 + delta1 must be at most 1e+06 in magnitude"),
-            (["oracle-check", "--n-sites", "2"], "n-sites must be >= 4 for the XY engine"),
+            # the XY supplier runs n_sites // 2 dimers and is built before the spin chains
+            (["oracle-check", "--n-sites", "1"], "n_dimers must be an integer >= 2, got 0"),
+            (["oracle-check", "--n-sites", "2"], "n_dimers must be an integer >= 2, got 1"),
+            (["oracle-check", "--n-sites", "3"], "n_dimers must be an integer >= 2, got 1"),
+            (["oracle-check", "--model", "ising", "--n-sites", "1"],
+             "n_sites must be an integer >= 2, got 1"),
+            (["oracle-check", "--n-sites", "5"],
+             "the dimerized XY chain needs an even number of sites, got 5"),
+            (["oracle-check", "--n-sites", "15"], "n_sites must be an integer in [2, 14], got 15"),
             (["snapshot", "--n-dimers", "10", "--time", "1e308"],
              "t must be finite and at most 1e+100 in magnitude"),
             (["oracle-check", "--t-end", "1e308", "--dt", "1e307"],
@@ -770,8 +778,9 @@ def test_ising_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2, reason="needs 2 or more CPUs"
 )
 def test_trace_bytes_do_not_depend_on_the_cores(tmp_path):
-    # the reference trace splits its grid over the process's cores; pinned
-    # to one CPU it runs on one thread and must write the same bytes
+    # pinned to one CPU or free to use them all, the reference trace writes
+    # the same bytes: the library starts no thread, and no path that sizes
+    # itself from the affinity mask (such as a BLAS thread pool) changes a value
     path = os.pathsep.join(os.path.abspath(p) for p in sys.path if p)
     script = (
         "import os, sys\n"

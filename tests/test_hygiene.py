@@ -270,7 +270,9 @@ def test_no_isinstance_on_a_parameter_class():
 
 # what the engines read off a model: a parameter class offers its dataclass
 # fields and these names, nothing else
-SUPPLIER_CONTRACT = {"size", "size_name", "window_factors", "chain_modes", "kernel_tables"}
+SUPPLIER_CONTRACT = {
+    "size", "size_name", "window_factors", "chain_modes", "kernel_tables", "ed_kinds",
+}
 
 
 @pytest.mark.parametrize("name", sorted(PARAMETER_CLASSES))
@@ -508,29 +510,17 @@ def _passes_opts(node):
     return any(isinstance(arg, ast.Name) and arg.id == "opts" for arg in node.args)
 
 
-def _model_reads(tree, function):
+def _model_reads(function):
     """The options ``function`` reads through ``cli._MODELS``.
 
-    These are the keys read by each table element that it unpacks from
-    ``_MODELS[...]`` and calls with ``opts``, and for each ``_supplier_args``
-    call on ``opts`` (or on ``{**opts, ...}``) the fields of every supplier in
-    the table, less the keys the call sets itself and, where it omits one,
-    each entry's swept field.
+    For each ``_supplier_args`` call on ``opts`` (or on ``{**opts, ...}``)
+    these are the fields of every supplier in the table, less the keys the
+    call sets itself and, where it omits one, each entry's swept field.
     """
-    entries = _assigned(tree, "_MODELS").values
-    position = {}
-    for node in ast.walk(function):
-        if (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple)
-                and isinstance(node.value, ast.Subscript)
-                and getattr(node.value.value, "id", None) == "_MODELS"):
-            position |= {t.id: i for i, t in enumerate(node.targets[0].elts) if t.id != "_"}
     read = set()
     for call in ast.walk(function):
-        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)):
-            continue
-        if call.func.id in position and _passes_opts(call):
-            read |= set().union(*(_opts_keys(e.elts[position[call.func.id]]) for e in entries))
-        if call.func.id != "_supplier_args" or len(call.args) < 2:
+        if not (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_supplier_args"
+                and len(call.args) >= 2):
             continue
         given, set_here = call.args[1], set()
         if isinstance(given, ast.Dict) and None in given.keys:  # {**opts, key: ...}
@@ -540,7 +530,7 @@ def _model_reads(tree, function):
         omits = len(call.args) > 2 or any(k.arg == "omit" for k in call.keywords)
         read |= {
             f.name
-            for supplier, swept, _, _ in _MODELS.values()
+            for supplier, swept, _ in _MODELS.values()
             for f in dataclasses.fields(supplier)
             if f.name not in set_here and not (omits and f.name == swept)
         }
@@ -566,7 +556,7 @@ def test_every_cli_option_is_read():
             and _passes_opts(call)
         }
         read = set().union(*(
-            _opts_keys(functions[name]) | _model_reads(tree, functions[name])
+            _opts_keys(functions[name]) | _model_reads(functions[name])
             for name in helpers | {func.__name__}
         ))
         unread += [f"{command} --{name}" for name in defaults or () if name not in read]
@@ -574,9 +564,11 @@ def test_every_cli_option_is_read():
 
 
 def test_the_model_table_is_the_only_model_dispatch():
-    # trace and sweep take everything model specific from cli._MODELS;
-    # oracle-check keeps one comparison, the XY engine's site floor
+    # trace, sweep and oracle-check take everything model specific from
+    # cli._MODELS, whose rows name a supplier, its swept field and its sweep,
+    # and from the supplier itself (oracle-check's ED chains: ed_kinds)
     assert _CHOICES["model"] == tuple(_MODELS)
+    assert {len(row) for row in _MODELS.values()} == {3}
     functions = {node.name: node for node in _tree("cli").body if isinstance(node, ast.FunctionDef)}
     compares = {
         name: sum(
@@ -586,7 +578,7 @@ def test_the_model_table_is_the_only_model_dispatch():
         )
         for name in ("cmd_trace", "cmd_sweep", "cmd_oracle_check")
     }
-    assert compares == {"cmd_trace": 0, "cmd_sweep": 0, "cmd_oracle_check": 1}
+    assert compares == {"cmd_trace": 0, "cmd_sweep": 0, "cmd_oracle_check": 0}
 
 
 def test_each_model_sweep_takes_its_suppliers_other_fields():
@@ -594,7 +586,7 @@ def test_each_model_sweep_takes_its_suppliers_other_fields():
     # order and then the grid
     from spinbattery import regimes
 
-    for supplier, swept, sweep, _ in _MODELS.values():
+    for supplier, swept, sweep in _MODELS.values():
         fixed = [f.name for f in dataclasses.fields(supplier) if f.name != swept]
         names = list(inspect.signature(getattr(regimes, sweep)).parameters)
         assert names[:len(fixed) + 1] == [*fixed, f"{swept}_grid"]

@@ -7,8 +7,9 @@ protocols sit exactly on a gap-closing line: the parameters are dyadic
 (multiples of 1/16 or powers of two), so their sums land on the line with no
 rounding.  The Ising sizes include odd rings, whose mode set holds k = pi.
 On either model the one resolution bound equals the model's own former
-rule bit for bit, and the Ising supplier's half-zone tables equal their
-written-out formula bit for bit.
+rule bit for bit, the Ising supplier's half-zone tables equal their
+written-out formula bit for bit, and each supplier's ED spin chains equal
+those the CLI's model table once built from the same options.
 The ``trace`` command, given any window, end time and step around its
 defaults, exits 0, 2 or 3 and never raises, and on any grid the window's
 samples are those of the mask (times >= min) & (times <= max).  The CLI's
@@ -18,6 +19,7 @@ subnormals, signed zeros, NaN and infinities included.
 
 import os
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -25,8 +27,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinbattery import (
+    DimerizedXY,
     IsingParams,
     QuenchProtocol,
+    TransverseIsing,
     asymptotic_energy,
     default_recurrence_window,
     energy_at_times,
@@ -181,6 +185,28 @@ RULE_PARAMS = (
 @given(RULE_PARAMS)
 def test_one_resolution_rule_equals_both_model_rules(params):
     assert resolution_bound(params) == _two_rule_bound(params)
+
+
+# The ED (battery, charger) kinds that cli._MODELS built from the options
+# before each supplier named its own (ed_kinds).
+_FORMER_CLI_KINDS = {
+    "xy": lambda opts: (
+        DimerizedXY(opts["gamma"], opts["delta0"]),
+        DimerizedXY(opts["gamma"], opts["delta0"] + opts["delta1"])),
+    "ising": lambda opts: (
+        TransverseIsing(opts["h0"]), TransverseIsing(opts["h0"] + opts["h1"])),
+}
+
+
+@SETTINGS
+@given(RULE_PARAMS)
+def test_ed_kinds_are_the_former_cli_kinds(params):
+    # the options a command builds the supplier from are its fields; repr
+    # compares the kinds' classes and each field's bits, signed zeros included
+    (model,) = [name for name, row in cli._MODELS.items() if row[0] is type(params)]
+    former = _FORMER_CLI_KINDS[model](asdict(params))
+    assert params.ed_kinds() == former
+    assert repr(params.ed_kinds()) == repr(former)
 
 
 @st.composite

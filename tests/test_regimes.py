@@ -308,6 +308,17 @@ class TestScalingStudy:
         with pytest.raises(ValueError):
             scaling_study(1.25, 0.3, 0.6, [4, 50])
 
+    def test_a_fractional_size_is_rejected_before_any_row(self, monkeypatch):
+        # int() would run 5 dimers; the supplier's own check names the size given
+        monkeypatch.setattr(regimes, "_regime_point", lambda *args: pytest.fail("row ran"))
+        with pytest.raises(ValueError, match=re.escape("n_dimers must be an integer >= 2, got 5.7")):
+            scaling_study(1.25, 0.3, 0.6, [5.7, 6])
+
+    def test_whole_float_sizes_give_the_integer_sizes_rows(self):
+        rows = scaling_study(1.25, 0.3, 0.6, [6.0, 8.0])
+        assert repr(rows) == repr(scaling_study(1.25, 0.3, 0.6, [6, 8]))
+        assert [type(r.n_dimers) for r in rows] == [int, int]
+
     def test_rows_and_recurrence_growth(self):
         rows = scaling_study(1.25, 0.3, 0.6, [20, 40], workers=1)
         assert [r.n_dimers for r in rows] == [20, 40]
@@ -352,6 +363,26 @@ class TestLinearFit:
     def test_rejects_fewer_than_two_distinct_x(self, x):
         with pytest.raises(ValueError, match="two distinct x"):
             linear_fit(x, [1.0] * len(x))
+
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            ([1.0, 2.0, np.nan], [1.0, 2.0, 3.0], "x must be finite, got nan"),
+            ([1.0, 2.0, 3.0], [1.0, np.nan, 3.0], "y must be finite, got nan"),
+            ([1.0, 2.0, np.inf], [1.0, 2.0, 3.0], "x must be finite, got inf"),
+            ([1.0, 2.0, 3.0], [1.0, 2.0, -np.inf], "y must be finite, got -inf"),
+            ([[1.0, 2.0]], [[1.0, 2.0]], "x must be a 1-D array, got shape (1, 2)"),
+            ([1.0, 2.0], 3.0, "y must be a 1-D array, got shape ()"),
+            ([1.0, 2.0], [1.0, 2.0, 3.0], "x and y must have equal lengths, got 2 and 3"),
+        ],
+    )
+    def test_rejects_input_that_is_not_finite_1d_and_of_one_length(self, capfd, x, y, message):
+        # a NaN once reached LAPACK, which printed to the process's stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                linear_fit(x, y)
+        assert capfd.readouterr().err == ""
 
 
 class TestPlateauRobustness:
