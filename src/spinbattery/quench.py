@@ -19,7 +19,12 @@ zero-energy battery mode (|d| = 0) has occupation 0.
 with one cosine column per chain, on the phase-block kernel that the Ising
 closed form runs too (``_phase_block_sum``), so dE(0) = 0 exactly, as is
 every dE(t) of a null quench (delta1 = 0).  Both evaluator names,
-``"full"`` and ``"simplified"``, run this sum.  Its frequencies 2 w_s' are
+``"full"`` and ``"simplified"``, run this sum.  Like the Ising sum it runs
+over the half zone: the modes k and 2 pi - k (rows i and n_dimers - 1 - i)
+store the same energy (Lieb, Schultz and Mattis 1961), so each mirror pair
+is one row, the sum of both amplitudes at the bands of row i, and the
+k = pi mode of an odd n_dimers is its own mirror and one row;
+n_dimers - n_dimers // 2 rows in all.  Its frequencies 2 w_s' are
 the charger's 4x4 Bloch bands (``_bloch_bands``, the one eigensolve here),
 not the closed form 4 |d'|, which differs from them in the last bits: on
 flat charging bands (delta0 + delta1 = 1) several window samples tie for
@@ -135,15 +140,20 @@ class QuenchProtocol:
         return norm * sin2_dphi, 4.0 * norm_p
 
     def kernel_tables(self, times):
-        """(times, amp, freq) of the time kernels: ``times`` checked (``_engine_times``),
-        then both chains' tables, shape (n_dimers, 2), built once.
+        """(times, amp, freq) of the time kernels: ``times`` checked (``_engine_times``,
+        whose budget still counts n_dimers modes), then both chains' half-zone tables,
+        shape (n_dimers - n_dimers // 2, 2), built once.
 
-        dE(t) = sum_{q,s} amp [1 - cos(freq t)], with amp = |d| sin^2 dphi from the
-        closed form and freq = 2 w_s' from the charger's Bloch bands, one eigh.
+        dE(t) = sum_{q,s} amp [1 - cos(freq t)], with freq = 2 w_s' from the
+        charger's Bloch bands (one eigh) and amp from the closed form |d| sin^2 dphi:
+        row i < n_dimers // 2 holds amp_i + amp_{n_dimers-1-i}, the mirror pair
+        k, 2 pi - k, and an odd n_dimers ends with the k = pi mode alone.
         """
         times = _engine_times(self, self.n_dimers, times)
-        bands = _bloch_bands(self.gamma, self.delta0 + self.delta1, self.n_dimers)
-        return times, self.chain_modes()[0], 2.0 * bands
+        n, half = self.n_dimers, self.n_dimers // 2
+        amp = self.chain_modes()[0]
+        amp = np.concatenate([amp[:half] + amp[::-1][:half], amp[half : n - half]])
+        return times, amp, 2.0 * _bloch_bands(self.gamma, self.delta0 + self.delta1, n)
 
     def ed_kinds(self) -> tuple[DimerizedXY, DimerizedXY]:
         """(battery, charger) spin chains of the ED oracle: delta0, then delta0 + delta1."""
@@ -241,7 +251,9 @@ def _phase_block_sum(times: np.ndarray, amp: np.ndarray, freq: np.ndarray) -> np
     temporaries hold at most _TILE_ELEMENTS floats together, and the tiles
     are summed in ascending order.  A matrix-vector product gives every
     output element to one BLAS thread, so a result depends only on the grid
-    and the modes, not on the BLAS thread count.
+    and the modes, not on the BLAS thread count; one matrix product over all
+    the block columns would not keep that (OpenBLAS 0.3.31 gives other bits
+    on two threads).
     """
     block, step = _phase_block(times)
     starts = times[::block]
@@ -305,7 +317,9 @@ def occupations_all(protocol: QuenchProtocol, t: float) -> np.ndarray:
 
 
 def _bloch_bands(gamma: float, delta: float, n_dimers: int) -> np.ndarray:
-    """Bands (n_dimers, 2), w1 >= w2 >= 0, of every mode's 4x4 Bloch matrix H_q.
+    """Bands (n_dimers - n_dimers // 2, 2), w1 >= w2 >= 0, of the half zone's 4x4
+    Bloch matrices H_q: q = 1/2, 3/2, ... up to k = pi, each row the bits of the full
+    zone's; the mirror modes 2 pi - k have the same bands to rounding.
 
     With Z = -((1 + d) + (1 - d) e^{-ik}), W = -g ((1 + d) - (1 - d) e^{-ik}) at
     k = 2 pi q / n_dimers, and rows particle-A, particle-B, hole-A, hole-B,
@@ -315,10 +329,11 @@ def _bloch_bands(gamma: float, delta: float, n_dimers: int) -> np.ndarray:
     and the chain is (J/2) sum_q Psi_q^dag H_q Psi_q, so the eigenvalues are
     +-w1, +-w2.  They are ``eigh``'s, whose bits ``eigvalsh`` does not keep.
     """
-    phase = np.exp(-1j * (2.0 * np.pi * (np.arange(n_dimers) + 0.5) / n_dimers))
+    modes = np.arange(n_dimers - n_dimers // 2)
+    phase = np.exp(-1j * (2.0 * np.pi * (modes + 0.5) / n_dimers))
     z = -((1.0 + delta) + (1.0 - delta) * phase)
     w = -gamma * ((1.0 + delta) - (1.0 - delta) * phase)
-    h = np.zeros((n_dimers, 4, 4), dtype=complex)
+    h = np.zeros((modes.size, 4, 4), dtype=complex)
     h[:, 0, 1], h[:, 1, 0], h[:, 2, 3], h[:, 3, 2] = z, np.conj(z), -z, -np.conj(z)
     h[:, 2, 1], h[:, 1, 2], h[:, 0, 3], h[:, 3, 0] = w, np.conj(w), -w, -np.conj(w)
     vals = np.linalg.eigh(h)[0]  # ascending (-w1, -w2, +w2, +w1)

@@ -330,7 +330,9 @@ def _regime_point(params, window) -> tuple[float, float, float, float, float, bo
 
     The row takes the supplier's kernel tables once (``resolution_bound`` and
     ``asymptotic_energy`` build its chain tables again) and runs one recipe
-    for both models.  The short span runs on ``_phase_block_sum`` in growing
+    for both models.  Both models' kernel tables hold the half zone, one row
+    per mirror pair of modes, so every sum below runs on about half the
+    modes.  The short span runs on ``_phase_block_sum`` in growing
     segments (:func:`_short_time_max`), so (tau_s, e_s) equal those of the
     whole short grid to rounding.  The recurrence window is screened with the
     same kernel, and only the samples near the screen's maximum, with their

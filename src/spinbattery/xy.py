@@ -37,7 +37,7 @@ __all__ = [
 CRITICAL_TOL = 1e-12
 
 # Largest chain size (n_dimers or n_sites); building the XY time kernel's tables
-# peaks near 0.7 KB per mode, most of it the charger's Bloch eigensolve.
+# peaks near 0.3 KB per dimer, most of it the half zone's Bloch eigensolve.
 MAX_SIZE = 10**6
 
 # Largest magnitude of a model parameter (gamma, delta, h), far above any
@@ -112,6 +112,8 @@ def _check_point(gamma: float, delta: float) -> None:
 
 def _check_size(name: str, n: int) -> None:
     """Reject a chain size ``name`` that is not an integer in [2, MAX_SIZE]."""
+    if n != n or n in (math.inf, -math.inf):  # before int(n), which cannot take them
+        raise ValueError(f"{name} must be finite, got {n}")
     if int(n) != n or n < 2:
         raise ValueError(f"{name} must be an integer >= 2, got {n}")
     if n > MAX_SIZE:

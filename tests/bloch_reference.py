@@ -1,13 +1,16 @@
 """The 4x4 Bloch eigensystems of the dimerized XY chain, as the tests' judge.
 
 ``eigensystem_stack(bloch_stack(...))`` yields, operation for operation, the
-bands of the private ``quench._bloch_bands``, which are checked bit for bit
-against them: they fix the XY time kernel's frequencies.  The matching-matrix,
-gauge and quadruple-sum tests build their eigensystems here, and
-``four_column_tables`` expands the stored energy over the matching matrices
-into the four frequency columns of the paper's quadruple sum, the judge of
-the kernel's two-chain tables.  Row i of every batched array is the mode
-q = i + 1/2, at momentum k = 2 pi q / n_dimers.
+bands of the private ``quench._bloch_bands``, whose half-zone rows (the first
+n_dimers - n_dimers // 2) are checked bit for bit against these: they fix the
+XY time kernel's frequencies.  The matching-matrix, gauge and quadruple-sum
+tests build their eigensystems here, and ``four_column_tables`` expands the
+stored energy over the matching matrices into the four frequency columns of
+the paper's quadruple sum, the judge of the kernel's two-chain tables.  Like
+the kernel, the judge runs mode n_dimers - 1 - i (k -> 2 pi - k) at the bands
+of its mirror i, which eigh gives to rounding and the exact dispersion gives
+exactly; its weights stay each mode's own.  Row i of every batched array is
+the mode q = i + 1/2, at momentum k = 2 pi q / n_dimers.
 """
 
 import numpy as np
@@ -117,8 +120,9 @@ def four_column_tables(protocol):
     charger's eigenbases, D(t) = diag(e^{-i w1' t}, e^{-i w2' t}, e^{+i w1' t},
     e^{+i w2' t}) and T = M_q^dag D M_q, each occupation
     n_s = |T_{s,3}|^2 + |T_{s,4}|^2 expands over ``_PAIR_TABLE`` into a constant
-    and cos/sin coefficients at [w1'-w2', 2 w1', w1'+w2', 2 w2']; the battery
-    bands weight them.  Shapes (N, 4), (N,), (N, 4), (N, 4).
+    and cos/sin coefficients at [w1'-w2', 2 w1', w1'+w2', 2 w2'], the charging
+    bands of the mode or, past the middle, of its mirror; the battery bands
+    weight them.  Shapes (N, 4), (N,), (N, 4), (N, 4).
     """
     (omega, u), (omega_p, v) = (
         eigensystem_stack(bloch_stack(protocol.gamma, delta, protocol.n_dimers))
@@ -126,7 +130,9 @@ def four_column_tables(protocol):
     )
     m = np.conj(np.transpose(v, (0, 2, 1))) @ u
     n = m.shape[0]
-    w1p, w2p = omega_p[:, 0], omega_p[:, 1]
+    # mode n - 1 - i runs at the bands of its mirror i, as the engine's half zone does
+    mirror = np.minimum(np.arange(n), n - 1 - np.arange(n))
+    w1p, w2p = omega_p[mirror, 0], omega_p[mirror, 1]
     freqs = np.column_stack([w1p - w2p, 2.0 * w1p, w1p + w2p, 2.0 * w2p])
     const = np.zeros((n, 2))
     cos_a = np.zeros((n, 2, 4))

@@ -65,7 +65,7 @@ class TestIsingParams:
             IsingParams(0.8, 0.7, 10**6 + 1)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("field", ["h0", "h1"])
+    @pytest.mark.parametrize("field", ["h0", "h1", "n_sites"])
     def test_rejects_non_finite(self, field, value):
         kwargs = {"h0": 0.8, "h1": 0.7, "n_sites": 20, field: value}
         with pytest.raises(ValueError, match=f"{field} must be finite"):

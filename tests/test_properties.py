@@ -9,7 +9,9 @@ rounding.  The Ising sizes include odd rings, whose mode set holds k = pi.
 On either model the one resolution bound equals the model's own former
 rule bit for bit, the Ising supplier's half-zone tables equal their
 written-out formula bit for bit, and each supplier's ED spin chains equal
-those the CLI's model table once built from the same options.
+those the CLI's model table once built from the same options.  An XY
+chain's mirror modes k and 2 pi - k, which the time kernel folds into one
+row, have the same Bloch bands to 16 eps of the largest band.
 The ``trace`` command, given any window, end time and step around its
 defaults, exits 0, 2 or 3 and never raises, and on any grid the window's
 samples are those of the mask (times >= min) & (times <= max).  The CLI's
@@ -45,6 +47,7 @@ from spinbattery.cli import main
 from spinbattery.quench import _uniform_times
 from spinbattery.regimes import _window_span
 
+from bloch_reference import bloch_stack, eigensystem_stack
 from test_ising import _written_out_chain_modes
 from test_quench import _two_rule_bound
 
@@ -137,6 +140,28 @@ def test_xy_critical(p):
     _check_xy(p)
 
 
+# Any XY chain up to 400 dimers, vanishing anisotropies and null quenches included.
+XY_CHAINS = XY_GENERIC | xy_critical() | st.builds(
+    QuenchProtocol,
+    gamma=st.floats(1e-12, 3.0),
+    delta0=st.floats(0.0, 3.0),
+    delta1=st.just(0.0) | st.floats(0.0, 3.0),
+    n_dimers=st.integers(2, 400),
+)
+
+
+@SETTINGS
+@given(XY_CHAINS)
+def test_mirror_modes_share_their_bands(p):
+    # the time kernel runs mode n - 1 - i (k -> 2 pi - k) at the bands of mode
+    # i; eigh of the full zone gives the two the same bands to rounding
+    n, eps = p.n_dimers, np.finfo(float).eps
+    for delta in (p.delta0, p.delta0 + p.delta1):
+        bands = eigensystem_stack(bloch_stack(p.gamma, delta, n))[0]
+        gap = np.max(np.abs(bands[: n // 2] - bands[::-1][: n // 2]))
+        assert gap <= 16.0 * eps * np.max(bands)
+
+
 @SETTINGS
 @given(ISING_GENERIC)
 def test_ising_generic(params):
@@ -161,17 +186,9 @@ def test_ising_chain_modes_equal_the_written_out_formula(params):
 # Either model at any size up to 400 dimers or 800 sites, vanishing
 # anisotropies and null quenches included.
 RULE_PARAMS = (
-    XY_GENERIC
-    | xy_critical()
+    XY_CHAINS
     | ISING_GENERIC
     | ising_critical()
-    | st.builds(
-        QuenchProtocol,
-        gamma=st.floats(1e-12, 3.0),
-        delta0=st.floats(0.0, 3.0),
-        delta1=st.just(0.0) | st.floats(0.0, 3.0),
-        n_dimers=st.integers(2, 400),
-    )
     | st.builds(
         IsingParams,
         h0=st.floats(-3.0, 3.0),

@@ -15,7 +15,7 @@ from spinbattery import (
     occupations_all,
     resolution_bound,
 )
-from spinbattery import cli, ising, quench, regimes, sums, xy
+from spinbattery import cli, ising, quench, regimes, sums
 from spinbattery.ed import DimerizedXY, build_hamiltonian, oracle_energy_trace
 from spinbattery.ising import IsingParams, ising_energy_at_times
 from spinbattery.quench import EQUAL_FREQ_TOL
@@ -72,7 +72,7 @@ class TestQuenchProtocol:
             QuenchProtocol(**kwargs)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    @pytest.mark.parametrize("field", ["gamma", "delta0", "delta1"])
+    @pytest.mark.parametrize("field", ["gamma", "delta0", "delta1", "n_dimers"])
     def test_rejects_non_finite(self, field, value):
         kwargs = {"gamma": 1.0, "delta0": 0.3, "delta1": 0.6, "n_dimers": 4, field: value}
         with pytest.raises(ValueError, match=f"{field} must be finite"):
@@ -613,7 +613,8 @@ class TestStatelessEngines:
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         call(QuenchProtocol(1.25, 0.3, 0.6, 6))
         assert decomposed == [(1.25, 0.3 + 0.6, 6)][:stacks]
-        assert solves == [(6, 4, 4)][:stacks]
+        # the half zone: modes q = 1/2, 3/2, 5/2 of six, each with its mirror
+        assert solves == [(3, 4, 4)][:stacks]
 
     def test_no_per_mode_table_outlives_its_call(self):
         # four fresh protocols per engine: tables kept per protocol would
@@ -632,21 +633,41 @@ class TestStatelessEngines:
         assert retained <= 10**6
 
 
-def _kernel_tables(protocol: QuenchProtocol):
-    """``(freqs, e_const, e_cos)`` of the XY time kernel, shapes (N, 2), (N,), (N, 2):
-    the two chains' closed-form amplitudes at the charger's Bloch bands."""
-    g, n = protocol.gamma, protocol.n_dimers
-    norm, _, sin2_dphi = xy._xy_chains(g, protocol.delta0, protocol.delta1, n)
-    e_cos = -(norm * sin2_dphi)
-    freqs = 2.0 * quench._bloch_bands(g, protocol.delta0 + protocol.delta1, n)
-    return freqs, -(e_cos[:, 0] + e_cos[:, 1]), e_cos
-
-
 def _fig3_window_grid():
     """The sweep row's recurrence-window grid of the tied Fig-3 point delta0 = 0.2."""
     bound = resolution_bound(FIG3)
     window = regimes.default_recurrence_window(FIG3.n_dimers)
     return quench._uniform_times(*window, regimes.DT_SAFETY * bound, bound)
+
+
+class TestHalfZoneTables:
+    # kernel_tables runs the half zone: row i folds mode i with its mirror
+    # n - 1 - i (k -> 2 pi - k), both at mode i's Bloch bands, and an odd n
+    # keeps its k = pi mode once, so n - n // 2 rows carry every amplitude
+    @pytest.mark.parametrize(
+        "protocol",
+        [
+            QuenchProtocol(1.25, 0.3, 0.6, 2),
+            QuenchProtocol(1.25, 0.3, 0.6, 3),
+            QuenchProtocol(0.8, 0.3, 0.5, 7),
+            QuenchProtocol(1.4, 0.6, 0.0, 10),  # delta1 = 0
+            FIG2,
+            QuenchProtocol(1.1, 0.2, 0.8, 301),
+        ],
+        ids=["n2", "n3", "odd_n", "null", "fig2", "fig3_odd"],
+    )
+    def test_folds_each_mirror_pair_into_one_row(self, protocol):
+        n, half = protocol.n_dimers, protocol.n_dimers // 2
+        times, amp, freq = protocol.kernel_tables([0.0, 1.0])
+        full = protocol.chain_modes()[0]
+        bands = quench._bloch_bands(protocol.gamma, protocol.delta0 + protocol.delta1, n)
+        assert amp.shape == freq.shape == (n - half, 2)
+        assert np.array_equal(amp[:half], full[:half] + full[::-1][:half])
+        assert np.array_equal(amp[half:], full[half : n - half])
+        assert np.array_equal(freq, 2.0 * bands)
+        # one rounding per fold on non-negative amplitudes: the sums agree to rounding
+        total = math.fsum(full.ravel())
+        assert abs(math.fsum(amp.ravel()) - total) <= 2.0 * np.finfo(float).eps * total
 
 
 class TestTiedWindow:
@@ -665,7 +686,7 @@ class TestTiedWindow:
 
     def test_the_sweep_row_keeps_its_recurrence_time(self):
         (row,) = regimes.sweep_delta0(1.1, 0.8, 300, [0.2])
-        assert row.tau_r == pytest.approx(714.7123089684378, rel=1e-9)
+        assert row.tau_r == 714.7123089684378
 
 
 class TestSubsetBits:
@@ -708,7 +729,7 @@ class TestTiledKernel:
             protocol, times = QuenchProtocol(1.25, 0.3, 0.6, n_dimers), 0.05 * np.arange(samples)
             tracemalloc.start()
             try:
-                _kernel_tables(protocol)
+                protocol.kernel_tables(times)
                 tables = tracemalloc.get_traced_memory()[1]
                 tracemalloc.reset_peak()
                 kernel(protocol, times)
@@ -996,8 +1017,10 @@ class TestBlochEigensystems:
     )
     def test_matches_the_reference_bitwise(self, protocol):
         for delta in (protocol.delta0, protocol.delta0 + protocol.delta1):
-            args = (protocol.gamma, delta, protocol.n_dimers)
-            ref = eigensystem_stack(bloch_stack(*args))[0]
+            n = protocol.n_dimers
+            args = (protocol.gamma, delta, n)
+            # the half zone: rows 0 .. n - n // 2 - 1, the k = pi mode of an odd n included
+            ref = eigensystem_stack(bloch_stack(*args))[0][: n - n // 2]
             got = quench._bloch_bands(*args)
             assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
 

@@ -314,6 +314,12 @@ class TestScalingStudy:
         with pytest.raises(ValueError, match=re.escape("n_dimers must be an integer >= 2, got 5.7")):
             scaling_study(1.25, 0.3, 0.6, [5.7, 6])
 
+    def test_an_infinite_size_is_rejected_naming_the_field(self, monkeypatch):
+        # int(inf) would raise OverflowError, outside the ValueError callers catch
+        monkeypatch.setattr(regimes, "_regime_point", lambda *args: pytest.fail("row ran"))
+        with pytest.raises(ValueError, match="n_dimers must be finite, got inf"):
+            scaling_study(1.25, 0.3, 0.6, [float("inf"), 6])
+
     def test_whole_float_sizes_give_the_integer_sizes_rows(self):
         rows = scaling_study(1.25, 0.3, 0.6, [6.0, 8.0])
         assert repr(rows) == repr(scaling_study(1.25, 0.3, 0.6, [6, 8]))
