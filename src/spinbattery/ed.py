@@ -2,16 +2,17 @@
 
 Everything here works in raw spin space with periodic boundaries and knows
 nothing about fermions or Bloch bands: it exists to verify the momentum-space
-engines independently.  Both models commute with the parity
-P = prod_j sz_j and with a translation T that moves every spin `step` sites
-along the ring (two for the dimerized XY chain, one for Ising), so each
-parity sector splits into L = N / step momentum sectors k = 2 pi m / L.
-Each sector is assembled directly over orbit representatives, the textbook
-momentum-state construction (Sandvik, AIP Conf. Proc. 1297, 135 (2010)); no
-matrix over a whole parity sector, let alone the 2^N space, is ever built.
-The initial state is the even-parity ground state, and the evolution stays
-in its momentum sector.  Time evolution uses one full eigendecomposition of
-the charging Hamiltonian's sector (no stepping error).
+engines independently.  :func:`_couplings` is the one place a kind's spin
+Hamiltonian H = sum_j [jx_j sx_j sx_{j+1} + jy_j sy_j sy_{j+1} + hz_j sz_j]
+is written.  Each kind commutes with the parity P = prod_j sz_j and with a
+translation T that moves every spin `step` sites along the ring (two for the
+dimerized XY chain, one for Ising), so each parity sector splits into
+L = N / step momentum sectors k = 2 pi m / L.  Each sector is assembled
+directly over orbit representatives, the textbook momentum-state
+construction (Sandvik, AIP Conf. Proc. 1297, 135 (2010)); no matrix over a
+whole parity sector, let alone the 2^N space, is ever built.  The initial
+state is the even-parity ground state; it evolves inside its momentum sector
+by one full eigendecomposition of the charger's sector (no stepping error).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from .ising import TransverseIsing
 from .quench import DimerizedXY, EnergyTrace, _as_times
+from .xy import _check_finite
 
 __all__ = [
     "DimerizedXY",
@@ -71,19 +73,24 @@ def _site_bit(j: int, n: int) -> int:
     return 1 << (n - 1 - (j - 1) % n)
 
 
-def _check_sites(n_sites: int) -> None:
+def _couplings(kind: DimerizedXY | TransverseIsing, n_sites: int):
+    """(step, jx, jy, hz) of ``kind`` on a ring of n_sites spins: H as in the module docstring.
+
+    Raises ValueError outside [2, MAX_SITES] sites, for a non-finite field or
+    an odd XY ring, and TypeError for an unknown kind.
+    """
     if int(n_sites) != n_sites or not 2 <= n_sites <= MAX_SITES:
         raise ValueError(f"n_sites must be an integer in [2, {MAX_SITES}], got {n_sites}")
-
-
-def _step(kind: DimerizedXY | TransverseIsing, n_sites: int) -> int:
-    """Sites per translation that leaves ``kind`` on n_sites spins invariant."""
+    j = np.arange(1, n_sites + 1)
     if isinstance(kind, DimerizedXY):
+        _check_finite(gamma=kind.gamma, delta=kind.delta)
         if n_sites % 2 != 0:
             raise ValueError(f"the dimerized XY chain needs an even number of sites, got {n_sites}")
-        return 2
+        b = 1.0 - (-1.0) ** j * kind.delta
+        return 2, -b * (1.0 + kind.gamma) / 2.0, -b * (1.0 - kind.gamma) / 2.0, np.zeros(j.shape)
     if isinstance(kind, TransverseIsing):
-        return 1
+        _check_finite(h=kind.h)
+        return 1, np.full(j.shape, 0.5), np.zeros(j.shape), np.full(j.shape, kind.h / 2.0)
     raise TypeError(f"unknown Hamiltonian kind {kind!r}")
 
 
@@ -135,35 +142,30 @@ def _sector(kind: DimerizedXY | TransverseIsing, n_sites: int, parity: int, m: i
     that amplitude times sqrt(R_a / R_b) e^{ikl}; a b outside the sector has
     no momentum-k state and is dropped.  The block is complex Hermitian.
     """
-    step = _step(kind, n_sites)
+    step, jx, jy, hz = _couplings(kind, n_sites)
     orbits = _orbits(n_sites, step)
     rep, shift, period, _, length = orbits
     basis = _sector_basis(orbits, parity, m)
     dim = basis.size
     pos = np.full(rep.size, -1)
     pos[basis] = np.arange(dim)
-    cols = np.arange(dim)
     h = np.zeros((dim, dim), dtype=complex)
+    diag = h.reshape(-1)[:: dim + 1]
     k = 2.0 * np.pi * m / length
     for j in range(1, n_sites + 1):
         mask = _site_bit(j, n_sites) | _site_bit(j + 1, n_sites)
         target = basis ^ mask
         image = rep[target]
         rows = pos[image]
-        keep = rows >= 0
+        keep = np.flatnonzero(rows >= 0)
         factor = np.sqrt(period[basis] / period[image]) * np.exp(1j * k * shift[target])
-        if isinstance(kind, DimerizedXY):
-            pair = basis & mask
-            agree = np.where((pair == 0) | (pair == mask), 1.0, -1.0)
-            bond = 1.0 - (-1.0) ** j * kind.delta
-            amp = bond * (1.0 - kind.gamma) / 2.0 * agree - bond * (1.0 + kind.gamma) / 2.0
-        else:
-            amp = np.full(dim, 0.5)
-            up = np.where(basis & _site_bit(j, n_sites), -1.0, 1.0)
-            h[cols, cols] += 0.5 * kind.h * up
+        pair = basis & mask
+        agree = np.where((pair == 0) | (pair == mask), 1.0, -1.0)
+        amp = jx[j - 1] - jy[j - 1] * agree
+        diag += hz[j - 1] * np.where(basis & _site_bit(j, n_sites), -1.0, 1.0)
         # Within one bond every column is written once, so += does not drop
         # repeated entries.
-        h[rows[keep], cols[keep]] += (amp * factor)[keep]
+        h[rows[keep], keep] += (amp * factor)[keep]
     return h
 
 
@@ -174,8 +176,7 @@ def check_oracle_size(kind: DimerizedXY | TransverseIsing, n_sites: int, samples
     of the largest even-parity momentum sector is counted from the orbit
     representatives; runs above MAX_EVOLUTION_WORK raise ValueError.
     """
-    _check_sites(n_sites)
-    orbits = _orbits(n_sites, _step(kind, n_sites))
+    orbits = _orbits(n_sites, _couplings(kind, n_sites)[0])
     dim = max(_sector_basis(orbits, 0, m).size for m in range(orbits[-1]))
     if dim * dim * samples > MAX_EVOLUTION_WORK:
         raise ValueError(
@@ -187,12 +188,11 @@ def check_oracle_size(kind: DimerizedXY | TransverseIsing, n_sites: int, samples
 def build_hamiltonian(kind: DimerizedXY | TransverseIsing, n_sites: int) -> SpinHamiltonian:
     """The periodic spin Hamiltonian of ``kind``, checked but not assembled.
 
-    Raises ValueError outside [2, MAX_SITES] sites or for an odd XY ring, and
-    TypeError for an unknown kind.  Its sector blocks are built where they
-    are used (see :func:`_sector`).
+    Raises ValueError outside [2, MAX_SITES] sites, for a non-finite field or
+    an odd XY ring, and TypeError for an unknown kind.  Its sector blocks are
+    built where they are used (see :func:`_sector`).
     """
-    _check_sites(n_sites)
-    _step(kind, n_sites)
+    _couplings(kind, n_sites)
     return SpinHamiltonian(n_sites=n_sites, kind=kind)
 
 
@@ -211,7 +211,7 @@ def even_sector_ground_state(ham: SpinHamiltonian) -> tuple[np.ndarray, int]:
     there is no unique ground state to return.  The normalized vector comes
     from one ``eigh`` of sector m* and is given in that sector's basis.
     """
-    length = ham.n_sites // _step(ham.kind, ham.n_sites)
+    length = ham.n_sites // _couplings(ham.kind, ham.n_sites)[0]
     spectra = []
     for parity in (0, 1):
         half = [

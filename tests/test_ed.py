@@ -9,6 +9,7 @@ from spinbattery.ed import (
     TransverseIsing,
     _sector,
     build_hamiltonian,
+    check_oracle_size,
     even_sector_ground_state,
     oracle_energy_trace,
 )
@@ -91,6 +92,23 @@ class TestBuildHamiltonian:
             build_hamiltonian(DimerizedXY(1.0, 0.5), 5)
         with pytest.raises(TypeError):
             build_hamiltonian("ising", 4)
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        [
+            (DimerizedXY(float("nan"), 0.3), "gamma"),
+            (DimerizedXY(1.25, float("inf")), "delta"),
+            (TransverseIsing(float("nan")), "h"),
+        ],
+    )
+    def test_rejects_a_field_that_is_not_finite(self, kind, field, monkeypatch):
+        # named up front, before any orbit is built, not as a LAPACK failure
+        # deep inside the evolution
+        monkeypatch.setattr(ed, "_orbits", lambda *args: pytest.fail("orbits were built"))
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got"):
+            build_hamiltonian(kind, 4)
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got"):
+            check_oracle_size(kind, 4, 10)
 
 
 # Points on both sides of each critical line: Ising h = +-1, XY delta =

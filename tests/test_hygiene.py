@@ -312,6 +312,29 @@ def test_only_the_bloch_helper_and_the_oracle_call_eigensolvers():
     assert any(c.startswith("ed.") for c in callers)
 
 
+def test_only_the_couplings_tell_the_ed_kinds_apart():
+    # a kind's spin chain is written in ed._couplings alone, so a new kind is
+    # one branch there and no other ED function asks which kind it holds
+    callers = [
+        getattr(node, "name", "<module>")
+        for node in _tree("ed").body
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and set(_names(call.func)) & {"isinstance", "issubclass"}
+    ]
+    assert set(callers) == {"_couplings"}
+
+
+def test_the_ed_reference_imports_only_the_kinds_from_the_oracle():
+    # the judge of the oracle's sectors shares no code with spinbattery.ed
+    from_package = set()
+    for node in ast.walk(ast.parse((ROOT / "tests" / "ed_reference.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("spinbattery"):
+            from_package |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            from_package |= {a.name for a in node.names if a.name.startswith("spinbattery")}
+    assert from_package <= {"DimerizedXY", "TransverseIsing"}
+
+
 # ----------------------------------------------------------------------
 # the benchmark's view of the library
 # ----------------------------------------------------------------------

@@ -9,9 +9,11 @@ rounding.  The Ising sizes include odd rings, whose mode set holds k = pi.
 On either model the one resolution bound equals the model's own former
 rule bit for bit, the Ising supplier's half-zone tables equal their
 written-out formula bit for bit, and each supplier's ED spin chains equal
-those the CLI's model table once built from the same options.  An XY
-chain's mirror modes k and 2 pi - k, which the time kernel folds into one
-row, have the same Bloch bands to 16 eps of the largest band.
+those the CLI's model table once built from the same options.  For any XY
+or Ising spin chain on a small ring, the ED oracle's momentum sectors of
+each parity together hold the spectrum of the reference's parity block, to
+1e-12.  An XY chain's mirror modes k and 2 pi - k, which the time kernel
+folds into one row, have the same Bloch bands to 16 eps of the largest band.
 The ``trace`` command, given any window, end time and step around its
 defaults, exits 0, 2 or 3 and never raises, and on any grid the window's
 samples are those of the mask (times >= min) & (times <= max).  The CLI's
@@ -44,10 +46,12 @@ from spinbattery import (
 )
 from spinbattery import cli
 from spinbattery.cli import main
+from spinbattery.ed import _sector
 from spinbattery.quench import _uniform_times
 from spinbattery.regimes import _window_span
 
 from bloch_reference import bloch_stack, eigensystem_stack
+from ed_reference import _block
 from test_ising import _written_out_chain_modes
 from test_quench import _two_rule_bound
 
@@ -224,6 +228,29 @@ def test_ed_kinds_are_the_former_cli_kinds(params):
     former = _FORMER_CLI_KINDS[model](asdict(params))
     assert params.ed_kinds() == former
     assert repr(params.ed_kinds()) == repr(former)
+
+
+# An ED spin chain and its ring, with the sites T moves it by: XY on even
+# rings up to 8 sites, Ising on any ring of 2 to 8.
+ED_CHAINS = st.tuples(
+    st.builds(DimerizedXY, gamma=st.floats(0.05, 3.0), delta=st.floats(0.0, 2.0)),
+    st.integers(1, 4).map(lambda dimers: 2 * dimers),
+    st.just(2),
+) | st.tuples(st.builds(TransverseIsing, h=st.floats(-3.0, 3.0)), st.integers(2, 8), st.just(1))
+
+
+@SETTINGS
+@given(ED_CHAINS)
+def test_ed_sectors_hold_their_parity_block_spectrum(chain):
+    # the momentum sectors of one parity together hold the spectrum of the
+    # reference's parity block, which writes each kind's bonds out itself
+    kind, n_sites, step = chain
+    for parity in (0, 1):
+        blocks = [_sector(kind, n_sites, parity, m) for m in range(n_sites // step)]
+        got = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+        ref = np.linalg.eigvalsh(_block(kind, n_sites, parity))
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12
 
 
 @st.composite
